@@ -123,58 +123,40 @@ let ospf_cmd =
 (* ---- exp --------------------------------------------------------- *)
 
 let exp_cmd =
+  let names ~audited =
+    List.filter_map
+      (fun (e : Sim.Registry.entry) ->
+        if audited && not e.audited then None else Some e.name)
+      Sim.Registry.all
+  in
   let which =
     Arg.(
       required
       & pos 0 (some string) None
-      & info [] ~docv:"EXPERIMENT"
-          ~doc:
-            "fig4, fig5, table3, k, cache, frag, fail, chaos, live, quorum, \
-             corrupt, epoch, sketch, queue or lp")
+      & info [] ~docv:"EXPERIMENT" ~doc:(String.concat ", " (names ~audited:false)))
   in
   let audit_flag =
     Arg.(
       value & flag
       & info [ "audit" ]
           ~doc:
-            "Run the packet-level rows of chaos/live/quorum/corrupt/reopt \
-             under the online invariant audit and exit non-zero on any \
-             violation")
+            ("Run the packet-level rows of "
+            ^ String.concat "/" (names ~audited:true)
+            ^ " under the online invariant audit and exit non-zero on any violation"))
   in
-  let corrupt_rate_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "corrupt-rate" ] ~docv:"RATE"
-          ~doc:
-            "Corruption events per simulated time unit for $(b,exp corrupt) \
-             (non-negative; overrides the default rate sweep)")
-  in
-  let sweep_period_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "sweep-period" ] ~docv:"PERIOD"
-          ~doc:
-            "Anti-entropy sweep period for $(b,exp corrupt) (non-negative; \
-             0 disables the sweep; overrides the default period sweep)")
-  in
-  let classifier_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "classifier" ] ~docv:"KIND"
-          ~doc:
-            "Software classifier backing the policy tables of the \
-             packet-level experiments (cache, frag): trie (default), dectree \
-             or linear.  All three have identical first-match semantics, so \
-             the printed statistics are invariant; only classification cost \
-             differs.")
+  let knob name docv doc = Arg.(value & opt (some string) None & info [ name ] ~docv ~doc) in
+  let positive =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 1 -> Ok n
+      | _ -> Error (`Msg (Printf.sprintf "expected an integer >= 1, got %S" s))
+    in
+    Arg.conv (parse, Format.pp_print_int)
   in
   let jobs_arg =
     Arg.(
       value
-      & opt int (Stdx.Domain_pool.default_jobs ())
+      & opt positive (Stdx.Domain_pool.default_jobs ())
       & info [ "jobs" ] ~docv:"N"
           ~doc:
             "Evaluate independent experiment cells on up to $(docv) domains. \
@@ -183,7 +165,7 @@ let exp_cmd =
   in
   let shards_arg =
     Arg.(
-      value & opt int 1
+      value & opt positive 1
       & info [ "shards" ] ~docv:"N"
           ~doc:
             "Split each individual run's per-flow work across up to $(docv) \
@@ -191,198 +173,61 @@ let exp_cmd =
              phases for packet-level runs).  Orthogonal to $(b,--jobs); \
              results are bit-identical for every value.")
   in
-  (* Exit policy under --audit: any invariant violation fails the
-     invocation so CI can gate on it. *)
-  let audit_verdict counts =
-    let total = List.fold_left ( + ) 0 counts in
-    if total > 0 then begin
-      Format.eprintf "audit: %d invariant violation(s)@." total;
-      exit 1
-    end
-    else Format.printf "audit: clean (%d runs)@." (List.length counts)
-  in
-  let known_experiments =
-    [
-      "fig4"; "fig5"; "table3"; "k"; "cache"; "frag"; "fail"; "chaos"; "live";
-      "quorum"; "corrupt"; "reopt"; "epoch"; "sketch"; "queue"; "lp";
-    ]
-  in
-  let audited_experiments = [ "chaos"; "live"; "quorum"; "corrupt"; "reopt" ] in
-  let run which seed flows audit jobs shards corrupt_rate sweep_period
-      classifier =
-    if audit && not (List.mem which audited_experiments) then
-      Format.eprintf
-        "note: --audit applies to chaos, live, quorum, corrupt and reopt only@.";
-    (* Parsed by hand so misuse exits 2 (flag-misuse policy), not
-       cmdliner's generic CLI-error code. *)
-    let classifier =
-      match classifier with
-      | None -> Sim.Pktsim.Trie
-      | Some "trie" -> Sim.Pktsim.Trie
-      | Some "dectree" -> Sim.Pktsim.Dectree
-      | Some "linear" -> Sim.Pktsim.Linear
-      | Some s ->
+  (* The corrupt knobs are parsed by hand so misuse exits 2 with the
+     experiment's own usage line. *)
+  let parse_nonneg name = function
+    | None -> None
+    | Some s -> (
+      match float_of_string_opt s with
+      | Some x when Float.is_finite x && x >= 0.0 -> Some x
+      | _ ->
         Format.eprintf
-          "--classifier expects trie, dectree or linear, got %S@." s;
-        exit 2
-    in
-    if
-      classifier <> Sim.Pktsim.Trie
-      && not (List.mem which [ "cache"; "frag" ])
-    then
-      Format.eprintf "note: --classifier applies to cache and frag only@.";
-    if jobs < 1 then begin
-      Format.eprintf "--jobs must be >= 1@.";
-      exit 2
-    end;
-    if shards < 1 then begin
-      Format.eprintf "--shards must be >= 1@.";
-      exit 2
-    end;
-    (* The corrupt knobs are parsed by hand so misuse exits 2 with a
-       usage line (same policy as --jobs/--shards), not cmdliner's
-       generic CLI-error code. *)
-    let parse_nonneg name v =
-      match v with
-      | None -> None
-      | Some s -> (
-        match float_of_string_opt s with
-        | Some x when Float.is_finite x && x >= 0.0 -> Some x
-        | _ ->
-          Format.eprintf
-            "%s expects a non-negative number, got %S@.usage: sdmctl exp \
-             corrupt [--corrupt-rate RATE] [--sweep-period PERIOD]@."
-            name s;
-          exit 2)
-    in
+          "%s expects a non-negative number, got %S@.usage: sdmctl exp corrupt \
+           [--corrupt-rate RATE] [--sweep-period PERIOD]@."
+          name s;
+        exit 2)
+  in
+  let run which seed flows audit jobs shards corrupt_rate sweep_period =
+    if audit && not (List.mem which (names ~audited:true)) then
+      Format.eprintf "note: --audit applies to %s only@."
+        (String.concat ", " (names ~audited:true));
     let corrupt_rate = parse_nonneg "--corrupt-rate" corrupt_rate in
     let sweep_period = parse_nonneg "--sweep-period" sweep_period in
-    match which with
-    | "fig4" ->
-      Format.printf "%a@." Sim.Report.pp_figure
-        (Sim.Experiment.run_figure Sim.Experiment.Campus ~seed ~jobs ~shards ())
-    | "fig5" ->
-      Format.printf "%a@." Sim.Report.pp_figure
-        (Sim.Experiment.run_figure Sim.Experiment.Waxman ~seed ~jobs ~shards ())
-    | "table3" ->
-      Format.printf "%a@." Sim.Report.pp_table3
-        (Sim.Experiment.run_table3 ~flows ~seed ~jobs ~shards ())
-          .Sim.Experiment.t3_rows
-    | "k" ->
-      Format.printf "%a@." Sim.Report.pp_k_ablation
-        (Sim.Experiment.ablation_k ~seed ~jobs ~shards ()).Sim.Experiment.k_points
-    | "cache" ->
-      Format.printf "%a@." Sim.Report.pp_cache_ablation
-        (Sim.Experiment.ablation_cache ~flows:(min flows 5_000) ~seed ~shards
-           ~classifier ())
-    | "frag" ->
-      Format.printf "%a@." Sim.Report.pp_frag_ablation
-        (Sim.Experiment.ablation_fragmentation ~flows:(min flows 5_000) ~seed
-           ~jobs ~shards ~classifier ())
-    | "epoch" ->
-      let deployment =
-        Sim.Experiment.build_deployment Sim.Experiment.Campus ~seed
-      in
-      Format.printf "%a@." Sim.Report.pp_epochs
-        (Sim.Epochsim.run ~deployment ~seed ~jobs ~shards ()).Sim.Epochsim.ep_rows
-    | "sketch" ->
-      Format.printf "%a@." Sim.Report.pp_sketch_ablation
-        (Sim.Experiment.ablation_sketch ~flows:(min flows 120_000) ~seed ~jobs
-           ~shards ())
-          .Sim.Experiment.sk_points
-    | "fail" ->
-      Format.printf "%a@." Sim.Report.pp_failure_ablation
-        (Sim.Experiment.ablation_failure ~flows:(min flows 120_000) ~seed ~jobs
-           ~shards ())
-    | "chaos" ->
-      let r =
-        Sim.Experiment.ablation_chaos ~flows:(min flows 800) ~seed ~audit ~jobs
-          ~shards ()
-      in
-      Format.printf "%a@." Sim.Report.pp_chaos_ablation r;
-      if audit then
-        audit_verdict
-          (List.filter_map
-             (fun (row : Sim.Experiment.chaos_row) -> row.Sim.Experiment.chaos_audit)
-             r.Sim.Experiment.chaos_rows)
-    | "live" ->
-      let r =
-        Sim.Experiment.ablation_live ~flows:(min flows 500) ~seed ~audit ~jobs
-          ~shards ()
-      in
-      Format.printf "%a@." Sim.Report.pp_live_ablation r;
-      if audit then
-        audit_verdict
-          (List.filter_map
-             (fun (row : Sim.Experiment.live_row) -> row.Sim.Experiment.live_audit)
-             r.Sim.Experiment.live_rows)
-    | "quorum" ->
-      let r =
-        Sim.Experiment.ablation_quorum ~flows:(min flows 400) ~seed ~audit
-          ~jobs ~shards ()
-      in
-      Format.printf "%a@." Sim.Report.pp_quorum_ablation r;
-      if audit then
-        audit_verdict
-          (List.filter_map
-             (fun (row : Sim.Experiment.quorum_row) ->
-               row.Sim.Experiment.qr_audit)
-             r.Sim.Experiment.q_rows)
-    | "corrupt" ->
-      let rates = Option.map (fun r -> [ r ]) corrupt_rate in
-      let sweep_periods =
-        Option.map
-          (fun p -> if p = 0.0 then [ None ] else [ Some p ])
-          sweep_period
-      in
-      let r =
-        Sim.Experiment.ablation_corrupt ~flows:(min flows 400) ~seed ~audit
-          ?rates ?sweep_periods ~jobs ~shards ()
-      in
-      Format.printf "%a@." Sim.Report.pp_corrupt_ablation r;
-      if audit then
-        audit_verdict
-          (List.filter_map
-             (fun (row : Sim.Experiment.corrupt_row) ->
-               row.Sim.Experiment.cr_audit)
-             r.Sim.Experiment.c_rows)
-    | "reopt" ->
-      let r =
-        Sim.Experiment.ablation_reopt ~flows:(min flows 400) ~seed ~audit ~jobs
-          ~shards ()
-      in
-      Format.printf "%a@." Sim.Report.pp_reopt_ablation r;
-      (* The differential oracle fails the invocation on its own, audit
-         or not: a warm optimum disagreeing with the cold solve is a
-         solver bug, not an enforcement-invariant violation. *)
-      if r.Sim.Experiment.rp_agree <> r.Sim.Experiment.rp_total then begin
-        Format.eprintf "reopt: warm/cold objective mismatch (%d/%d steps)@."
-          r.Sim.Experiment.rp_agree r.Sim.Experiment.rp_total;
-        exit 1
-      end;
-      if audit then
-        audit_verdict
-          (List.filter_map
-             (fun (row : Sim.Experiment.reopt_row) -> row.Sim.Experiment.rp_audit)
-             r.Sim.Experiment.rp_rows)
-    | "queue" ->
-      Format.printf "%a@." Sim.Report.pp_queue_ablation
-        (Sim.Experiment.ablation_queue ~seed ~jobs ~shards ())
-    | "lp" ->
-      Format.printf "%a@." Sim.Report.pp_lp_ablation
-        (Sim.Experiment.ablation_lp ~flows:(min flows 10_000) ~seed ~jobs ~shards ())
-    | s ->
+    match Sim.Registry.find which with
+    | None ->
       (* A distinct exit code (3) so scripts can tell "no such
          experiment" from flag misuse (2). *)
-      Format.eprintf "unknown experiment %S; known experiments: %s@." s
-        (String.concat ", " known_experiments);
+      Format.eprintf "unknown experiment %S; known experiments: %s@." which
+        (String.concat ", " (names ~audited:false));
       exit 3
+    | Some e ->
+      let flows = min flows e.cap in
+      let o = e.run { flows; fast = false; seed; jobs; shards; audit; corrupt_rate; sweep_period } in
+      Format.printf "%a@." Sim.Table.pp_doc o.doc;
+      Option.iter (fun m -> Format.eprintf "%s@." m; exit 1) o.mismatch;
+      (* Under --audit any invariant violation fails the invocation so
+         CI can gate on it. *)
+      if audit && e.audited then begin
+        let counts = List.filter_map Fun.id o.audits in
+        let total = List.fold_left ( + ) 0 counts in
+        if total > 0 then begin
+          Format.eprintf "audit: %d invariant violation(s)@." total;
+          exit 1
+        end
+        else Format.printf "audit: clean (%d runs)@." (List.length counts)
+      end
   in
   Cmd.v
     (Cmd.info "exp" ~doc:"Regenerate a paper experiment or ablation")
     Term.(
       const run $ which $ seed_arg $ flows_arg 300_000 $ audit_flag $ jobs_arg
-      $ shards_arg $ corrupt_rate_arg $ sweep_period_arg $ classifier_arg)
+      $ shards_arg
+      $ knob "corrupt-rate" "RATE"
+          "Corruption events per simulated time unit for $(b,exp corrupt) \
+           (non-negative; overrides the default rate sweep)"
+      $ knob "sweep-period" "PERIOD"
+          "Anti-entropy sweep period for $(b,exp corrupt) (non-negative; 0 \
+           disables the sweep; overrides the default period sweep)")
 
 (* ---- demo --------------------------------------------------------- *)
 
@@ -406,14 +251,14 @@ let demo_cmd =
           (fun nf ->
             Format.printf " %s(max)=%s"
               (Policy.Action.nf_to_string nf)
-              (Sim.Report.millions
+              (Sim.Table.millions
                  (Sim.Flowsim.max_load_of_nf r.Sim.Experiment.controller
                     r.Sim.Experiment.result nf)))
           (List.map fst Sim.Experiment.mbox_counts);
         Format.printf "  stretch=%.2f"
           (Sim.Flowsim.stretch r.Sim.Experiment.result);
         (match r.Sim.Experiment.lambda with
-        | Some l -> Format.printf "  lambda=%s" (Sim.Report.millions l)
+        | Some l -> Format.printf "  lambda=%s" (Sim.Table.millions l)
         | None -> ());
         Format.printf "@.")
       runs
@@ -551,10 +396,11 @@ let policies_cmd =
           file")
     Term.(const run $ file)
 
+(* Flag misuse exits 2, whether cmdliner or a subcommand catches it. *)
 let () =
   let doc = "software-defined middlebox policy enforcement (ICDCS'19 reproduction)" in
-  exit
-    (Cmd.eval
-       (Cmd.group
-          (Cmd.info "sdmctl" ~version:"1.0.0" ~doc)
-          [ topo_cmd; ospf_cmd; exp_cmd; demo_cmd; policies_cmd; verify_cmd; trace_cmd ]))
+  let cmds = [ topo_cmd; ospf_cmd; exp_cmd; demo_cmd; policies_cmd; verify_cmd; trace_cmd ] in
+  match Cmd.eval_value (Cmd.group (Cmd.info "sdmctl" ~version:"1.0.0" ~doc) cmds) with
+  | Ok (`Ok () | `Help | `Version) -> exit 0
+  | Error (`Parse | `Term) -> exit 2
+  | Error `Exn -> exit 125

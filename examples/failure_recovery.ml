@@ -46,7 +46,7 @@ let () =
   in
   Format.printf "victim: mbox%d (IDS), carrying %s packets before failure@."
     victim
-    (Sim.Report.millions before.Sim.Flowsim.loads.(victim));
+    (Sim.Table.millions before.Sim.Flowsim.loads.(victim));
 
   let ids_max result =
     List.fold_left
@@ -55,7 +55,7 @@ let () =
       0.0 ids_boxes
   in
   Format.printf "max IDS load before failure: %s@."
-    (Sim.Report.millions (ids_max before));
+    (Sim.Table.millions (ids_max before));
 
   (* Phase 1: fast failover, stale weights. *)
   let alive id = id <> victim in
@@ -63,7 +63,7 @@ let () =
   assert (failover.Sim.Flowsim.loads.(victim) = 0.0);
   Format.printf "@.phase 1 - local fast failover (no controller):@.";
   Format.printf "  max surviving IDS load: %s@."
-    (Sim.Report.millions (ids_max failover));
+    (Sim.Table.millions (ids_max failover));
 
   (* Phase 2: the controller re-optimizes without the victim. *)
   let reopt =
@@ -78,8 +78,8 @@ let () =
   assert (after.Sim.Flowsim.loads.(victim) = 0.0);
   Format.printf "@.phase 2 - controller re-optimization:@.";
   Format.printf "  max surviving IDS load: %s (LP optimum %s)@."
-    (Sim.Report.millions (ids_max after))
-    (Sim.Report.millions
+    (Sim.Table.millions (ids_max after))
+    (Sim.Table.millions
        (Option.get reopt.Sdm.Controller.lp).Sdm.Lp_formulation.lambda);
 
   (* Enforcement never lapses: total middlebox work is identical in all
@@ -90,4 +90,4 @@ let () =
   Format.printf
     "@.every flow kept its full chain through both phases (total middlebox \
      work unchanged: %s packet-hops).@."
-    (Sim.Report.millions (total before))
+    (Sim.Table.millions (total before))

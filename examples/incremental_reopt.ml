@@ -82,24 +82,26 @@ let () =
      faults; only the solver's path to each optimum differs. *)
   let r = Sim.Experiment.ablation_reopt ~flows:400 () in
   let row warm =
-    List.find
-      (fun (row : Sim.Experiment.reopt_row) ->
-        row.Sim.Experiment.rp_scenario = "campus"
-        && row.Sim.Experiment.rp_warm = warm)
-      r.Sim.Experiment.rp_rows
+    (List.find
+       (fun (row : Sim.Experiment.reopt_row) ->
+         row.Sim.Experiment.rp_scenario = "campus"
+         && row.Sim.Experiment.rp_warm = warm)
+       r.Sim.Experiment.rp_rows)
+      .Sim.Experiment.stats
   in
   let cold = row false and warm = row true in
   Format.printf
     "in-run (campus, %d re-optimizations): cold %d pivots, warm %d pivots \
      (%d warm-carried, %d fell back)@."
-    cold.Sim.Experiment.rp_reopts cold.Sim.Experiment.rp_pivots
-    warm.Sim.Experiment.rp_pivots warm.Sim.Experiment.rp_warm_used
-    warm.Sim.Experiment.rp_fallback;
+    cold.Sim.Pktsim.reoptimizations cold.Sim.Pktsim.reopt_pivots
+    warm.Sim.Pktsim.reopt_pivots warm.Sim.Pktsim.reopt_warm_used
+    warm.Sim.Pktsim.reopt_fallback;
   (* 4. Warm starting saves pivots in-run too, and perturbs nothing
      else: same packets, same delivery, same versions published. *)
-  assert (warm.Sim.Experiment.rp_pivots < cold.Sim.Experiment.rp_pivots);
-  assert (warm.Sim.Experiment.rp_injected = cold.Sim.Experiment.rp_injected);
-  assert (warm.Sim.Experiment.rp_versions = cold.Sim.Experiment.rp_versions);
+  assert (warm.Sim.Pktsim.reopt_pivots < cold.Sim.Pktsim.reopt_pivots);
+  assert (warm.Sim.Pktsim.injected_packets = cold.Sim.Pktsim.injected_packets);
+  assert (
+    warm.Sim.Pktsim.final_config_version = cold.Sim.Pktsim.final_config_version);
   (* 5. The replay's global verdict: every step of every scenario
      agreed. *)
   assert (r.Sim.Experiment.rp_agree = r.Sim.Experiment.rp_total);

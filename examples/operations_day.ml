@@ -15,7 +15,7 @@ let step = ref 0
 
 let report label value =
   incr step;
-  Format.printf "%2d. %-58s max load %s@." !step label (Sim.Report.millions value)
+  Format.printf "%2d. %-58s max load %s@." !step label (Sim.Table.millions value)
 
 let () =
   let deployment = Sim.Experiment.build_deployment Sim.Experiment.Campus ~seed:17 in

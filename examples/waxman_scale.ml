@@ -86,5 +86,5 @@ let () =
     (fun nf ->
       Format.printf "LB max %s load: %s@."
         (Policy.Action.nf_to_string nf)
-        (Sim.Report.millions (Sim.Flowsim.max_load_of_nf controller result nf)))
+        (Sim.Table.millions (Sim.Flowsim.max_load_of_nf controller result nf)))
     (List.map fst Sim.Experiment.mbox_counts)

@@ -35,8 +35,9 @@ type result = {
   loads : float array;     (** predicted volume per middlebox id *)
   lp_vars : int;           (** LP size, for the formulation ablation *)
   lp_constraints : int;
-  lp_pivots : int;         (** simplex pivots this solve performed *)
-  lp_phase1_pivots : int;  (** of those, phase-1 (and drive-out) pivots *)
+  lp_pivots : int;         (** phase-2 simplex pivots this solve performed *)
+  lp_phase1_pivots : int;
+      (** phase-1 and drive-out pivots, counted apart from [lp_pivots] *)
   lp_warm_used : bool;     (** a supplied warm basis carried the solve *)
   lp_fallback : bool;      (** a warm basis was supplied but the cold
                                two-phase path ran *)

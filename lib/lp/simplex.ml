@@ -14,8 +14,8 @@ type basis = {
 }
 
 type stats = {
-  pivots : int;          (* simplex pivots performed by this call *)
-  phase1_pivots : int;   (* of those, phase-1 (and drive-out) pivots *)
+  pivots : int;          (* phase-2 pivots performed by this call *)
+  phase1_pivots : int;   (* phase-1 and drive-out pivots, apart from [pivots] *)
   warm_used : bool;      (* the warm basis carried the solve to optimality *)
   fallback : bool;       (* a warm basis was supplied but the cold
                             two-phase path had to run *)

@@ -39,8 +39,10 @@ type basis
     falls back to the cold path. *)
 
 type stats = {
-  pivots : int;          (** simplex pivots performed by this call *)
-  phase1_pivots : int;   (** of those, phase-1 (and drive-out) pivots *)
+  pivots : int;          (** phase-2 pivots performed by this call *)
+  phase1_pivots : int;
+      (** phase-1 and drive-out pivots, counted apart from [pivots]:
+          a cold solve's total work is the sum of the two *)
   warm_used : bool;      (** the warm basis carried the solve to optimality *)
   fallback : bool;       (** a warm basis was supplied but unusable: the
                              cold two-phase path ran instead *)

@@ -18,8 +18,12 @@
     results are positional, cells are pure, and per-cell seeds are
     derived order-independently ({!Stdx.Rng.derive}), reports are
     bit-identical for every [jobs] value.  Each report also carries
-    the total simulator events its runs processed, so harnesses can
-    state real throughput.
+    the simulator events its runs processed, so harnesses can state
+    real throughput.
+
+    {b Rows as stats.}  A packet-level sweep row is its sweep key plus
+    the run's whole {!Pktsim.stats}; {!Report} derives every printed
+    and exported cell from those stats.
 
     {b Intra-run sharding.}  Orthogonally to [?jobs] (the across-cells
     axis), the [?shards] argument splits each {e individual} run's
@@ -40,9 +44,6 @@ val mbox_counts : (Policy.Action.nf * int) list
 
 val build_deployment : scenario -> seed:int -> Sdm.Deployment.t
 
-val strategies : string list
-(** ["HP"; "Rand"; "LB"] in plot order. *)
-
 type strategy_run = {
   strategy : string;
   controller : Sdm.Controller.t;
@@ -51,15 +52,8 @@ type strategy_run = {
 }
 
 val run_strategies :
-  deployment:Sdm.Deployment.t ->
-  flows:int ->
-  ?per_class:int ->
-  ?seed:int ->
-  ?rule_seed:int ->
-  ?jobs:int ->
-  ?shards:int ->
-  unit ->
-  Workload.t * strategy_run list
+  deployment:Sdm.Deployment.t -> flows:int -> ?per_class:int -> ?seed:int ->
+  ?rule_seed:int -> ?jobs:int -> ?shards:int -> unit -> Workload.t * strategy_run list
 (** One workload, all three strategies on it ([?jobs] fans the three
     out).  [rule_seed] (default [seed]) pins the policy set
     independently of the flow population, which the figure sweeps use
@@ -123,49 +117,34 @@ val ablation_k :
   unit -> k_sweep
 (** LB max loads as the candidate-set sizes grow; k=1 reproduces HP. *)
 
-type cache_stats = {
-  packets : int;
-  lookups : int;            (** multi-field policy lookups actually performed *)
-  hits : int;
-  negative_hits : int;
-  lookup_fraction : float;  (** lookups / packet-events; the flow cache drives this toward #flows/#packets *)
-  cache_events : int;       (** engine events fired by the run *)
-}
+val ablation_cache : ?flows:int -> ?seed:int -> ?shards:int -> unit -> Pktsim.stats
+(** Packet-level run on the campus topology quantifying Sec. III.D:
+    multi-field lookups against cache hits, per injected packet. *)
 
-val ablation_cache :
-  ?flows:int -> ?seed:int -> ?shards:int -> ?classifier:Pktsim.classifier ->
-  unit -> cache_stats
-(** Packet-level run on the campus topology quantifying Sec. III.D.
-    [classifier] (default [Trie]) selects the software classifier
-    backing the policy tables; statistics are invariant to it. *)
+val lookup_fraction : Pktsim.stats -> float
+(** Multi-field lookups per injected packet; the flow cache drives
+    this toward #flows/#packets. *)
 
 type cache_size_point = {
-  capacity : int option;     (** [None] = unbounded *)
-  size_lookup_fraction : float;
-  size_evictions : int;
+  capacity : int option;  (** per-table flow-cache capacity; [None] = unbounded *)
+  stats : Pktsim.stats;
 }
 
-type cache_size_sweep = { cs_points : cache_size_point list; cs_events : int }
-
 val ablation_cache_size :
-  ?flows:int -> ?seed:int -> ?jobs:int -> ?shards:int -> unit -> cache_size_sweep
+  ?flows:int -> ?seed:int -> ?jobs:int -> ?shards:int -> unit -> cache_size_point list
 (** Sec. III.D under finite table sizes: shrink every proxy/middlebox
     flow cache and watch evictions force repeated multi-field lookups
     for long-lived flows. *)
 
-type frag_stats = {
-  fragments_ip_over_ip : int;   (** label switching disabled *)
-  fragments_label_switched : int; (** label switching enabled *)
-  tunneled_legs : int;
-  label_switched_legs : int;
-  frag_events : int;            (** engine events fired, both runs together *)
+type frag_report = {
+  with_labels : Pktsim.stats;  (** label switching enabled *)
+  ip_over_ip : Pktsim.stats;   (** label switching disabled *)
 }
 
 val ablation_fragmentation :
-  ?flows:int -> ?seed:int -> ?jobs:int -> ?shards:int ->
-  ?classifier:Pktsim.classifier -> unit -> frag_stats
-(** Packet-level run quantifying Sec. III.E.  [classifier] as in
-    {!ablation_cache}. *)
+  ?flows:int -> ?seed:int -> ?jobs:int -> ?shards:int -> unit -> frag_report
+(** Packet-level run quantifying Sec. III.E: extra fragments with and
+    without label switching. *)
 
 type failure_report = {
   failed_mbox : int;                  (** the killed middlebox (most-loaded IDS) *)
@@ -189,27 +168,15 @@ val ablation_failure :
     the chain is never skipped. *)
 
 type chaos_row = {
-  chaos_mode : string;       (** "HP+failover", "LB+failover", "LB, no failover" *)
-  chaos_delay : float;       (** detection delay; infinity on the no-failover row *)
-  chaos_injected : int;
-  chaos_delivered : int;
-  chaos_dropped : int;
-  chaos_violations : int;    (** packets that escaped their enforcement chain *)
-  chaos_retries : int;       (** control-packet retransmissions *)
-  chaos_recovery : float;
-      (** time from the crash to the last policy violation — how long
-          the system bled before failover absorbed the fault *)
-  chaos_max_surviving : float;
-      (** max per-box load among the victim's surviving peers *)
-  chaos_events_processed : int;
-  chaos_audit : int option;
-      (** invariant violations found by the online audit
-          ({!Pktsim.config.audit}); [None] when auditing was off *)
+  chaos_mode : string;   (** "HP+failover", "LB+failover", "LB, no failover" *)
+  chaos_delay : float;   (** detection delay; infinity on the no-failover row *)
+  stats : Pktsim.stats;
 }
 
 type chaos_report = {
   chaos_victim : int;            (** the crashed middlebox (busiest IDS) *)
   chaos_victim_nf : Policy.Action.nf;
+  chaos_survivors : int list;    (** the victim's peers of the same function *)
   chaos_crash_at : float;        (** crash time (the victim never recovers) *)
   chaos_link : (int * int) option; (** gateway-core link failed mid-run *)
   chaos_link_fail_at : float;
@@ -220,14 +187,8 @@ type chaos_report = {
 }
 
 val ablation_chaos :
-  ?flows:int ->
-  ?seed:int ->
-  ?audit:bool ->
-  ?detection_delays:float list ->
-  ?jobs:int ->
-  ?shards:int ->
-  unit ->
-  chaos_report
+  ?flows:int -> ?seed:int -> ?audit:bool -> ?detection_delays:float list ->
+  ?jobs:int -> ?shards:int -> unit -> chaos_report
 (** ABL-CHAOS, the packet-level dependability experiment: one fault
     schedule — the busiest IDS box crashes at 25% of the horizon and
     never recovers, a gateway-core link fails at 45% and is restored at
@@ -241,23 +202,16 @@ val ablation_chaos :
     Defaults: 500 flows, delays [2; 10; 40].  [audit] runs every row
     under the online invariant audit ({!Pktsim.config.audit}). *)
 
+val audit_violations : Pktsim.stats -> int option
+(** Invariant violations the online audit found; [None] when auditing
+    was off for the run. *)
+
+val max_load : Pktsim.stats -> float
+(** Busiest-middlebox load of a run. *)
+
 type live_row = {
-  live_loss : float;       (** control-packet loss probability of this row *)
-  live_injected : int;
-  live_delivered : int;
-  live_violations : int;   (** mixed-version or fault-induced escapes; expect 0 *)
-  live_versions : int;     (** configuration versions published *)
-  live_pushes : int;       (** config-push transmissions, retries included *)
-  live_acks : int;
-  live_lost : int;         (** config/ack transmissions lost *)
-  live_degraded : int;     (** degradations to last-known-good *)
-  live_stale : int;        (** devices below the final version at run end *)
-  live_bytes : int;        (** config bytes on the wire *)
-  live_max_load : float;   (** busiest-middlebox load under live updates *)
-  live_events_processed : int;
-  live_audit : int option;
-      (** invariant violations found by the online audit
-          ({!Pktsim.config.audit}); [None] when auditing was off *)
+  live_loss : float;  (** control-packet loss probability of this row *)
+  stats : Pktsim.stats;
 }
 
 type live_device = {
@@ -279,14 +233,8 @@ type live_report = {
 }
 
 val ablation_live :
-  ?flows:int ->
-  ?seed:int ->
-  ?audit:bool ->
-  ?control_losses:float list ->
-  ?jobs:int ->
-  ?shards:int ->
-  unit ->
-  live_report
+  ?flows:int -> ?seed:int -> ?audit:bool -> ?control_losses:float list -> ?jobs:int ->
+  ?shards:int -> unit -> live_report
 (** ABL-LIVE, the live-reconfiguration experiment: start every run on
     the stale hot-potato plan, enable the in-run control plane
     ({!Pktsim.config.live}) with epochs spread across the traffic
@@ -303,26 +251,7 @@ val ablation_live :
 type quorum_row = {
   qr_scenario : string; (** "leader crash" / "split brain" / "quorum loss" *)
   qr_loss : float;      (** control-channel loss probability of the row *)
-  qr_injected : int;
-  qr_delivered : int;
-  qr_violations : int;  (** policy violations on the data plane *)
-  qr_versions : int;    (** configuration versions committed and published *)
-  qr_rounds : int;      (** quorum rounds started *)
-  qr_commits : int;     (** rounds that reached quorum *)
-  qr_aborts : int;      (** rounds abandoned (minority side, loss, superseded) *)
-  qr_msgs : int;        (** proposal/vote/commit-notice transmissions *)
-  qr_lost : int;        (** of those, lost to the control channel *)
-  qr_elections : int;   (** leader re-elections *)
-  qr_degraded : int;    (** degradations to last-known-good *)
-  qr_stale : int;       (** devices below the final version at run end *)
-  qr_uncommitted : int;
-      (** versions published without a quorum commit — the headline
-          safety number; always 0 *)
-  qr_replicas : int list; (** per-replica committed version at run end *)
-  qr_events_processed : int;
-  qr_audit : int option;
-      (** invariant violations found by the online audit; [None] when
-          auditing was off *)
+  stats : Pktsim.stats;
 }
 
 type quorum_report = {
@@ -338,13 +267,7 @@ type quorum_report = {
 }
 
 val ablation_quorum :
-  ?flows:int ->
-  ?seed:int ->
-  ?audit:bool ->
-  ?jobs:int ->
-  ?shards:int ->
-  unit ->
-  quorum_report
+  ?flows:int -> ?seed:int -> ?audit:bool -> ?jobs:int -> ?shards:int -> unit -> quorum_report
 (** ABL-QUORUM, the replicated-controller experiment: three replicas
     with a majority quorum run the live control plane from a stale
     hot-potato start, under three chaos scenarios — (1) the lead
@@ -354,7 +277,7 @@ val ablation_quorum :
     without ever publishing, until the partition heals; (3) 45%
     control-packet loss stresses the propose/vote/commit retry
     ladders.  Every published version must have passed a quorum round
-    ([qr_uncommitted] = 0 on every row), and no two replicas ever
+    ([reoptimizations - quorum_commits] = 0 on every row), and no two replicas ever
     commit different configs for one version (the audit's
     quorum-agreement invariant).  [audit] runs every row under the
     online invariant audit.  Default 500 flows. *)
@@ -363,23 +286,7 @@ type corrupt_row = {
   cr_strategy : string;    (** "HP" / "LB" — the starting steering plan *)
   cr_rate : float;         (** corruption events per simulated time unit *)
   cr_sweep : float option; (** anti-entropy period; [None] = sweep disabled *)
-  cr_injected : int;       (** packets admitted *)
-  cr_delivered : int;
-  cr_corruptions : int;    (** corruption events that actually mutated state *)
-  cr_manifested : int;     (** corruptions the data plane observed pre-repair *)
-  cr_detected : int;       (** digest mismatches the sweep found *)
-  cr_repaired : int;       (** corruptions retired (scrub, overwrite, re-push) *)
-  cr_violations : int;     (** data-plane policy violations (mis-steered,
-                               bypassed or lost-unenforced packets) *)
-  cr_window_mean : float;  (** mean inject-to-repair window *)
-  cr_window_max : float;   (** worst inject-to-repair window *)
-  cr_sweep_rounds : int;
-  cr_sweep_msgs : int;
-  cr_sweep_bytes : int;    (** sweep wire overhead — the repair-traffic cost *)
-  cr_events_processed : int;
-  cr_audit : int option;
-      (** invariant violations found by the online audit (Repair
-          invariant included); [None] when auditing was off *)
+  stats : Pktsim.stats;
 }
 
 type corrupt_report = {
@@ -392,15 +299,8 @@ type corrupt_report = {
 }
 
 val ablation_corrupt :
-  ?flows:int ->
-  ?seed:int ->
-  ?audit:bool ->
-  ?rates:float list ->
-  ?sweep_periods:float option list ->
-  ?jobs:int ->
-  ?shards:int ->
-  unit ->
-  corrupt_report
+  ?flows:int -> ?seed:int -> ?audit:bool -> ?rates:float list ->
+  ?sweep_periods:float option list -> ?jobs:int -> ?shards:int -> unit -> corrupt_report
 (** ABL-CORRUPT, the silent-corruption experiment: inject a seeded,
     deterministic burst of soft-state corruptions — mis-steered and
     silently dropped label entries, poisoned flow-cache entries,
@@ -420,8 +320,8 @@ val ablation_corrupt :
 
 type reopt_step = {
   rs_failed : int list;    (** failure set the chains re-optimized around *)
-  rs_cold_pivots : int;    (** simplex pivots of the cold two-phase solve *)
-  rs_warm_pivots : int;    (** pivots of the warm-started solve *)
+  rs_cold_pivots : int;    (** phase-2 pivots of the cold two-phase solve *)
+  rs_warm_pivots : int;    (** phase-2 pivots of the warm-started solve *)
   rs_cold_lambda : float;
   rs_warm_lambda : float;
   rs_warm_used : bool;     (** the warm basis carried the solve *)
@@ -444,25 +344,18 @@ val reopt_replay :
     pivots, and every step's optima must agree within tolerance.
     Deterministic: a pure function of (scenario, flows, seed). *)
 
+val reopt_solve_ms :
+  clock:(unit -> float) -> scenario -> ?flows:int -> ?seed:int -> unit ->
+  float * float
+(** Wall-clock companion of {!reopt_replay}: milliseconds per
+    [Controller.reoptimize] call, cold then warm, over five replays of
+    the same churn chain timed with [clock] (seconds). *)
+
 type reopt_row = {
   rp_scenario : string;   (** "campus" / "waxman" *)
   rp_routers : int;       (** topology size (routers) *)
   rp_warm : bool;         (** this row ran with [live.warm_start] *)
-  rp_reopts : int;        (** configuration versions published in-run *)
-  rp_pivots : int;        (** simplex pivots across every in-run re-solve *)
-  rp_phase1 : int;        (** of those, phase-1 (and drive-out) pivots *)
-  rp_warm_used : int;     (** re-solves carried by a warm basis *)
-  rp_fallback : int;      (** re-solves that fell back to the cold path *)
-  rp_injected : int;
-  rp_delivered : int;
-  rp_violations : int;    (** policy violations; expect 0 *)
-  rp_versions : int;
-  rp_degraded : int;      (** degradations to last-known-good *)
-  rp_max_load : float;    (** busiest-middlebox load at run end *)
-  rp_events_processed : int;
-  rp_audit : int option;
-      (** invariant violations found by the online audit
-          ({!Pktsim.config.audit}); [None] when auditing was off *)
+  stats : Pktsim.stats;
 }
 
 type reopt_scenario_info = {
@@ -489,13 +382,7 @@ type reopt_report = {
 }
 
 val ablation_reopt :
-  ?flows:int ->
-  ?seed:int ->
-  ?audit:bool ->
-  ?jobs:int ->
-  ?shards:int ->
-  unit ->
-  reopt_report
+  ?flows:int -> ?seed:int -> ?audit:bool -> ?jobs:int -> ?shards:int -> unit -> reopt_report
 (** ABL-REOPT, the incremental re-optimization experiment: on both
     topologies, a live-control-plane run with middlebox churn — an IDS
     box crashes at 15% of the horizon and recovers at 35%, an FW box
@@ -532,15 +419,8 @@ val ablation_sketch :
     optimum and the realised maximum load against exact measurement. *)
 
 type latency_report = {
-  enforced_mean : float;
-  enforced_p50 : float;
-  enforced_p99 : float;
-  plain_mean : float;      (** same traffic, empty policy table *)
-  plain_p50 : float;
-  plain_p99 : float;
-  mean_overhead : float;   (** enforced_mean / plain_mean *)
-  events_processed : int;  (** engine events fired, both runs together *)
-  router_hops : int;       (** hops fast-forwarded, both runs together *)
+  enforced : Pktsim.stats;
+  plain : Pktsim.stats;  (** same traffic, empty policy table *)
 }
 
 val ablation_latency :
@@ -568,18 +448,18 @@ val ablation_queue :
     LB.  Hot-potato's overloaded boxes show up as a latency tail —
     the user-visible cost of load imbalance. *)
 
+type lp_side = {
+  lp_lambda : float;
+  lp_vars : int;
+  lp_constraints : int;
+  lp_realized : float;     (** realised max load enforcing the plan's weights *)
+  lp_weight_rows : int;    (** weight rows the plan disseminates *)
+}
+
 type lp_compare = {
-  exact_lambda : float;
-  exact_vars : int;
-  exact_constraints : int;
-  exact_realized : float;
-  exact_weight_rows : int;
-  simplified_lambda : float;
-  simplified_vars : int;
-  simplified_constraints : int;
-  simplified_realized : float;
-  simplified_weight_rows : int;
-  lp_events : int;  (** flow-level events, both realisation runs *)
+  exact : lp_side;       (** Eq. (1): per-(s,d) rows *)
+  simplified : lp_side;  (** Eq. (2) *)
+  lp_events : int;       (** flow-level events, both realisation runs *)
 }
 
 val ablation_lp :

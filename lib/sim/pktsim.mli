@@ -348,10 +348,11 @@ type stats = {
           none) *)
   repair_window_max : float; (** worst inject-to-repair window *)
   reopt_pivots : int;
-      (** simplex pivots across every in-run re-optimization (0 when
+      (** phase-2 simplex pivots across every in-run re-optimization (0 when
           [live = None]) *)
   reopt_phase1_pivots : int;
-      (** of those, phase-1 and drive-out pivots — cold-path work a
+      (** phase-1 and drive-out pivots across the same re-solves,
+          counted apart from [reopt_pivots] — cold-path work a
           successful warm start skips entirely *)
   reopt_warm_used : int;
       (** re-solves the previous basis carried to optimality (0 unless

@@ -1,522 +1,417 @@
-(* Audit columns: "-" when the online audit was off for the run. *)
-let audit_cell = function None -> "-" | Some n -> string_of_int n
+(* Every report is a Table.doc: preamble lines around table specs.
+   The CSV exports reuse the same column lists. *)
 
-let millions v =
-  if v >= 1e6 then Printf.sprintf "%.2fM" (v /. 1e6)
-  else if v >= 1e3 then Printf.sprintf "%.1fk" (v /. 1e3)
-  else Printf.sprintf "%.0f" v
+open Experiment
+module T = Table
 
-let pp_figure ppf (fig : Experiment.figure) =
-  Format.fprintf ppf "=== Max middlebox load vs traffic volume (%s topology) ===@."
-    (Experiment.scenario_name fig.Experiment.scenario);
-  let nfs =
-    match fig.Experiment.points with
-    | [] -> []
-    | p :: _ -> List.map fst p.Experiment.max_loads
+let nf_name = Policy.Action.nf_to_string
+let pct x = Printf.sprintf "%.0f%%" (100.0 *. x)
+
+(* Columns over a row type whose run stats [st] extracts. *)
+let stat ?csv w head st f = T.col ?csv ~w head (T.Int (fun r -> f (st r)))
+
+let packets st =
+  [
+    stat 9 "injected" st (fun s -> s.Pktsim.injected_packets);
+    stat 10 "delivered" st (fun s -> s.Pktsim.delivered_packets);
+  ]
+
+let max_load_col st = T.col ~w:10 "max load" (T.Load (fun r -> max_load (st r)))
+let audit st = T.col ~w:6 "audit" (T.Audit (fun r -> audit_violations (st r)))
+
+(* ---- Figures 4 and 5 ------------------------------------------------ *)
+
+let figure_columns =
+  let strategy head pick =
+    T.col ~w:10 head (T.Load (fun (nf, p) -> pick (List.assoc nf p.max_loads)))
   in
-  List.iter
-    (fun nf ->
-      Format.fprintf ppf "@.-- %s --@." (Policy.Action.nf_to_string nf);
-      Format.fprintf ppf "%12s %10s %10s %10s %10s@." "flows" "packets" "HP"
-        "Rand" "LB";
-      List.iter
-        (fun (p : Experiment.point) ->
-          let hp, rand, lb = List.assoc nf p.Experiment.max_loads in
-          Format.fprintf ppf "%12d %10s %10s %10s %10s@." p.Experiment.flows
-            (millions (float_of_int p.Experiment.total_packets))
-            (millions hp) (millions rand) (millions lb))
-        fig.Experiment.points)
-    nfs
+  T.[ csv "nf" (Str (fun (nf, _) -> nf_name nf));
+      col ~w:12 "flows" (Int (fun (_, p) -> p.flows));
+      col ~w:10 "packets" (Load (fun (_, p) -> float_of_int p.total_packets));
+      strategy "HP" (fun (hp, _, _) -> hp);
+      strategy "Rand" (fun (_, rand, _) -> rand);
+      strategy "LB" (fun (_, _, lb) -> lb) ]
 
-let figure_csv (fig : Experiment.figure) =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "nf,flows,packets,hp,rand,lb\n";
-  List.iter
-    (fun (p : Experiment.point) ->
-      List.iter
-        (fun (nf, (hp, rand, lb)) ->
-          Buffer.add_string buf
-            (Printf.sprintf "%s,%d,%d,%.0f,%.0f,%.0f\n"
-               (Policy.Action.nf_to_string nf)
-               p.Experiment.flows p.Experiment.total_packets hp rand lb))
-        p.Experiment.max_loads)
-    fig.Experiment.points;
-  Buffer.contents buf
+let figure (fig : figure) =
+  let nfs = match fig.points with [] -> [] | p :: _ -> List.map fst p.max_loads in
+  T.line "=== Max middlebox load vs traffic volume (%s topology) ==="
+    (scenario_name fig.scenario)
+  :: List.concat_map
+       (fun nf ->
+         T.[ blank; line "-- %s --" (nf_name nf);
+             grid figure_columns (List.map (fun p -> (nf, p)) fig.points) ])
+       nfs
+
+let figure_csv (fig : figure) =
+  T.to_csv figure_columns
+    (List.concat_map (fun p -> List.map (fun (nf, _) -> (nf, p)) p.max_loads) fig.points)
+
+(* ---- Table III: a max and a min line per type in text, one CSV row -- *)
+
+let table3 rows =
+  let strategy head f = T.col ~w:12 head (T.Float (0, 0, f)) in
+  let lines r (hp, rand, lb) suffix = (nf_name r.nf ^ suffix, hp, rand, lb) in
+  T.[ line "=== Load distribution: max/min load per middlebox type (Table III) ===";
+      grid
+        [ col ~w:(-10) "Middlebox" (Str (fun (label, _, _, _) -> label));
+          strategy "Hot-potato" (fun (_, hp, _, _) -> hp);
+          strategy "Random" (fun (_, _, rand, _) -> rand);
+          strategy "Load-balance" (fun (_, _, _, lb) -> lb) ]
+        (List.concat_map
+           (fun r ->
+             [ lines r (r.hp_max, r.rand_max, r.lb_max) " max.";
+               lines r (r.hp_min, r.rand_min, r.lb_min) " min." ])
+           rows) ]
 
 let table3_csv rows =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "nf,hp_max,hp_min,rand_max,rand_min,lb_max,lb_min\n";
-  List.iter
-    (fun (r : Experiment.table3_row) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s,%.0f,%.0f,%.0f,%.0f,%.0f,%.0f\n"
-           (Policy.Action.nf_to_string r.Experiment.nf)
-           r.Experiment.hp_max r.Experiment.hp_min r.Experiment.rand_max
-           r.Experiment.rand_min r.Experiment.lb_max r.Experiment.lb_min))
-    rows;
-  Buffer.contents buf
-
-let pp_table3 ppf rows =
-  Format.fprintf ppf
-    "=== Load distribution: max/min load per middlebox type (Table III) ===@.";
-  Format.fprintf ppf "%-10s %12s %12s %12s@." "Middlebox" "Hot-potato"
-    "Random" "Load-balance";
-  List.iter
-    (fun (r : Experiment.table3_row) ->
-      let name = Policy.Action.nf_to_string r.Experiment.nf in
-      Format.fprintf ppf "%-10s %12.0f %12.0f %12.0f@." (name ^ " max.")
-        r.Experiment.hp_max r.Experiment.rand_max r.Experiment.lb_max;
-      Format.fprintf ppf "%-10s %12.0f %12.0f %12.0f@." (name ^ " min.")
-        r.Experiment.hp_min r.Experiment.rand_min r.Experiment.lb_min)
+  let load head f = T.csv head (T.Float (0, 0, f)) in
+  T.to_csv
+    (T.csv "nf" (T.Str (fun r -> nf_name r.nf))
+     :: List.map2 load
+          [ "hp_max"; "hp_min"; "rand_max"; "rand_min"; "lb_max"; "lb_min" ]
+          [ (fun r -> r.hp_max); (fun r -> r.hp_min); (fun r -> r.rand_max);
+            (fun r -> r.rand_min); (fun r -> r.lb_max); (fun r -> r.lb_min) ])
     rows
 
-let pp_k_ablation ppf points =
-  Format.fprintf ppf
-    "=== Ablation: candidate-set size k vs LB max load (campus) ===@.";
-  Format.fprintf ppf "%14s" "k (FW/IDS, WP/TM)";
-  (match points with
-  | [] -> ()
-  | p :: _ ->
-    List.iter
-      (fun (nf, _) -> Format.fprintf ppf " %10s" (Policy.Action.nf_to_string nf))
-      p.Experiment.lb_max_by_nf);
-  Format.fprintf ppf "@.";
-  List.iter
-    (fun (p : Experiment.k_point) ->
-      Format.fprintf ppf "%9d, %5d" p.Experiment.k_fw_ids p.Experiment.k_wp_tm;
-      List.iter
-        (fun (_, v) -> Format.fprintf ppf " %10s" (millions v))
-        p.Experiment.lb_max_by_nf;
-      Format.fprintf ppf "@.")
-    points
+(* ---- Flow-level ablations ------------------------------------------- *)
 
-let pp_cache_ablation ppf (c : Experiment.cache_stats) =
-  Format.fprintf ppf
-    "=== Ablation: flow cache vs multi-field lookups (Sec. III.D) ===@.";
-  Format.fprintf ppf
-    "packets injected: %d@.multi-field lookups: %d@.cache hits: %d@.negative \
-     hits: %d@.lookup fraction: %.4f@."
-    c.Experiment.packets c.Experiment.lookups c.Experiment.hits
-    c.Experiment.negative_hits c.Experiment.lookup_fraction
+let k_ablation points =
+  let label p = Printf.sprintf "%9d, %5d" p.k_fw_ids p.k_wp_tm in
+  let load (nf, _) = T.col ~w:10 (nf_name nf) (T.Load (fun p -> List.assoc nf p.lb_max_by_nf)) in
+  T.[ line "=== Ablation: candidate-set size k vs LB max load (campus) ===";
+      grid (col ~w:14 "k (FW/IDS, WP/TM)" (Str label) :: List.map load mbox_counts) points ]
 
-let pp_cache_size_ablation ppf points =
-  Format.fprintf ppf
-    "=== Ablation: flow-cache capacity vs multi-field lookups ===@.";
-  Format.fprintf ppf "%10s %18s %12s@." "capacity" "lookup fraction" "evictions";
-  List.iter
-    (fun (p : Experiment.cache_size_point) ->
-      Format.fprintf ppf "%10s %18.4f %12d@."
-        (match p.Experiment.capacity with
-        | Some c -> string_of_int c
-        | None -> "unbounded")
-        p.Experiment.size_lookup_fraction p.Experiment.size_evictions)
-    points
+let failure_ablation (f : failure_report) =
+  let nf = nf_name f.failed_nf in
+  let reoptimized f =
+    Printf.sprintf "%s (lambda %s)" (T.millions f.reoptimized_max)
+      (T.millions f.reoptimized_lambda)
+  in
+  T.[ line "=== Ablation: middlebox failure, fast failover vs re-optimization ===";
+      line "failed middlebox: mbox%d (%s), %d survivors of its type" f.failed_mbox nf
+        f.survivors;
+      fields ~w:38
+        [ col (Printf.sprintf "max %s load before failure (LB):" nf)
+            (Load (fun f -> f.before_max));
+          col "after failure, local fast failover:" (Load (fun f -> f.failover_max));
+          col "after controller re-optimization:" (Str reoptimized);
+          col "hot-potato under the same failure:" (Load (fun f -> f.hp_failover_max)) ]
+        f ]
 
-let pp_frag_ablation ppf (f : Experiment.frag_stats) =
-  Format.fprintf ppf
-    "=== Ablation: fragmentation, IP-over-IP vs label switching (Sec. III.E) \
-     ===@.";
-  Format.fprintf ppf
-    "extra fragments, IP-over-IP only: %d@.extra fragments, with label \
-     switching: %d@.tunneled legs: %d@.label-switched legs: %d@."
-    f.Experiment.fragments_ip_over_ip f.Experiment.fragments_label_switched
-    f.Experiment.tunneled_legs f.Experiment.label_switched_legs
+let sketch_ablation points =
+  T.line "=== Ablation: Count-Min sketched measurement vs exact (campus) ==="
+  :: (match points with
+     | [] -> []
+     | p :: _ ->
+       [ T.line "exact matrix: %d cells; exact lambda %s; realized max %s" p.exact_cells
+           (T.millions p.exact_lambda) (T.millions p.exact_realized_max) ])
+  @ T.[ grid
+          [ col ~w:10 "epsilon" (Float (4, 4, fun p -> p.epsilon));
+            col ~w:14 "sketch cells" (Int (fun p -> p.sketch_cells));
+            col ~w:12 "lambda" (Load (fun p -> p.sketched_lambda));
+            col ~w:14 "realized max" (Load (fun p -> p.sketched_realized_max)) ]
+          points ]
 
-let pp_failure_ablation ppf (f : Experiment.failure_report) =
-  Format.fprintf ppf
-    "=== Ablation: middlebox failure, fast failover vs re-optimization ===@.";
-  Format.fprintf ppf "failed middlebox: mbox%d (%s), %d survivors of its type@."
-    f.Experiment.failed_mbox
-    (Policy.Action.nf_to_string f.Experiment.failed_nf)
-    f.Experiment.survivors;
-  Format.fprintf ppf "max %s load before failure (LB):      %s@."
-    (Policy.Action.nf_to_string f.Experiment.failed_nf)
-    (millions f.Experiment.before_max);
-  Format.fprintf ppf "after failure, local fast failover:    %s@."
-    (millions f.Experiment.failover_max);
-  Format.fprintf ppf "after controller re-optimization:      %s (lambda %s)@."
-    (millions f.Experiment.reoptimized_max)
-    (millions f.Experiment.reoptimized_lambda);
-  Format.fprintf ppf "hot-potato under the same failure:     %s@."
-    (millions f.Experiment.hp_failover_max)
+let epochs metrics =
+  let open Epochsim in
+  T.[ line "=== Ablation: epoch adaptation under drifting traffic (campus) ===";
+      grid
+        [ col ~w:6 "epoch" (Int (fun m -> m.epoch));
+          col ~w:9 "flows" (Int (fun m -> m.flows));
+          col ~w:9 "packets" (Load (fun m -> float_of_int m.packets));
+          col ~w:12 "stale LB" (Load (fun m -> m.stale_lb_max));
+          col ~w:14 "clairvoyant" (Load (fun m -> m.clairvoyant_lb_max));
+          col ~w:10 "HP" (Load (fun m -> m.hp_max));
+          col ~w:8 "gap" (Float (2, 2, fun m -> m.staleness_gap)) ]
+        metrics ]
 
-let pp_chaos_ablation ppf (c : Experiment.chaos_report) =
-  Format.fprintf ppf
-    "=== ABL-CHAOS: in-run faults, detection-delay sweep (campus) ===@.";
-  Format.fprintf ppf "crash: mbox%d (%s) at t=%.1f, never restored@."
-    c.Experiment.chaos_victim
-    (Policy.Action.nf_to_string c.Experiment.chaos_victim_nf)
-    c.Experiment.chaos_crash_at;
-  (match c.Experiment.chaos_link with
-  | Some (u, v) ->
-    Format.fprintf ppf "link: %d-%d fails at t=%.1f, restored at t=%.1f@." u v
-      c.Experiment.chaos_link_fail_at c.Experiment.chaos_link_restore_at
-  | None -> ());
-  Format.fprintf ppf "control-packet loss: %.0f%% (masked by retransmission)@."
-    (100.0 *. c.Experiment.chaos_control_loss);
-  Format.fprintf ppf "%-16s %7s %9s %10s %8s %10s %8s %9s %14s %6s@." "mode"
-    "detect" "injected" "delivered" "dropped" "violating" "retries" "recovery"
-    "max surviving" "audit";
-  List.iter
-    (fun (r : Experiment.chaos_row) ->
-      Format.fprintf ppf "%-16s %7s %9d %10d %8d %10d %8d %9.1f %14s %6s@."
-        r.Experiment.chaos_mode
-        (if Float.is_integer r.Experiment.chaos_delay then
-           Printf.sprintf "%.0f" r.Experiment.chaos_delay
-         else "never")
-        r.Experiment.chaos_injected r.Experiment.chaos_delivered
-        r.Experiment.chaos_dropped r.Experiment.chaos_violations
-        r.Experiment.chaos_retries r.Experiment.chaos_recovery
-        (millions r.Experiment.chaos_max_surviving)
-        (audit_cell r.Experiment.chaos_audit))
-    c.Experiment.chaos_rows
+let lp_ablation (l : lp_compare) =
+  T.[ line "=== Ablation: LP formulation Eq.(1) exact vs Eq.(2) simplified ===";
+      inline
+        [ col ~w:(-11) "" (Str fst);
+          col "lambda" (Float (0, 0, fun (_, s) -> s.lp_lambda));
+          col "realized" (Float (0, 0, fun (_, s) -> s.lp_realized));
+          col "vars" (Int (fun (_, s) -> s.lp_vars));
+          col "constraints" (Int (fun (_, s) -> s.lp_constraints));
+          col "weight rows" (Int (fun (_, s) -> s.lp_weight_rows)) ]
+        [ ("exact:", l.exact); ("simplified:", l.simplified) ] ]
 
-let pp_live_ablation ppf (l : Experiment.live_report) =
-  Format.fprintf ppf
-    "=== ABL-LIVE: live reconfiguration, control-loss sweep (campus) ===@.";
-  Format.fprintf ppf
-    "epoch %.1f, reconcile %.1f; stale HP max %s, clairvoyant LB max %s@."
-    l.Experiment.live_epoch l.Experiment.live_reconcile
-    (millions l.Experiment.live_stale_max)
-    (millions l.Experiment.live_clairvoyant_max);
-  Format.fprintf ppf "%8s %9s %10s %10s %9s %7s %6s %5s %9s %6s %10s %6s@."
-    "loss" "injected" "delivered" "violating" "versions" "pushes" "acks" "lost"
-    "degraded" "stale" "max load" "audit";
-  List.iter
-    (fun (r : Experiment.live_row) ->
-      Format.fprintf ppf
-        "%7.0f%% %9d %10d %10d %9d %7d %6d %5d %9d %6d %10s %6s@."
-        (100.0 *. r.Experiment.live_loss)
-        r.Experiment.live_injected r.Experiment.live_delivered
-        r.Experiment.live_violations r.Experiment.live_versions
-        r.Experiment.live_pushes r.Experiment.live_acks r.Experiment.live_lost
-        r.Experiment.live_degraded r.Experiment.live_stale
-        (millions r.Experiment.live_max_load)
-        (audit_cell r.Experiment.live_audit))
-    l.Experiment.live_rows;
-  Format.fprintf ppf "@.per device (lossiest row):@.";
-  Format.fprintf ppf "%-10s %8s %5s %8s %5s@." "device" "version" "lag"
-    "retries" "lost";
-  List.iter
-    (fun (d : Experiment.live_device) ->
-      Format.fprintf ppf "%-10s %8d %5d %8d %5d@." d.Experiment.dev_name
-        d.Experiment.dev_version d.Experiment.dev_lag d.Experiment.dev_retries
-        d.Experiment.dev_lost)
-    l.Experiment.live_devices
+(* ---- Packet-level ablations ----------------------------------------- *)
 
-let live_csv (l : Experiment.live_report) =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    "loss,injected,delivered,violating,versions,pushes,acks,lost,degraded,stale,bytes,max_load,audit\n";
-  List.iter
-    (fun (r : Experiment.live_row) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%.2f,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.0f,%s\n"
-           r.Experiment.live_loss r.Experiment.live_injected
-           r.Experiment.live_delivered r.Experiment.live_violations
-           r.Experiment.live_versions r.Experiment.live_pushes
-           r.Experiment.live_acks r.Experiment.live_lost
-           r.Experiment.live_degraded r.Experiment.live_stale
-           r.Experiment.live_bytes r.Experiment.live_max_load
-           (match r.Experiment.live_audit with
-           | None -> ""
-           | Some n -> string_of_int n)))
-    l.Experiment.live_rows;
-  Buffer.contents buf
+let cache_ablation (s : Pktsim.stats) =
+  T.[ line "=== Ablation: flow cache vs multi-field lookups (Sec. III.D) ===";
+      fields
+        [ col "packets injected:" (Int (fun s -> s.Pktsim.injected_packets));
+          col "multi-field lookups:" (Int (fun s -> s.Pktsim.multi_field_lookups));
+          col "cache hits:" (Int (fun s -> s.Pktsim.cache_hits));
+          col "negative hits:" (Int (fun s -> s.Pktsim.cache_negative_hits));
+          col "lookup fraction:" (Float (4, 4, lookup_fraction)) ]
+        s ]
 
-let live_devices_csv (l : Experiment.live_report) =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "device,version,lag,retries,lost\n";
-  List.iter
-    (fun (d : Experiment.live_device) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s,%d,%d,%d,%d\n" d.Experiment.dev_name
-           d.Experiment.dev_version d.Experiment.dev_lag d.Experiment.dev_retries
-           d.Experiment.dev_lost))
-    l.Experiment.live_devices;
-  Buffer.contents buf
+let cache_size_ablation points =
+  let st (p : cache_size_point) = p.stats in
+  let capacity (p : cache_size_point) =
+    Option.fold ~none:"unbounded" ~some:string_of_int p.capacity
+  in
+  T.[ line "=== Ablation: flow-cache capacity vs multi-field lookups ===";
+      grid
+        [ col ~w:10 "capacity" (Str capacity);
+          col ~w:18 "lookup fraction" (Float (4, 4, fun p -> lookup_fraction (st p)));
+          stat 12 "evictions" st (fun s -> s.Pktsim.cache_evictions) ]
+        points ]
 
-let pp_quorum_ablation ppf (q : Experiment.quorum_report) =
-  Format.fprintf ppf
-    "=== ABL-QUORUM: replicated controller under chaos (campus) ===@.";
-  Format.fprintf ppf
-    "%d replicas (majority quorum), leader at router %d; epoch %.1f, \
-     reconcile %.1f@."
-    q.Experiment.q_replicas q.Experiment.q_leader_router q.Experiment.q_epoch
-    q.Experiment.q_reconcile;
-  Format.fprintf ppf
-    "leader crash at %.1f; partition %.1f-%.1f; probe %d events@."
-    q.Experiment.q_crash_at q.Experiment.q_partition_at q.Experiment.q_heal_at
-    q.Experiment.q_probe_events;
-  Format.fprintf ppf
-    "%-13s %5s %9s %10s %9s %7s %8s %7s %6s %6s %6s %9s %6s %6s %12s %6s@."
-    "scenario" "loss" "injected" "delivered" "versions" "rounds" "commits"
-    "aborts" "msgs" "lost" "elect" "degraded" "stale" "uncomm" "replicas"
-    "audit";
-  List.iter
-    (fun (r : Experiment.quorum_row) ->
-      Format.fprintf ppf
-        "%-13s %4.0f%% %9d %10d %9d %7d %8d %7d %6d %6d %6d %9d %6d %6d %12s \
-         %6s@."
-        r.Experiment.qr_scenario
-        (100.0 *. r.Experiment.qr_loss)
-        r.Experiment.qr_injected r.Experiment.qr_delivered
-        r.Experiment.qr_versions r.Experiment.qr_rounds
-        r.Experiment.qr_commits r.Experiment.qr_aborts r.Experiment.qr_msgs
-        r.Experiment.qr_lost r.Experiment.qr_elections
-        r.Experiment.qr_degraded r.Experiment.qr_stale
-        r.Experiment.qr_uncommitted
-        (String.concat "/" (List.map string_of_int r.Experiment.qr_replicas))
-        (audit_cell r.Experiment.qr_audit))
-    q.Experiment.q_rows
+let frag_ablation (f : frag_report) =
+  let labels g = T.Int (fun f -> g f.with_labels) in
+  T.[ line "=== Ablation: fragmentation, IP-over-IP vs label switching (Sec. III.E) ===";
+      fields
+        [ col "extra fragments, IP-over-IP only:"
+            (Int (fun f -> f.ip_over_ip.Pktsim.fragments_created));
+          col "extra fragments, with label switching:"
+            (labels (fun s -> s.Pktsim.fragments_created));
+          col "tunneled legs:" (labels (fun s -> s.Pktsim.tunneled_packets));
+          col "label-switched legs:" (labels (fun s -> s.Pktsim.label_switched_packets)) ]
+        f ]
 
-let quorum_csv (q : Experiment.quorum_report) =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    "scenario,loss,injected,delivered,violating,versions,rounds,commits,aborts,msgs,lost,elections,degraded,stale,uncommitted,replica_versions,audit\n";
-  List.iter
-    (fun (r : Experiment.quorum_row) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s,%.2f,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%s,%s\n"
-           r.Experiment.qr_scenario r.Experiment.qr_loss
-           r.Experiment.qr_injected r.Experiment.qr_delivered
-           r.Experiment.qr_violations r.Experiment.qr_versions
-           r.Experiment.qr_rounds r.Experiment.qr_commits
-           r.Experiment.qr_aborts r.Experiment.qr_msgs r.Experiment.qr_lost
-           r.Experiment.qr_elections r.Experiment.qr_degraded
-           r.Experiment.qr_stale r.Experiment.qr_uncommitted
-           (String.concat "/" (List.map string_of_int r.Experiment.qr_replicas))
-           (match r.Experiment.qr_audit with
-           | None -> ""
-           | Some n -> string_of_int n)))
-    q.Experiment.q_rows;
-  Buffer.contents buf
+let engine_events events hops =
+  T.line "engine events: %d processed, %d router hops fast-forwarded" events hops
 
-let sweep_cell = function
-  | None -> "off"
-  | Some p -> Printf.sprintf "%.1f" p
+let latency_ablation (l : latency_report) =
+  let latency head f = T.col ~w:10 head (T.Float (2, 2, fun (_, s) -> f s)) in
+  let runs = [ l.enforced; l.plain ] in
+  let total f = List.fold_left (fun acc s -> acc + f s) 0 runs in
+  T.[ line "=== Ablation: end-to-end latency with/without enforcement (campus, LB) ===";
+      grid
+        [ col ~w:12 "" (Str fst);
+          latency "mean" (fun s -> s.Pktsim.latency_mean);
+          latency "p50" (fun s -> s.Pktsim.latency_p50);
+          latency "p99" (fun s -> s.Pktsim.latency_p99) ]
+        [ ("enforced", l.enforced); ("plain", l.plain) ];
+      line "mean enforcement overhead: %.2fx"
+        (if l.plain.Pktsim.latency_mean > 0.0 then
+           l.enforced.Pktsim.latency_mean /. l.plain.Pktsim.latency_mean
+         else 1.0);
+      engine_events (total (fun s -> s.Pktsim.events_processed))
+        (total (fun s -> s.Pktsim.router_hops)) ]
 
-let pp_corrupt_ablation ppf (c : Experiment.corrupt_report) =
-  Format.fprintf ppf
-    "=== ABL-CORRUPT: silent corruption vs anti-entropy repair (campus) ===@.";
-  Format.fprintf ppf
-    "horizon %.1f; epoch %.1f, reconcile %.1f; sweep period %.1f when on; \
-     probe %d events@."
-    c.Experiment.c_horizon c.Experiment.c_epoch c.Experiment.c_reconcile
-    c.Experiment.c_default_sweep c.Experiment.c_probe_events;
-  Format.fprintf ppf
-    "%-4s %5s %6s %9s %10s %7s %6s %6s %6s %9s %8s %8s %7s %6s@." "plan"
-    "rate" "sweep" "injected" "delivered" "corrupt" "manif" "detect" "repair"
-    "violating" "win-mean" "win-max" "swbytes" "audit";
-  List.iter
-    (fun (r : Experiment.corrupt_row) ->
-      Format.fprintf ppf
-        "%-4s %5.2f %6s %9d %10d %7d %6d %6d %6d %9d %8.2f %8.2f %7d %6s@."
-        r.Experiment.cr_strategy r.Experiment.cr_rate
-        (sweep_cell r.Experiment.cr_sweep)
-        r.Experiment.cr_injected r.Experiment.cr_delivered
-        r.Experiment.cr_corruptions r.Experiment.cr_manifested
-        r.Experiment.cr_detected r.Experiment.cr_repaired
-        r.Experiment.cr_violations r.Experiment.cr_window_mean
-        r.Experiment.cr_window_max r.Experiment.cr_sweep_bytes
-        (audit_cell r.Experiment.cr_audit))
-    c.Experiment.c_rows
+let queue_ablation (q : queue_report) =
+  let metric w head f = T.col ~w head (T.Float (2, 2, f)) in
+  T.[ line "=== Ablation: middlebox queueing, HP vs LB latency (campus) ===";
+      line "service rate: %.1f pkt/unit per middlebox" q.service_rate;
+      grid
+        [ col ~w:6 "" (Str (fun (name, _, _, _) -> name));
+          metric 12 "util(max)" (fun (_, u, _, _) -> u);
+          metric 14 "latency mean" (fun (_, _, m, _) -> m);
+          metric 14 "latency p99" (fun (_, _, _, p) -> p) ]
+        [ ("HP", q.hp_util_max, q.hp_latency_mean, q.hp_latency_p99);
+          ("LB", q.lb_util_max, q.lb_latency_mean, q.lb_latency_p99) ];
+      engine_events q.events_processed q.router_hops ]
 
-let corrupt_csv (c : Experiment.corrupt_report) =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    "plan,rate,sweep_period,injected,delivered,corruptions,manifested,detected,repaired,violating,window_mean,window_max,sweep_rounds,sweep_msgs,sweep_bytes,audit\n";
-  List.iter
-    (fun (r : Experiment.corrupt_row) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s,%.3f,%s,%d,%d,%d,%d,%d,%d,%d,%.3f,%.3f,%d,%d,%d,%s\n"
-           r.Experiment.cr_strategy r.Experiment.cr_rate
-           (match r.Experiment.cr_sweep with
-           | None -> ""
-           | Some p -> Printf.sprintf "%.3f" p)
-           r.Experiment.cr_injected r.Experiment.cr_delivered
-           r.Experiment.cr_corruptions r.Experiment.cr_manifested
-           r.Experiment.cr_detected r.Experiment.cr_repaired
-           r.Experiment.cr_violations r.Experiment.cr_window_mean
-           r.Experiment.cr_window_max r.Experiment.cr_sweep_rounds
-           r.Experiment.cr_sweep_msgs r.Experiment.cr_sweep_bytes
-           (match r.Experiment.cr_audit with
-           | None -> ""
-           | Some n -> string_of_int n)))
-    c.Experiment.c_rows;
-  Buffer.contents buf
+(* ---- ABL-CHAOS ------------------------------------------------------ *)
 
-let pp_reopt_ablation ppf (r : Experiment.reopt_report) =
-  Format.fprintf ppf
-    "=== ABL-REOPT: warm-started re-optimization vs cold re-solve ===@.";
-  Format.fprintf ppf "control-packet loss: %.0f%% (masked by retransmission)@."
-    (100.0 *. r.Experiment.rp_control_loss);
-  List.iter
-    (fun (i : Experiment.reopt_scenario_info) ->
-      let v1, v2 = i.Experiment.ri_victims in
-      Format.fprintf ppf
-        "%s: %d routers; epoch %.1f, reconcile %.1f; churn mbox%d \
-         %.1f-%.1f, mbox%d %.1f-%.1f@."
-        i.Experiment.ri_name i.Experiment.ri_routers i.Experiment.ri_epoch
-        i.Experiment.ri_reconcile v1 i.Experiment.ri_crash1
-        i.Experiment.ri_recover1 v2 i.Experiment.ri_crash2
-        i.Experiment.ri_recover2)
-    r.Experiment.rp_infos;
-  Format.fprintf ppf "%-8s %8s %5s %7s %7s %7s %5s %9s %9s %10s %10s %9s %9s %10s %6s@."
-    "scenario" "routers" "mode" "reopts" "pivots" "phase1" "warm" "fallback"
-    "injected" "delivered" "violating" "versions" "degraded" "max load" "audit";
-  List.iter
-    (fun (row : Experiment.reopt_row) ->
-      Format.fprintf ppf
-        "%-8s %8d %5s %7d %7d %7d %5d %9d %9d %10d %10d %9d %9d %10s %6s@."
-        row.Experiment.rp_scenario row.Experiment.rp_routers
-        (if row.Experiment.rp_warm then "warm" else "cold")
-        row.Experiment.rp_reopts row.Experiment.rp_pivots
-        row.Experiment.rp_phase1 row.Experiment.rp_warm_used
-        row.Experiment.rp_fallback row.Experiment.rp_injected
-        row.Experiment.rp_delivered row.Experiment.rp_violations
-        row.Experiment.rp_versions row.Experiment.rp_degraded
-        (millions row.Experiment.rp_max_load)
-        (audit_cell row.Experiment.rp_audit))
-    r.Experiment.rp_rows;
-  Format.fprintf ppf "@.controller-level churn replay (per re-optimization):@.";
-  Format.fprintf ppf "%-8s %4s %-10s %11s %11s %5s %9s %6s@." "scenario" "step"
-    "failed" "cold pivots" "warm pivots" "warm" "fallback" "agree";
-  List.iter
-    (fun (name, steps) ->
-      List.iteri
-        (fun i (s : Experiment.reopt_step) ->
-          Format.fprintf ppf "%-8s %4d %-10s %11d %11d %5s %9s %6s@." name
-            (i + 1)
-            (match s.Experiment.rs_failed with
-            | [] -> "-"
-            | l -> String.concat "+" (List.map string_of_int l))
-            s.Experiment.rs_cold_pivots s.Experiment.rs_warm_pivots
-            (if s.Experiment.rs_warm_used then "yes" else "no")
-            (if s.Experiment.rs_fallback then "yes" else "no")
-            (if s.Experiment.rs_agree then "yes" else "NO"))
-        steps)
-    r.Experiment.rp_replays;
-  Format.fprintf ppf "warm/cold objective agreement: %d/%d replay steps@."
-    r.Experiment.rp_agree r.Experiment.rp_total
+let chaos_columns (c : chaos_report) =
+  let st (r : chaos_row) = r.stats in
+  (* Time from the crash to the last violation: how long the system
+     bled before failover absorbed the fault. *)
+  let recovery r =
+    let s = st r in
+    if s.Pktsim.policy_violations = 0 then 0.0
+    else Stdlib.max 0.0 (s.Pktsim.last_violation_time -. c.chaos_crash_at)
+  in
+  let max_surviving r =
+    List.fold_left (fun acc id -> Stdlib.max acc (st r).Pktsim.loads.(id)) 0.0
+      c.chaos_survivors
+  in
+  let detect r =
+    if Float.is_integer r.chaos_delay then Printf.sprintf "%.0f" r.chaos_delay else "never"
+  in
+  T.[ col ~w:(-16) "mode" (Str (fun r -> r.chaos_mode)); col ~w:7 "detect" (Str detect) ]
+  @ packets st
+  @ [ stat 8 "dropped" st (fun s -> s.Pktsim.dropped_packets);
+      stat 10 "violating" st (fun s -> s.Pktsim.policy_violations);
+      stat 8 "retries" st (fun s -> s.Pktsim.control_retries);
+      T.col ~w:9 "recovery" (T.Float (1, 3, recovery));
+      T.col ~w:14 "max surviving" (T.Load max_surviving);
+      audit st ]
 
-let reopt_csv (r : Experiment.reopt_report) =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    "scenario,routers,mode,reopts,pivots,phase1,warm_used,fallback,injected,delivered,violating,versions,degraded,max_load,audit\n";
-  List.iter
-    (fun (row : Experiment.reopt_row) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s,%d,%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.0f,%s\n"
-           row.Experiment.rp_scenario row.Experiment.rp_routers
-           (if row.Experiment.rp_warm then "warm" else "cold")
-           row.Experiment.rp_reopts row.Experiment.rp_pivots
-           row.Experiment.rp_phase1 row.Experiment.rp_warm_used
-           row.Experiment.rp_fallback row.Experiment.rp_injected
-           row.Experiment.rp_delivered row.Experiment.rp_violations
-           row.Experiment.rp_versions row.Experiment.rp_degraded
-           row.Experiment.rp_max_load
-           (match row.Experiment.rp_audit with
-           | None -> ""
-           | Some n -> string_of_int n)))
-    r.Experiment.rp_rows;
-  Buffer.contents buf
+let chaos (c : chaos_report) =
+  T.line "=== ABL-CHAOS: in-run faults, detection-delay sweep (campus) ==="
+  :: T.line "crash: mbox%d (%s) at t=%.1f, never restored" c.chaos_victim
+       (nf_name c.chaos_victim_nf) c.chaos_crash_at
+  :: (match c.chaos_link with
+     | Some (u, v) ->
+       [ T.line "link: %d-%d fails at t=%.1f, restored at t=%.1f" u v c.chaos_link_fail_at
+           c.chaos_link_restore_at ]
+     | None -> [])
+  @ [ T.line "control-packet loss: %s (masked by retransmission)" (pct c.chaos_control_loss);
+      T.grid (chaos_columns c) c.chaos_rows ]
 
-let reopt_steps_csv (r : Experiment.reopt_report) =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    "scenario,step,failed,cold_pivots,warm_pivots,cold_lambda,warm_lambda,warm_used,fallback,agree\n";
-  List.iter
-    (fun (name, steps) ->
-      List.iteri
-        (fun i (s : Experiment.reopt_step) ->
-          Buffer.add_string buf
-            (Printf.sprintf "%s,%d,%s,%d,%d,%.6f,%.6f,%b,%b,%b\n" name (i + 1)
-               (String.concat "+" (List.map string_of_int s.Experiment.rs_failed))
-               s.Experiment.rs_cold_pivots s.Experiment.rs_warm_pivots
-               s.Experiment.rs_cold_lambda s.Experiment.rs_warm_lambda
-               s.Experiment.rs_warm_used s.Experiment.rs_fallback
-               s.Experiment.rs_agree))
-        steps)
-    r.Experiment.rp_replays;
-  Buffer.contents buf
+(* ---- ABL-LIVE ------------------------------------------------------- *)
 
-let pp_sketch_ablation ppf points =
-  Format.fprintf ppf
-    "=== Ablation: Count-Min sketched measurement vs exact (campus) ===@.";
-  (match points with
-  | [] -> ()
-  | p :: _ ->
-    Format.fprintf ppf "exact matrix: %d cells; exact lambda %s; realized max %s@."
-      p.Experiment.exact_cells
-      (millions p.Experiment.exact_lambda)
-      (millions p.Experiment.exact_realized_max));
-  Format.fprintf ppf "%10s %14s %12s %14s@." "epsilon" "sketch cells" "lambda"
-    "realized max";
-  List.iter
-    (fun (p : Experiment.sketch_point) ->
-      Format.fprintf ppf "%10.4f %14d %12s %14s@." p.Experiment.epsilon
-        p.Experiment.sketch_cells
-        (millions p.Experiment.sketched_lambda)
-        (millions p.Experiment.sketched_realized_max))
-    points
+let live_columns =
+  let st (r : live_row) = r.stats in
+  T.[ text ~w:8 "loss" (Str (fun r -> pct r.live_loss));
+      csv "loss" (Float (2, 2, fun r -> r.live_loss)) ]
+  @ packets st
+  @ [ stat 10 "violating" st (fun s -> s.Pktsim.policy_violations);
+      stat 9 "versions" st (fun s -> s.Pktsim.final_config_version);
+      stat 7 "pushes" st (fun s -> s.Pktsim.config_pushes);
+      stat 6 "acks" st (fun s -> s.Pktsim.config_acks);
+      stat 5 "lost" st (fun s -> s.Pktsim.config_lost);
+      stat 9 "degraded" st (fun s -> s.Pktsim.config_degraded);
+      stat 6 "stale" st (fun s -> s.Pktsim.stale_devices);
+      T.csv "bytes" (T.Int (fun r -> (st r).Pktsim.config_bytes));
+      max_load_col st;
+      audit st ]
 
-let pp_epochs ppf metrics =
-  Format.fprintf ppf
-    "=== Ablation: epoch adaptation under drifting traffic (campus) ===@.";
-  Format.fprintf ppf "%6s %9s %9s %12s %14s %10s %8s@." "epoch" "flows"
-    "packets" "stale LB" "clairvoyant" "HP" "gap";
-  List.iter
-    (fun (m : Epochsim.epoch_metrics) ->
-      Format.fprintf ppf "%6d %9d %9s %12s %14s %10s %8.2f@." m.Epochsim.epoch
-        m.Epochsim.flows
-        (millions (float_of_int m.Epochsim.packets))
-        (millions m.Epochsim.stale_lb_max)
-        (millions m.Epochsim.clairvoyant_lb_max)
-        (millions m.Epochsim.hp_max)
-        m.Epochsim.staleness_gap)
-    metrics
+let device_columns =
+  T.[ col ~w:(-10) "device" (Str (fun d -> d.dev_name));
+      col ~w:8 "version" (Int (fun d -> d.dev_version));
+      col ~w:5 "lag" (Int (fun d -> d.dev_lag));
+      col ~w:8 "retries" (Int (fun d -> d.dev_retries));
+      col ~w:5 "lost" (Int (fun d -> d.dev_lost)) ]
 
-let pp_latency_ablation ppf (l : Experiment.latency_report) =
-  Format.fprintf ppf
-    "=== Ablation: end-to-end latency with/without enforcement (campus, LB) \
-     ===@.";
-  Format.fprintf ppf "%12s %10s %10s %10s@." "" "mean" "p50" "p99";
-  Format.fprintf ppf "%12s %10.2f %10.2f %10.2f@." "enforced"
-    l.Experiment.enforced_mean l.Experiment.enforced_p50 l.Experiment.enforced_p99;
-  Format.fprintf ppf "%12s %10.2f %10.2f %10.2f@." "plain"
-    l.Experiment.plain_mean l.Experiment.plain_p50 l.Experiment.plain_p99;
-  Format.fprintf ppf "mean enforcement overhead: %.2fx@."
-    l.Experiment.mean_overhead;
-  Format.fprintf ppf "engine events: %d processed, %d router hops fast-forwarded@."
-    l.Experiment.events_processed l.Experiment.router_hops
+let live (l : live_report) =
+  T.[ line "=== ABL-LIVE: live reconfiguration, control-loss sweep (campus) ===";
+      line "epoch %.1f, reconcile %.1f; stale HP max %s, clairvoyant LB max %s" l.live_epoch
+        l.live_reconcile (millions l.live_stale_max) (millions l.live_clairvoyant_max);
+      grid live_columns l.live_rows;
+      blank;
+      line "per device (lossiest row):";
+      grid device_columns l.live_devices ]
 
-let pp_queue_ablation ppf (q : Experiment.queue_report) =
-  Format.fprintf ppf
-    "=== Ablation: middlebox queueing, HP vs LB latency (campus) ===@.";
-  Format.fprintf ppf "service rate: %.1f pkt/unit per middlebox@."
-    q.Experiment.service_rate;
-  Format.fprintf ppf "%6s %12s %14s %14s@." "" "util(max)" "latency mean"
-    "latency p99";
-  Format.fprintf ppf "%6s %12.2f %14.2f %14.2f@." "HP" q.Experiment.hp_util_max
-    q.Experiment.hp_latency_mean q.Experiment.hp_latency_p99;
-  Format.fprintf ppf "%6s %12.2f %14.2f %14.2f@." "LB" q.Experiment.lb_util_max
-    q.Experiment.lb_latency_mean q.Experiment.lb_latency_p99;
-  Format.fprintf ppf "engine events: %d processed, %d router hops fast-forwarded@."
-    q.Experiment.events_processed q.Experiment.router_hops
+let live_csv (l : live_report) = T.to_csv live_columns l.live_rows
+let live_devices_csv (l : live_report) = T.to_csv device_columns l.live_devices
 
-let pp_lp_ablation ppf (l : Experiment.lp_compare) =
-  Format.fprintf ppf
-    "=== Ablation: LP formulation Eq.(1) exact vs Eq.(2) simplified ===@.";
-  Format.fprintf ppf
-    "exact:      lambda=%.0f realized=%.0f vars=%d constraints=%d weight \
-     rows=%d@."
-    l.Experiment.exact_lambda l.Experiment.exact_realized
-    l.Experiment.exact_vars l.Experiment.exact_constraints
-    l.Experiment.exact_weight_rows;
-  Format.fprintf ppf
-    "simplified: lambda=%.0f realized=%.0f vars=%d constraints=%d weight \
-     rows=%d@."
-    l.Experiment.simplified_lambda l.Experiment.simplified_realized
-    l.Experiment.simplified_vars l.Experiment.simplified_constraints
-    l.Experiment.simplified_weight_rows
+(* ---- ABL-QUORUM ----------------------------------------------------- *)
+
+let quorum_columns =
+  let st (r : quorum_row) = r.stats in
+  let replicas r =
+    String.concat "/"
+      (List.map string_of_int (Array.to_list (st r).Pktsim.replica_versions))
+  in
+  T.[ col ~w:(-13) "scenario" (Str (fun r -> r.qr_scenario));
+      text ~w:5 "loss" (Str (fun r -> pct r.qr_loss));
+      csv "loss" (Float (2, 2, fun r -> r.qr_loss)) ]
+  @ packets st
+  @ [ T.csv "violating" (T.Int (fun r -> (st r).Pktsim.policy_violations));
+      stat 9 "versions" st (fun s -> s.Pktsim.final_config_version);
+      stat 7 "rounds" st (fun s -> s.Pktsim.quorum_rounds);
+      stat 8 "commits" st (fun s -> s.Pktsim.quorum_commits);
+      stat 7 "aborts" st (fun s -> s.Pktsim.quorum_aborts);
+      stat 6 "msgs" st (fun s -> s.Pktsim.quorum_msgs);
+      stat 6 "lost" st (fun s -> s.Pktsim.quorum_lost);
+      stat ~csv:"elections" 6 "elect" st (fun s -> s.Pktsim.leader_changes);
+      stat 9 "degraded" st (fun s -> s.Pktsim.config_degraded);
+      stat 6 "stale" st (fun s -> s.Pktsim.stale_devices);
+      (* Versions that reached the staged window without a quorum
+         commit — the headline safety number; always 0. *)
+      stat ~csv:"uncommitted" 6 "uncomm" st (fun s ->
+          s.Pktsim.reoptimizations - s.Pktsim.quorum_commits);
+      T.col ~csv:"replica_versions" ~w:12 "replicas" (T.Str replicas);
+      audit st ]
+
+let quorum (q : quorum_report) =
+  T.[ line "=== ABL-QUORUM: replicated controller under chaos (campus) ===";
+      line "%d replicas (majority quorum), leader at router %d; epoch %.1f, reconcile %.1f"
+        q.q_replicas q.q_leader_router q.q_epoch q.q_reconcile;
+      line "leader crash at %.1f; partition %.1f-%.1f; probe %d events" q.q_crash_at
+        q.q_partition_at q.q_heal_at q.q_probe_events;
+      grid quorum_columns q.q_rows ]
+
+let quorum_csv (q : quorum_report) = T.to_csv quorum_columns q.q_rows
+
+(* ---- ABL-CORRUPT ---------------------------------------------------- *)
+
+let corrupt_columns =
+  let st (r : corrupt_row) = r.stats in
+  let window ~csv head f = T.col ~csv ~w:8 head (T.Float (2, 3, fun r -> f (st r))) in
+  let sweep none fmt r = Option.fold ~none ~some:(Printf.sprintf fmt) r.cr_sweep in
+  T.[ col ~w:(-4) "plan" (Str (fun r -> r.cr_strategy));
+      col ~w:5 "rate" (Float (2, 3, fun r -> r.cr_rate));
+      text ~w:6 "sweep" (Str (sweep "off" "%.1f"));
+      csv "sweep_period" (Str (sweep "" "%.3f")) ]
+  @ packets st
+  @ [ stat ~csv:"corruptions" 7 "corrupt" st (fun s -> s.Pktsim.corruptions_injected);
+      stat ~csv:"manifested" 6 "manif" st (fun s -> s.Pktsim.corruptions_manifested);
+      stat ~csv:"detected" 6 "detect" st (fun s -> s.Pktsim.corruptions_detected);
+      stat ~csv:"repaired" 6 "repair" st (fun s -> s.Pktsim.corruptions_repaired);
+      stat 9 "violating" st (fun s -> s.Pktsim.policy_violations);
+      window ~csv:"window_mean" "win-mean" (fun s -> s.Pktsim.repair_window_mean);
+      window ~csv:"window_max" "win-max" (fun s -> s.Pktsim.repair_window_max);
+      T.csv "sweep_rounds" (T.Int (fun r -> (st r).Pktsim.sweep_rounds));
+      T.csv "sweep_msgs" (T.Int (fun r -> (st r).Pktsim.sweep_msgs));
+      stat ~csv:"sweep_bytes" 7 "swbytes" st (fun s -> s.Pktsim.sweep_bytes);
+      audit st ]
+
+let corrupt (c : corrupt_report) =
+  T.[ line "=== ABL-CORRUPT: silent corruption vs anti-entropy repair (campus) ===";
+      line "horizon %.1f; epoch %.1f, reconcile %.1f; sweep period %.1f when on; probe %d events"
+        c.c_horizon c.c_epoch c.c_reconcile c.c_default_sweep c.c_probe_events;
+      grid corrupt_columns c.c_rows ]
+
+let corrupt_csv (c : corrupt_report) = T.to_csv corrupt_columns c.c_rows
+
+(* ---- ABL-REOPT ------------------------------------------------------ *)
+
+let reopt_columns =
+  let st (r : reopt_row) = r.stats in
+  T.[ col ~w:(-8) "scenario" (Str (fun r -> r.rp_scenario));
+      col ~w:8 "routers" (Int (fun r -> r.rp_routers));
+      col ~w:5 "mode" (Str (fun r -> if r.rp_warm then "warm" else "cold")) ]
+  @ [ stat 7 "reopts" st (fun s -> s.Pktsim.reoptimizations);
+      (* [pivots] counts phase-2 pivots; [phase1] the phase-1 and
+         drive-out pivots on top of them. *)
+      stat 7 "pivots" st (fun s -> s.Pktsim.reopt_pivots);
+      stat 7 "phase1" st (fun s -> s.Pktsim.reopt_phase1_pivots);
+      stat ~csv:"warm_used" 5 "warm" st (fun s -> s.Pktsim.reopt_warm_used);
+      stat 9 "fallback" st (fun s -> s.Pktsim.reopt_fallback) ]
+  @ packets st
+  @ [ stat 10 "violating" st (fun s -> s.Pktsim.policy_violations);
+      stat 9 "versions" st (fun s -> s.Pktsim.final_config_version);
+      stat 9 "degraded" st (fun s -> s.Pktsim.config_degraded);
+      max_load_col st;
+      audit st ]
+
+(* Replay steps as (scenario, 1-based step, step). *)
+let step_columns =
+  let failed (_, _, s) = String.concat "+" (List.map string_of_int s.rs_failed) in
+  let flag ?(no = "no") ~w head csv_head f =
+    T.[ text ~w head (Str (fun (_, _, s) -> if f s then "yes" else no));
+        csv csv_head (Str (fun (_, _, s) -> string_of_bool (f s))) ]
+  in
+  T.[ col ~w:(-8) "scenario" (Str (fun (name, _, _) -> name));
+      col ~w:4 "step" (Int (fun (_, i, _) -> i));
+      text ~w:(-10) "failed" (Str (fun r -> match failed r with "" -> "-" | l -> l));
+      csv "failed" (Str failed);
+      col ~w:11 "cold pivots" (Int (fun (_, _, s) -> s.rs_cold_pivots));
+      col ~w:11 "warm pivots" (Int (fun (_, _, s) -> s.rs_warm_pivots));
+      csv "cold_lambda" (Float (6, 6, fun (_, _, s) -> s.rs_cold_lambda));
+      csv "warm_lambda" (Float (6, 6, fun (_, _, s) -> s.rs_warm_lambda)) ]
+  @ flag ~w:5 "warm" "warm_used" (fun s -> s.rs_warm_used)
+  @ flag ~w:9 "fallback" "fallback" (fun s -> s.rs_fallback)
+  @ flag ~no:"NO" ~w:6 "agree" "agree" (fun s -> s.rs_agree)
+
+let steps (r : reopt_report) =
+  List.concat_map
+    (fun (name, steps) -> List.mapi (fun i s -> (name, i + 1, s)) steps)
+    r.rp_replays
+
+let reopt (r : reopt_report) =
+  let info i =
+    let v1, v2 = i.ri_victims in
+    T.line "%s: %d routers; epoch %.1f, reconcile %.1f; churn mbox%d %.1f-%.1f, mbox%d %.1f-%.1f"
+      i.ri_name i.ri_routers i.ri_epoch i.ri_reconcile v1 i.ri_crash1 i.ri_recover1 v2
+      i.ri_crash2 i.ri_recover2
+  in
+  T.line "=== ABL-REOPT: warm-started re-optimization vs cold re-solve ==="
+  :: T.line "control-packet loss: %s (masked by retransmission)" (pct r.rp_control_loss)
+  :: List.map info r.rp_infos
+  @ T.[ grid reopt_columns r.rp_rows;
+        blank;
+        line "controller-level churn replay (per re-optimization):";
+        grid step_columns (steps r);
+        line "warm/cold objective agreement: %d/%d replay steps" r.rp_agree r.rp_total ]
+
+let reopt_csv (r : reopt_report) = T.to_csv reopt_columns r.rp_rows
+let reopt_steps_csv (r : reopt_report) = T.to_csv step_columns (steps r)

@@ -1,19 +1,27 @@
-(* sdmctl exit-code contract: flag misuse exits 2, an unknown
-   experiment name exits 3 and lists the known names. *)
+(* Exit-code contract of the two front ends: flag misuse exits 2 (sdmctl
+   and the bench harness alike), an unknown experiment name exits 3 and
+   lists the known names. *)
 
 (* Under `dune runtest` the cwd is the sandboxed test directory and the
    declared dependency sits at ../bin; fall back to the build tree so a
    bare `dune exec test/test_main.exe` from the project root works too. *)
-let sdmctl =
+let binary dir name =
   List.find Sys.file_exists
-    [ "../bin/sdmctl.exe"; "_build/default/bin/sdmctl.exe"; "bin/sdmctl.exe" ]
+    [
+      Filename.concat ("../" ^ dir) name;
+      Filename.concat ("_build/default/" ^ dir) name;
+      Filename.concat dir name;
+    ]
 
-(* Run sdmctl with [args], capturing combined stdout+stderr; returns
+let sdmctl = binary "bin" "sdmctl.exe"
+let bench = binary "bench" "main.exe"
+
+(* Run [bin] with [args], capturing combined stdout+stderr; returns
    (exit code, output). *)
-let run_sdmctl args =
+let run bin args =
   let out = Filename.temp_file "sdmctl" ".out" in
   let cmd =
-    Printf.sprintf "%s %s > %s 2>&1" (Filename.quote sdmctl)
+    Printf.sprintf "%s %s > %s 2>&1" (Filename.quote bin)
       (String.concat " " (List.map Filename.quote args))
       (Filename.quote out)
   in
@@ -24,6 +32,8 @@ let run_sdmctl args =
   close_in ic;
   Sys.remove out;
   (code, text)
+
+let run_sdmctl = run sdmctl
 
 let contains ~needle hay =
   let nl = String.length needle and hl = String.length hay in
@@ -73,6 +83,22 @@ let test_bad_corrupt_flags () =
   expect_rejected "non-finite corrupt rate" [ "--corrupt-rate"; "nan" ]
     "--corrupt-rate"
 
+let test_bench_flags () =
+  (* The bench harness parses its flags loudly: a typo or a
+     non-positive count exits 2 with usage instead of being ignored. *)
+  List.iter
+    (fun (label, args, needle) ->
+      let code, out = run bench args in
+      Alcotest.(check int) (label ^ " exits 2") 2 code;
+      Alcotest.(check bool) (label ^ " names the flag") true (contains ~needle out);
+      Alcotest.(check bool) (label ^ " prints usage") true
+        (contains ~needle:"Usage:" out))
+    [
+      ("unknown flag", [ "--jbos"; "2" ], "--jbos");
+      ("zero jobs", [ "--jobs"; "0" ], "--jobs");
+      ("zero shards", [ "--shards"; "0" ], "--shards");
+    ]
+
 let suite =
   [
     Alcotest.test_case "unknown experiment lists known names" `Quick
@@ -80,4 +106,5 @@ let suite =
     Alcotest.test_case "flag misuse exits 2" `Quick test_bad_flags;
     Alcotest.test_case "corrupt flag validation exits 2" `Quick
       test_bad_corrupt_flags;
+    Alcotest.test_case "bench flag misuse exits 2" `Quick test_bench_flags;
   ]

@@ -161,6 +161,21 @@ let test_warm_noop_zero_pivots () =
   Alcotest.(check int) "zero pivots on the unchanged problem" 0
     s2.Lp.Simplex.pivots
 
+let test_pivot_counters_disjoint () =
+  (* min x  s.t. x >= 1: phase 1 pivots x into the basis, after which
+     the phase-2 objective is already optimal.  [pivots] counts phase-2
+     work only, so it stays 0 while [phase1_pivots] records the entry;
+     were phase-1 pivots a subset of [pivots], this would be
+     impossible. *)
+  let m = Lp.Model.create () in
+  let x = Lp.Model.var m "x" in
+  Lp.Model.add_constraint m [ (1.0, x) ] Lp.Model.Ge 1.0;
+  Lp.Model.set_objective m [ (1.0, x) ];
+  let o, s, _ = Lp.Model.solve_ext m in
+  check_float "objective" 1.0 (objective_exn "cold" o);
+  Alcotest.(check bool) "phase 1 pivoted" true (s.Lp.Simplex.phase1_pivots >= 1);
+  Alcotest.(check int) "no phase-2 pivots" 0 s.Lp.Simplex.pivots
+
 let test_warm_cost_perturbation () =
   let m, x, y = two_var_model () in
   let _, _, snap = Lp.Model.solve_ext m in
@@ -567,6 +582,8 @@ let suite =
     Alcotest.test_case "degenerate pivots" `Quick test_degenerate;
     Alcotest.test_case "redundant equalities" `Quick test_redundant_equalities;
     Alcotest.test_case "min-max load shape" `Quick test_min_max_load_shape;
+    Alcotest.test_case "pivot counters: phase 1 apart from phase 2" `Quick
+      test_pivot_counters_disjoint;
     Alcotest.test_case "warm: no-op re-solve is free" `Quick
       test_warm_noop_zero_pivots;
     Alcotest.test_case "warm: cost perturbation" `Quick

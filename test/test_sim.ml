@@ -1583,19 +1583,20 @@ let test_experiment_corrupt_invariant () =
     (base = run ~jobs:1 ~shards:4);
   List.iter
     (fun (r : Sim.Experiment.corrupt_row) ->
+      let s = r.Sim.Experiment.stats in
       Alcotest.(check (option int))
         (Printf.sprintf "%s rate=%.1f audits clean" r.Sim.Experiment.cr_strategy
            r.Sim.Experiment.cr_rate)
-        (Some 0) r.Sim.Experiment.cr_audit;
+        (Some 0) (Sim.Experiment.audit_violations s);
       match r.Sim.Experiment.cr_sweep with
       | None ->
         Alcotest.(check int) "sweep-off row never detects" 0
-          r.Sim.Experiment.cr_detected
+          s.Sim.Pktsim.corruptions_detected
       | Some _ ->
         Alcotest.(check int)
           (Printf.sprintf "%s sweep row repairs everything"
              r.Sim.Experiment.cr_strategy)
-          r.Sim.Experiment.cr_corruptions r.Sim.Experiment.cr_repaired)
+          s.Sim.Pktsim.corruptions_injected s.Sim.Pktsim.corruptions_repaired)
     base.Sim.Experiment.c_rows
 
 let test_experiment_quorum_invariant () =
