@@ -28,9 +28,17 @@ let scenario_arg =
 let seed_arg =
   Arg.(value & opt int 17 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed")
 
+let positive =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected an integer >= 1, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let flows_arg default =
   Arg.(
-    value & opt int default
+    value & opt positive default
     & info [ "flows" ] ~docv:"N" ~doc:"Number of generated flows")
 
 (* ---- topo -------------------------------------------------------- *)
@@ -102,17 +110,17 @@ let ospf_cmd =
   let run scenario seed =
     let dep = Sim.Experiment.build_deployment scenario ~seed in
     let topo = dep.Sdm.Deployment.topo in
-    let result = Ospf.Protocol.converge topo in
+    let session = Ospf.Session.start topo in
     let oracle = Netgraph.Routing.build_all topo.Netgraph.Topology.graph in
     let agree =
       Array.for_all2 (fun (a : int array) b -> a = b)
-        result.Ospf.Protocol.tables oracle
+        (Ospf.Session.tables session) oracle
     in
     Format.printf
       "LSA transmissions: %d@.convergence time: %.2f@.tables match global \
        Dijkstra oracle: %b@."
-      result.Ospf.Protocol.stats.Ospf.Protocol.messages
-      result.Ospf.Protocol.stats.Ospf.Protocol.convergence_time agree;
+      (Ospf.Session.messages session)
+      (Ospf.Session.convergence_time session) agree;
     if not agree then exit 1
   in
   Cmd.v
@@ -145,14 +153,6 @@ let exp_cmd =
             ^ " under the online invariant audit and exit non-zero on any violation"))
   in
   let knob name docv doc = Arg.(value & opt (some string) None & info [ name ] ~docv ~doc) in
-  let positive =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> Ok n
-      | _ -> Error (`Msg (Printf.sprintf "expected an integer >= 1, got %S" s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
   let jobs_arg =
     Arg.(
       value

@@ -1,45 +1,27 @@
-(* Routing substrates side by side.
+(* The link-state routing substrate.
 
    The paper's networks "forward packets based on classical routing
-   protocols such as OSPF and EIGRP" — this repo implements both
-   families (link-state flooding in [Ospf], distance-vector exchange
-   in [Dvr]) on the same event engine.  This example runs both to
-   convergence on the campus and Waxman topologies, checks them
-   against the global Dijkstra oracle, compares their message costs,
-   and finishes with a live link failure that the link-state session
-   reconverges around.
+   protocols such as OSPF" and know nothing about policies.  This
+   example floods LSAs to convergence in an [Ospf.Session] on the
+   campus and Waxman topologies, checks every router's table against
+   the global Dijkstra oracle, reports the message cost, and finishes
+   with a live link failure that the session reconverges around.  It
+   exits 1 if any table differs from the oracle.
 
      dune exec examples/routing_protocols.exe *)
 
 let check_topology name topo =
   Format.printf "== %s: %a ==@." name Netgraph.Topology.pp topo;
-  let g = topo.Netgraph.Topology.graph in
-  let n = Netgraph.Graph.node_count g in
-
-  let ospf = Ospf.Protocol.converge topo in
-  let oracle_tables = Netgraph.Routing.build_all g in
+  let ospf = Ospf.Session.start topo in
+  let oracle_tables = Netgraph.Routing.build_all topo.Netgraph.Topology.graph in
   let ospf_ok =
-    Array.for_all2 (fun (a : int array) b -> a = b) ospf.Ospf.Protocol.tables
+    Array.for_all2 (fun (a : int array) b -> a = b) (Ospf.Session.tables ospf)
       oracle_tables
   in
-  Format.printf "OSPF (link-state):    %6d messages, t=%5.1f, tables = oracle: %b@."
-    ospf.Ospf.Protocol.stats.Ospf.Protocol.messages
-    ospf.Ospf.Protocol.stats.Ospf.Protocol.convergence_time ospf_ok;
-
-  let dvr = Dvr.Protocol.converge topo in
-  let dvr_ok = ref true in
-  for src = 0 to n - 1 do
-    let oracle = (Netgraph.Dijkstra.run g src).Netgraph.Dijkstra.dist in
-    for dst = 0 to n - 1 do
-      if abs_float (dvr.Dvr.Protocol.distances.(src).(dst) -. oracle.(dst)) > 1e-6
-      then dvr_ok := false
-    done
-  done;
-  Format.printf
-    "DV (EIGRP-style):     %6d messages, t=%5.1f, distances = oracle: %b@.@."
-    dvr.Dvr.Protocol.stats.Dvr.Protocol.messages
-    dvr.Dvr.Protocol.stats.Dvr.Protocol.convergence_time !dvr_ok;
-  if not (ospf_ok && !dvr_ok) then exit 1
+  Format.printf "OSPF (link-state):    %6d messages, t=%5.1f, tables = oracle: %b@.@."
+    (Ospf.Session.messages ospf)
+    (Ospf.Session.convergence_time ospf) ospf_ok;
+  if not ospf_ok then exit 1
 
 let () =
   check_topology "campus" (Netgraph.Campus.generate ~seed:17 ());

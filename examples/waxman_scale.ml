@@ -21,11 +21,11 @@ let () =
 
   (* Routers establish their own tables by LSA flooding. *)
   let ospf =
-    time "OSPF convergence" (fun () -> Ospf.Protocol.converge topo)
+    time "OSPF convergence" (fun () -> Ospf.Session.start topo)
   in
   Format.printf "OSPF: %d LSA transmissions, converged at t=%.1f@."
-    ospf.Ospf.Protocol.stats.Ospf.Protocol.messages
-    ospf.Ospf.Protocol.stats.Ospf.Protocol.convergence_time;
+    (Ospf.Session.messages ospf)
+    (Ospf.Session.convergence_time ospf);
 
   let flows = 120_000 in
   let workload =

@@ -135,3 +135,4 @@ let surviving_graph t =
   g
 
 let messages t = t.message_count
+let convergence_time t = Dess.Engine.now t.engine

@@ -1,12 +1,18 @@
-(** A long-running link-state routing session with topology changes.
+(** Link-state routing over the event engine, as a long-running session.
 
-    {!Protocol.converge} answers "what tables does a static network
-    settle on"; a session keeps the routers and their databases alive
-    so that links can fail afterwards: on [fail_link] both endpoints
-    drop the adjacency, re-originate their LSAs, and the updates flood
-    through the *surviving* links until the network quiesces again.
-    Tables then match a global Dijkstra oracle on the reduced graph —
-    the reconvergence property tests assert exactly that.
+    [start] drives a {!Router.t} per topology node: every router
+    originates its LSA at a deterministically jittered time near 0,
+    routers flood over links with a fixed propagation delay, and the
+    session runs until the event queue drains.  Each router's table is
+    then computed from its own database — the distributed counterpart
+    of [Netgraph.Routing.build_all], and the tests assert the two are
+    identical.
+
+    The routers and their databases stay alive afterwards, so links
+    can fail, recover or be re-costed: both endpoints re-originate
+    their LSAs and the updates flood through the {e surviving} links
+    until the network quiesces again.  Tables then match a global
+    Dijkstra oracle on the reduced graph.
 
     Limitations, as documented trade-offs: LSA aging/flushing is not
     modelled, so a failure that partitions the network leaves stale
@@ -17,7 +23,10 @@
 type t
 
 val start : ?link_delay:float -> ?jitter_seed:int -> Netgraph.Topology.t -> t
-(** Flood to initial convergence. *)
+(** Flood to initial convergence.  [link_delay] (default 1.0) is the
+    per-hop propagation delay; origination times are jittered
+    deterministically from [jitter_seed] (default 7) to exercise
+    asynchrony. *)
 
 val fail_link : t -> int -> int -> unit
 (** [fail_link t u v] — both ends notice, re-originate, re-flood to
@@ -46,3 +55,7 @@ val surviving_graph : t -> Netgraph.Graph.t
 
 val messages : t -> int
 (** Cumulative LSA transmissions, including reconvergence traffic. *)
+
+val convergence_time : t -> float
+(** Simulated time of the session's last event: after [start], the
+    time the network first quiesced. *)

@@ -1,7 +1,3 @@
-type table_source = Oracle | Distributed_ospf | Distributed_dvr
-
-type classifier = Trie | Dectree | Linear
-
 (* Live control plane (Sec. III.A-III.C run in-line): the controller
    sits at an attachment router, re-optimizes at epoch boundaries and
    on detected failures, and pushes versioned configuration updates to
@@ -12,8 +8,6 @@ type live_config = {
   reconcile_interval : float;
   push_backoff : float;
   push_backoff_cap : float;
-  push_max_retries : int;
-  controller_router : int option;
   replicas : int;
   quorum : Quorum.family;
   replica_routers : int list option;
@@ -33,12 +27,9 @@ let default_live =
     epoch_interval = 25.0;
     reconcile_interval = 5.0;
     push_backoff = 2.0;
-    (* High enough that the default six-retry ladder (2,4,...,64) is
-       never clipped: the cap only bites configs that raise the retry
-       budget or the base. *)
+    (* High enough that the six-retry ladder (2,4,...,64) is
+       never clipped: the cap only bites configs that raise the base. *)
     push_backoff_cap = 120.0;
-    push_max_retries = 6;
-    controller_router = None;
     replicas = 1;
     quorum = Quorum.Majority;
     replica_routers = None;
@@ -52,16 +43,18 @@ let default_live =
 let push_backoff_delay (l : live_config) ~attempt =
   Float.min (l.push_backoff *. (2.0 ** float_of_int attempt)) l.push_backoff_cap
 
+(* Model constants no experiment varies. *)
+let link_delay = 0.1 (* per router hop *)
+let cache_timeout = 1e9 (* flow-cache soft state never expires *)
+let ctrl_retry_timeout = 5.0 (* label-control retransmission timer *)
+let ctrl_max_retries = 3 (* label-control retransmissions per message *)
+let push_max_retries = 6 (* config-push retries before reconciliation *)
+
 type config = {
   label_switching : bool;
-  mtu : int;
-  link_delay : float;
   packet_interval : float;
   start_window : float;
-  cache_timeout : float;
   seed : int;
-  table_source : table_source;
-  classifier : classifier;
   service_rate : float;
   label_timeout : float;
   wp_cache_hit_ratio : float;
@@ -70,8 +63,6 @@ type config = {
   faults : Fault.Schedule.t option;
   detection_delay : float;
   failover : bool;
-  ctrl_retry_timeout : float;
-  ctrl_max_retries : int;
   live : live_config option;
   audit : bool;
   debug_bypass_chain : int option;
@@ -81,14 +72,9 @@ type config = {
 let default_config =
   {
     label_switching = true;
-    mtu = 1500;
-    link_delay = 0.1;
     packet_interval = 1.0;
     start_window = 50.0;
-    cache_timeout = 1e9;
     seed = 99;
-    table_source = Oracle;
-    classifier = Trie;
     service_rate = infinity;
     label_timeout = infinity;
     wp_cache_hit_ratio = 0.0;
@@ -97,8 +83,6 @@ let default_config =
     faults = None;
     detection_delay = 10.0;
     failover = true;
-    ctrl_retry_timeout = 5.0;
-    ctrl_max_retries = 3;
     live = None;
     audit = false;
     debug_bypass_chain = None;
@@ -332,16 +316,14 @@ type world = {
   loads : float array;
   (* Per-proxy and per-middlebox soft state. *)
   proxy_caches : Policy.Flow_cache.t array;
-  (* [config.classifier]-selected matcher closures: trie, decision
-     tree or linear scan, all with identical first-match semantics *)
-  proxy_match : (Netpkt.Flow.t -> Policy.Rule.t option) array;
+  proxy_match : Policy.Trie.t array;
   mutable_label : int array; (* next label per proxy *)
   (* reverse index: label -> flow, so a teardown (which carries only
      src|label) can find the proxy's flow-cache entry; flat-keyed on
      (label, 0) so installs on the first-packet path stay cheap *)
   proxy_label_index : Netpkt.Flow.t Stdx.Flat_table.t array;
   mbox_caches : Policy.Flow_cache.t array;
-  mbox_match : (Netpkt.Flow.t -> Policy.Rule.t option) array;
+  mbox_match : Policy.Trie.t array;
   mbox_labels : Mbox.Label_table.t array;
   (* Address resolution (middleboxes by exact address; stub subnets
      via the deployment's prefix index). *)
@@ -650,7 +632,9 @@ let msg_dst = function
 let note_fragments w = function
   | Data (pkt, _, aid) ->
     let extra =
-      Netpkt.Fragment.count ~mtu:w.cfg.mtu (Netpkt.Packet.size pkt) - 1
+      Netpkt.Fragment.count ~mtu:Netpkt.Fragment.default_mtu
+        (Netpkt.Packet.size pkt)
+      - 1
     in
     w.counters.fragments <- w.counters.fragments + extra;
     if extra > 0 then
@@ -714,7 +698,7 @@ let rec send w ~from_router msg =
         end
         else
           ignore
-            (Dess.Engine.schedule_at w.engine ~time:(time +. w.cfg.link_delay)
+            (Dess.Engine.schedule_at w.engine ~time:(time +. link_delay)
                (fun _ -> deliver w endpoint msg))
       end
       else
@@ -729,7 +713,7 @@ let rec send w ~from_router msg =
           end
           else begin
             w.counters.hops <- w.counters.hops + 1;
-            walk hop (time +. w.cfg.link_delay)
+            walk hop (time +. link_delay)
           end
     in
     walk from_router (Dess.Engine.now w.engine)
@@ -764,7 +748,7 @@ and next_hop_for w ~router ~target_router msg =
    receivers are idempotent, so suppressing the redundant duplicates a
    real timer would generate is observationally equivalent. *)
 and send_control w ~from_router ~sender msg =
-  control_attempt w ~from_router ~sender ~retries_left:w.cfg.ctrl_max_retries
+  control_attempt w ~from_router ~sender ~retries_left:ctrl_max_retries
     msg
 
 and control_attempt w ~from_router ~sender ~retries_left msg =
@@ -777,7 +761,7 @@ and control_attempt w ~from_router ~sender ~retries_left msg =
       w.counters.retries <- w.counters.retries + 1;
       w.entity_ctrl_retries.(sender) <- w.entity_ctrl_retries.(sender) + 1;
       ignore
-        (Dess.Engine.schedule w.engine ~delay:w.cfg.ctrl_retry_timeout (fun _ ->
+        (Dess.Engine.schedule w.engine ~delay:ctrl_retry_timeout (fun _ ->
              control_attempt w ~from_router ~sender
                ~retries_left:(retries_left - 1) msg))
     end
@@ -863,7 +847,7 @@ and mbox_actions w id flow =
     None
   | None -> (
     w.counters.lookups <- w.counters.lookups + 1;
-    match w.mbox_match.(id) flow with
+    match Policy.Trie.first_match w.mbox_match.(id) flow with
     | None ->
       ignore (Policy.Flow_cache.insert_negative cache ~now flow);
       None
@@ -1092,7 +1076,7 @@ let proxy_emit w (fs : Workload.flow_spec) ~aid =
   in
   let tunnel_first ~rule ~label ~admitted =
     match w.cfg.debug_bypass_chain with
-    | Some n when n > 0 && aid mod n = 0 ->
+    | Some n when aid mod n = 0 ->
       (* Test-only corruption hook: every n-th packet skips its chain
          entirely and travels straight to the destination — exactly
          the escape the audit's chain invariant must catch. *)
@@ -1190,7 +1174,7 @@ let proxy_emit w (fs : Workload.flow_spec) ~aid =
     send w ~from_router:proxy.Mbox.Proxy.router (Data (plain, now, aid))
   | None -> (
     w.counters.lookups <- w.counters.lookups + 1;
-    match w.proxy_match.(proxy_id) flow with
+    match Policy.Trie.first_match w.proxy_match.(proxy_id) flow with
     | None ->
       ignore (Policy.Flow_cache.insert_negative cache ~now flow);
       audit_admit ~admission:Audit.Event.Unmatched
@@ -1379,7 +1363,7 @@ let apply_fault w f what =
        destruction, which the registry must record or the Repair
        invariant would demand fixing state that no longer exists. *)
     w.mbox_caches.(id) <-
-      Policy.Flow_cache.create ~timeout:w.cfg.cache_timeout
+      Policy.Flow_cache.create ~timeout:cache_timeout
         ?capacity:w.cfg.cache_capacity ();
     w.mbox_labels.(id) <-
       Mbox.Label_table.create ~timeout:w.cfg.label_timeout ();
@@ -1544,9 +1528,9 @@ let rec push_config w ls ~dev ~version ~attempt =
       w.counters.cfg_bytes <-
         w.counters.cfg_bytes
         + Controlplane.entity_bytes ls.configs.(version) entity;
-      let one_way = float_of_int (h + 1) *. w.cfg.link_delay in
+      let one_way = float_of_int (h + 1) *. link_delay in
       let retry () =
-        if attempt < ls.lcfg.push_max_retries then begin
+        if attempt < push_max_retries then begin
           w.entity_ctrl_retries.(dev) <- w.entity_ctrl_retries.(dev) + 1;
           let delay = push_backoff_delay ls.lcfg ~attempt in
           ignore
@@ -1692,9 +1676,9 @@ let rec sweep_device w ls ~dev ~attempt =
          next round revisits. *)
       w.counters.cfg_degraded <- w.counters.cfg_degraded + 1
     | Some h ->
-      let one_way = float_of_int (h + 1) *. w.cfg.link_delay in
+      let one_way = float_of_int (h + 1) *. link_delay in
       let retry () =
-        if attempt < ls.lcfg.push_max_retries then begin
+        if attempt < push_max_retries then begin
           w.entity_ctrl_retries.(dev) <- w.entity_ctrl_retries.(dev) + 1;
           ignore
             (Dess.Engine.schedule w.engine
@@ -1798,9 +1782,9 @@ let rec commit_notice w ls ~replica ~version ~digest ~attempt =
     | None -> () (* partitioned: no retry timer helps until routing heals *)
     | Some h ->
       w.counters.q_msgs <- w.counters.q_msgs + 1;
-      let one_way = float_of_int (h + 1) *. w.cfg.link_delay in
+      let one_way = float_of_int (h + 1) *. link_delay in
       let retry () =
-        if attempt < ls.lcfg.push_max_retries then
+        if attempt < push_max_retries then
           ignore
             (Dess.Engine.schedule w.engine
                ~delay:(push_backoff_delay ls.lcfg ~attempt) (fun _ ->
@@ -1885,7 +1869,7 @@ let rec propose_to w ls r ~replica ~attempt =
     let version = Quorum.Round.version r in
     let digest = Quorum.Round.digest r in
     let retry () =
-      if attempt < ls.lcfg.push_max_retries then
+      if attempt < push_max_retries then
         ignore
           (Dess.Engine.schedule w.engine
              ~delay:(push_backoff_delay ls.lcfg ~attempt) (fun _ ->
@@ -1907,7 +1891,7 @@ let rec propose_to w ls r ~replica ~attempt =
       abandon_if_dead w ls r
     | Some h ->
       w.counters.q_msgs <- w.counters.q_msgs + 1;
-      let one_way = float_of_int (h + 1) *. w.cfg.link_delay in
+      let one_way = float_of_int (h + 1) *. link_delay in
       let fwd_lost = control_loss_draw w in
       if fwd_lost || not ls.replica_up.(replica) then begin
         w.counters.q_lost <- w.counters.q_lost + 1;
@@ -2101,6 +2085,27 @@ let run ?(config = default_config) ~controller ~workload () =
   let dep = controller.Sdm.Controller.deployment in
   let n_proxies = Array.length dep.Sdm.Deployment.proxies in
   let n_mboxes = Array.length dep.Sdm.Deployment.middleboxes in
+  (* Reject out-of-range knobs up front instead of failing mid-run or
+     silently running a meaningless model.  Every test is phrased so
+     that NaN, which fails all comparisons, is rejected too. *)
+  let require ok what = if not ok then invalid_arg ("Pktsim.run: " ^ what) in
+  let finite_nonneg x = Float.is_finite x && x >= 0.0 in
+  let at_least_one = function Some n -> n >= 1 | None -> true in
+  require (finite_nonneg config.packet_interval)
+    "packet_interval must be finite and >= 0";
+  require (finite_nonneg config.start_window)
+    "start_window must be finite and >= 0";
+  require (config.service_rate > 0.0) "service_rate must be > 0";
+  require (config.label_timeout > 0.0) "label_timeout must be > 0";
+  require
+    (config.wp_cache_hit_ratio >= 0.0 && config.wp_cache_hit_ratio <= 1.0)
+    "wp_cache_hit_ratio must be in [0, 1]";
+  require (at_least_one config.cache_capacity) "cache_capacity must be >= 1";
+  require (finite_nonneg config.detection_delay)
+    "detection_delay must be finite and >= 0";
+  require (at_least_one config.debug_bypass_chain)
+    "debug_bypass_chain must be >= 1";
+  require (config.shards >= 1) "shards must be >= 1";
   (* Reject a schedule that does not fit this deployment up front,
      instead of letting it silently no-op or blow up mid-run. *)
   (match config.faults with
@@ -2130,7 +2135,6 @@ let run ?(config = default_config) ~controller ~workload () =
       || (not (finite_pos l.push_backoff))
       || Float.is_nan l.push_backoff_cap
       || l.push_backoff_cap < l.push_backoff
-      || l.push_max_retries < 0
       || (match l.sweep_period with
          | Some p -> not (finite_pos p)
          | None -> false)
@@ -2152,7 +2156,6 @@ let run ?(config = default_config) ~controller ~workload () =
         || List.exists (fun r -> r < 0 || r >= n_routers) rs
         || List.length (List.sort_uniq compare rs) <> l.replicas
       then invalid_arg "Pktsim.run: invalid replica routers");
-  if config.shards < 1 then invalid_arg "Pktsim.run: shards must be >= 1";
   let engine = Dess.Engine.create () in
   let n_flows = Array.length workload.Workload.flows in
   (* Capacity hints from the deployment and flow counts instead of a
@@ -2175,15 +2178,7 @@ let run ?(config = default_config) ~controller ~workload () =
   let proxy_flow_hint = max 64 (n_flows / max 1 n_proxies) in
   let mbox_flow_hint = max 64 (3 * n_flows / max 1 n_mboxes) in
   let entity_table entity =
-    let rules = Sdm.Controller.policy_table_for controller entity in
-    match config.classifier with
-    | Trie ->
-      let t = Policy.Trie.build rules in
-      fun flow -> Policy.Trie.first_match t flow
-    | Dectree ->
-      let t = Policy.Dectree.build rules in
-      fun flow -> Policy.Dectree.first_match t flow
-    | Linear -> fun flow -> Policy.Rule.first_match rules flow
+    Policy.Trie.build (Sdm.Controller.policy_table_for controller entity)
   in
   (* The shardable setup phases: per-entity policy-trie builds and the
      per-source routing tables are pure functions of the immutable
@@ -2256,17 +2251,11 @@ let run ?(config = default_config) ~controller ~workload () =
       dep;
       engine;
       tables =
-        (let topo = dep.Sdm.Deployment.topo in
-         match config.table_source with
-         | Oracle ->
-           (* One Dijkstra per source router — sharded like the trie
-              builds.  The distributed substrates converge by global
-              message exchange and stay sequential. *)
-           let g = topo.Netgraph.Topology.graph in
-           setup_init (Netgraph.Graph.node_count g) (fun u ->
-               Netgraph.Routing.table_for g u)
-         | Distributed_ospf -> (Ospf.Protocol.converge topo).Ospf.Protocol.tables
-         | Distributed_dvr -> (Dvr.Protocol.converge topo).Dvr.Protocol.tables);
+        (* One Dijkstra per source router — sharded like the trie
+           builds. *)
+        (let g = dep.Sdm.Deployment.topo.Netgraph.Topology.graph in
+         setup_init (Netgraph.Graph.node_count g) (fun u ->
+             Netgraph.Routing.table_for g u));
       ecmp_tables =
         (if config.ecmp then
            Some
@@ -2328,13 +2317,13 @@ let run ?(config = default_config) ~controller ~workload () =
       loads = Array.make n_mboxes 0.0;
       proxy_caches =
         Array.init n_proxies (fun _ ->
-            Policy.Flow_cache.create ~timeout:config.cache_timeout
+            Policy.Flow_cache.create ~timeout:cache_timeout
               ?capacity:config.cache_capacity ~expected:proxy_flow_hint ());
       proxy_match = setup_init n_proxies (fun i -> entity_table (Mbox.Entity.Proxy i));
       mutable_label = Array.make n_proxies 0;
       mbox_caches =
         Array.init n_mboxes (fun _ ->
-            Policy.Flow_cache.create ~timeout:config.cache_timeout
+            Policy.Flow_cache.create ~timeout:cache_timeout
               ?capacity:config.cache_capacity ~expected:mbox_flow_hint ());
       mbox_match =
         setup_init n_mboxes (fun i -> entity_table (Mbox.Entity.Middlebox i));
@@ -2354,11 +2343,7 @@ let run ?(config = default_config) ~controller ~workload () =
         (match config.live with
         | None -> None
         | Some lcfg ->
-          let primary =
-            match lcfg.controller_router with
-            | Some r -> r
-            | None -> Controlplane.default_router dep
-          in
+          let primary = Controlplane.default_router dep in
           Some
             {
               lcfg;

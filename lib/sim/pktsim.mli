@@ -5,8 +5,15 @@
     the proxy's policy table (flow cache first, Sec. III.D), tunnelled
     IP-over-IP middlebox to middlebox, optionally upgraded to label
     switching after the chain's last middlebox confirms (Sec. III.E),
-    and routed through the routers' OSPF tables, which know nothing
-    about policies.
+    and routed through the routers' shortest-path tables (global
+    Dijkstra, which {!Ospf.Session} provably converges to), which know
+    nothing about policies.  Proxy and middlebox policy tables are
+    {!Policy.Trie}s.
+
+    Fixed model constants: 1500-byte MTU, 0.1 time units per router
+    hop, flow-cache entries that never expire, label-control packets
+    retransmitted up to 3 times on a 5.0 timer, and config pushes
+    retried up to 6 times before the reconciliation loop takes over.
 
     Router transit is {e hop fast-forwarded}: between two policy
     decision points (proxy, middlebox, destination subnet) forwarding
@@ -23,21 +30,6 @@
     by the label-switching example.  Keep workloads at packet-level
     scale (≤ ~100k packets); the figure-scale experiments use
     {!Flowsim}. *)
-
-type table_source =
-  | Oracle           (** global Dijkstra (default) *)
-  | Distributed_ospf (** tables from link-state flooding ([Ospf.Protocol]) *)
-  | Distributed_dvr  (** tables from distance-vector exchange ([Dvr.Protocol]) *)
-
-(** Which software classifier backs the per-entity policy tables.  All
-    three implement identical first-match (lowest rule id) semantics —
-    property tests enforce the equivalence — so every statistic of a
-    run is invariant to this knob; only classification cost differs,
-    which is what the classifier benchmark measures. *)
-type classifier =
-  | Trie     (** hierarchical source/destination prefix trie (default) *)
-  | Dectree  (** HiCuts-style decision tree ({!Policy.Dectree}) *)
-  | Linear   (** linear scan of the rule list — the small-table baseline *)
 
 (** Live control plane (Sec. III.A-III.C run in-line).
 
@@ -65,8 +57,9 @@ type classifier =
     stranding.
 
     Replication ([replicas > 1]): the controller becomes [replicas]
-    replicas at distinct attachment routers (replica 0 at
-    [controller_router]); the lowest-id live replica leads.  Every
+    replicas at distinct attachment routers (replica 0 at the
+    controller's router: the first gateway, else the first core, as
+    in {!Controlplane.price}); the lowest-id live replica leads.  Every
     candidate configuration runs a two-phase {!Quorum} round over the
     same lossy control channel — propose out, votes back, each leg
     with the capped-backoff retry ladder — and is published only once
@@ -91,12 +84,6 @@ type live_config = {
           Must be at least [push_backoff]; [infinity] leaves the
           ladder uncapped.  Default 120.0 — above the last rung of the
           default ladder, so defaults never clip. *)
-  push_max_retries : int;
-      (** retries per push chain before the reconciliation loop
-          becomes the backstop (default 6) *)
-  controller_router : int option;
-      (** attachment router; default first gateway, else first core
-          (same convention as {!Controlplane.price}) *)
   replicas : int;
       (** controller replicas (default 1 = the unreplicated control
           plane) *)
@@ -139,21 +126,9 @@ val push_backoff_delay : live_config -> attempt:int -> float
 
 type config = {
   label_switching : bool; (** default true *)
-  mtu : int;              (** default 1500 *)
-  link_delay : float;     (** per hop, default 0.1 *)
   packet_interval : float;(** spacing within a flow, default 1.0 *)
   start_window : float;   (** flow start times uniform in [0, w), default 50. *)
-  cache_timeout : float;  (** flow-cache soft-state timeout, default 1e9 *)
   seed : int;             (** start-time jitter seed, default 99 *)
-  table_source : table_source;
-      (** where the routers' forwarding tables come from.  Middlebox
-          loads are invariant to this (enforcement decisions do not
-          depend on routes); only paths/latencies can differ on
-          equal-cost ties. *)
-  classifier : classifier;
-      (** which software classifier backs the proxy/middlebox policy
-          tables.  Match semantics are identical across all three, so
-          every statistic is invariant; default [Trie]. *)
   service_rate : float;
       (** middlebox processing capacity in packets per time unit;
           packets queue FIFO and wait when a box is busy, so an
@@ -180,9 +155,8 @@ type config = {
   ecmp : bool;
       (** equal-cost multipath: routers hash flows over every
           shortest-path next hop instead of the single deterministic
-          one.  Overrides [table_source] (ECMP sets come from the
-          global oracle).  Middlebox loads are invariant; only paths
-          vary.  Default false. *)
+          one.  Middlebox loads are invariant; only paths vary.
+          Default false. *)
   faults : Fault.Schedule.t option;
       (** in-run fault injection: middlebox crash/recovery, link
           fail/restore (routing then reconverges through a live
@@ -202,12 +176,6 @@ type config = {
       (** when false, entities ignore the failure detector and keep
           using the static configuration — the "no failover" baseline
           of ABL-CHAOS.  Default true. *)
-  ctrl_retry_timeout : float;
-      (** retransmission timer for label-establishment / teardown
-          control packets lost to [control_loss].  Default 5.0. *)
-  ctrl_max_retries : int;
-      (** retransmissions after the initial attempt before the sender
-          gives up (receivers are idempotent).  Default 3. *)
   live : live_config option;
       (** in-run reconfiguration.  [None] (the default) keeps the
           configuration static for the whole run — bit-identical to a
@@ -228,8 +196,7 @@ type config = {
           (never set this outside tests). *)
   shards : int;
       (** parallelism for the shardable setup phases — the per-entity
-          policy-trie builds and (under the [Oracle] substrate) the
-          per-source routing tables, all pure functions of the
+          policy-trie builds and the per-source routing tables, all pure functions of the
           immutable controller and topology, evaluated on the domain
           pool when [shards > 1].  The event loop itself is a
           sequential discrete-event simulation and is not sharded, so
@@ -367,3 +334,11 @@ type stats = {
 val run :
   ?config:config -> controller:Sdm.Controller.t -> workload:Workload.t ->
   unit -> stats
+(** Simulate [workload] under [controller].  Raises [Invalid_argument]
+    before any work on an out-of-range config value: a negative or
+    non-finite [packet_interval], [start_window] or [detection_delay];
+    a non-positive [service_rate] or [label_timeout]; a
+    [wp_cache_hit_ratio] outside [0, 1]; a [cache_capacity] or
+    [debug_bypass_chain] below 1; [shards < 1]; NaN anywhere; an
+    invalid live config; or a fault schedule that does not fit the
+    deployment. *)

@@ -54,12 +54,19 @@ let test_unknown_experiment () =
     [ "fig4"; "table3"; "chaos"; "live"; "quorum"; "corrupt"; "lp" ]
 
 let test_bad_flags () =
-  let code, out = run_sdmctl [ "exp"; "table3"; "--jobs"; "0" ] in
-  Alcotest.(check int) "bad --jobs exits 2" 2 code;
-  Alcotest.(check bool) "explains" true (contains ~needle:"--jobs" out);
-  let code, out = run_sdmctl [ "exp"; "table3"; "--shards"; "0" ] in
-  Alcotest.(check int) "bad --shards exits 2" 2 code;
-  Alcotest.(check bool) "explains" true (contains ~needle:"--shards" out)
+  (* Non-positive counts are flag misuse, --flows included. *)
+  List.iter
+    (fun (args, needle) ->
+      let code, out = run_sdmctl ("exp" :: args) in
+      let label = String.concat " " args in
+      Alcotest.(check int) (label ^ " exits 2") 2 code;
+      Alcotest.(check bool) (label ^ " explains") true (contains ~needle out))
+    [
+      ([ "table3"; "--jobs"; "0" ], "--jobs");
+      ([ "table3"; "--shards"; "0" ], "--shards");
+      ([ "chaos"; "--flows=-5" ], "--flows");
+      ([ "chaos"; "--flows=0" ], "--flows");
+    ]
 
 let test_bad_corrupt_flags () =
   (* The corrupt experiment's numeric knobs: anything non-numeric,

@@ -4,7 +4,6 @@ let () =
     [
       ("stdx", Test_stdx.suite);
       ("dess", Test_dess.suite);
-      ("dvr", Test_dvr.suite);
       ("netgraph", Test_netgraph.suite);
       ("ospf", Test_ospf.suite);
       ("fault", Test_fault.suite);

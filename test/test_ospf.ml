@@ -32,12 +32,12 @@ let tables_equal a b =
   && Array.for_all2 (fun (x : int array) y -> x = y) a b
 
 let check_topology topo =
-  let result = Ospf.Protocol.converge topo in
+  let session = Ospf.Session.start topo in
   let oracle = Netgraph.Routing.build_all topo.Netgraph.Topology.graph in
   Alcotest.(check bool) "tables equal oracle" true
-    (tables_equal result.Ospf.Protocol.tables oracle);
+    (tables_equal (Ospf.Session.tables session) oracle);
   Alcotest.(check bool) "some messages flowed" true
-    (result.Ospf.Protocol.stats.Ospf.Protocol.messages > 0)
+    (Ospf.Session.messages session > 0)
 
 let test_converge_campus () = check_topology (Netgraph.Campus.generate ~seed:3 ())
 
@@ -63,22 +63,21 @@ let qcheck_converge_random =
       let topo =
         Netgraph.Random_graph.topology ~rng ~nodes:n ~extra_edges:0 ()
       in
-      let result = Ospf.Protocol.converge ~jitter_seed:seed topo in
-      tables_equal result.Ospf.Protocol.tables
+      let session = Ospf.Session.start ~jitter_seed:seed topo in
+      tables_equal (Ospf.Session.tables session)
         (Netgraph.Routing.build_all topo.Netgraph.Topology.graph))
 
 let test_full_lsdb () =
   let topo = Netgraph.Campus.generate ~seed:4 () in
   let n = Netgraph.Graph.node_count topo.Netgraph.Topology.graph in
-  let result = Ospf.Protocol.converge topo in
-  ignore result;
+  let tables = Ospf.Session.tables (Ospf.Session.start topo) in
   (* Convergence implies every router heard every LSA; spot-check by
      recomputing with a different jitter seed and demanding identical
      tables (flooding must be jitter-independent once quiescent). *)
-  let again = Ospf.Protocol.converge ~jitter_seed:12345 topo in
+  let again = Ospf.Session.start ~jitter_seed:12345 topo in
   Alcotest.(check bool) "jitter-independent result" true
-    (tables_equal result.Ospf.Protocol.tables again.Ospf.Protocol.tables);
-  Alcotest.(check int) "n tables" n (Array.length result.Ospf.Protocol.tables)
+    (tables_equal tables (Ospf.Session.tables again));
+  Alcotest.(check int) "n tables" n (Array.length tables)
 
 (* --- Reconvergence after link failures ------------------------------ *)
 
@@ -97,11 +96,22 @@ let bridges g =
     (Netgraph.Graph.edges g)
 
 let test_session_matches_converge () =
-  let topo = Netgraph.Campus.generate ~seed:3 () in
-  let session = Ospf.Session.start topo in
-  let oracle = Netgraph.Routing.build_all topo.Netgraph.Topology.graph in
+  (* Pins the initial flood on campus seed 17 (default jitter): its
+     LSA count and quiescence time, and a rerun identical in both and
+     in the tables. *)
+  let topo = Netgraph.Campus.generate ~seed:17 () in
+  let run () =
+    let s = Ospf.Session.start topo in
+    (Ospf.Session.tables s, Ospf.Session.messages s,
+     Ospf.Session.convergence_time s)
+  in
+  let tables, messages, time = run () in
+  Alcotest.(check int) "LSA transmissions" 3948 messages;
+  Alcotest.(check string) "convergence time" "5.48" (Printf.sprintf "%.2f" time);
   Alcotest.(check bool) "initial tables" true
-    (tables_equal (Ospf.Session.tables session) oracle)
+    (tables_equal tables
+       (Netgraph.Routing.build_all topo.Netgraph.Topology.graph));
+  Alcotest.(check bool) "deterministic rerun" true ((tables, messages, time) = run ())
 
 let test_session_reconverges_after_failure () =
   let topo = Netgraph.Campus.generate ~seed:3 () in

@@ -234,25 +234,51 @@ let test_pktsim_delivers_everything () =
     stats.Sim.Pktsim.delivered_packets;
   Alcotest.(check int) "no drops" 0 stats.Sim.Pktsim.dropped_packets
 
-let test_pktsim_classifier_invariant () =
-  (* The classifier knob selects a matching structure, never a
-     semantics: all three implement the same first-match (lowest rule
-     id), so every statistic must be identical bit for bit. *)
-  let controller, workload = small_pkt_setup ~flows:120 () in
-  let run classifier =
-    Sim.Pktsim.run
-      ~config:{ pkt_config with classifier }
-      ~controller ~workload ()
-  in
-  let reference = run Sim.Pktsim.Trie in
+let test_pktsim_rejects_bad_config () =
+  (* Every out-of-range value is refused before the run starts, with
+     a message naming the field. *)
+  let controller, workload = small_pkt_setup ~flows:20 () in
+  let c = pkt_config in
   List.iter
-    (fun (name, classifier) ->
-      let stats = run classifier in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s matches Trie exactly" name)
-        true
-        (stats = reference))
-    [ ("dectree", Sim.Pktsim.Dectree); ("linear", Sim.Pktsim.Linear) ]
+    (fun (label, config, message) ->
+      Alcotest.check_raises label (Invalid_argument ("Pktsim.run: " ^ message))
+        (fun () -> ignore (Sim.Pktsim.run ~config ~controller ~workload ())))
+    [
+      ("negative packet_interval", { c with packet_interval = -1.0 },
+       "packet_interval must be finite and >= 0");
+      ("infinite packet_interval", { c with packet_interval = infinity },
+       "packet_interval must be finite and >= 0");
+      ("negative start_window", { c with start_window = -5.0 },
+       "start_window must be finite and >= 0");
+      ("zero service_rate", { c with service_rate = 0.0 },
+       "service_rate must be > 0");
+      ("NaN service_rate", { c with service_rate = nan },
+       "service_rate must be > 0");
+      ("zero label_timeout", { c with label_timeout = 0.0 },
+       "label_timeout must be > 0");
+      ("wp_cache_hit_ratio above 1", { c with wp_cache_hit_ratio = 1.5 },
+       "wp_cache_hit_ratio must be in [0, 1]");
+      ("negative wp_cache_hit_ratio", { c with wp_cache_hit_ratio = -0.1 },
+       "wp_cache_hit_ratio must be in [0, 1]");
+      ("NaN wp_cache_hit_ratio", { c with wp_cache_hit_ratio = nan },
+       "wp_cache_hit_ratio must be in [0, 1]");
+      ("zero cache_capacity", { c with cache_capacity = Some 0 },
+       "cache_capacity must be >= 1");
+      ("NaN detection_delay", { c with detection_delay = nan },
+       "detection_delay must be finite and >= 0");
+      ("negative detection_delay", { c with detection_delay = -1.0 },
+       "detection_delay must be finite and >= 0");
+      ("zero debug_bypass_chain", { c with debug_bypass_chain = Some 0 },
+       "debug_bypass_chain must be >= 1");
+      ("zero shards", { c with shards = 0 }, "shards must be >= 1");
+    ];
+  (* The boundaries themselves are valid. *)
+  let edge =
+    { c with wp_cache_hit_ratio = 1.0; start_window = 0.0; cache_capacity = Some 1 }
+  in
+  let stats = Sim.Pktsim.run ~config:edge ~controller ~workload () in
+  Alcotest.(check int) "boundary config runs" workload.Sim.Workload.total_packets
+    stats.Sim.Pktsim.injected_packets
 
 let test_pktsim_loads_equal_flowsim () =
   (* The headline integration invariant: per-middlebox packet loads
@@ -328,27 +354,6 @@ let test_pktsim_label_switching_avoids_fragments () =
   Alcotest.(check bool) "label switching reduces fragmentation" true
     (with_ls.Sim.Pktsim.fragments_created
     < without_ls.Sim.Pktsim.fragments_created / 2)
-
-let test_pktsim_routing_substrate_invariance () =
-  (* Middlebox loads do not depend on which routing protocol built the
-     routers' tables — enforcement decisions hash flows, not routes. *)
-  let controller, workload = small_pkt_setup ~flows:150 () in
-  let run source =
-    (Sim.Pktsim.run
-       ~config:{ pkt_config with table_source = source }
-       ~controller ~workload ())
-      .Sim.Pktsim.loads
-  in
-  let oracle = run Sim.Pktsim.Oracle in
-  let ospf = run Sim.Pktsim.Distributed_ospf in
-  let dvr = run Sim.Pktsim.Distributed_dvr in
-  Array.iteri
-    (fun i expected ->
-      Alcotest.(check (float 1e-6)) (Printf.sprintf "ospf mbox %d" i) expected
-        ospf.(i);
-      Alcotest.(check (float 1e-6)) (Printf.sprintf "dvr mbox %d" i) expected
-        dvr.(i))
-    oracle
 
 let test_pktsim_cache_suppresses_lookups () =
   let controller, workload = small_pkt_setup ~flows:200 () in
@@ -655,11 +660,6 @@ let qcheck_pktsim_chaos =
       let cache_capacity =
         if Stdx.Rng.bool rng then None else Some (8 + Stdx.Rng.int rng 64)
       in
-      let table_source =
-        Stdx.Rng.choose rng
-          [| Sim.Pktsim.Oracle; Sim.Pktsim.Distributed_ospf;
-             Sim.Pktsim.Distributed_dvr |]
-      in
       let config =
         {
           Sim.Pktsim.default_config with
@@ -667,7 +667,6 @@ let qcheck_pktsim_chaos =
           ecmp;
           service_rate;
           cache_capacity;
-          table_source;
           packet_interval = 0.5;
           start_window = 10.0;
         }
@@ -1736,8 +1735,8 @@ let suite =
     Alcotest.test_case "flowsim stretch sane" `Quick test_flowsim_stretch;
     Alcotest.test_case "pktsim delivers everything" `Quick
       test_pktsim_delivers_everything;
-    Alcotest.test_case "pktsim classifier knob is stats-invariant" `Quick
-      test_pktsim_classifier_invariant;
+    Alcotest.test_case "pktsim rejects bad config values" `Quick
+      test_pktsim_rejects_bad_config;
     Alcotest.test_case "pktsim loads = flowsim loads" `Slow
       test_pktsim_loads_equal_flowsim;
     Alcotest.test_case "pktsim = flowsim on Waxman" `Slow
@@ -1748,8 +1747,6 @@ let suite =
       test_pktsim_label_switching_avoids_fragments;
     Alcotest.test_case "pktsim cache suppresses lookups" `Quick
       test_pktsim_cache_suppresses_lookups;
-    Alcotest.test_case "pktsim routing-substrate invariance" `Slow
-      test_pktsim_routing_substrate_invariance;
     Alcotest.test_case "pktsim latency overhead" `Quick test_pktsim_latency_overhead;
     Alcotest.test_case "pktsim label expiry recovery" `Quick
       test_pktsim_label_expiry_recovery;
