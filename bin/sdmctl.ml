@@ -36,10 +36,12 @@ let positive =
   in
   Arg.conv (parse, Format.pp_print_int)
 
-let flows_arg default =
+let flows_opt =
   Arg.(
-    value & opt positive default
+    value & opt (some positive) None
     & info [ "flows" ] ~docv:"N" ~doc:"Number of generated flows")
+
+let flows_arg default = Term.(const (Option.value ~default) $ flows_opt)
 
 (* ---- topo -------------------------------------------------------- *)
 
@@ -163,16 +165,6 @@ let exp_cmd =
              Results are bit-identical for every value; only the wall time \
              changes.")
   in
-  let shards_arg =
-    Arg.(
-      value & opt positive 1
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "Split each individual run's per-flow work across up to $(docv) \
-             domains (flow-hash sharding for flow-level runs, parallel setup \
-             phases for packet-level runs).  Orthogonal to $(b,--jobs); \
-             results are bit-identical for every value.")
-  in
   (* The corrupt knobs are parsed by hand so misuse exits 2 with the
      experiment's own usage line. *)
   let parse_nonneg name = function
@@ -187,10 +179,13 @@ let exp_cmd =
           name s;
         exit 2)
   in
-  let run which seed flows audit jobs shards corrupt_rate sweep_period =
-    if audit && not (List.mem which (names ~audited:true)) then
-      Format.eprintf "note: --audit applies to %s only@."
-        (String.concat ", " (names ~audited:true));
+  (* A flag the chosen experiment would not read is misuse too, not a
+     silent no-op. *)
+  let reject flag why =
+    Format.eprintf "%s %s@." flag why;
+    exit 2
+  in
+  let run which seed flows audit jobs corrupt_rate sweep_period =
     let corrupt_rate = parse_nonneg "--corrupt-rate" corrupt_rate in
     let sweep_period = parse_nonneg "--sweep-period" sweep_period in
     match Sim.Registry.find which with
@@ -201,13 +196,23 @@ let exp_cmd =
         (String.concat ", " (names ~audited:false));
       exit 3
     | Some e ->
-      let flows = min flows e.cap in
-      let o = e.run { flows; fast = false; seed; jobs; shards; audit; corrupt_rate; sweep_period } in
+      if audit && not e.audited then
+        reject "--audit" ("applies to " ^ String.concat ", " (names ~audited:true) ^ " only");
+      if e.name <> "corrupt" then begin
+        if corrupt_rate <> None then reject "--corrupt-rate" "applies to corrupt only";
+        if sweep_period <> None then reject "--sweep-period" "applies to corrupt only"
+      end;
+      (* The figures sweep their own flow counts (registry flows = 0). *)
+      if flows <> None && e.flows = 0 then
+        reject "--flows"
+          (Printf.sprintf "does not apply to %s: it sweeps its own flow counts" e.name);
+      let flows = min (Option.value flows ~default:300_000) e.cap in
+      let o = e.run { flows; fast = false; seed; jobs; audit; corrupt_rate; sweep_period } in
       Format.printf "%a@." Sim.Table.pp_doc o.doc;
       Option.iter (fun m -> Format.eprintf "%s@." m; exit 1) o.mismatch;
       (* Under --audit any invariant violation fails the invocation so
          CI can gate on it. *)
-      if audit && e.audited then begin
+      if audit then begin
         let counts = List.filter_map Fun.id o.audits in
         let total = List.fold_left ( + ) 0 counts in
         if total > 0 then begin
@@ -220,8 +225,7 @@ let exp_cmd =
   Cmd.v
     (Cmd.info "exp" ~doc:"Regenerate a paper experiment or ablation")
     Term.(
-      const run $ which $ seed_arg $ flows_arg 300_000 $ audit_flag $ jobs_arg
-      $ shards_arg
+      const run $ which $ seed_arg $ flows_opt $ audit_flag $ jobs_arg
       $ knob "corrupt-rate" "RATE"
           "Corruption events per simulated time unit for $(b,exp corrupt) \
            (non-negative; overrides the default rate sweep)"

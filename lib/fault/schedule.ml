@@ -189,8 +189,8 @@ let crash_times t =
 
 (* Every draw for event [i] comes from the [i]-th child stream of the
    seed, so the generated burst is a pure function of (seed, i): the
-   same schedule comes out whatever --jobs/--shards sliced the sweep
-   that asked for it. *)
+   same schedule comes out whatever --jobs sliced the sweep that asked
+   for it. *)
 let corruption_events ~seed ~rate ~horizon ~n_proxies ~n_mboxes =
   if not (Float.is_finite rate && rate >= 0.0) then
     invalid_arg "Schedule.corruption_events: rate must be finite and >= 0";

@@ -112,8 +112,8 @@ val corruption_events :
     corruption kinds (falling back to [Label_drop] for [Cache_poison]
     when [n_proxies = 0]).  Every draw for event [i] comes from
     [Stdx.Rng.derive]d child [i] of [seed], so the burst is a pure
-    function of its arguments — stable under [--jobs]/[--shards]
-    slicing and under reordering of the sweep that requested it.  Feed
+    function of its arguments — stable under [--jobs] slicing and
+    under reordering of the sweep that requested it.  Feed
     the result to {!make}.  Raises [Invalid_argument] on a negative or
     non-finite rate, a non-positive horizon, or an empty deployment. *)
 

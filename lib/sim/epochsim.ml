@@ -22,8 +22,7 @@ let volume_for ~base_flows epoch =
   let phase = float_of_int (epoch mod 4) /. 4.0 in
   int_of_float (float_of_int base_flows *. (0.75 +. (0.5 *. phase)))
 
-let run ~deployment ?(epochs = 6) ?(base_flows = 60_000) ?(seed = 17) ?jobs
-    ?shards () =
+let run ~deployment ?(epochs = 6) ?(base_flows = 60_000) ?(seed = 17) ?jobs () =
   if epochs < 1 then invalid_arg "Epochsim.run: need at least one epoch";
   let rules =
     (Workload.generate ~deployment ~seed ~flows:1 ()).Workload.rules
@@ -54,7 +53,7 @@ let run ~deployment ?(epochs = 6) ?(base_flows = 60_000) ?(seed = 17) ?jobs
         | Some t -> configure (Sdm.Controller.Load_balanced t)
       in
       let stale, clair, hp =
-        let cell controller () = Flowsim.run ?shards ~controller ~workload () in
+        let cell controller () = Flowsim.run ~controller ~workload () in
         match
           Array.to_list
             (Stdx.Domain_pool.map ?jobs
@@ -65,7 +64,7 @@ let run ~deployment ?(epochs = 6) ?(base_flows = 60_000) ?(seed = 17) ?jobs
                    let clair_controller =
                      configure (Sdm.Controller.Load_balanced traffic)
                    in
-                   Flowsim.run ?shards ~controller:clair_controller ~workload ());
+                   Flowsim.run ~controller:clair_controller ~workload ());
                  cell hp_controller;
                |])
         with

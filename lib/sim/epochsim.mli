@@ -38,13 +38,10 @@ val run :
   ?base_flows:int ->
   ?seed:int ->
   ?jobs:int ->
-  ?shards:int ->
   unit ->
   report
 (** Defaults: 6 epochs, 60k base flows (volume oscillates ±25% around
     it), seed 17.  Epochs are inherently sequential (the stale plan
     consumes the previous epoch's matrix); [?jobs] fans the three
     enforcement runs within each epoch out across domains
-    ({!Stdx.Domain_pool.map}), and [?shards] additionally splits each
-    run's flows across the pool ({!Flowsim.run}); neither ever changes
-    the result. *)
+    ({!Stdx.Domain_pool.map}), which never changes the result. *)

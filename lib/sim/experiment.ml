@@ -70,13 +70,13 @@ let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l
 let flow_events runs = sum (fun r -> r.result.Flowsim.events) runs
 
 let run_strategies ~deployment ~flows ?(per_class = 5) ?(seed = 17) ?rule_seed
-    ?jobs ?shards () =
+    ?jobs () =
   let workload = Workload.generate ~deployment ~per_class ~seed ?rule_seed ~flows () in
   let rules = workload.Workload.rules in
   let traffic = Workload.measure workload in
   let run kind name () =
     let controller = configure_exn deployment ~rules kind in
-    let result = Flowsim.run ?shards ~controller ~workload () in
+    let result = Flowsim.run ~controller ~workload () in
     { strategy = name; controller; result; lambda = lambda_of controller }
   in
   ( workload,
@@ -119,7 +119,7 @@ let point_of_runs ~flows ~total_packets runs =
   { flows; total_packets; max_loads }
 
 let run_figure scenario ?(flow_counts = default_flow_counts) ?(per_class = 5)
-    ?(seed = 17) ?jobs ?shards () =
+    ?(seed = 17) ?jobs () =
   let deployment = build_deployment scenario ~seed in
   let cells =
     List.mapi
@@ -127,11 +127,10 @@ let run_figure scenario ?(flow_counts = default_flow_counts) ?(per_class = 5)
         (* Fixed policy set across the sweep; fresh flow population per
            volume point — the paper scales traffic, not policies.  The
            inner strategies stay sequential: the sweep itself is the
-           parallel axis.  [shards] parallelism nests inside the cell
-           (the domain pool is per-map, so the two axes compose). *)
+           parallel axis. *)
         let workload, runs =
           run_strategies ~deployment ~flows ~per_class ~seed:(cell_seed ~seed i)
-            ~rule_seed:seed ~jobs:1 ?shards ()
+            ~rule_seed:seed ~jobs:1 ()
         in
         ( point_of_runs ~flows ~total_packets:workload.Workload.total_packets runs,
           flow_events runs ))
@@ -155,9 +154,9 @@ type table3_row = {
 type table3 = { t3_rows : table3_row list; t3_events : int }
 
 let run_table3 ?(scenario = Campus) ?(flows = 300_000) ?(per_class = 5)
-    ?(seed = 17) ?jobs ?shards () =
+    ?(seed = 17) ?jobs () =
   let deployment = build_deployment scenario ~seed in
-  let _, runs = run_strategies ~deployment ~flows ~per_class ~seed ?jobs ?shards () in
+  let _, runs = run_strategies ~deployment ~flows ~per_class ~seed ?jobs () in
   let hp, rand, lb = by_strategy runs in
   let min_max run nf =
     let loads = Flowsim.loads_of_nf run.controller run.result nf in
@@ -185,8 +184,7 @@ type k_point = {
 
 type k_sweep = { k_points : k_point list; k_events : int }
 
-let ablation_k ?(scenario = Campus) ?(flows = 120_000) ?(seed = 17) ?jobs
-    ?shards () =
+let ablation_k ?(scenario = Campus) ?(flows = 120_000) ?(seed = 17) ?jobs () =
   let deployment = build_deployment scenario ~seed in
   let workload = Workload.generate ~deployment ~seed ~flows () in
   let rules = workload.Workload.rules in
@@ -199,7 +197,7 @@ let ablation_k ?(scenario = Campus) ?(flows = 120_000) ?(seed = 17) ?jobs
     let controller =
       configure_exn deployment ~rules ~k (Sdm.Controller.Load_balanced traffic)
     in
-    let result = Flowsim.run ?shards ~controller ~workload () in
+    let result = Flowsim.run ~controller ~workload () in
     ( {
         k_fw_ids;
         k_wp_tm;
@@ -224,30 +222,29 @@ let pkt_level_controller ?(seed = 17) ~flows () =
 
 (* A fault-free run: the probe most packet-level experiments calibrate
    their horizon, victim or service rate against. *)
-let probe ~shards ~controller ~workload =
-  Pktsim.run ~config:{ Pktsim.default_config with shards } ~controller ~workload ()
+let probe ~controller ~workload = Pktsim.run ~controller ~workload ()
 
 (* The stale hot-potato plan the live-control-plane experiments start
    from, with a fault-free probe under it. *)
-let stale_start ?(scenario = Campus) ~seed ~flows ~shards () =
+let stale_start ?(scenario = Campus) ~seed ~flows () =
   let deployment = build_deployment scenario ~seed in
   let workload = Workload.generate ~deployment ~seed ~flows () in
   let hp = hot_potato deployment workload in
-  (deployment, workload, hp, probe ~shards ~controller:hp ~workload)
+  (deployment, workload, hp, probe ~controller:hp ~workload)
 
 (* Epochs every [epoch], the re-push loop four times as often. *)
 let live_every epoch =
   { Pktsim.default_live with epoch_interval = epoch; reconcile_interval = epoch /. 4.0 }
 
-let run_live ~faults ~live ~audit ~shards ~controller ~workload =
+let run_live ~faults ~live ~audit ~controller ~workload =
   let config =
-    { Pktsim.default_config with faults = Some faults; live = Some live; audit; shards }
+    { Pktsim.default_config with faults = Some faults; live = Some live; audit }
   in
   Pktsim.run ~config ~controller ~workload ()
 
-let ablation_cache ?(flows = 2_000) ?(seed = 17) ?(shards = 1) () =
+let ablation_cache ?(flows = 2_000) ?(seed = 17) () =
   let controller, workload = pkt_level_controller ~seed ~flows () in
-  probe ~shards ~controller ~workload
+  probe ~controller ~workload
 
 let lookup_fraction (s : Pktsim.stats) =
   float_of_int s.Pktsim.multi_field_lookups
@@ -255,21 +252,21 @@ let lookup_fraction (s : Pktsim.stats) =
 
 type cache_size_point = { capacity : int option; stats : Pktsim.stats }
 
-let ablation_cache_size ?(flows = 1_000) ?(seed = 17) ?jobs ?(shards = 1) () =
+let ablation_cache_size ?(flows = 1_000) ?(seed = 17) ?jobs () =
   let controller, workload = pkt_level_controller ~seed ~flows () in
   let cell capacity () =
-    let config = { Pktsim.default_config with cache_capacity = capacity; shards } in
+    let config = { Pktsim.default_config with cache_capacity = capacity } in
     { capacity; stats = Pktsim.run ~config ~controller ~workload () }
   in
   fan_out ?jobs (List.map cell [ Some 16; Some 64; Some 256; None ])
 
 type frag_report = { with_labels : Pktsim.stats; ip_over_ip : Pktsim.stats }
 
-let ablation_fragmentation ?(flows = 2_000) ?(seed = 17) ?jobs ?(shards = 1) () =
+let ablation_fragmentation ?(flows = 2_000) ?(seed = 17) ?jobs () =
   let controller, workload = pkt_level_controller ~seed ~flows () in
   let cell label_switching () =
     Pktsim.run
-      ~config:{ Pktsim.default_config with label_switching; shards }
+      ~config:{ Pktsim.default_config with label_switching }
       ~controller ~workload ()
   in
   let with_labels, ip_over_ip = fan_out2 ?jobs (cell true) (cell false) in
@@ -287,14 +284,13 @@ type failure_report = {
   fail_events : int;
 }
 
-let ablation_failure ?(scenario = Campus) ?(flows = 120_000) ?(seed = 17) ?jobs
-    ?shards () =
+let ablation_failure ?(scenario = Campus) ?(flows = 120_000) ?(seed = 17) ?jobs () =
   let deployment = build_deployment scenario ~seed in
   let workload = Workload.generate ~deployment ~seed ~flows () in
   let rules = workload.Workload.rules in
   let traffic = Workload.measure workload in
   let lb = configure_exn deployment ~rules (Sdm.Controller.Load_balanced traffic) in
-  let before = Flowsim.run ?shards ~controller:lb ~workload () in
+  let before = Flowsim.run ~controller:lb ~workload () in
   (* Kill the most-loaded IDS middlebox. *)
   let nf = Policy.Action.IDS in
   let victims = Sdm.Deployment.middleboxes_of deployment nf in
@@ -311,19 +307,19 @@ let ablation_failure ?(scenario = Campus) ?(flows = 120_000) ?(seed = 17) ?jobs
   let cells =
     [
       (* Phase 1: local fast failover with the stale LP weights. *)
-      (fun () -> (Flowsim.run ~alive ?shards ~controller:lb ~workload (), 0.0));
+      (fun () -> (Flowsim.run ~alive ~controller:lb ~workload (), 0.0));
       (* Phase 2: the controller re-optimizes without the failed box. *)
       (fun () ->
         let controller =
           configure_exn deployment ~rules ~failed:[ failed ]
             (Sdm.Controller.Load_balanced traffic)
         in
-        ( Flowsim.run ?shards ~controller ~workload (),
+        ( Flowsim.run ~controller ~workload (),
           Option.value (lambda_of controller) ~default:0.0 ));
       (* Baseline: hot-potato under the same failure. *)
       (fun () ->
         let hp = configure_exn deployment ~rules Sdm.Controller.Hot_potato in
-        (Flowsim.run ~alive ?shards ~controller:hp ~workload (), 0.0));
+        (Flowsim.run ~alive ~controller:hp ~workload (), 0.0));
     ]
   in
   match fan_out ?jobs cells with
@@ -368,14 +364,14 @@ let audit_violations (stats : Pktsim.stats) =
 let max_load (stats : Pktsim.stats) = Array.fold_left Stdlib.max 0.0 stats.Pktsim.loads
 
 let ablation_chaos ?(flows = 500) ?(seed = 17) ?(audit = false)
-    ?(detection_delays = [ 2.0; 10.0; 40.0 ]) ?jobs ?(shards = 1) () =
+    ?(detection_delays = [ 2.0; 10.0; 40.0 ]) ?jobs () =
   let deployment = build_deployment Campus ~seed in
   let workload = Workload.generate ~deployment ~seed ~flows () in
   let lb = load_balanced deployment workload in
   let hp = hot_potato deployment workload in
   (* A fault-free probe run fixes the victim (the busiest IDS box under
      LB) and the horizon the fault schedule is placed within. *)
-  let probe = probe ~shards ~controller:lb ~workload in
+  let probe = probe ~controller:lb ~workload in
   let nf = Policy.Action.IDS in
   let victims = Sdm.Deployment.middleboxes_of deployment nf in
   let victim = busiest victims probe.Pktsim.loads in
@@ -417,7 +413,6 @@ let ablation_chaos ?(flows = 500) ?(seed = 17) ?(audit = false)
         detection_delay = delay;
         failover;
         audit;
-        shards;
       }
     in
     {
@@ -471,7 +466,7 @@ type live_report = {
 }
 
 let ablation_live ?(flows = 500) ?(seed = 17) ?(audit = false)
-    ?(control_losses = [ 0.0; 0.02; 0.10 ]) ?jobs ?(shards = 1) () =
+    ?(control_losses = [ 0.0; 0.02; 0.10 ]) ?jobs () =
   let deployment = build_deployment Campus ~seed in
   let workload = Workload.generate ~deployment ~seed ~flows () in
   let hp = hot_potato deployment workload in
@@ -484,8 +479,8 @@ let ablation_live ?(flows = 500) ?(seed = 17) ?(audit = false)
      of it, so the two probes fan out together. *)
   let stale, clairvoyant =
     fan_out2 ?jobs
-      (fun () -> probe ~shards ~controller:hp ~workload)
-      (fun () -> probe ~shards ~controller:lb ~workload)
+      (fun () -> probe ~controller:hp ~workload)
+      (fun () -> probe ~controller:lb ~workload)
   in
   let live = live_every (stale.Pktsim.sim_time /. 5.0) in
   (* loss = 0 still goes through the fault plumbing so the control
@@ -493,7 +488,7 @@ let ablation_live ?(flows = 500) ?(seed = 17) ?(audit = false)
      differs across the sweep. *)
   let run_loss live_loss () =
     let faults = Fault.Schedule.make ~control_loss:live_loss ~loss_seed:(seed + 3) [] in
-    { live_loss; stats = run_live ~faults ~live ~audit ~shards ~controller:hp ~workload }
+    { live_loss; stats = run_live ~faults ~live ~audit ~controller:hp ~workload }
   in
   let rows = fan_out ?jobs (List.map run_loss control_losses) in
   (* Per-device attribution comes from the lossiest run — the one
@@ -546,11 +541,10 @@ type quorum_report = {
   q_rows : quorum_row list;
 }
 
-let ablation_quorum ?(flows = 500) ?(seed = 17) ?(audit = false) ?jobs ?(shards = 1) ()
-    =
+let ablation_quorum ?(flows = 500) ?(seed = 17) ?(audit = false) ?jobs () =
   (* The fault-free probe under the stale plan fixes the horizon the
      epochs and the fault schedule are placed within. *)
-  let deployment, workload, hp, probe = stale_start ~seed ~flows ~shards () in
+  let deployment, workload, hp, probe = stale_start ~seed ~flows () in
   let horizon = probe.Pktsim.sim_time in
   let replicas = 3 in
   let live = { (live_every (horizon /. 5.0)) with replicas } in
@@ -586,7 +580,7 @@ let ablation_quorum ?(flows = 500) ?(seed = 17) ?(audit = false) ?jobs ?(shards 
   in
   let row scenario () =
     let loss, faults = schedule_of scenario in
-    let stats = run_live ~faults ~live ~audit ~shards ~controller:hp ~workload in
+    let stats = run_live ~faults ~live ~audit ~controller:hp ~workload in
     { qr_scenario = scenario; qr_loss = loss; stats }
   in
   {
@@ -620,10 +614,10 @@ type corrupt_report = {
 }
 
 let ablation_corrupt ?(flows = 500) ?(seed = 17) ?(audit = false)
-    ?(rates = [ 0.1; 0.4 ]) ?sweep_periods ?jobs ?(shards = 1) () =
+    ?(rates = [ 0.1; 0.4 ]) ?sweep_periods ?jobs () =
   (* The fault-free probe fixes the horizon the corruption burst and
      the sweep cadence are placed within. *)
-  let deployment, workload, hp, probe = stale_start ~seed ~flows ~shards () in
+  let deployment, workload, hp, probe = stale_start ~seed ~flows () in
   let lb = load_balanced deployment workload in
   let n_proxies = Array.length deployment.Sdm.Deployment.proxies in
   let n_mboxes = Array.length deployment.Sdm.Deployment.middleboxes in
@@ -642,7 +636,7 @@ let ablation_corrupt ?(flows = 500) ?(seed = 17) ?(audit = false)
            ~n_mboxes)
     in
     let live = { live with sweep_period = sweep } in
-    let stats = run_live ~faults ~live ~audit ~shards ~controller ~workload in
+    let stats = run_live ~faults ~live ~audit ~controller ~workload in
     { cr_strategy = name; cr_rate = rate; cr_sweep = sweep; stats }
   in
   let cells =
@@ -772,13 +766,13 @@ type reopt_report = {
   rp_total : int;
 }
 
-let ablation_reopt ?(flows = 500) ?(seed = 17) ?(audit = false) ?jobs ?(shards = 1) () =
+let ablation_reopt ?(flows = 500) ?(seed = 17) ?(audit = false) ?jobs () =
   let control_loss = 0.02 in
   let scenarios = [ Campus; Waxman ] in
   let scenario_cell scenario () =
     (* The fault-free probe under the stale plan fixes the horizon the
        epochs and the churn schedule are placed within. *)
-    let deployment, workload, hp, probe = stale_start ~scenario ~seed ~flows ~shards () in
+    let deployment, workload, hp, probe = stale_start ~scenario ~seed ~flows () in
     let horizon = probe.Pktsim.sim_time in
     (* Twice the usual epoch cadence: the sweep's point is the re-solve
        sequence itself, and a denser cadence gives the warm chain
@@ -803,7 +797,7 @@ let ablation_reopt ?(flows = 500) ?(seed = 17) ?(audit = false) ?jobs ?(shards =
     in
     let run warm =
       let live = { live with warm_start = warm } in
-      let stats = run_live ~faults ~live ~audit ~shards ~controller:hp ~workload in
+      let stats = run_live ~faults ~live ~audit ~controller:hp ~workload in
       { rp_scenario = scenario_name scenario; rp_routers = routers; rp_warm = warm; stats }
     in
     let info =
@@ -852,7 +846,7 @@ type sketch_point = {
 
 type sketch_sweep = { sk_points : sketch_point list; sk_events : int }
 
-let ablation_sketch ?(flows = 120_000) ?(seed = 17) ?jobs ?shards () =
+let ablation_sketch ?(flows = 120_000) ?(seed = 17) ?jobs () =
   let deployment = build_deployment Campus ~seed in
   let workload = Workload.generate ~deployment ~seed ~flows () in
   let rules = workload.Workload.rules in
@@ -868,7 +862,7 @@ let ablation_sketch ?(flows = 120_000) ?(seed = 17) ?jobs ?shards () =
     let controller =
       configure_exn deployment ~rules (Sdm.Controller.Load_balanced traffic)
     in
-    let result = Flowsim.run ?shards ~controller ~workload () in
+    let result = Flowsim.run ~controller ~workload () in
     ( Option.value (lambda_of controller) ~default:0.0,
       Array.fold_left max 0.0 result.Flowsim.loads,
       result.Flowsim.events )
@@ -896,17 +890,17 @@ let ablation_sketch ?(flows = 120_000) ?(seed = 17) ?jobs ?shards () =
 
 type latency_report = { enforced : Pktsim.stats; plain : Pktsim.stats }
 
-let ablation_latency ?(flows = 1_000) ?(seed = 17) ?jobs ?(shards = 1) () =
+let ablation_latency ?(flows = 1_000) ?(seed = 17) ?jobs () =
   let controller, workload = pkt_level_controller ~seed ~flows () in
   let enforced, plain =
     fan_out2 ?jobs
-      (fun () -> probe ~shards ~controller ~workload)
+      (fun () -> probe ~controller ~workload)
       (fun () ->
         let plain_controller =
           configure_exn controller.Sdm.Controller.deployment ~rules:[]
             Sdm.Controller.Hot_potato
         in
-        probe ~shards ~controller:plain_controller
+        probe ~controller:plain_controller
           ~workload:{ workload with Workload.rules = [] })
   in
   { enforced; plain }
@@ -923,7 +917,7 @@ type queue_report = {
   router_hops : int;
 }
 
-let ablation_queue ?(flows = 800) ?(seed = 17) ?jobs ?(shards = 1) () =
+let ablation_queue ?(flows = 800) ?(seed = 17) ?jobs () =
   let deployment = build_deployment Campus ~seed in
   let workload = Workload.generate ~deployment ~seed ~flows () in
   let lb = load_balanced deployment workload in
@@ -931,10 +925,10 @@ let ablation_queue ?(flows = 800) ?(seed = 17) ?jobs ?(shards = 1) () =
   (* Calibrate: infinite-rate LB run gives the busiest box's arrival
      rate; provision every box at 2x that, i.e. ~50% utilisation under
      the balanced plan. *)
-  let probe = probe ~shards ~controller:lb ~workload in
+  let probe = probe ~controller:lb ~workload in
   let max_load = Array.fold_left max 1.0 probe.Pktsim.loads in
   let service_rate = 2.0 *. max_load /. probe.Pktsim.sim_time in
-  let config = { Pktsim.default_config with service_rate; shards } in
+  let config = { Pktsim.default_config with service_rate } in
   let run controller () = Pktsim.run ~config ~controller ~workload () in
   let hp_run, lb_run = fan_out2 ?jobs (run hp) (run lb) in
   let util stats =
@@ -965,7 +959,7 @@ type lp_side = {
 
 type lp_compare = { exact : lp_side; simplified : lp_side; lp_events : int }
 
-let ablation_lp ?(flows = 5_000) ?(seed = 17) ?jobs ?shards () =
+let ablation_lp ?(flows = 5_000) ?(seed = 17) ?jobs () =
   let deployment = build_deployment Campus ~seed in
   let workload = Workload.generate ~deployment ~per_class:2 ~seed ~flows () in
   let rules = workload.Workload.rules in
@@ -975,7 +969,7 @@ let ablation_lp ?(flows = 5_000) ?(seed = 17) ?jobs ?shards () =
      fan-out cell per formulation, LP solve included. *)
   let cell kind () =
     let c = configure_exn deployment ~rules kind in
-    let result = Flowsim.run ?shards ~controller:c ~workload () in
+    let result = Flowsim.run ~controller:c ~workload () in
     let lp = Option.get c.Sdm.Controller.lp in
     ( {
         lp_lambda = lp.Sdm.Lp_formulation.lambda;

@@ -23,17 +23,7 @@
 
     {b Rows as stats.}  A packet-level sweep row is its sweep key plus
     the run's whole {!Pktsim.stats}; {!Report} derives every printed
-    and exported cell from those stats.
-
-    {b Intra-run sharding.}  Orthogonally to [?jobs] (the across-cells
-    axis), the [?shards] argument splits each {e individual} run's
-    per-flow work across the domain pool: flow-level runs partition
-    their flows by the seeded flow hash ({!Stdx.Shard}) and merge
-    per-shard partial sums in fixed shard order, packet-level runs
-    parallelise their pure setup phases ({!Pktsim.config.shards}).
-    Reports are bit-identical for every [shards] value — see
-    {!Flowsim.run} for the exactness argument.  Default 1 (the
-    historical sequential path). *)
+    and exported cell from those stats. *)
 
 type scenario = Campus | Waxman
 
@@ -53,7 +43,7 @@ type strategy_run = {
 
 val run_strategies :
   deployment:Sdm.Deployment.t -> flows:int -> ?per_class:int -> ?seed:int ->
-  ?rule_seed:int -> ?jobs:int -> ?shards:int -> unit -> Workload.t * strategy_run list
+  ?rule_seed:int -> ?jobs:int -> unit -> Workload.t * strategy_run list
 (** One workload, all three strategies on it ([?jobs] fans the three
     out).  [rule_seed] (default [seed]) pins the policy set
     independently of the flow population, which the figure sweeps use
@@ -79,7 +69,7 @@ val default_flow_counts : int list
 
 val run_figure :
   scenario -> ?flow_counts:int list -> ?per_class:int -> ?seed:int ->
-  ?jobs:int -> ?shards:int -> unit -> figure
+  ?jobs:int -> unit -> figure
 (** One cell per flow-volume point, fanned out over [?jobs] domains.
     Each cell's flow population is seeded from
     [Stdx.Rng.derive root i], so the figure is a function of the root
@@ -104,7 +94,7 @@ type table3 = {
 
 val run_table3 :
   ?scenario:scenario -> ?flows:int -> ?per_class:int -> ?seed:int ->
-  ?jobs:int -> ?shards:int -> unit -> table3
+  ?jobs:int -> unit -> table3
 
 (* {2 Ablations} *)
 
@@ -113,11 +103,11 @@ type k_point = { k_fw_ids : int; k_wp_tm : int; lb_max_by_nf : (Policy.Action.nf
 type k_sweep = { k_points : k_point list; k_events : int }
 
 val ablation_k :
-  ?scenario:scenario -> ?flows:int -> ?seed:int -> ?jobs:int -> ?shards:int ->
+  ?scenario:scenario -> ?flows:int -> ?seed:int -> ?jobs:int ->
   unit -> k_sweep
 (** LB max loads as the candidate-set sizes grow; k=1 reproduces HP. *)
 
-val ablation_cache : ?flows:int -> ?seed:int -> ?shards:int -> unit -> Pktsim.stats
+val ablation_cache : ?flows:int -> ?seed:int -> unit -> Pktsim.stats
 (** Packet-level run on the campus topology quantifying Sec. III.D:
     multi-field lookups against cache hits, per injected packet. *)
 
@@ -131,7 +121,7 @@ type cache_size_point = {
 }
 
 val ablation_cache_size :
-  ?flows:int -> ?seed:int -> ?jobs:int -> ?shards:int -> unit -> cache_size_point list
+  ?flows:int -> ?seed:int -> ?jobs:int -> unit -> cache_size_point list
 (** Sec. III.D under finite table sizes: shrink every proxy/middlebox
     flow cache and watch evictions force repeated multi-field lookups
     for long-lived flows. *)
@@ -142,7 +132,7 @@ type frag_report = {
 }
 
 val ablation_fragmentation :
-  ?flows:int -> ?seed:int -> ?jobs:int -> ?shards:int -> unit -> frag_report
+  ?flows:int -> ?seed:int -> ?jobs:int -> unit -> frag_report
 (** Packet-level run quantifying Sec. III.E: extra fragments with and
     without label switching. *)
 
@@ -159,7 +149,7 @@ type failure_report = {
 }
 
 val ablation_failure :
-  ?scenario:scenario -> ?flows:int -> ?seed:int -> ?jobs:int -> ?shards:int ->
+  ?scenario:scenario -> ?flows:int -> ?seed:int -> ?jobs:int ->
   unit -> failure_report
 (** Dependability experiment: kill the most-loaded IDS middlebox and
     compare local fast failover (stale LP weights renormalised over
@@ -188,7 +178,7 @@ type chaos_report = {
 
 val ablation_chaos :
   ?flows:int -> ?seed:int -> ?audit:bool -> ?detection_delays:float list ->
-  ?jobs:int -> ?shards:int -> unit -> chaos_report
+  ?jobs:int -> unit -> chaos_report
 (** ABL-CHAOS, the packet-level dependability experiment: one fault
     schedule — the busiest IDS box crashes at 25% of the horizon and
     never recovers, a gateway-core link fails at 45% and is restored at
@@ -234,7 +224,7 @@ type live_report = {
 
 val ablation_live :
   ?flows:int -> ?seed:int -> ?audit:bool -> ?control_losses:float list -> ?jobs:int ->
-  ?shards:int -> unit -> live_report
+  unit -> live_report
 (** ABL-LIVE, the live-reconfiguration experiment: start every run on
     the stale hot-potato plan, enable the in-run control plane
     ({!Pktsim.config.live}) with epochs spread across the traffic
@@ -267,7 +257,7 @@ type quorum_report = {
 }
 
 val ablation_quorum :
-  ?flows:int -> ?seed:int -> ?audit:bool -> ?jobs:int -> ?shards:int -> unit -> quorum_report
+  ?flows:int -> ?seed:int -> ?audit:bool -> ?jobs:int -> unit -> quorum_report
 (** ABL-QUORUM, the replicated-controller experiment: three replicas
     with a majority quorum run the live control plane from a stale
     hot-potato start, under three chaos scenarios — (1) the lead
@@ -300,7 +290,7 @@ type corrupt_report = {
 
 val ablation_corrupt :
   ?flows:int -> ?seed:int -> ?audit:bool -> ?rates:float list ->
-  ?sweep_periods:float option list -> ?jobs:int -> ?shards:int -> unit -> corrupt_report
+  ?sweep_periods:float option list -> ?jobs:int -> unit -> corrupt_report
 (** ABL-CORRUPT, the silent-corruption experiment: inject a seeded,
     deterministic burst of soft-state corruptions — mis-steered and
     silently dropped label entries, poisoned flow-cache entries,
@@ -314,7 +304,7 @@ val ablation_corrupt :
     invariant; with it off, manifested corruptions linger and
     violations accumulate.  The burst is a pure function of the seed
     and the probe horizon, so rows are comparable cell-by-cell and the
-    report is bit-identical under [--jobs]/[--shards].  Defaults:
+    report is bit-identical under [--jobs].  Defaults:
     500 flows, rates [0.1; 0.4], periods [disabled; horizon/12].
     [audit] runs every row under the online invariant audit. *)
 
@@ -382,7 +372,7 @@ type reopt_report = {
 }
 
 val ablation_reopt :
-  ?flows:int -> ?seed:int -> ?audit:bool -> ?jobs:int -> ?shards:int -> unit -> reopt_report
+  ?flows:int -> ?seed:int -> ?audit:bool -> ?jobs:int -> unit -> reopt_report
 (** ABL-REOPT, the incremental re-optimization experiment: on both
     topologies, a live-control-plane run with middlebox churn — an IDS
     box crashes at 15% of the horizon and recovers at 35%, an FW box
@@ -413,7 +403,7 @@ type sketch_point = {
 type sketch_sweep = { sk_points : sketch_point list; sk_events : int }
 
 val ablation_sketch :
-  ?flows:int -> ?seed:int -> ?jobs:int -> ?shards:int -> unit -> sketch_sweep
+  ?flows:int -> ?seed:int -> ?jobs:int -> unit -> sketch_sweep
 (** Count-Min measurement ablation: plan the LB weights on sketched
     traffic matrices of decreasing resolution and compare both the LP
     optimum and the realised maximum load against exact measurement. *)
@@ -424,7 +414,7 @@ type latency_report = {
 }
 
 val ablation_latency :
-  ?flows:int -> ?seed:int -> ?jobs:int -> ?shards:int -> unit -> latency_report
+  ?flows:int -> ?seed:int -> ?jobs:int -> unit -> latency_report
 (** Packet-level end-to-end latency with and without enforcement —
     the time cost of the middlebox detours (campus, LB strategy). *)
 
@@ -441,7 +431,7 @@ type queue_report = {
 }
 
 val ablation_queue :
-  ?flows:int -> ?seed:int -> ?jobs:int -> ?shards:int -> unit -> queue_report
+  ?flows:int -> ?seed:int -> ?jobs:int -> unit -> queue_report
 (** Queueing ablation: give every middlebox a finite service rate
     (auto-calibrated so the load-balanced plan keeps the busiest box
     at ~50% utilisation) and measure end-to-end latency under HP vs
@@ -463,7 +453,7 @@ type lp_compare = {
 }
 
 val ablation_lp :
-  ?flows:int -> ?seed:int -> ?jobs:int -> ?shards:int -> unit -> lp_compare
+  ?flows:int -> ?seed:int -> ?jobs:int -> unit -> lp_compare
 (** Eq. (1) vs Eq. (2) on a small campus instance, compared end to end:
     LP size, optimum, *realised* max load enforcing each formulation's
     weights (Eq. (1) uses the per-(s,d) rows), and the configuration

@@ -9,12 +9,7 @@ type result = {
   events : int;
 }
 
-(* Per-shard accumulator.  Every float accumulated here is an exact
-   integer (link costs are integer-valued, so Dijkstra distances are;
-   packet counts are bounded integers; the products and run-level sums
-   stay far below 2^53), so addition is associative and a fixed
-   shard-index merge of per-shard partial sums is bit-identical to the
-   sequential accumulation whatever the partition. *)
+(* Mutable twin of [result]: the per-flow walk adds into it in place. *)
 type acc = {
   a_loads : float array;
   mutable a_packet_hops : float;
@@ -37,18 +32,6 @@ let fresh_acc n_mboxes =
     a_violating_flows = 0;
     a_events = 0;
   }
-
-let merge_into dst src =
-  Array.iteri
-    (fun i v -> dst.a_loads.(i) <- dst.a_loads.(i) +. v)
-    src.a_loads;
-  dst.a_packet_hops <- dst.a_packet_hops +. src.a_packet_hops;
-  dst.a_direct_packet_hops <- dst.a_direct_packet_hops +. src.a_direct_packet_hops;
-  dst.a_enforced_flows <- dst.a_enforced_flows + src.a_enforced_flows;
-  dst.a_enforced_packets <- dst.a_enforced_packets + src.a_enforced_packets;
-  dst.a_policy_violations <- dst.a_policy_violations + src.a_policy_violations;
-  dst.a_violating_flows <- dst.a_violating_flows + src.a_violating_flows;
-  dst.a_events <- dst.a_events + src.a_events
 
 let result_of acc =
   {
@@ -123,57 +106,14 @@ let process_flow ?alive ~controller ~rule_of acc (fs : Workload.flow_spec) =
     acc.a_packet_hops <-
       acc.a_packet_hops +. (dist.(final_router).(dst_router) *. pkts)
 
-(* The sharded driver.  [shards = 1] walks every flow in id order on
-   the calling domain — exactly the historical sequential path, pinned
-   by the hex-float oracles.  [shards > 1] partitions flow ids with
-   the seeded hash ({!Stdx.Shard.owner}: a function of (shard_seed,
-   flow id) alone), hands each shard exclusive ownership of its flows'
-   accumulator, evaluates shards on the domain pool, and merges the
-   partials in fixed shard-index order after the join.  The controller
-   and deployment are only read; nothing the shards touch is shared
-   mutable state. *)
-let run_over ?alive ?(shards = 1) ?(shard_seed = 0) ~controller ~rule_of ~n
-    ~get () =
-  if shards < 1 then invalid_arg "Flowsim.run: shards must be >= 1";
+let run ?alive ~controller ~workload () =
   let dep = controller.Sdm.Controller.deployment in
-  let n_mboxes = Array.length dep.Sdm.Deployment.middleboxes in
-  if shards = 1 then begin
-    let acc = fresh_acc n_mboxes in
-    for i = 0 to n - 1 do
-      process_flow ?alive ~controller ~rule_of acc (get i)
-    done;
-    result_of acc
-  end
-  else begin
-    let shard_indices = Stdx.Shard.indices ~seed:shard_seed ~shards ~n in
-    let partials =
-      Stdx.Domain_pool.map
-        ~jobs:(min shards (Stdx.Domain_pool.default_jobs ()))
-        (fun owned ->
-          let acc = fresh_acc n_mboxes in
-          Array.iter
-            (fun i -> process_flow ?alive ~controller ~rule_of acc (get i))
-            owned;
-          acc)
-        shard_indices
-    in
-    let total = fresh_acc n_mboxes in
-    Array.iter (fun p -> merge_into total p) partials;
-    result_of total
-  end
-
-let run ?alive ?shards ?shard_seed ~controller ~workload () =
-  run_over ?alive ?shards ?shard_seed ~controller
-    ~rule_of:(Workload.rule_of workload)
-    ~n:(Array.length workload.Workload.flows)
-    ~get:(fun i -> workload.Workload.flows.(i))
-    ()
-
-let run_packed ?alive ?shards ?shard_seed ~controller ~workload () =
-  run_over ?alive ?shards ?shard_seed ~controller
-    ~rule_of:(Workload.Packed.rule_of workload)
-    ~n:workload.Workload.Packed.n_flows
-    ~get:(Workload.Packed.get workload) ()
+  let acc = fresh_acc (Array.length dep.Sdm.Deployment.middleboxes) in
+  let rule_of = Workload.rule_of workload in
+  Array.iter
+    (fun fs -> process_flow ?alive ~controller ~rule_of acc fs)
+    workload.Workload.flows;
+  result_of acc
 
 let loads_of_nf controller result nf =
   let dep = controller.Sdm.Controller.deployment in

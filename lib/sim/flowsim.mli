@@ -30,37 +30,12 @@ type result = {
 
 val run :
   ?alive:(int -> bool) ->
-  ?shards:int ->
-  ?shard_seed:int ->
   controller:Sdm.Controller.t -> workload:Workload.t -> unit -> result
 (** [alive] enables local fast failover around failed middleboxes; see
     [Sdm.Strategy.next_hop_result].  A flow whose candidate set for
     some function is entirely dead is not an error: the remainder of
     its chain is skipped, it is forwarded to its destination, and its
-    packets are counted in [policy_violations].
-
-    [shards] (default 1) splits the run by flow-hash across parallel
-    domains: flow ids are partitioned with the seeded ownership hash
-    {!Stdx.Shard.owner} (a function of [shard_seed] (default 0) and
-    the flow id alone), each shard exclusively owns its flows'
-    accumulators, and the per-shard partials are merged in fixed
-    shard-index order after the join.  Every accumulated float is an
-    exact integer (integer link costs times bounded packet counts,
-    far below 2^53), so the result is bit-identical for every
-    [shards] value — [shards = 1] runs the literal sequential path
-    the pinned oracles were recorded on, and oracle tests pin
-    [shards = 1] = [shards = 4]. *)
-
-val run_packed :
-  ?alive:(int -> bool) ->
-  ?shards:int ->
-  ?shard_seed:int ->
-  controller:Sdm.Controller.t ->
-  workload:Workload.Packed.packed -> unit -> result
-(** {!run} over a packed off-heap flow store ({!Workload.Packed}):
-    flows are decoded on the fly per shard, so a multi-million-flow
-    run never materialises the heap flow array.  Bit-identical to
-    {!run} on the equivalent {!Workload.generate} population. *)
+    packets are counted in [policy_violations]. *)
 
 val loads_of_nf :
   Sdm.Controller.t -> result -> Policy.Action.nf -> float array

@@ -66,7 +66,6 @@ type config = {
   live : live_config option;
   audit : bool;
   debug_bypass_chain : int option;
-  shards : int;
 }
 
 let default_config =
@@ -86,7 +85,6 @@ let default_config =
     live = None;
     audit = false;
     debug_bypass_chain = None;
-    shards = 1;
   }
 
 type stats = {
@@ -2105,7 +2103,6 @@ let run ?(config = default_config) ~controller ~workload () =
     "detection_delay must be finite and >= 0";
   require (at_least_one config.debug_bypass_chain)
     "debug_bypass_chain must be >= 1";
-  require (config.shards >= 1) "shards must be >= 1";
   (* Reject a schedule that does not fit this deployment up front,
      instead of letting it silently no-op or blow up mid-run. *)
   (match config.faults with
@@ -2180,21 +2177,6 @@ let run ?(config = default_config) ~controller ~workload () =
   let entity_table entity =
     Policy.Trie.build (Sdm.Controller.policy_table_for controller entity)
   in
-  (* The shardable setup phases: per-entity policy-trie builds and the
-     per-source routing tables are pure functions of the immutable
-     controller/topology, so [config.shards > 1] evaluates them on the
-     domain pool.  Results are positional ({!Stdx.Domain_pool.map}),
-     so the constructed state — and therefore the whole run, whose
-     event loop is inherently sequential — is bit-identical for every
-     shard count. *)
-  let setup_init n f =
-    if config.shards = 1 then Array.init n f
-    else
-      Stdx.Domain_pool.map
-        ~jobs:(min config.shards (Stdx.Domain_pool.default_jobs ()))
-        f
-        (Array.init n Fun.id)
-  in
   let fault =
     match config.faults with
     | None -> None
@@ -2251,10 +2233,9 @@ let run ?(config = default_config) ~controller ~workload () =
       dep;
       engine;
       tables =
-        (* One Dijkstra per source router — sharded like the trie
-           builds. *)
+        (* One Dijkstra per source router. *)
         (let g = dep.Sdm.Deployment.topo.Netgraph.Topology.graph in
-         setup_init (Netgraph.Graph.node_count g) (fun u ->
+         Array.init (Netgraph.Graph.node_count g) (fun u ->
              Netgraph.Routing.table_for g u));
       ecmp_tables =
         (if config.ecmp then
@@ -2319,14 +2300,14 @@ let run ?(config = default_config) ~controller ~workload () =
         Array.init n_proxies (fun _ ->
             Policy.Flow_cache.create ~timeout:cache_timeout
               ?capacity:config.cache_capacity ~expected:proxy_flow_hint ());
-      proxy_match = setup_init n_proxies (fun i -> entity_table (Mbox.Entity.Proxy i));
+      proxy_match = Array.init n_proxies (fun i -> entity_table (Mbox.Entity.Proxy i));
       mutable_label = Array.make n_proxies 0;
       mbox_caches =
         Array.init n_mboxes (fun _ ->
             Policy.Flow_cache.create ~timeout:cache_timeout
               ?capacity:config.cache_capacity ~expected:mbox_flow_hint ());
       mbox_match =
-        setup_init n_mboxes (fun i -> entity_table (Mbox.Entity.Middlebox i));
+        Array.init n_mboxes (fun i -> entity_table (Mbox.Entity.Middlebox i));
       mbox_labels =
         Array.init n_mboxes (fun _ ->
             Mbox.Label_table.create ~timeout:config.label_timeout ());

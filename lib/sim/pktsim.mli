@@ -194,14 +194,6 @@ type config = {
           and travel straight to the destination — the escape the
           audit's chain invariant exists to catch.  Default [None]
           (never set this outside tests). *)
-  shards : int;
-      (** parallelism for the shardable setup phases — the per-entity
-          policy-trie builds and the per-source routing tables, all pure functions of the
-          immutable controller and topology, evaluated on the domain
-          pool when [shards > 1].  The event loop itself is a
-          sequential discrete-event simulation and is not sharded, so
-          every statistic is bit-identical for every value (positional
-          {!Stdx.Domain_pool.map} results).  Default 1. *)
 }
 
 val default_config : config
@@ -339,6 +331,6 @@ val run :
     non-finite [packet_interval], [start_window] or [detection_delay];
     a non-positive [service_rate] or [label_timeout]; a
     [wp_cache_hit_ratio] outside [0, 1]; a [cache_capacity] or
-    [debug_bypass_chain] below 1; [shards < 1]; NaN anywhere; an
+    [debug_bypass_chain] below 1; NaN anywhere; an
     invalid live config; or a fault schedule that does not fit the
     deployment. *)

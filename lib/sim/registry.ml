@@ -3,7 +3,6 @@ type ctx = {
   fast : bool;
   seed : int;
   jobs : int;
-  shards : int;
   audit : bool;
   corrupt_rate : float option;
   sweep_period : float option;
@@ -47,16 +46,16 @@ let sweep ?csvs ?mismatch ?ledger ~probe_events stats doc =
     doc
 
 let figure name title scenario =
-  entry name title (0, 0) (fun { fast; seed; jobs; shards; _ } ->
+  entry name title (0, 0) (fun { fast; seed; jobs; _ } ->
       let flow_counts = if fast then Some [ 30_000; 90_000; 150_000 ] else None in
-      let fig = Experiment.run_figure scenario ?flow_counts ~seed ~jobs ~shards () in
+      let fig = Experiment.run_figure scenario ?flow_counts ~seed ~jobs () in
       outcome ~events:fig.Experiment.fig_events
         ~csvs:[ (name ^ ".csv", Report.figure_csv fig) ]
         (Report.figure fig))
 
 let table3 ?(csv = false) name title scenario =
-  entry ~cap:max_int name title (300_000, 150_000) (fun { flows; seed; jobs; shards; _ } ->
-      let t = Experiment.run_table3 ~scenario ~flows ~seed ~jobs ~shards () in
+  entry ~cap:max_int name title (300_000, 150_000) (fun { flows; seed; jobs; _ } ->
+      let t = Experiment.run_table3 ~scenario ~flows ~seed ~jobs () in
       let rows = t.Experiment.t3_rows in
       outcome ~events:t.Experiment.t3_events
         ~csvs:(if csv then [ (name ^ ".csv", Report.table3_csv rows) ] else [])
@@ -131,36 +130,36 @@ let all =
     table3 ~csv:true "table3" "TABLE3: load distribution, campus (Table III)" Campus;
     table3 "table3-waxman" "TABLE3-WAXMAN: load distribution, Waxman (supplementary)" Waxman;
     entry "k" "ABL-K: candidate-set size sensitivity" (120_000, 60_000)
-      (fun { flows; seed; jobs; shards; _ } ->
-        let r = ablation_k ~flows ~seed ~jobs ~shards () in
+      (fun { flows; seed; jobs; _ } ->
+        let r = ablation_k ~flows ~seed ~jobs () in
         outcome ~events:r.k_events (Report.k_ablation r.k_points));
     entry ~cap:5_000 "cache" "ABL-CACHE: flow cache vs multi-field lookups (Sec. III.D)"
-      (2_000, 500) (fun { flows; seed; shards; _ } ->
-        let s = ablation_cache ~flows ~seed ~shards () in
+      (2_000, 500) (fun { flows; seed; _ } ->
+        let s = ablation_cache ~flows ~seed () in
         outcome ~events:s.Pktsim.events_processed (Report.cache_ablation s));
     entry "cachesize" "ABL-CACHESIZE: flow-cache capacity vs lookups" (1_000, 300)
-      (fun { flows; seed; jobs; shards; _ } ->
-        let points = ablation_cache_size ~flows ~seed ~jobs ~shards () in
+      (fun { flows; seed; jobs; _ } ->
+        let points = ablation_cache_size ~flows ~seed ~jobs () in
         outcome
           ~events:(events (List.map (fun (p : cache_size_point) -> p.stats) points))
           (Report.cache_size_ablation points));
     entry ~cap:5_000 "frag" "ABL-FRAG: fragmentation vs label switching (Sec. III.E)"
-      (2_000, 500) (fun { flows; seed; jobs; shards; _ } ->
-        let r = ablation_fragmentation ~flows ~seed ~jobs ~shards () in
+      (2_000, 500) (fun { flows; seed; jobs; _ } ->
+        let r = ablation_fragmentation ~flows ~seed ~jobs () in
         outcome ~events:(events [ r.with_labels; r.ip_over_ip ]) (Report.frag_ablation r));
     entry "fail" "ABL-FAIL: middlebox failure, failover vs re-optimization" (120_000, 60_000)
-      (fun { flows; seed; jobs; shards; _ } ->
-        let r = ablation_failure ~flows ~seed ~jobs ~shards () in
+      (fun { flows; seed; jobs; _ } ->
+        let r = ablation_failure ~flows ~seed ~jobs () in
         outcome ~events:r.fail_events (Report.failure_ablation r));
     entry ~audited:true "chaos" "ABL-CHAOS: in-run faults, detection-delay sweep" (800, 300)
-      (fun { flows; seed; audit; jobs; shards; _ } ->
-        let r = ablation_chaos ~flows ~seed ~audit ~jobs ~shards () in
+      (fun { flows; seed; audit; jobs; _ } ->
+        let r = ablation_chaos ~flows ~seed ~audit ~jobs () in
         sweep ~probe_events:r.chaos_probe_events
           (List.map (fun (x : chaos_row) -> x.stats) r.chaos_rows)
           (Report.chaos r));
     entry ~audited:true "live" "ABL-LIVE: live reconfiguration, control-loss sweep" (500, 300)
-      (fun { flows; seed; audit; jobs; shards; _ } ->
-        let r = ablation_live ~flows ~seed ~audit ~jobs ~shards () in
+      (fun { flows; seed; audit; jobs; _ } ->
+        let r = ablation_live ~flows ~seed ~audit ~jobs () in
         sweep ~probe_events:r.live_probe_events
           ~csvs:
             [ ("abl_live.csv", Report.live_csv r);
@@ -168,19 +167,19 @@ let all =
           (List.map (fun (x : live_row) -> x.stats) r.live_rows)
           (Report.live r));
     entry ~audited:true "quorum" "ABL-QUORUM: replicated controller under chaos" (400, 200)
-      (fun { flows; seed; audit; jobs; shards; _ } ->
-        let r = ablation_quorum ~flows ~seed ~audit ~jobs ~shards () in
+      (fun { flows; seed; audit; jobs; _ } ->
+        let r = ablation_quorum ~flows ~seed ~audit ~jobs () in
         sweep ~probe_events:r.q_probe_events
           ~csvs:[ ("abl_quorum.csv", Report.quorum_csv r) ]
           (List.map (fun (x : quorum_row) -> x.stats) r.q_rows)
           (Report.quorum r));
     entry ~audited:true "corrupt" "ABL-CORRUPT: silent corruption vs anti-entropy repair"
-      (400, 200) (fun { flows; seed; audit; jobs; shards; corrupt_rate; sweep_period; _ } ->
+      (400, 200) (fun { flows; seed; audit; jobs; corrupt_rate; sweep_period; _ } ->
         let rates = Option.map (fun r -> [ r ]) corrupt_rate in
         let sweep_periods =
           Option.map (fun p -> if p = 0.0 then [ None ] else [ Some p ]) sweep_period
         in
-        let r = ablation_corrupt ~flows ~seed ~audit ?rates ?sweep_periods ~jobs ~shards () in
+        let r = ablation_corrupt ~flows ~seed ~audit ?rates ?sweep_periods ~jobs () in
         sweep ~probe_events:r.c_probe_events
           ~csvs:[ ("abl_corrupt.csv", Report.corrupt_csv r) ]
           (List.map (fun (x : corrupt_row) -> x.stats) r.c_rows)
@@ -190,8 +189,8 @@ let all =
        path falls back on every epoch of the small campus topology,
        hiding the pivot savings the sweep exists to show. *)
     entry ~audited:true "reopt" "ABL-REOPT: warm-started re-optimization vs cold re-solve"
-      (400, 400) (fun { flows; seed; audit; jobs; shards; _ } ->
-        let r = ablation_reopt ~flows ~seed ~audit ~jobs ~shards () in
+      (400, 400) (fun { flows; seed; audit; jobs; _ } ->
+        let r = ablation_reopt ~flows ~seed ~audit ~jobs () in
         (* A warm optimum disagreeing with the cold solve is a solver
            bug, not an enforcement-invariant violation: it fails the
            run whether or not it was audited. *)
@@ -210,28 +209,28 @@ let all =
           (List.map (fun (x : reopt_row) -> x.stats) r.rp_rows)
           (Report.reopt r));
     entry "epoch" "ABL-EPOCH: adaptation across measurement epochs" (60_000, 30_000)
-      (fun { flows; seed; jobs; shards; _ } ->
+      (fun { flows; seed; jobs; _ } ->
         let deployment = build_deployment Campus ~seed in
-        let r = Epochsim.run ~deployment ~base_flows:flows ~seed ~jobs ~shards () in
+        let r = Epochsim.run ~deployment ~base_flows:flows ~seed ~jobs () in
         outcome ~events:r.Epochsim.ep_events (Report.epochs r.Epochsim.ep_rows));
     entry "sketch" "ABL-SKETCH: Count-Min sketched measurement vs exact" (120_000, 60_000)
-      (fun { flows; seed; jobs; shards; _ } ->
-        let r = ablation_sketch ~flows ~seed ~jobs ~shards () in
+      (fun { flows; seed; jobs; _ } ->
+        let r = ablation_sketch ~flows ~seed ~jobs () in
         outcome ~events:r.sk_events (Report.sketch_ablation r.sk_points));
     entry "lat" "ABL-LAT: end-to-end latency overhead of enforcement" (1_000, 300)
-      (fun { flows; seed; jobs; shards; _ } ->
-        let r = ablation_latency ~flows ~seed ~jobs ~shards () in
+      (fun { flows; seed; jobs; _ } ->
+        let r = ablation_latency ~flows ~seed ~jobs () in
         let runs = [ r.enforced; r.plain ] in
         outcome ~events:(events runs)
           ~hops:(List.fold_left (fun acc s -> acc + s.Pktsim.router_hops) 0 runs)
           (Report.latency_ablation r));
     entry "queue" "ABL-QUEUE: middlebox queueing, HP vs LB latency" (800, 300)
-      (fun { flows; seed; jobs; shards; _ } ->
-        let r = ablation_queue ~flows ~seed ~jobs ~shards () in
+      (fun { flows; seed; jobs; _ } ->
+        let r = ablation_queue ~flows ~seed ~jobs () in
         outcome ~events:r.events_processed ~hops:r.router_hops (Report.queue_ablation r));
     entry ~cap:10_000 "lp" "ABL-LP: Eq.(1) exact vs Eq.(2) simplified" (5_000, 2_000)
-      (fun { flows; seed; jobs; shards; _ } ->
-        let r = ablation_lp ~flows ~seed ~jobs ~shards () in
+      (fun { flows; seed; jobs; _ } ->
+        let r = ablation_lp ~flows ~seed ~jobs () in
         outcome ~events:r.lp_events (Report.lp_ablation r));
     entry "config" "CONFIG: controller dissemination volume (campus, LB)" (30_000, 30_000)
       config;

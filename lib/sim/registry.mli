@@ -8,7 +8,6 @@ type ctx = {
   fast : bool;  (** reduced-scale run (bench [--fast]) *)
   seed : int;
   jobs : int;
-  shards : int;
   audit : bool;  (** packet-level rows under the online invariant audit *)
   corrupt_rate : float option;  (** ABL-CORRUPT: one rate instead of the sweep *)
   sweep_period : float option;
@@ -32,7 +31,7 @@ type outcome = {
 type entry = {
   name : string;  (** [sdmctl exp NAME] *)
   title : string;  (** bench section title; its prefix up to [':'] keys the timings *)
-  flows : int;  (** full-scale flows *)
+  flows : int;  (** full-scale flows; 0 for the figures, which sweep their own *)
   fast_flows : int;  (** flows under [--fast] *)
   cap : int;  (** ceiling on [sdmctl exp --flows] *)
   audited : bool;  (** [--audit] applies *)

@@ -134,15 +134,12 @@ let draw_packet_bytes rng =
   let u = Stdx.Rng.float rng 1.0 in
   if u < 0.4 then 40 else if u < 0.5 then 576 else 1500
 
-(* The generator core: one sequential RNG across the whole flow
-   population (power-law draw, class mix, endpoint and port draws all
-   advance the same stream — the pinned oracles depend on this exact
-   sequence), streamed through [emit] one flow at a time so callers
-   choose their own storage.  [generate] materialises a heap array;
-   [generate_packed] writes straight into an off-heap store and never
-   holds more than one flow record live. *)
-let generate_seq ~deployment ?(per_class = 5) ?(seed = 42) ?rule_seed ?class_mix
-    ~flows ~emit () =
+(* One sequential RNG across the whole flow population: the power-law
+   draw, class mix, endpoint and port draws all advance the same
+   stream, and flows are drawn in id order.  The pinned oracles depend
+   on this exact sequence. *)
+let generate ~deployment ?(per_class = 5) ?(seed = 42) ?rule_seed ?class_mix
+    ~flows () =
   (* Policies and flows draw from separate streams so a volume sweep
      can scale traffic while holding the policy set fixed. *)
   let rule_seed = Option.value ~default:seed rule_seed in
@@ -228,24 +225,9 @@ let generate_seq ~deployment ?(per_class = 5) ?(seed = 42) ?rule_seed ?class_mix
       packet_bytes = draw_packet_bytes rng;
     }
   in
-  for id = 0 to flows - 1 do
-    emit (make_flow id)
-  done;
-  (rules, !total_packets)
-
-let generate ~deployment ?per_class ?seed ?rule_seed ?class_mix ~flows () =
-  (* Allocate the array on the first flow (no dummy element needed);
-     ids are emitted in ascending order, so every slot gets written. *)
-  let arr = ref [||] in
-  let emit fs =
-    if Array.length !arr = 0 then arr := Array.make flows fs
-    else !arr.(fs.id) <- fs
-  in
-  let rules, total_packets =
-    generate_seq ~deployment ?per_class ?seed ?rule_seed ?class_mix ~flows ~emit
-      ()
-  in
-  { rules; flows = !arr; total_packets }
+  (* [Array.init] calls [make_flow] in ascending id order. *)
+  let flows = Array.init flows make_flow in
+  { rules; flows; total_packets = !total_packets }
 
 (* Top-level so the per-classification lookup closes over nothing:
    [List.find_opt (fun r -> ...)] would allocate a closure for every
@@ -254,108 +236,6 @@ let rec find_rule_by_id id = function
   | [] -> None
   | r :: rest ->
     if r.Policy.Rule.id = id then Some r else find_rule_by_id id rest
-
-(* ---- Packed per-flow state ---------------------------------------- *)
-
-(* Every flow_spec field is a small integer (addresses are 32-bit ints,
-   ports 16-bit, packet counts power-law-bounded), so a flow packs into
-   three native ints in an off-heap Bigarray: 24 bytes per flow against
-   ~120 heap bytes for the record pair, none of it scanned by the GC.
-   Layout (bit offsets within each word):
-     w0 = src(32) << 24 | sport(16) << 8 | proto(8)
-     w1 = dst(32) << 29 | dport(16) << 13 | class(2) << 11 | bytes(11)
-     w2 = packets(20) << 42 | (rule_id+1)(20) << 22
-        | src_proxy(11) << 11 | dst_proxy(11)
-   Each word stays under 62 bits, inside OCaml's native int range. *)
-module Packed = struct
-  type store = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-  type packed = {
-    rules : Policy.Rule.t list;
-    store : store;
-    n_flows : int;
-    total_packets : int;
-  }
-
-  let words_per_flow = 3
-  let bytes_per_flow = words_per_flow * 8
-
-  let class_code = function
-    | Many_to_one -> 0
-    | One_to_many -> 1
-    | One_to_one -> 2
-
-  let class_of_code = function
-    | 0 -> Many_to_one
-    | 1 -> One_to_many
-    | _ -> One_to_one
-
-  let check_field name v bits =
-    if v < 0 || v >= 1 lsl bits then
-      invalid_arg
-        (Printf.sprintf "Workload.Packed: %s = %d exceeds %d bits" name v bits)
-
-  let set (store : store) fs =
-    check_field "packets" fs.packets 20;
-    check_field "rule_id" (Option.value ~default:(-1) fs.rule_id + 1) 20;
-    check_field "src_proxy" fs.src_proxy 11;
-    check_field "dst_proxy" fs.dst_proxy 11;
-    check_field "packet_bytes" fs.packet_bytes 11;
-    let f = fs.flow in
-    let b = fs.id * words_per_flow in
-    store.{b} <-
-      (f.Netpkt.Flow.src lsl 24) lor (f.Netpkt.Flow.sport lsl 8)
-      lor f.Netpkt.Flow.proto;
-    store.{b + 1} <-
-      (f.Netpkt.Flow.dst lsl 29)
-      lor (f.Netpkt.Flow.dport lsl 13)
-      lor (class_code fs.intended_class lsl 11)
-      lor fs.packet_bytes;
-    store.{b + 2} <-
-      (fs.packets lsl 42)
-      lor ((Option.value ~default:(-1) fs.rule_id + 1) lsl 22)
-      lor (fs.src_proxy lsl 11) lor fs.dst_proxy
-
-  let get t i =
-    if i < 0 || i >= t.n_flows then invalid_arg "Workload.Packed.get";
-    let b = i * words_per_flow in
-    let w0 = t.store.{b} and w1 = t.store.{b + 1} and w2 = t.store.{b + 2} in
-    let rule = (w2 lsr 22) land 0xFFFFF in
-    {
-      id = i;
-      flow =
-        {
-          Netpkt.Flow.src = (w0 lsr 24) land 0xFFFFFFFF;
-          dst = (w1 lsr 29) land 0xFFFFFFFF;
-          proto = w0 land 0xFF;
-          sport = (w0 lsr 8) land 0xFFFF;
-          dport = (w1 lsr 13) land 0xFFFF;
-        };
-      src_proxy = (w2 lsr 11) land 0x7FF;
-      dst_proxy = w2 land 0x7FF;
-      rule_id = (if rule = 0 then None else Some (rule - 1));
-      intended_class = class_of_code ((w1 lsr 11) land 0x3);
-      packets = (w2 lsr 42) land 0xFFFFF;
-      packet_bytes = w1 land 0x7FF;
-    }
-
-  let rule_of t fs =
-    match fs.rule_id with
-    | None -> None
-    | Some id -> find_rule_by_id id t.rules
-end
-
-let generate_packed ~deployment ?per_class ?seed ?rule_seed ?class_mix ~flows ()
-    =
-  let store =
-    Bigarray.Array1.create Bigarray.int Bigarray.c_layout
-      (flows * Packed.words_per_flow)
-  in
-  let rules, total_packets =
-    generate_seq ~deployment ?per_class ?seed ?rule_seed ?class_mix ~flows
-      ~emit:(Packed.set store) ()
-  in
-  { Packed.rules; store; n_flows = flows; total_packets }
 
 let measure t =
   let m = Sdm.Measurement.create () in

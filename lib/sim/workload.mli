@@ -70,59 +70,6 @@ val generate :
     epoch-adaptation experiment rotates a skewed mix to model traffic
     drift. *)
 
-val generate_seq :
-  deployment:Sdm.Deployment.t ->
-  ?per_class:int ->
-  ?seed:int ->
-  ?rule_seed:int ->
-  ?class_mix:float * float * float ->
-  flows:int ->
-  emit:(flow_spec -> unit) ->
-  unit ->
-  Policy.Rule.t list * int
-(** The streaming generator core behind {!generate}: the identical
-    draw sequence (one sequential RNG across the population), but each
-    flow is handed to [emit] in id order instead of being stored, so a
-    multi-million-flow population never needs a materialised heap
-    array.  Returns the rule list and the total packet count. *)
-
-(** Packed per-flow state: the whole flow population in an off-heap
-    [Bigarray] at 24 bytes per flow (vs ~120 heap bytes for the record
-    pair), invisible to the GC and safely shared read-only across
-    domains — the storage sharded runs iterate. *)
-module Packed : sig
-  type store = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-  type packed = {
-    rules : Policy.Rule.t list;
-    store : store;
-    n_flows : int;
-    total_packets : int;
-  }
-
-  val words_per_flow : int
-  val bytes_per_flow : int
-
-  val get : packed -> int -> flow_spec
-  (** Decode flow [i]; a fresh short-lived record, bit-identical to
-      [(generate ...).flows.(i)] (a test pins the round trip). *)
-
-  val rule_of : packed -> flow_spec -> Policy.Rule.t option
-end
-
-val generate_packed :
-  deployment:Sdm.Deployment.t ->
-  ?per_class:int ->
-  ?seed:int ->
-  ?rule_seed:int ->
-  ?class_mix:float * float * float ->
-  flows:int ->
-  unit ->
-  Packed.packed
-(** {!generate} streamed into a {!Packed} store: same parameters, same
-    RNG sequence, same flows — but peak heap stays flat however large
-    [flows] is. *)
-
 val measure : t -> Sdm.Measurement.t
 (** The traffic matrix T_{s,d,p} the proxies would report: per-flow
     packet counts accumulated on (source proxy, destination proxy,

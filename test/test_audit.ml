@@ -274,13 +274,13 @@ let test_audit_reopt_ablation () =
         cold.Sim.Pktsim.final_config_version warm.Sim.Pktsim.final_config_version)
     r.Sim.Experiment.rp_infos
 
-let test_audit_reopt_jobs_shards_identical () =
-  (* The sharding discipline extends to the new experiment: the whole
+let test_audit_reopt_jobs_identical () =
+  (* The fan-out discipline extends to the new experiment: the whole
      report — audited rows, pivot counters, replay steps, float
-     lambdas — is structurally identical under {1,1} and {2,2}. *)
-  let a = Sim.Experiment.ablation_reopt ~flows:60 ~audit:true ~jobs:1 ~shards:1 () in
-  let b = Sim.Experiment.ablation_reopt ~flows:60 ~audit:true ~jobs:2 ~shards:2 () in
-  Alcotest.(check bool) "jobs/shards bit-identity" true (a = b)
+     lambdas — is structurally identical under one and two jobs. *)
+  let a = Sim.Experiment.ablation_reopt ~flows:60 ~audit:true ~jobs:1 () in
+  let b = Sim.Experiment.ablation_reopt ~flows:60 ~audit:true ~jobs:2 () in
+  Alcotest.(check bool) "jobs bit-identity" true (a = b)
 
 (* --- Synthetic event streams: each invariant fires ---------------------- *)
 
@@ -1047,7 +1047,7 @@ let suite =
     Alcotest.test_case "reopt ablation audits clean" `Slow
       test_audit_reopt_ablation;
     Alcotest.test_case "reopt jobs/shards bit-identity" `Slow
-      test_audit_reopt_jobs_shards_identical;
+      test_audit_reopt_jobs_identical;
     Alcotest.test_case "checker: lost packet" `Quick test_checker_lost_packet;
     Alcotest.test_case "checker: duplicate terminal" `Quick
       test_checker_duplicate_terminal;

@@ -54,7 +54,8 @@ let test_unknown_experiment () =
     [ "fig4"; "table3"; "chaos"; "live"; "quorum"; "corrupt"; "lp" ]
 
 let test_bad_flags () =
-  (* Non-positive counts are flag misuse, --flows included. *)
+  (* Non-positive counts are flag misuse, --flows included, and so are
+     removed flags and flags the chosen experiment does not read. *)
   List.iter
     (fun (args, needle) ->
       let code, out = run_sdmctl ("exp" :: args) in
@@ -63,9 +64,13 @@ let test_bad_flags () =
       Alcotest.(check bool) (label ^ " explains") true (contains ~needle out))
     [
       ([ "table3"; "--jobs"; "0" ], "--jobs");
-      ([ "table3"; "--shards"; "0" ], "--shards");
+      ([ "table3"; "--shards"; "2" ], "--shards");
       ([ "chaos"; "--flows=-5" ], "--flows");
       ([ "chaos"; "--flows=0" ], "--flows");
+      ([ "table3"; "--flows"; "2000"; "--corrupt-rate"; "0.5" ], "--corrupt-rate");
+      ([ "lat"; "--sweep-period"; "3" ], "--sweep-period");
+      ([ "fig4"; "--flows"; "100" ], "--flows");
+      ([ "table3"; "--audit" ], "--audit");
     ]
 
 let test_bad_corrupt_flags () =
@@ -103,7 +108,7 @@ let test_bench_flags () =
     [
       ("unknown flag", [ "--jbos"; "2" ], "--jbos");
       ("zero jobs", [ "--jobs"; "0" ], "--jobs");
-      ("zero shards", [ "--shards"; "0" ], "--shards");
+      ("removed shards flag", [ "--shards"; "2" ], "--shards");
     ]
 
 let suite =

@@ -270,7 +270,6 @@ let test_pktsim_rejects_bad_config () =
        "detection_delay must be finite and >= 0");
       ("zero debug_bypass_chain", { c with debug_bypass_chain = Some 0 },
        "debug_bypass_chain must be >= 1");
-      ("zero shards", { c with shards = 0 }, "shards must be >= 1");
     ];
   (* The boundaries themselves are valid. *)
   let edge =
@@ -1569,17 +1568,13 @@ let test_pktsim_corruption_without_sweep () =
       r.Audit.Checker.violations
 
 let test_experiment_corrupt_invariant () =
-  (* ABL-CORRUPT is bit-identical across the fan-out axes, and its
+  (* ABL-CORRUPT is bit-identical across --jobs, and its
      sweep-enabled rows repair every injected corruption. *)
-  let run ~jobs ~shards =
-    Sim.Experiment.ablation_corrupt ~flows:120 ~audit:true ~rates:[ 0.3 ]
-      ~jobs ~shards ()
+  let run jobs =
+    Sim.Experiment.ablation_corrupt ~flows:120 ~audit:true ~rates:[ 0.3 ] ~jobs ()
   in
-  let base = run ~jobs:1 ~shards:1 in
-  Alcotest.(check bool) "corrupt jobs=1 = jobs=4" true
-    (base = run ~jobs:4 ~shards:1);
-  Alcotest.(check bool) "corrupt shards=1 = shards=4" true
-    (base = run ~jobs:1 ~shards:4);
+  let base = run 1 in
+  Alcotest.(check bool) "corrupt jobs=1 = jobs=4" true (base = run 4);
   List.iter
     (fun (r : Sim.Experiment.corrupt_row) ->
       let s = r.Sim.Experiment.stats in
@@ -1599,16 +1594,10 @@ let test_experiment_corrupt_invariant () =
     base.Sim.Experiment.c_rows
 
 let test_experiment_quorum_invariant () =
-  (* ABL-QUORUM is bit-identical across the fan-out axes, like every
+  (* ABL-QUORUM is bit-identical across --jobs, like every
      other experiment. *)
-  let run ~jobs ~shards =
-    Sim.Experiment.ablation_quorum ~flows:120 ~jobs ~shards ()
-  in
-  let base = run ~jobs:1 ~shards:1 in
-  Alcotest.(check bool) "quorum jobs=1 = jobs=4" true
-    (base = run ~jobs:4 ~shards:1);
-  Alcotest.(check bool) "quorum shards=1 = shards=2" true
-    (base = run ~jobs:1 ~shards:2)
+  let run jobs = Sim.Experiment.ablation_quorum ~flows:120 ~jobs () in
+  Alcotest.(check bool) "quorum jobs=1 = jobs=4" true (run 1 = run 4)
 
 (* ---- Parallel fan-out determinism --------------------------------- *)
 
@@ -1629,90 +1618,6 @@ let test_experiment_jobs_invariant_pktsim () =
       ~detection_delays:[ 2.0; 10.0 ] ~jobs ()
   in
   Alcotest.(check bool) "chaos jobs=1 = jobs=4" true (run 1 = run 4)
-
-let test_flowsim_shards_invariant () =
-  (* Headline guarantee of intra-run sharding: one run's result is
-     bit-identical however many shards its flows are split across.
-     Every accumulated float is an exact integer far below 2^53, so
-     the fixed-shard-order merge reassociates the sums losslessly. *)
-  let dep = campus () in
-  let workload = Sim.Workload.generate ~deployment:dep ~seed:13 ~flows:4_000 () in
-  let traffic = Sim.Workload.measure workload in
-  match
-    Sdm.Controller.configure dep ~rules:workload.Sim.Workload.rules
-      (Sdm.Controller.Load_balanced traffic)
-  with
-  | Error e -> Alcotest.fail e
-  | Ok controller ->
-    let base = Sim.Flowsim.run ~controller ~workload () in
-    List.iter
-      (fun shards ->
-        let sharded = Sim.Flowsim.run ~shards ~controller ~workload () in
-        Alcotest.(check bool)
-          (Printf.sprintf "shards=%d = unsharded" shards)
-          true (sharded = base))
-      [ 1; 2; 3; 8 ]
-
-let test_workload_packed_roundtrip () =
-  (* The packed Bigarray store is a lossless encoding of the
-     generator's output: same rules, same totals, and every decoded
-     flow_spec equals its heap counterpart. *)
-  let dep = campus () in
-  let heap = Sim.Workload.generate ~deployment:dep ~seed:13 ~flows:2_000 () in
-  let packed =
-    Sim.Workload.generate_packed ~deployment:dep ~seed:13 ~flows:2_000 ()
-  in
-  Alcotest.(check bool) "same rules" true
-    (packed.Sim.Workload.Packed.rules = heap.Sim.Workload.rules);
-  Alcotest.(check int) "same total packets" heap.Sim.Workload.total_packets
-    packed.Sim.Workload.Packed.total_packets;
-  Alcotest.(check int) "same flow count"
-    (Array.length heap.Sim.Workload.flows)
-    packed.Sim.Workload.Packed.n_flows;
-  Array.iteri
-    (fun i fs ->
-      if Sim.Workload.Packed.get packed i <> fs then
-        Alcotest.fail (Printf.sprintf "flow %d decodes differently" i))
-    heap.Sim.Workload.flows
-
-let test_flowsim_packed_matches_heap () =
-  (* run_packed over the Bigarray store = run over the heap workload,
-     sharded or not. *)
-  let dep = campus () in
-  let heap = Sim.Workload.generate ~deployment:dep ~seed:13 ~flows:3_000 () in
-  let packed =
-    Sim.Workload.generate_packed ~deployment:dep ~seed:13 ~flows:3_000 ()
-  in
-  let traffic = Sim.Workload.measure heap in
-  match
-    Sdm.Controller.configure dep ~rules:heap.Sim.Workload.rules
-      (Sdm.Controller.Load_balanced traffic)
-  with
-  | Error e -> Alcotest.fail e
-  | Ok controller ->
-    let base = Sim.Flowsim.run ~controller ~workload:heap () in
-    let p1 = Sim.Flowsim.run_packed ~controller ~workload:packed () in
-    let p4 = Sim.Flowsim.run_packed ~shards:4 ~controller ~workload:packed () in
-    Alcotest.(check bool) "packed = heap" true (p1 = base);
-    Alcotest.(check bool) "packed shards=4 = heap" true (p4 = base)
-
-let test_experiment_shards_invariant_flowsim () =
-  (* The jobs-invariance oracle, on the sharding axis: a flow-level
-     sweep is bit-identical however many shards split each cell. *)
-  let run shards =
-    Sim.Experiment.run_figure Sim.Experiment.Campus
-      ~flow_counts:[ 1_000; 2_000; 3_000 ] ~jobs:1 ~shards ()
-  in
-  Alcotest.(check bool) "figure shards=1 = shards=4" true (run 1 = run 4)
-
-let test_experiment_shards_invariant_pktsim () =
-  (* Same on the packet level, with the online invariant audit armed:
-     sharded setup phases never perturb the event loop. *)
-  let run shards =
-    Sim.Experiment.ablation_chaos ~flows:120 ~audit:true
-      ~detection_delays:[ 2.0; 10.0 ] ~jobs:1 ~shards ()
-  in
-  Alcotest.(check bool) "chaos shards=1 = shards=4" true (run 1 = run 4)
 
 let suite =
   [
@@ -1799,16 +1704,6 @@ let suite =
       test_experiment_jobs_invariant_flowsim;
     Alcotest.test_case "experiment jobs-invariant (pktsim)" `Slow
       test_experiment_jobs_invariant_pktsim;
-    Alcotest.test_case "flowsim shards invariance" `Quick
-      test_flowsim_shards_invariant;
-    Alcotest.test_case "workload packed roundtrip" `Quick
-      test_workload_packed_roundtrip;
-    Alcotest.test_case "flowsim packed = heap" `Quick
-      test_flowsim_packed_matches_heap;
-    Alcotest.test_case "experiment shards invariance (flowsim)" `Slow
-      test_experiment_shards_invariant_flowsim;
-    Alcotest.test_case "experiment shards invariance (pktsim)" `Slow
-      test_experiment_shards_invariant_pktsim;
     Alcotest.test_case "experiment k=1 equals HP" `Quick test_experiment_k1_equals_hp;
     Alcotest.test_case "epoch adaptation" `Slow test_epoch_adaptation;
     Alcotest.test_case "queue ablation" `Slow test_queue_ablation;

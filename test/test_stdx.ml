@@ -534,94 +534,6 @@ let test_count_min_rejects_nonfinite () =
   Alcotest.(check (float 0.0)) "estimate intact" 3.0
     (Stdx.Count_min.estimate cm 7L)
 
-(* ---- Shard -------------------------------------------------------- *)
-
-let test_shard_owner_basic () =
-  Alcotest.(check int) "one shard owns everything" 0
-    (Stdx.Shard.owner ~seed:7 ~shards:1 123);
-  for id = 0 to 999 do
-    let s = Stdx.Shard.owner ~seed:42 ~shards:8 id in
-    if s < 0 || s >= 8 then Alcotest.fail "owner out of range"
-  done;
-  Alcotest.(check int) "deterministic"
-    (Stdx.Shard.owner ~seed:42 ~shards:8 555)
-    (Stdx.Shard.owner ~seed:42 ~shards:8 555);
-  Alcotest.check_raises "zero shards"
-    (Invalid_argument "Shard.owner: shards must be >= 1") (fun () ->
-      ignore (Stdx.Shard.owner ~seed:1 ~shards:0 3));
-  Alcotest.check_raises "negative identity"
-    (Invalid_argument "Shard.owner: negative identity") (fun () ->
-      ignore (Stdx.Shard.owner ~seed:1 ~shards:4 (-1)))
-
-let test_shard_owner_spread () =
-  (* With enough identities every shard of a small pool is hit — the
-     hash actually spreads (a constant owner would type-check too). *)
-  let counts = Array.make 4 0 in
-  for id = 0 to 799 do
-    let s = Stdx.Shard.owner ~seed:17 ~shards:4 id in
-    counts.(s) <- counts.(s) + 1
-  done;
-  Array.iteri
-    (fun s c ->
-      if c = 0 then Alcotest.fail (Printf.sprintf "shard %d never hit" s))
-    counts
-
-let test_shard_partition_covers () =
-  let arr = Array.init 500 (fun i -> i * 3) in
-  let parts = Stdx.Shard.partition ~seed:5 ~shards:6 ~key:Fun.id arr in
-  Alcotest.(check int) "six shards" 6 (Array.length parts);
-  Alcotest.(check int) "covers input" (Array.length arr)
-    (Array.fold_left (fun acc p -> acc + Array.length p) 0 parts);
-  Array.iteri
-    (fun s part ->
-      Array.iter
-        (fun x ->
-          Alcotest.(check int) "element in its owner's shard" s
-            (Stdx.Shard.owner ~seed:5 ~shards:6 x))
-        part;
-      (* The input was increasing, so a stable partition keeps each
-         shard increasing too. *)
-      Array.iteri
-        (fun i x ->
-          if i > 0 && x <= part.(i - 1) then
-            Alcotest.fail "input order not preserved within shard")
-        part)
-    parts
-
-let test_shard_indices_match_partition () =
-  let idx = Stdx.Shard.indices ~seed:9 ~shards:3 ~n:100 in
-  let part =
-    Stdx.Shard.partition ~seed:9 ~shards:3 ~key:Fun.id (Array.init 100 Fun.id)
-  in
-  Alcotest.(check bool) "indices = partition of 0..n-1" true (idx = part)
-
-let qcheck_shard_permutation_stable =
-  (* Flow ownership is a function of (seed, key) alone, so permuting
-     the input never moves an element across shards: per shard the two
-     partitions hold the same element set, each in its own input order
-     (the partition is stable). *)
-  QCheck.Test.make ~count:200 ~name:"shard partition stable under permutation"
-    QCheck.(pair small_nat (list small_nat))
-    (fun (seed, keys) ->
-      let keys = List.sort_uniq compare keys in
-      let arr = Array.of_list keys in
-      let rev = Array.of_list (List.rev keys) in
-      let shards = 4 in
-      let p1 = Stdx.Shard.partition ~seed ~shards ~key:Fun.id arr in
-      let p2 = Stdx.Shard.partition ~seed ~shards ~key:Fun.id rev in
-      let sorted p =
-        Array.map (fun a -> List.sort compare (Array.to_list a)) p
-      in
-      sorted p1 = sorted p2
-      && Array.for_all
-           (fun a -> Array.to_list a = List.sort compare (Array.to_list a))
-           p1
-      && Array.for_all
-           (fun a ->
-             Array.to_list a
-             = List.sort (fun x y -> compare y x) (Array.to_list a))
-           p2)
-
 (* ---- Non-allocating Xhash entry points ---------------------------- *)
 
 (* The limbed combine* family must agree bit-for-bit with the boxed
@@ -820,13 +732,6 @@ let suite =
     Alcotest.test_case "stats NaN guard" `Quick test_stats_nan_guard;
     Alcotest.test_case "count-min rejects non-finite" `Quick
       test_count_min_rejects_nonfinite;
-    Alcotest.test_case "shard owner basics" `Quick test_shard_owner_basic;
-    Alcotest.test_case "shard owner spread" `Quick test_shard_owner_spread;
-    Alcotest.test_case "shard partition covers input" `Quick
-      test_shard_partition_covers;
-    Alcotest.test_case "shard indices match partition" `Quick
-      test_shard_indices_match_partition;
-    QCheck_alcotest.to_alcotest qcheck_shard_permutation_stable;
     QCheck_alcotest.to_alcotest qcheck_combine_agreement;
     QCheck_alcotest.to_alcotest qcheck_combine_unit_agreement;
     Alcotest.test_case "flat table basics" `Quick test_flat_table_basics;
