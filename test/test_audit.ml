@@ -280,7 +280,11 @@ let test_audit_reopt_jobs_identical () =
      lambdas — is structurally identical under one and two jobs. *)
   let a = Sim.Experiment.ablation_reopt ~flows:60 ~audit:true ~jobs:1 () in
   let b = Sim.Experiment.ablation_reopt ~flows:60 ~audit:true ~jobs:2 () in
-  Alcotest.(check bool) "jobs bit-identity" true (a = b)
+  Alcotest.(check bool) "jobs bit-identity" true (a = b);
+  (* Bit-for-bit pin of the whole report against later refactors. *)
+  Alcotest.(check string) "reopt report digest pinned"
+    "cfc2c8cb630ad8a9dc826aa4b573697b"
+    (Digest.to_hex (Digest.string (Marshal.to_string a [ Marshal.No_sharing ])))
 
 (* --- Synthetic event streams: each invariant fires ---------------------- *)
 
@@ -1046,7 +1050,7 @@ let suite =
       test_ablation_audit_plumbing;
     Alcotest.test_case "reopt ablation audits clean" `Slow
       test_audit_reopt_ablation;
-    Alcotest.test_case "reopt jobs/shards bit-identity" `Slow
+    Alcotest.test_case "reopt jobs bit-identity" `Slow
       test_audit_reopt_jobs_identical;
     Alcotest.test_case "checker: lost packet" `Quick test_checker_lost_packet;
     Alcotest.test_case "checker: duplicate terminal" `Quick

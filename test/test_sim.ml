@@ -1567,6 +1567,11 @@ let test_pktsim_corruption_without_sweep () =
     Alcotest.(check int) "unenforceable deadlines stay clean" 0
       r.Audit.Checker.violations
 
+(* Bit-for-bit pin of a whole report: any change to the control plane's
+   behaviour (a counter, a float, a version history) moves the digest. *)
+let report_digest r =
+  Digest.to_hex (Digest.string (Marshal.to_string r [ Marshal.No_sharing ]))
+
 let test_experiment_corrupt_invariant () =
   (* ABL-CORRUPT is bit-identical across --jobs, and its
      sweep-enabled rows repair every injected corruption. *)
@@ -1575,6 +1580,8 @@ let test_experiment_corrupt_invariant () =
   in
   let base = run 1 in
   Alcotest.(check bool) "corrupt jobs=1 = jobs=4" true (base = run 4);
+  Alcotest.(check string) "corrupt report digest pinned"
+    "e34caaf052c8174581a74c316c173098" (report_digest base);
   List.iter
     (fun (r : Sim.Experiment.corrupt_row) ->
       let s = r.Sim.Experiment.stats in
@@ -1597,7 +1604,10 @@ let test_experiment_quorum_invariant () =
   (* ABL-QUORUM is bit-identical across --jobs, like every
      other experiment. *)
   let run jobs = Sim.Experiment.ablation_quorum ~flows:120 ~jobs () in
-  Alcotest.(check bool) "quorum jobs=1 = jobs=4" true (run 1 = run 4)
+  let base = run 1 in
+  Alcotest.(check bool) "quorum jobs=1 = jobs=4" true (base = run 4);
+  Alcotest.(check string) "quorum report digest pinned"
+    "9119905c7657d97691652b68b42f6995" (report_digest base)
 
 (* ---- Parallel fan-out determinism --------------------------------- *)
 
@@ -1687,13 +1697,13 @@ let suite =
       test_pktsim_single_replica_quiet;
     Alcotest.test_case "pktsim replicated convergence under loss" `Quick
       test_pktsim_replicated_convergence;
-    Alcotest.test_case "experiment quorum jobs/shards invariance" `Slow
+    Alcotest.test_case "experiment quorum jobs invariance" `Slow
       test_experiment_quorum_invariant;
     Alcotest.test_case "pktsim sweep repairs corruption" `Quick
       test_pktsim_sweep_repairs_corruption;
     Alcotest.test_case "pktsim corruption without sweep" `Quick
       test_pktsim_corruption_without_sweep;
-    Alcotest.test_case "experiment corrupt jobs/shards invariance" `Slow
+    Alcotest.test_case "experiment corrupt jobs invariance" `Slow
       test_experiment_corrupt_invariant;
     QCheck_alcotest.to_alcotest qcheck_pktsim_chaos;
     QCheck_alcotest.to_alcotest qcheck_pktsim_random_fault_schedules;
