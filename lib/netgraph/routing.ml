@@ -23,24 +23,6 @@ let next_hop table dst =
   let hop = table.(dst) in
   if hop = -1 then None else Some hop
 
-type ecmp_table = int array array
-
-let build_all_ecmp g =
-  let n = Graph.node_count g in
-  let dist = Dijkstra.all_pairs g in
-  Array.init n (fun u ->
-      Array.init n (fun dst ->
-          if u = dst then [| dst |]
-          else if dist.(u).(dst) = infinity then [||]
-          else
-            List.filter_map
-              (fun { Graph.dst = h; cost } ->
-                if abs_float ((cost +. dist.(h).(dst)) -. dist.(u).(dst)) < 1e-9
-                then Some h
-                else None)
-              (Graph.neighbors g u)
-            |> List.sort compare |> Array.of_list))
-
 let walk tables ~src ~dst =
   let n = Array.length tables in
   let rec go u acc steps =

@@ -5,7 +5,8 @@
     state OSPF installs in each router.  This module computes the
     tables from a global view; the [ospf] library computes the same
     tables by distributed LSA flooding, and an integration test checks
-    the two agree. *)
+    the two agree.  Every router holds exactly one next hop per
+    destination: equal-cost multipath is outside the model. *)
 
 type table = int array
 (** [table.(dst)] is the next-hop node id, [dst] itself when the router
@@ -23,16 +24,3 @@ val walk : table array -> src:int -> dst:int -> int list
     including both endpoints.  Raises [Failure] if a loop or a dead end
     is encountered (cannot happen on tables produced by
     {!build_all}). *)
-
-type ecmp_table = int array array
-(** [ecmp.(dst)] is every next hop lying on some shortest path
-    (ascending node id); [[|dst|]] at the destination itself; [[||]]
-    when unreachable.  An array, not a list: hash-based ECMP spreading
-    picks hop [i] of the set on every packet of every transit router,
-    so the choice must be O(1) indexing. *)
-
-val build_all_ecmp : Graph.t -> ecmp_table array
-(** Equal-cost multipath: the full next-hop sets real OSPF/EIGRP
-    routers install.  Any per-packet or per-flow choice from these sets
-    realises a shortest path (every hop strictly decreases the
-    remaining distance), so hash-based ECMP spreading cannot loop. *)

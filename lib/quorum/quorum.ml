@@ -1,35 +1,5 @@
-type family = Majority | Weighted of int array
-
-let validate fam ~n =
-  if n < 1 then Error "acceptor count must be at least 1"
-  else
-    match fam with
-    | Majority -> Ok ()
-    | Weighted votes ->
-      if Array.length votes <> n then
-        Error
-          (Printf.sprintf "weight vector has %d entries for %d acceptors"
-             (Array.length votes) n)
-      else if Array.exists (fun v -> v < 0) votes then
-        Error "negative vote weight"
-      else if Array.fold_left ( + ) 0 votes <= 0 then
-        Error "vote weights sum to zero"
-      else Ok ()
-
-let votes fam ~acceptor =
-  match fam with Majority -> 1 | Weighted vs -> vs.(acceptor)
-
-let total_votes fam ~n =
-  match fam with Majority -> n | Weighted vs -> Array.fold_left ( + ) 0 vs
-
-let threshold fam ~n = (total_votes fam ~n / 2) + 1
-
-let is_quorum fam ~n member =
-  let sum = ref 0 in
-  for i = 0 to n - 1 do
-    if member i then sum := !sum + votes fam ~acceptor:i
-  done;
-  !sum >= threshold fam ~n
+(* Every acceptor carries one vote; a quorum is a strict majority. *)
+let threshold ~n = (n / 2) + 1
 
 module Acceptor = struct
   type t = {
@@ -98,7 +68,6 @@ module Round = struct
 
   (* Per-acceptor round status: 0 undecided, 1 voted, 2 lost. *)
   type t = {
-    fam : family;
     n : int;
     r_version : int;
     r_digest : int64;
@@ -106,12 +75,10 @@ module Round = struct
     mutable r_outcome : outcome;
   }
 
-  let start fam ~n ~version ~digest =
-    (match validate fam ~n with
-    | Ok () -> ()
-    | Error e -> invalid_arg ("Quorum.Round.start: " ^ e));
+  let start ~n ~version ~digest =
+    if n < 1 then
+      invalid_arg "Quorum.Round.start: acceptor count must be at least 1";
     {
-      fam;
       n;
       r_version = version;
       r_digest = digest;
@@ -133,21 +100,16 @@ module Round = struct
       invalid_arg "Quorum.Round.fail: acceptor out of range";
     if t.status.(acceptor) = 0 then t.status.(acceptor) <- 2
 
-  let accept_votes t =
+  let count t keep =
     let sum = ref 0 in
     for i = 0 to t.n - 1 do
-      if t.status.(i) = 1 then sum := !sum + votes t.fam ~acceptor:i
+      if keep t.status.(i) then incr sum
     done;
     !sum
 
-  let has_quorum t = accept_votes t >= threshold t.fam ~n:t.n
-
-  let can_reach_quorum t =
-    let sum = ref 0 in
-    for i = 0 to t.n - 1 do
-      if t.status.(i) <> 2 then sum := !sum + votes t.fam ~acceptor:i
-    done;
-    !sum >= threshold t.fam ~n:t.n
+  let accept_votes t = count t (fun st -> st = 1)
+  let has_quorum t = accept_votes t >= threshold ~n:t.n
+  let can_reach_quorum t = count t (fun st -> st <> 2) >= threshold ~n:t.n
 
   let mark_committed t = t.r_outcome <- Committed
   let mark_abandoned t = t.r_outcome <- Abandoned

@@ -11,36 +11,13 @@
     set of votes a quorum?" and "may this acceptor accept/commit this
     (version, digest)?", deterministically.
 
-    The quorum families follow the votes-per-acceptor formulation: a
-    set of acceptors is a quorum iff its summed votes exceed half the
-    total votes.  Any two such sets intersect in at least one
-    acceptor, which is what makes divergent commits impossible as long
-    as acceptors refuse conflicting proposals. *)
+    A quorum is a strict majority of the acceptors.  Any two
+    majorities intersect in at least one acceptor, which is what makes
+    divergent commits impossible as long as acceptors refuse
+    conflicting proposals. *)
 
-type family =
-  | Majority  (** one vote per acceptor; quorum = strict majority *)
-  | Weighted of int array
-      (** [votes.(i)] votes for acceptor [i]; quorum = any set whose
-          summed votes exceed half the total.  Weights must be
-          non-negative with a positive total. *)
-
-val validate : family -> n:int -> (unit, string) result
-(** Checks the family against an acceptor count: [n >= 1], and for
-    [Weighted] the vote array must have length [n], no negative entry,
-    and a positive total. *)
-
-val votes : family -> acceptor:int -> int
-(** Votes carried by one acceptor ([Majority]: always 1). *)
-
-val total_votes : family -> n:int -> int
-
-val threshold : family -> n:int -> int
-(** Minimal vote sum that constitutes a quorum:
-    [total_votes / 2 + 1]. *)
-
-val is_quorum : family -> n:int -> (int -> bool) -> bool
-(** [is_quorum fam ~n member] — do the acceptors selected by [member]
-    hold a quorum of the votes? *)
+val threshold : n:int -> int
+(** Votes that constitute a quorum of [n] acceptors: [n / 2 + 1]. *)
 
 (** Per-replica acceptor state machine.  An acceptor remembers the
     highest (version, digest) it has accepted and the highest version
@@ -101,8 +78,8 @@ module Round : sig
     | Abandoned
         (** the round can no longer reach quorum, or was superseded *)
 
-  val start : family -> n:int -> version:int -> digest:int64 -> t
-  (** Raises [Invalid_argument] if the family does not validate. *)
+  val start : n:int -> version:int -> digest:int64 -> t
+  (** Raises [Invalid_argument] unless [n >= 1]. *)
 
   val version : t -> int
   val digest : t -> int64

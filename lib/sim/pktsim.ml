@@ -6,11 +6,7 @@
 type live_config = {
   epoch_interval : float;
   reconcile_interval : float;
-  push_backoff : float;
-  push_backoff_cap : float;
   replicas : int;
-  quorum : Quorum.family;
-  replica_routers : int list option;
   sweep_period : float option;
       (* anti-entropy digest sweep over every device's soft state;
          [None] disables it (and keeps the run bit-identical to a
@@ -26,22 +22,10 @@ let default_live =
   {
     epoch_interval = 25.0;
     reconcile_interval = 5.0;
-    push_backoff = 2.0;
-    (* High enough that the six-retry ladder (2,4,...,64) is
-       never clipped: the cap only bites configs that raise the base. *)
-    push_backoff_cap = 120.0;
     replicas = 1;
-    quorum = Quorum.Majority;
-    replica_routers = None;
     sweep_period = None;
     warm_start = false;
   }
-
-(* The retry ladder every control-plane chain (config push, proposal,
-   commit notice) climbs: exponential from [push_backoff], clipped at
-   [push_backoff_cap]. *)
-let push_backoff_delay (l : live_config) ~attempt =
-  Float.min (l.push_backoff *. (2.0 ** float_of_int attempt)) l.push_backoff_cap
 
 (* Model constants no experiment varies. *)
 let link_delay = 0.1 (* per router hop *)
@@ -49,6 +33,11 @@ let cache_timeout = 1e9 (* flow-cache soft state never expires *)
 let ctrl_retry_timeout = 5.0 (* label-control retransmission timer *)
 let ctrl_max_retries = 3 (* label-control retransmissions per message *)
 let push_max_retries = 6 (* config-push retries before reconciliation *)
+let push_backoff = 2.0 (* first retry delay of every control-plane ladder *)
+
+(* The retry ladder every control-plane chain (config push, sweep
+   visit, proposal, commit notice) climbs: 2, 4, ..., 64. *)
+let backoff_delay ~attempt = push_backoff *. (2.0 ** float_of_int attempt)
 
 type config = {
   label_switching : bool;
@@ -56,10 +45,8 @@ type config = {
   start_window : float;
   seed : int;
   service_rate : float;
-  label_timeout : float;
   wp_cache_hit_ratio : float;
   cache_capacity : int option;
-  ecmp : bool;
   faults : Fault.Schedule.t option;
   detection_delay : float;
   failover : bool;
@@ -75,10 +62,8 @@ let default_config =
     start_window = 50.0;
     seed = 99;
     service_rate = infinity;
-    label_timeout = infinity;
     wp_cache_hit_ratio = 0.0;
     cache_capacity = None;
-    ecmp = false;
     faults = None;
     detection_delay = 10.0;
     failover = true;
@@ -87,124 +72,79 @@ let default_config =
     debug_bypass_chain = None;
   }
 
+(* The run counts straight into its result: the fields the run
+   increments are mutable, the derived ones are filled in at the end. *)
 type stats = {
   loads : float array;
-  injected_packets : int;
-  delivered_packets : int;
-  dropped_packets : int;
-  control_packets : int;
-  multi_field_lookups : int;
-  cache_hits : int;
-  cache_negative_hits : int;
-  tunneled_packets : int;
-  label_switched_packets : int;
-  fragments_created : int;
-  router_hops : int;
+  mutable injected_packets : int;
+  mutable delivered_packets : int;
+  mutable dropped_packets : int;
+  mutable control_packets : int;
+  mutable multi_field_lookups : int;
+  mutable cache_hits : int;
+  mutable cache_negative_hits : int;
+  mutable tunneled_packets : int;
+  mutable label_switched_packets : int;
+  mutable fragments_created : int;
+  mutable router_hops : int;
   sim_time : float;
   latency_mean : float;  (* 0.0 when nothing was delivered *)
   latency_p50 : float;
   latency_p99 : float;
-  label_misses : int;    (* label-switched packets hitting an expired entry *)
-  teardowns : int;       (* teardown notifications back to proxies *)
-  wp_cache_served : int; (* requests answered from the web proxy's cache *)
+  mutable label_misses : int; (* label-switched packets finding no entry *)
+  mutable teardowns : int;    (* teardown notifications back to proxies *)
+  mutable wp_cache_served : int; (* requests answered from the WP's cache *)
   cache_evictions : int; (* capacity-forced LRU evictions across all caches *)
   events_scheduled : int; (* engine events created over the whole run *)
   events_processed : int; (* engine events fired over the whole run *)
-  policy_violations : int; (* enforced packets that escaped their chain *)
-  fault_dropped : int;   (* packets lost to injected faults *)
-  control_retries : int; (* control-packet retransmissions *)
-  control_lost : int;    (* control-packet transmissions lost to faults *)
-  last_violation_time : float; (* time of the last policy violation, 0 if none *)
+  mutable policy_violations : int; (* enforced packets escaping their chain *)
+  mutable fault_dropped : int;   (* packets lost to injected faults *)
+  mutable control_retries : int; (* control-packet retransmissions *)
+  mutable control_lost : int;    (* control transmissions lost to faults *)
+  mutable last_violation_time : float; (* last policy violation, 0 if none *)
   (* Live control plane (all 0 / all-zero arrays when [live = None]). *)
-  config_pushes : int;   (* config-push transmissions, retries included *)
-  config_acks : int;     (* install acknowledgements the controller got *)
-  config_lost : int;     (* config/ack transmissions lost to faults *)
-  config_bytes : int;    (* bytes of configuration put on the wire *)
-  reoptimizations : int; (* configuration versions published *)
-  config_degraded : int; (* re-optimizations or pushes abandoned: partition,
-                            LP failure, or mixed-version verification veto *)
+  mutable config_pushes : int;   (* config-push transmissions, with retries *)
+  mutable config_acks : int;     (* install acks the controller got *)
+  mutable config_lost : int;     (* config/ack transmissions lost to faults *)
+  mutable config_bytes : int;    (* bytes of configuration put on the wire *)
+  mutable reoptimizations : int; (* configuration versions published *)
+  mutable config_degraded : int;
+      (* re-optimizations or pushes abandoned: partition, LP failure,
+         or mixed-version verification veto *)
   final_config_version : int;
   stale_devices : int;   (* devices below the final version at run end *)
   entity_control_retries : int array; (* per device: proxies, then mboxes *)
   entity_control_lost : int array;
   entity_config_version : int array;
-  (* Replicated control plane (all 0 / empty when [replicas = 1] the
-     counters still run — the single replica plays a one-acceptor
-     quorum — but no quorum traffic ever hits the wire). *)
-  quorum_rounds : int;     (* propose/accept/commit rounds started *)
-  quorum_commits : int;    (* rounds that reached quorum and committed *)
-  quorum_aborts : int;     (* rounds abandoned: no quorum, or superseded *)
-  quorum_msgs : int;       (* proposal/vote/commit-notice transmissions *)
-  quorum_lost : int;       (* of those, lost to the control channel *)
-  leader_changes : int;    (* re-elections after a leader crash *)
+  (* Replicated control plane (with [replicas = 1] the counters still
+     run — the single replica plays a one-acceptor quorum — but no
+     quorum traffic ever hits the wire). *)
+  mutable quorum_rounds : int;  (* propose/accept/commit rounds started *)
+  mutable quorum_commits : int; (* rounds that reached quorum and committed *)
+  mutable quorum_aborts : int;  (* rounds abandoned: no quorum, or superseded *)
+  mutable quorum_msgs : int;    (* proposal/vote/commit-notice transmissions *)
+  mutable quorum_lost : int;    (* of those, lost to the control channel *)
+  mutable leader_changes : int; (* re-elections after a leader crash *)
   replica_versions : int array; (* per replica: highest committed version *)
   (* Silent state corruption and the anti-entropy sweep (all 0 when the
      schedule has no corruption events / [sweep_period = None]). *)
-  corruptions_injected : int;  (* corruption events that found a target *)
-  corruptions_manifested : int; (* of those, ones the data plane ever used *)
-  corruptions_detected : int;  (* digest mismatches the sweep found *)
-  corruptions_repaired : int;  (* corruptions resolved (purge/rebase/re-push) *)
-  sweep_rounds : int;      (* sweep rounds started *)
-  sweep_msgs : int;        (* digest query/reply transmissions *)
-  sweep_lost : int;        (* of those, lost to the control channel *)
-  sweep_bytes : int;       (* repair-traffic overhead on the wire *)
-  repair_window_mean : float; (* mean inject-to-repair time, 0 if none *)
-  repair_window_max : float;
+  mutable corruptions_injected : int;   (* events that found a target *)
+  mutable corruptions_manifested : int; (* of those, ones the data plane used *)
+  mutable corruptions_detected : int;   (* digest mismatches the sweep found *)
+  mutable corruptions_repaired : int;   (* resolved: purge/rebase/re-push *)
+  mutable sweep_rounds : int;  (* sweep rounds started *)
+  mutable sweep_msgs : int;    (* digest query/reply transmissions *)
+  mutable sweep_lost : int;    (* of those, lost to the control channel *)
+  mutable sweep_bytes : int;   (* repair-traffic overhead on the wire *)
+  repair_window_mean : float;  (* mean inject-to-repair time, 0 if none *)
+  mutable repair_window_max : float;
   (* Incremental re-optimization (all 0 when [live = None]; warm/
      fallback are 0 unless [warm_start] was on). *)
-  reopt_pivots : int;     (* simplex pivots across all in-run re-solves *)
-  reopt_phase1_pivots : int; (* of those, phase-1 (cold-path) pivots *)
-  reopt_warm_used : int;  (* re-solves the previous basis carried *)
-  reopt_fallback : int;   (* warm attempts that fell back cold *)
+  mutable reopt_pivots : int;        (* simplex pivots, all in-run re-solves *)
+  mutable reopt_phase1_pivots : int; (* of those, phase-1 (cold-path) pivots *)
+  mutable reopt_warm_used : int;     (* re-solves the previous basis carried *)
+  mutable reopt_fallback : int;      (* warm attempts that fell back cold *)
   audit_report : Audit.Checker.report option; (* None unless [config.audit] *)
-}
-
-type counters = {
-  mutable injected : int;
-  mutable delivered : int;
-  mutable dropped : int;
-  mutable control : int;
-  mutable lookups : int;
-  mutable cache_hits : int;
-  mutable cache_negative_hits : int;
-  mutable tunneled : int;
-  mutable label_switched : int;
-  mutable fragments : int;
-  mutable hops : int;
-  mutable label_misses : int;
-  mutable teardowns : int;
-  mutable wp_served : int;
-  mutable violations : int;
-  mutable fault_dropped : int;
-  mutable retries : int;
-  mutable ctrl_lost : int;
-  mutable last_violation : float;
-  mutable cfg_pushes : int;
-  mutable cfg_acks : int;
-  mutable cfg_lost : int;
-  mutable cfg_bytes : int;
-  mutable reopts : int;
-  mutable cfg_degraded : int;
-  mutable q_rounds : int;
-  mutable q_commits : int;
-  mutable q_aborts : int;
-  mutable q_msgs : int;
-  mutable q_lost : int;
-  mutable elections : int;
-  mutable corrupt_injected : int;
-  mutable corrupt_manifested : int;
-  mutable corrupt_detected : int;
-  mutable corrupt_repaired : int;
-  mutable sweep_rounds : int;
-  mutable sweep_msgs : int;
-  mutable sweep_lost : int;
-  mutable sweep_bytes : int;
-  mutable repair_sum : float;
-  mutable repair_max : float;
-  mutable reopt_pivots : int;
-  mutable reopt_phase1 : int;
-  mutable reopt_warm : int;
-  mutable reopt_fallback : int;
 }
 
 (* Messages on the wire: ordinary data packets, or the control packet
@@ -215,8 +155,9 @@ type msg =
   | Data of Netpkt.Packet.t * float * int (* packet, injection time, aid *)
   | Control of { dst : Netpkt.Addr.t; flow : Netpkt.Flow.t }
   | Teardown of { dst : Netpkt.Addr.t; label : int }
-      (* an expired label-switched path: the proxy must fall back to
-         IP-over-IP and re-establish *)
+      (* a label-switched path lost its entry downstream (crash-wiped
+         or corrupted): the proxy must fall back to IP-over-IP and
+         re-establish *)
 
 (* Where a destination address lives: the attachment router plus the
    endpoint to hand the message to on arrival. *)
@@ -250,6 +191,7 @@ type corrupt_state = {
   config_sites : (int, int) Hashtbl.t;
   graveyard : (Mbox.Label_table.key * Mbox.Label_table.entry) list array;
   want_graveyard : bool;
+  mutable repair_sum : float; (* summed inject-to-repair windows *)
 }
 
 (* Live fault machinery for a run with a schedule: the ground-truth /
@@ -299,16 +241,13 @@ type world = {
   dep : Sdm.Deployment.t;
   engine : Dess.Engine.t;
   mutable tables : Netgraph.Routing.table array;
-  mutable ecmp_tables : Netgraph.Routing.ecmp_table array option;
   fault : fault_state option;
   live : live_state option;
-  counters : counters;
-  (* Per-device control-channel accounting (satellite of the live
-     control plane, but maintained for static runs too): label
-     establishment/teardown retransmissions are attributed to the
-     sending middlebox, config pushes to the target device. *)
-  entity_ctrl_retries : int array;
-  entity_ctrl_lost : int array;
+  (* The run's counters.  Per-device control-channel accounting is
+     maintained for static runs too: label establishment/teardown
+     retransmissions are attributed to the sending middlebox, config
+     pushes to the target device. *)
+  stats : stats;
   latencies : Stdx.Fvec.t; (* delivered-packet end-to-end times *)
   busy_until : float array; (* per-middlebox FIFO server horizon *)
   loads : float array;
@@ -339,8 +278,10 @@ type world = {
 (* A packet of an enforced flow escaped its middlebox chain — the
    dependability metric ABL-CHAOS sweeps. *)
 let policy_violation w =
-  w.counters.violations <- w.counters.violations + 1;
-  w.counters.last_violation <- Dess.Engine.now w.engine
+  w.stats.policy_violations <- w.stats.policy_violations + 1;
+  w.stats.last_violation_time <- Dess.Engine.now w.engine
+
+let bump counts i = counts.(i) <- counts.(i) + 1
 
 let mbox_is_down w id =
   match w.fault with
@@ -388,7 +329,7 @@ let register_corruption w cs ~dev ~kind ~site =
   | Audit.Event.Cache_site { proxy; flow } ->
     Hashtbl.replace cs.cache_sites (proxy, flow) cid
   | Audit.Event.Config_site { dev } -> Hashtbl.replace cs.config_sites dev cid);
-  w.counters.corrupt_injected <- w.counters.corrupt_injected + 1;
+  w.stats.corruptions_injected <- w.stats.corruptions_injected + 1;
   audit_emit w (fun () ->
       Audit.Event.Corrupt_inject
         { time = now; cid; kind; site;
@@ -405,7 +346,7 @@ let manifest_corruption w cs ~cid ~aid =
     let first = not r.cr_manifested in
     if first then begin
       r.cr_manifested <- true;
-      w.counters.corrupt_manifested <- w.counters.corrupt_manifested + 1
+      w.stats.corruptions_manifested <- w.stats.corruptions_manifested + 1
     end;
     if aid >= 0 || first then
       audit_emit w (fun () ->
@@ -420,9 +361,10 @@ let resolve_corruption w cs ~dev ~action r =
     r.cr_repaired <- true;
     let now = Dess.Engine.now w.engine in
     let window = now -. r.cr_injected_at in
-    w.counters.corrupt_repaired <- w.counters.corrupt_repaired + 1;
-    w.counters.repair_sum <- w.counters.repair_sum +. window;
-    if window > w.counters.repair_max then w.counters.repair_max <- window;
+    w.stats.corruptions_repaired <- w.stats.corruptions_repaired + 1;
+    cs.repair_sum <- cs.repair_sum +. window;
+    if window > w.stats.repair_window_max then
+      w.stats.repair_window_max <- window;
     (match r.cr_site with
     | Audit.Event.Label_site { mbox; src; label } ->
       Hashtbl.remove cs.label_sites (mbox, src, label)
@@ -513,8 +455,9 @@ let note_label_hit w ~mbox ~src ~label ~aid =
     | None -> ())
 
 (* A label miss at the site of a silently dropped entry: the packet of
-   an established path is lost unenforced, which a mere expiry never
-   does (expiry tears the path down end-to-end). *)
+   an established path is lost unenforced, a policy violation.  A miss
+   anywhere else (a table a crash wiped) is a plain drop plus a
+   teardown. *)
 let note_label_miss w ~mbox ~src ~label ~aid =
   match corrupt_of w with
   | None -> ()
@@ -606,8 +549,8 @@ let control_loss_draw w =
   | _ -> false
 
 let drop_to_fault w =
-  w.counters.dropped <- w.counters.dropped + 1;
-  w.counters.fault_dropped <- w.counters.fault_dropped + 1
+  w.stats.dropped_packets <- w.stats.dropped_packets + 1;
+  w.stats.fault_dropped <- w.stats.fault_dropped + 1
 
 let resolve w addr =
   match Hashtbl.find_opt w.mbox_index addr with
@@ -634,7 +577,7 @@ let note_fragments w = function
         (Netpkt.Packet.size pkt)
       - 1
     in
-    w.counters.fragments <- w.counters.fragments + extra;
+    w.stats.fragments_created <- w.stats.fragments_created + extra;
     if extra > 0 then
       audit_emit w (fun () ->
           Audit.Event.Fragmented
@@ -661,21 +604,21 @@ let wp_serves_from_cache w (mb : Mbox.Middlebox.t) ~src ~label ~flow_hash =
 (* The cached response: modelled as immediate delivery back to the
    client (the reverse path carries no policy work in our classes). *)
 let serve_from_cache w ~born ~aid ~mbox =
-  w.counters.wp_served <- w.counters.wp_served + 1;
-  w.counters.delivered <- w.counters.delivered + 1;
+  w.stats.wp_cache_served <- w.stats.wp_cache_served + 1;
+  w.stats.delivered_packets <- w.stats.delivered_packets + 1;
   Stdx.Fvec.push w.latencies (Dess.Engine.now w.engine -. born);
   audit_emit w (fun () ->
       Audit.Event.Wp_served { aid; time = Dess.Engine.now w.engine; mbox })
 
 (* Hop fast-forwarding: the routers between two policy decision points
-   are policy-oblivious and their tables (and ECMP hash choices) are
-   fixed for the whole run, so transit is fully deterministic.  Instead
-   of paying one event-queue cycle per router hop, walk the tables
-   inline here and schedule a single arrival event at the segment's
-   endpoint.  The arrival time accumulates [link_delay] by repeated
-   addition — the same float operations the per-hop event cascade
-   performed — so every timestamp, and hence every statistic, is
-   bit-identical to per-hop execution. *)
+   are policy-oblivious and their tables are fixed between topology
+   changes, so transit is fully deterministic.  Instead of paying one
+   event-queue cycle per router hop, walk the tables inline here and
+   schedule a single arrival event at the segment's endpoint.  The
+   arrival time accumulates [link_delay] by repeated addition — the
+   same float operations the per-hop event cascade performed — so every
+   timestamp, and hence every statistic, is bit-identical to per-hop
+   execution. *)
 let rec send w ~from_router msg =
   note_fragments w msg;
   let audit_drop reason =
@@ -685,7 +628,7 @@ let rec send w ~from_router msg =
   in
   match resolve w (msg_dst msg) with
   | None ->
-    w.counters.dropped <- w.counters.dropped + 1;
+    w.stats.dropped_packets <- w.stats.dropped_packets + 1;
     audit_drop Audit.Event.Unroutable
   | Some (target_router, endpoint) ->
     let rec walk router time =
@@ -700,9 +643,9 @@ let rec send w ~from_router msg =
                (fun _ -> deliver w endpoint msg))
       end
       else
-        match next_hop_for w ~router ~target_router msg with
+        match Netgraph.Routing.next_hop w.tables.(router) target_router with
         | None ->
-          w.counters.dropped <- w.counters.dropped + 1;
+          w.stats.dropped_packets <- w.stats.dropped_packets + 1;
           audit_drop Audit.Event.Unroutable
         | Some hop ->
           if link_lost w msg then begin
@@ -710,34 +653,11 @@ let rec send w ~from_router msg =
             audit_drop Audit.Event.Link_loss
           end
           else begin
-            w.counters.hops <- w.counters.hops + 1;
+            w.stats.router_hops <- w.stats.router_hops + 1;
             walk hop (time +. link_delay)
           end
     in
     walk from_router (Dess.Engine.now w.engine)
-
-(* With ECMP enabled, routers spread flows over every shortest-path
-   next hop by hashing stable header fields (plus the router id, so
-   consecutive routers choose independently). *)
-and next_hop_for w ~router ~target_router msg =
-  match w.ecmp_tables with
-  | None -> Netgraph.Routing.next_hop w.tables.(router) target_router
-  | Some ecmp -> (
-    match ecmp.(router).(target_router) with
-    | [||] -> None
-    | [| hop |] -> Some hop
-    | hops ->
-      let h =
-        match msg with
-        | Data (pkt, _, _) ->
-          let hd = pkt.Netpkt.Packet.header in
-          Stdx.Xhash.combine5 router hd.Netpkt.Header.src
-            hd.Netpkt.Header.dst hd.Netpkt.Header.sport
-            hd.Netpkt.Header.dport
-        | Control { dst; _ } | Teardown { dst; _ } ->
-          Stdx.Xhash.combine2 router dst
-      in
-      Some hops.(Stdx.Xhash.to_range h (Array.length hops)))
 
 (* Control-plane reliability (Sec. III.E under faults): label
    establishment and teardown notifications are retransmitted on a
@@ -753,11 +673,11 @@ and control_attempt w ~from_router ~sender ~retries_left msg =
   let lost = control_loss_draw w in
   if not lost then send w ~from_router msg
   else begin
-    w.counters.ctrl_lost <- w.counters.ctrl_lost + 1;
-    w.entity_ctrl_lost.(sender) <- w.entity_ctrl_lost.(sender) + 1;
+    w.stats.control_lost <- w.stats.control_lost + 1;
+    bump w.stats.entity_control_lost sender;
     if retries_left > 0 then begin
-      w.counters.retries <- w.counters.retries + 1;
-      w.entity_ctrl_retries.(sender) <- w.entity_ctrl_retries.(sender) + 1;
+      w.stats.control_retries <- w.stats.control_retries + 1;
+      bump w.stats.entity_control_retries sender;
       ignore
         (Dess.Engine.schedule w.engine ~delay:ctrl_retry_timeout (fun _ ->
              control_attempt w ~from_router ~sender
@@ -771,7 +691,7 @@ and deliver w endpoint msg =
     (* Arrived in its stub network.  Encapsulated packets must not
        reach subnets; plain ones are final deliveries. *)
     if Netpkt.Packet.is_encapsulated pkt then begin
-      w.counters.dropped <- w.counters.dropped + 1;
+      w.stats.dropped_packets <- w.stats.dropped_packets + 1;
       audit_emit w (fun () ->
           Audit.Event.Dropped
             { aid;
@@ -780,7 +700,7 @@ and deliver w endpoint msg =
     end
     else begin
       ignore proxy_id;
-      w.counters.delivered <- w.counters.delivered + 1;
+      w.stats.delivered_packets <- w.stats.delivered_packets + 1;
       Stdx.Fvec.push w.latencies (Dess.Engine.now w.engine -. born);
       audit_emit w (fun () ->
           Audit.Event.Delivered
@@ -789,15 +709,15 @@ and deliver w endpoint msg =
               bytes = Netpkt.Packet.size pkt })
     end
   | To_subnet proxy_id, Control { flow; _ } ->
-    w.counters.control <- w.counters.control + 1;
+    w.stats.control_packets <- w.stats.control_packets + 1;
     ignore (Policy.Flow_cache.mark_ls_ready w.proxy_caches.(proxy_id) flow);
     audit_emit w (fun () ->
         Audit.Event.Ls_confirm
           { proxy = proxy_id; time = Dess.Engine.now w.engine; flow })
   | To_subnet proxy_id, Teardown { label; _ } -> (
-    (* A downstream label entry expired: drop back to IP-over-IP until
+    (* A downstream label entry is gone: drop back to IP-over-IP until
        a fresh first packet re-establishes the path. *)
-    w.counters.teardowns <- w.counters.teardowns + 1;
+    w.stats.teardowns <- w.stats.teardowns + 1;
     audit_emit w (fun () ->
         Audit.Event.Ls_teardown
           { proxy = proxy_id; time = Dess.Engine.now w.engine; label });
@@ -822,7 +742,7 @@ and deliver w endpoint msg =
              mbox_receive w id pkt ~born ~aid))
     end
   | To_mbox _, (Control _ | Teardown _) ->
-    w.counters.dropped <- w.counters.dropped + 1;
+    w.stats.dropped_packets <- w.stats.dropped_packets + 1;
     audit_emit w (fun () ->
         Audit.Event.Dropped
           { aid = -1;
@@ -838,13 +758,13 @@ and mbox_actions w id flow =
   let cache = w.mbox_caches.(id) in
   match Policy.Flow_cache.lookup cache ~now flow with
   | Some { actions = Some a; rule_id; _ } ->
-    w.counters.cache_hits <- w.counters.cache_hits + 1;
+    w.stats.cache_hits <- w.stats.cache_hits + 1;
     Some (a, rule_id)
   | Some { actions = None; _ } ->
-    w.counters.cache_negative_hits <- w.counters.cache_negative_hits + 1;
+    w.stats.cache_negative_hits <- w.stats.cache_negative_hits + 1;
     None
   | None -> (
-    w.counters.lookups <- w.counters.lookups + 1;
+    w.stats.multi_field_lookups <- w.stats.multi_field_lookups + 1;
     match Policy.Trie.first_match w.mbox_match.(id) flow with
     | None ->
       ignore (Policy.Flow_cache.insert_negative cache ~now flow);
@@ -874,7 +794,7 @@ and mbox_process w id pkt ~born ~aid =
   match Netpkt.Packet.decapsulate pkt with
   | Some inner -> (
     (* Tunnelled leg: strip the outer header, apply the function. *)
-    w.counters.tunneled <- w.counters.tunneled + 1;
+    w.stats.tunneled_packets <- w.stats.tunneled_packets + 1;
     w.loads.(id) <- w.loads.(id) +. 1.0;
     audit_emit w (fun () ->
         Audit.Event.Enforced
@@ -905,7 +825,7 @@ and mbox_process w id pkt ~born ~aid =
         | Error `No_live_candidate ->
           (* Every candidate for the rest of the chain is believed
              dead: degrade gracefully by dropping just this packet. *)
-          w.counters.dropped <- w.counters.dropped + 1;
+          w.stats.dropped_packets <- w.stats.dropped_packets + 1;
           audit_emit w (fun () ->
               Audit.Event.Dropped
                 { aid;
@@ -971,7 +891,7 @@ and mbox_process w id pkt ~born ~aid =
     (* No outer header: a label-switched packet addressed to us. *)
     match pkt.Netpkt.Packet.header.Netpkt.Header.label with
     | None ->
-      w.counters.dropped <- w.counters.dropped + 1;
+      w.stats.dropped_packets <- w.stats.dropped_packets + 1;
       audit_emit w (fun () ->
           Audit.Event.Dropped
             { aid;
@@ -986,11 +906,11 @@ and mbox_process w id pkt ~born ~aid =
           ~src:pkt.Netpkt.Packet.header.Netpkt.Header.src ~label:l
       with
       | None ->
-        (* Expired (or never-installed) path: the packet cannot be
+        (* Crash-wiped (or never-installed) path: the packet cannot be
            forwarded — its original destination is unknown here — but
            the proxy is told to re-establish. *)
-        w.counters.dropped <- w.counters.dropped + 1;
-        w.counters.label_misses <- w.counters.label_misses + 1;
+        w.stats.dropped_packets <- w.stats.dropped_packets + 1;
+        w.stats.label_misses <- w.stats.label_misses + 1;
         audit_emit w (fun () ->
             Audit.Event.Dropped
               { aid;
@@ -1008,7 +928,7 @@ and mbox_process w id pkt ~born ~aid =
             (Teardown { dst = p.Mbox.Proxy.addr; label = l })
         | None -> () (* orphaned source: nothing to notify *))
       | Some entry ->
-        w.counters.label_switched <- w.counters.label_switched + 1;
+        w.stats.label_switched_packets <- w.stats.label_switched_packets + 1;
         w.loads.(id) <- w.loads.(id) +. 1.0;
         audit_emit w (fun () ->
             Audit.Event.Label_hit
@@ -1085,7 +1005,7 @@ let proxy_emit w (fs : Workload.flow_spec) ~aid =
       | Error `No_live_candidate ->
         (* Nowhere alive to start the chain: degrade gracefully by
            dropping the packet instead of aborting the run. *)
-        w.counters.dropped <- w.counters.dropped + 1;
+        w.stats.dropped_packets <- w.stats.dropped_packets + 1;
         audit_emit w (fun () ->
             Audit.Event.Dropped
               { aid; time = now; reason = Audit.Event.No_candidate });
@@ -1115,14 +1035,14 @@ let proxy_emit w (fs : Workload.flow_spec) ~aid =
   in
   match Policy.Flow_cache.lookup cache ~now flow with
   | Some { actions = Some a; rule_id; _ } when Policy.Action.is_permit a ->
-    w.counters.cache_hits <- w.counters.cache_hits + 1;
+    w.stats.cache_hits <- w.stats.cache_hits + 1;
     audit_admit
       ~admission:(Audit.Event.Permit (Some rule_id))
       ~version:(installed_version w entity) ~label:None;
     note_cache_bypass w ~proxy:proxy_id ~flow ~aid;
     send w ~from_router:proxy.Mbox.Proxy.router (Data (plain, now, aid))
   | Some ({ actions = Some _; rule_id; label; cfg_version; _ } as entry) ->
-    w.counters.cache_hits <- w.counters.cache_hits + 1;
+    w.stats.cache_hits <- w.stats.cache_hits + 1;
     note_traffic w fs ~rule_id;
     let rule = Hashtbl.find w.rule_by_id rule_id in
     let ls_path = entry.Policy.Flow_cache.ls_ready && w.cfg.label_switching in
@@ -1139,7 +1059,7 @@ let proxy_emit w (fs : Workload.flow_spec) ~aid =
       let nf = List.hd rule.Policy.Rule.actions in
       match controller_next_hop w ~admitted:cfg_version entity ~rule ~nf flow with
       | Error `No_live_candidate ->
-        w.counters.dropped <- w.counters.dropped + 1;
+        w.stats.dropped_packets <- w.stats.dropped_packets + 1;
         audit_emit w (fun () ->
             Audit.Event.Dropped
               { aid; time = now; reason = Audit.Event.No_candidate });
@@ -1165,13 +1085,13 @@ let proxy_emit w (fs : Workload.flow_spec) ~aid =
     end
     else tunnel_first ~rule ~label ~admitted:cfg_version
   | Some { actions = None; _ } ->
-    w.counters.cache_negative_hits <- w.counters.cache_negative_hits + 1;
+    w.stats.cache_negative_hits <- w.stats.cache_negative_hits + 1;
     audit_admit ~admission:Audit.Event.Unmatched
       ~version:(installed_version w entity) ~label:None;
     note_cache_bypass w ~proxy:proxy_id ~flow ~aid;
     send w ~from_router:proxy.Mbox.Proxy.router (Data (plain, now, aid))
   | None -> (
-    w.counters.lookups <- w.counters.lookups + 1;
+    w.stats.multi_field_lookups <- w.stats.multi_field_lookups + 1;
     match Policy.Trie.first_match w.proxy_match.(proxy_id) flow with
     | None ->
       ignore (Policy.Flow_cache.insert_negative cache ~now flow);
@@ -1214,16 +1134,9 @@ let proxy_emit w (fs : Workload.flow_spec) ~aid =
 (* ---- Fault-schedule execution ----------------------------------- *)
 
 (* A mid-run topology change: swap in the OSPF session's reconverged
-   tables (and, under ECMP, equal-cost tables recomputed on the
-   surviving graph).  In-flight segments already scheduled keep their
-   old paths — they were committed to the wire before the change. *)
-let refresh_tables w session =
-  w.tables <- Ospf.Session.tables session;
-  match w.ecmp_tables with
-  | None -> ()
-  | Some _ ->
-    w.ecmp_tables <-
-      Some (Netgraph.Routing.build_all_ecmp (Ospf.Session.surviving_graph session))
+   tables.  In-flight segments already scheduled keep their old paths —
+   they were committed to the wire before the change. *)
+let refresh_tables w session = w.tables <- Ospf.Session.tables session
 
 (* ---- Silent-corruption injection -------------------------------- *)
 
@@ -1363,8 +1276,7 @@ let apply_fault w f what =
     w.mbox_caches.(id) <-
       Policy.Flow_cache.create ~timeout:cache_timeout
         ?capacity:w.cfg.cache_capacity ();
-    w.mbox_labels.(id) <-
-      Mbox.Label_table.create ~timeout:w.cfg.label_timeout ();
+    w.mbox_labels.(id) <- Mbox.Label_table.create ();
     w.busy_until.(id) <- now;
     (match f.corrupt with
     | None -> ()
@@ -1438,9 +1350,7 @@ let apply_fault w f what =
 
 (* Hop count from the controller's attachment router to a device,
    walking the *current* routing tables (so a partition shows up as
-   None, and a reconverged detour is priced at its real length).
-   Control traffic rides shortest paths even under ECMP — per-packet
-   spraying buys nothing for a unicast config push. *)
+   None, and a reconverged detour is priced at its real length). *)
 let route_hops w ~from ~target =
   if from = target then Some 0
   else begin
@@ -1520,19 +1430,19 @@ let rec push_config w ls ~dev ~version ~attempt =
       (* The controller is partitioned from the device: no retry timer
          helps until routing heals.  The device keeps its last-known-
          good configuration; reconciliation re-pushes later. *)
-      w.counters.cfg_degraded <- w.counters.cfg_degraded + 1
+      w.stats.config_degraded <- w.stats.config_degraded + 1
     | Some h ->
-      w.counters.cfg_pushes <- w.counters.cfg_pushes + 1;
-      w.counters.cfg_bytes <-
-        w.counters.cfg_bytes
+      w.stats.config_pushes <- w.stats.config_pushes + 1;
+      w.stats.config_bytes <-
+        w.stats.config_bytes
         + Controlplane.entity_bytes ls.configs.(version) entity;
       let one_way = float_of_int (h + 1) *. link_delay in
       let retry () =
         if attempt < push_max_retries then begin
-          w.entity_ctrl_retries.(dev) <- w.entity_ctrl_retries.(dev) + 1;
-          let delay = push_backoff_delay ls.lcfg ~attempt in
+          bump w.stats.entity_control_retries dev;
           ignore
-            (Dess.Engine.schedule w.engine ~delay (fun _ ->
+            (Dess.Engine.schedule w.engine ~delay:(backoff_delay ~attempt)
+               (fun _ ->
                  push_config w ls ~dev ~version ~attempt:(attempt + 1)))
         end
       in
@@ -1543,8 +1453,8 @@ let rec push_config w ls ~dev ~version ~attempt =
         | Mbox.Entity.Proxy _ -> false
       in
       if fwd_lost || target_down then begin
-        w.counters.cfg_lost <- w.counters.cfg_lost + 1;
-        w.entity_ctrl_lost.(dev) <- w.entity_ctrl_lost.(dev) + 1;
+        w.stats.config_lost <- w.stats.config_lost + 1;
+        bump w.stats.entity_control_lost dev;
         retry ()
       end
       else begin
@@ -1553,8 +1463,8 @@ let rec push_config w ls ~dev ~version ~attempt =
                install_config w ls ~dev ~version));
         let ack_lost = control_loss_draw w in
         if ack_lost then begin
-          w.counters.cfg_lost <- w.counters.cfg_lost + 1;
-          w.entity_ctrl_lost.(dev) <- w.entity_ctrl_lost.(dev) + 1;
+          w.stats.config_lost <- w.stats.config_lost + 1;
+          bump w.stats.entity_control_lost dev;
           retry ()
         end
         else
@@ -1562,7 +1472,7 @@ let rec push_config w ls ~dev ~version ~attempt =
             (Dess.Engine.schedule w.engine ~delay:(2.0 *. one_way) (fun _ ->
                  if version > ls.device_acked.(dev) then begin
                    ls.device_acked.(dev) <- version;
-                   w.counters.cfg_acks <- w.counters.cfg_acks + 1
+                   w.stats.config_acks <- w.stats.config_acks + 1
                  end))
       end
   end
@@ -1581,14 +1491,14 @@ let sweep_reply_bytes = 24
    window (resurrections), and rebase the digest so silently dropped
    entries stop haunting it.  Each purged site's corruption is
    resolved; whatever registered corruption remains at this device
-   afterwards no longer has any state to find (expired, evicted, or
+   afterwards no longer has any state to find (purged, evicted, or
    crashed away) and is retired as rebased. *)
 let sweep_check w ~dev =
   match corrupt_of w with
   | None -> ()
   | Some cs ->
     let detect () =
-      w.counters.corrupt_detected <- w.counters.corrupt_detected + 1;
+      w.stats.corruptions_detected <- w.stats.corruptions_detected + 1;
       audit_emit w (fun () ->
           Audit.Event.Corrupt_detect { time = Dess.Engine.now w.engine; dev })
     in
@@ -1660,10 +1570,9 @@ let sweep_reply w ls ~dev =
   end
 
 (* Visit one device: query and report ride the same lossy control
-   channel as config pushes, with the same capped-backoff retry
-   ladder.  The query reaching the device is what triggers the local
-   scrub; losing only the report costs the version check, not the
-   repair of soft state. *)
+   channel as config pushes, with the same retry ladder.  The query
+   reaching the device is what triggers the local scrub; losing only
+   the report costs the version check, not the repair of soft state. *)
 let rec sweep_device w ls ~dev ~attempt =
   if ls.replica_up.(ls.leader) then begin
     let entity = dev_entity w dev in
@@ -1672,39 +1581,39 @@ let rec sweep_device w ls ~dev ~attempt =
     | None ->
       (* Partitioned: no retry timer helps until routing heals; the
          next round revisits. *)
-      w.counters.cfg_degraded <- w.counters.cfg_degraded + 1
+      w.stats.config_degraded <- w.stats.config_degraded + 1
     | Some h ->
       let one_way = float_of_int (h + 1) *. link_delay in
       let retry () =
         if attempt < push_max_retries then begin
-          w.entity_ctrl_retries.(dev) <- w.entity_ctrl_retries.(dev) + 1;
+          bump w.stats.entity_control_retries dev;
           ignore
             (Dess.Engine.schedule w.engine
-               ~delay:(push_backoff_delay ls.lcfg ~attempt) (fun _ ->
+               ~delay:(backoff_delay ~attempt) (fun _ ->
                  sweep_device w ls ~dev ~attempt:(attempt + 1)))
         end
       in
-      w.counters.sweep_msgs <- w.counters.sweep_msgs + 1;
-      w.counters.sweep_bytes <- w.counters.sweep_bytes + sweep_query_bytes;
+      w.stats.sweep_msgs <- w.stats.sweep_msgs + 1;
+      w.stats.sweep_bytes <- w.stats.sweep_bytes + sweep_query_bytes;
       let target_down =
         match entity with
         | Mbox.Entity.Middlebox id -> mbox_is_down w id
         | Mbox.Entity.Proxy _ -> false
       in
       if control_loss_draw w || target_down then begin
-        w.counters.sweep_lost <- w.counters.sweep_lost + 1;
-        w.entity_ctrl_lost.(dev) <- w.entity_ctrl_lost.(dev) + 1;
+        w.stats.sweep_lost <- w.stats.sweep_lost + 1;
+        bump w.stats.entity_control_lost dev;
         retry ()
       end
       else begin
         ignore
           (Dess.Engine.schedule w.engine ~delay:one_way (fun _ ->
                sweep_check w ~dev));
-        w.counters.sweep_msgs <- w.counters.sweep_msgs + 1;
-        w.counters.sweep_bytes <- w.counters.sweep_bytes + sweep_reply_bytes;
+        w.stats.sweep_msgs <- w.stats.sweep_msgs + 1;
+        w.stats.sweep_bytes <- w.stats.sweep_bytes + sweep_reply_bytes;
         if control_loss_draw w then begin
-          w.counters.sweep_lost <- w.counters.sweep_lost + 1;
-          w.entity_ctrl_lost.(dev) <- w.entity_ctrl_lost.(dev) + 1;
+          w.stats.sweep_lost <- w.stats.sweep_lost + 1;
+          bump w.stats.entity_control_lost dev;
           retry ()
         end
         else
@@ -1720,7 +1629,7 @@ let rec sweep_device w ls ~dev ~attempt =
    reconciliation loop uses as its safety valve. *)
 let rec sweep_round w ls ~period =
   if ls.replica_up.(ls.leader) then begin
-    w.counters.sweep_rounds <- w.counters.sweep_rounds + 1;
+    w.stats.sweep_rounds <- w.stats.sweep_rounds + 1;
     for dev = 0 to n_devices w - 1 do
       sweep_device w ls ~dev ~attempt:0
     done
@@ -1734,7 +1643,7 @@ let rec sweep_round w ls ~period =
         cs.records false
   in
   let now = Dess.Engine.now w.engine in
-  if (now < ls.horizon || outstanding) && w.counters.sweep_rounds < 10_000 then
+  if (now < ls.horizon || outstanding) && w.stats.sweep_rounds < 10_000 then
     ignore
       (Dess.Engine.schedule w.engine ~delay:period (fun _ ->
            sweep_round w ls ~period))
@@ -1750,7 +1659,7 @@ let quorum_n ls = Array.length ls.replica_up
 let publish_committed w ls next =
   ls.configs <- Array.append ls.configs [| next |];
   ls.latest <- ls.latest + 1;
-  w.counters.reopts <- w.counters.reopts + 1;
+  w.stats.reoptimizations <- w.stats.reoptimizations + 1;
   (match w.audit with
   | None -> ()
   | Some a ->
@@ -1763,8 +1672,8 @@ let publish_committed w ls next =
   done
 
 (* Spread a commit to one standby replica over the same lossy control
-   channel the config pushes ride, with the same capped-backoff retry
-   ladder.  [Acceptor.commit] is idempotent, so duplicates from retries
+   channel the config pushes ride, with the same retry ladder.
+   [Acceptor.commit] is idempotent, so duplicates from retries
    are harmless; a partitioned or crashed standby simply stays at its
    last-known-good commit until the reconciliation of a later round
    reaches it. *)
@@ -1779,18 +1688,18 @@ let rec commit_notice w ls ~replica ~version ~digest ~attempt =
     with
     | None -> () (* partitioned: no retry timer helps until routing heals *)
     | Some h ->
-      w.counters.q_msgs <- w.counters.q_msgs + 1;
+      w.stats.quorum_msgs <- w.stats.quorum_msgs + 1;
       let one_way = float_of_int (h + 1) *. link_delay in
       let retry () =
         if attempt < push_max_retries then
           ignore
             (Dess.Engine.schedule w.engine
-               ~delay:(push_backoff_delay ls.lcfg ~attempt) (fun _ ->
+               ~delay:(backoff_delay ~attempt) (fun _ ->
                  commit_notice w ls ~replica ~version ~digest
                    ~attempt:(attempt + 1)))
       in
       if control_loss_draw w || not ls.replica_up.(replica) then begin
-        w.counters.q_lost <- w.counters.q_lost + 1;
+        w.stats.quorum_lost <- w.stats.quorum_lost + 1;
         retry ()
       end
       else
@@ -1826,7 +1735,7 @@ let maybe_commit w ls r =
     Quorum.Round.mark_committed r;
     let version = Quorum.Round.version r in
     let digest = Quorum.Round.digest r in
-    w.counters.q_commits <- w.counters.q_commits + 1;
+    w.stats.quorum_commits <- w.stats.quorum_commits + 1;
     ignore (Quorum.Acceptor.commit ls.acceptors.(ls.leader) ~version ~digest);
     audit_emit w (fun () ->
         Audit.Event.Quorum_commit
@@ -1851,13 +1760,13 @@ let abandon_if_dead w ls r =
     && not (Quorum.Round.can_reach_quorum r)
   then begin
     Quorum.Round.mark_abandoned r;
-    w.counters.q_aborts <- w.counters.q_aborts + 1;
-    w.counters.cfg_degraded <- w.counters.cfg_degraded + 1;
+    w.stats.quorum_aborts <- w.stats.quorum_aborts + 1;
+    w.stats.config_degraded <- w.stats.config_degraded + 1;
     ls.pending <- None
   end
 
 (* Propose the round's candidate to one standby acceptor: proposal out,
-   vote back, both legs over the lossy control channel with the capped
+   vote back, both legs over the lossy control channel with the same
    retry ladder (mirrors [push_config]'s fwd/ack structure).  A refusal
    or exhausted retries loses this acceptor's vote for the round; a
    partition loses it immediately. *)
@@ -1870,7 +1779,7 @@ let rec propose_to w ls r ~replica ~attempt =
       if attempt < push_max_retries then
         ignore
           (Dess.Engine.schedule w.engine
-             ~delay:(push_backoff_delay ls.lcfg ~attempt) (fun _ ->
+             ~delay:(backoff_delay ~attempt) (fun _ ->
                propose_to w ls r ~replica ~attempt:(attempt + 1)))
       else begin
         Quorum.Round.fail r ~acceptor:replica;
@@ -1888,11 +1797,11 @@ let rec propose_to w ls r ~replica ~attempt =
       Quorum.Round.fail r ~acceptor:replica;
       abandon_if_dead w ls r
     | Some h ->
-      w.counters.q_msgs <- w.counters.q_msgs + 1;
+      w.stats.quorum_msgs <- w.stats.quorum_msgs + 1;
       let one_way = float_of_int (h + 1) *. link_delay in
       let fwd_lost = control_loss_draw w in
       if fwd_lost || not ls.replica_up.(replica) then begin
-        w.counters.q_lost <- w.counters.q_lost + 1;
+        w.stats.quorum_lost <- w.stats.quorum_lost + 1;
         retry ()
       end
       else begin
@@ -1919,10 +1828,10 @@ let rec propose_to w ls r ~replica ~attempt =
                  | Repeat | Stale | Conflict -> ());
                  verdict := Some v
                end));
-        w.counters.q_msgs <- w.counters.q_msgs + 1;
+        w.stats.quorum_msgs <- w.stats.quorum_msgs + 1;
         let vote_lost = control_loss_draw w in
         if vote_lost then begin
-          w.counters.q_lost <- w.counters.q_lost + 1;
+          w.stats.quorum_lost <- w.stats.quorum_lost + 1;
           (* The leader re-sends the whole proposal; acceptance is
              idempotent, so the duplicate is harmless. *)
           retry ()
@@ -1968,33 +1877,33 @@ let reoptimize w ls =
       Sdm.Controller.reoptimize current ~failed
         ~use_warm:ls.lcfg.warm_start ~traffic:ls.meas ()
     with
-    | Error _ -> w.counters.cfg_degraded <- w.counters.cfg_degraded + 1
+    | Error _ -> w.stats.config_degraded <- w.stats.config_degraded + 1
     | Ok next -> (
       (* Solver-work accounting happens whether or not verification or
          the quorum later vetoes the plan — the pivots were spent. *)
       (match next.Sdm.Controller.lp with
       | Some lp ->
-        w.counters.reopt_pivots <-
-          w.counters.reopt_pivots + lp.Sdm.Lp_formulation.lp_pivots;
-        w.counters.reopt_phase1 <-
-          w.counters.reopt_phase1 + lp.Sdm.Lp_formulation.lp_phase1_pivots;
+        w.stats.reopt_pivots <-
+          w.stats.reopt_pivots + lp.Sdm.Lp_formulation.lp_pivots;
+        w.stats.reopt_phase1_pivots <-
+          w.stats.reopt_phase1_pivots + lp.Sdm.Lp_formulation.lp_phase1_pivots;
         if lp.Sdm.Lp_formulation.lp_warm_used then
-          w.counters.reopt_warm <- w.counters.reopt_warm + 1;
+          w.stats.reopt_warm_used <- w.stats.reopt_warm_used + 1;
         if lp.Sdm.Lp_formulation.lp_fallback then
-          w.counters.reopt_fallback <- w.counters.reopt_fallback + 1
+          w.stats.reopt_fallback <- w.stats.reopt_fallback + 1
       | None -> ());
       match
         match Sdm.Verify.check next with
         | Error _ as e -> e
         | Ok () -> Sdm.Verify.check_window [ current; next ]
       with
-      | Error _ -> w.counters.cfg_degraded <- w.counters.cfg_degraded + 1
+      | Error _ -> w.stats.config_degraded <- w.stats.config_degraded + 1
       | Ok () ->
         (* A fresher candidate supersedes any round still in flight. *)
         (match ls.round with
         | Some r when Quorum.Round.outcome r = Quorum.Round.Pending ->
           Quorum.Round.mark_abandoned r;
-          w.counters.q_aborts <- w.counters.q_aborts + 1
+          w.stats.quorum_aborts <- w.stats.quorum_aborts + 1
         | _ -> ());
         let version = ls.latest + 1 in
         (* Structural digest of the candidate, salted with the version
@@ -2006,11 +1915,11 @@ let reoptimize w ls =
             (Int64.mul 0x9e3779b97f4a7c15L (Int64.of_int version))
         in
         let r =
-          Quorum.Round.start ls.lcfg.quorum ~n:(quorum_n ls) ~version ~digest
+          Quorum.Round.start ~n:(quorum_n ls) ~version ~digest
         in
         ls.round <- Some r;
         ls.pending <- Some next;
-        w.counters.q_rounds <- w.counters.q_rounds + 1;
+        w.stats.quorum_rounds <- w.stats.quorum_rounds + 1;
         audit_emit w (fun () ->
             Audit.Event.Quorum_propose
               { time = now; version; replica = ls.leader; digest });
@@ -2050,7 +1959,7 @@ let handle_ctrl_crash w ls crashed =
     | Some nl ->
       let prev = ls.leader in
       ls.leader <- nl;
-      w.counters.elections <- w.counters.elections + 1;
+      w.stats.leader_changes <- w.stats.leader_changes + 1;
       audit_emit w (fun () ->
           Audit.Event.Leader_elect
             { time = Dess.Engine.now w.engine; replica = nl; previous = prev });
@@ -2094,7 +2003,6 @@ let run ?(config = default_config) ~controller ~workload () =
   require (finite_nonneg config.start_window)
     "start_window must be finite and >= 0";
   require (config.service_rate > 0.0) "service_rate must be > 0";
-  require (config.label_timeout > 0.0) "label_timeout must be > 0";
   require
     (config.wp_cache_hit_ratio >= 0.0 && config.wp_cache_hit_ratio <= 1.0)
     "wp_cache_hit_ratio must be in [0, 1]";
@@ -2123,36 +2031,17 @@ let run ?(config = default_config) ~controller ~workload () =
   | None -> ()
   | Some l ->
     (* NaN-safe: [finite_pos] rejects non-finite intervals outright
-       ([<= 0.0] would let a NaN through).  The cap may be [infinity]
-       (an uncapped ladder) but never NaN or below the base. *)
+       ([<= 0.0] would let a NaN through). *)
     let finite_pos x = Float.is_finite x && x > 0.0 in
     if
       (not (finite_pos l.epoch_interval))
       || (not (finite_pos l.reconcile_interval))
-      || (not (finite_pos l.push_backoff))
-      || Float.is_nan l.push_backoff_cap
-      || l.push_backoff_cap < l.push_backoff
       || (match l.sweep_period with
          | Some p -> not (finite_pos p)
          | None -> false)
     then invalid_arg "Pktsim.run: invalid live-control-plane config";
     if l.replicas < 1 then
-      invalid_arg "Pktsim.run: replicas must be >= 1";
-    (match Quorum.validate l.quorum ~n:l.replicas with
-    | Ok () -> ()
-    | Error e -> invalid_arg ("Pktsim.run: invalid quorum family: " ^ e));
-    match l.replica_routers with
-    | None -> ()
-    | Some rs ->
-      let n_routers =
-        Netgraph.Graph.node_count
-          dep.Sdm.Deployment.topo.Netgraph.Topology.graph
-      in
-      if
-        List.length rs <> l.replicas
-        || List.exists (fun r -> r < 0 || r >= n_routers) rs
-        || List.length (List.sort_uniq compare rs) <> l.replicas
-      then invalid_arg "Pktsim.run: invalid replica routers");
+      invalid_arg "Pktsim.run: replicas must be >= 1");
   let engine = Dess.Engine.create () in
   let n_flows = Array.length workload.Workload.flows in
   (* Capacity hints from the deployment and flow counts instead of a
@@ -2196,6 +2085,7 @@ let run ?(config = default_config) ~controller ~workload () =
         if Fault.Schedule.has_corruption_events schedule then
           Some
             {
+              repair_sum = 0.0;
               crng =
                 Stdx.Rng.derive
                   (Stdx.Rng.create schedule.Fault.Schedule.loss_seed)
@@ -2226,6 +2116,71 @@ let run ?(config = default_config) ~controller ~workload () =
           corrupt;
         }
   in
+  let n_devs = n_proxies + n_mboxes in
+  let stats =
+    {
+      loads = Array.make n_mboxes 0.0;
+      injected_packets = 0;
+      delivered_packets = 0;
+      dropped_packets = 0;
+      control_packets = 0;
+      multi_field_lookups = 0;
+      cache_hits = 0;
+      cache_negative_hits = 0;
+      tunneled_packets = 0;
+      label_switched_packets = 0;
+      fragments_created = 0;
+      router_hops = 0;
+      sim_time = 0.0;
+      latency_mean = 0.0;
+      latency_p50 = 0.0;
+      latency_p99 = 0.0;
+      label_misses = 0;
+      teardowns = 0;
+      wp_cache_served = 0;
+      cache_evictions = 0;
+      events_scheduled = 0;
+      events_processed = 0;
+      policy_violations = 0;
+      fault_dropped = 0;
+      control_retries = 0;
+      control_lost = 0;
+      last_violation_time = 0.0;
+      config_pushes = 0;
+      config_acks = 0;
+      config_lost = 0;
+      config_bytes = 0;
+      reoptimizations = 0;
+      config_degraded = 0;
+      final_config_version = 0;
+      stale_devices = 0;
+      entity_control_retries = Array.make n_devs 0;
+      entity_control_lost = Array.make n_devs 0;
+      entity_config_version = [||];
+      quorum_rounds = 0;
+      quorum_commits = 0;
+      quorum_aborts = 0;
+      quorum_msgs = 0;
+      quorum_lost = 0;
+      leader_changes = 0;
+      replica_versions = [||];
+      corruptions_injected = 0;
+      corruptions_manifested = 0;
+      corruptions_detected = 0;
+      corruptions_repaired = 0;
+      sweep_rounds = 0;
+      sweep_msgs = 0;
+      sweep_lost = 0;
+      sweep_bytes = 0;
+      repair_window_mean = 0.0;
+      repair_window_max = 0.0;
+      reopt_pivots = 0;
+      reopt_phase1_pivots = 0;
+      reopt_warm_used = 0;
+      reopt_fallback = 0;
+      audit_report = None;
+    }
+  in
   let w =
     {
       cfg = config;
@@ -2237,65 +2192,10 @@ let run ?(config = default_config) ~controller ~workload () =
         (let g = dep.Sdm.Deployment.topo.Netgraph.Topology.graph in
          Array.init (Netgraph.Graph.node_count g) (fun u ->
              Netgraph.Routing.table_for g u));
-      ecmp_tables =
-        (if config.ecmp then
-           Some
-             (Netgraph.Routing.build_all_ecmp
-                dep.Sdm.Deployment.topo.Netgraph.Topology.graph)
-         else None);
-      counters =
-        {
-          injected = 0;
-          delivered = 0;
-          dropped = 0;
-          control = 0;
-          lookups = 0;
-          cache_hits = 0;
-          cache_negative_hits = 0;
-          tunneled = 0;
-          label_switched = 0;
-          fragments = 0;
-          hops = 0;
-          label_misses = 0;
-          teardowns = 0;
-          wp_served = 0;
-          violations = 0;
-          fault_dropped = 0;
-          retries = 0;
-          ctrl_lost = 0;
-          last_violation = 0.0;
-          cfg_pushes = 0;
-          cfg_acks = 0;
-          cfg_lost = 0;
-          cfg_bytes = 0;
-          reopts = 0;
-          cfg_degraded = 0;
-          q_rounds = 0;
-          q_commits = 0;
-          q_aborts = 0;
-          q_msgs = 0;
-          q_lost = 0;
-          elections = 0;
-          corrupt_injected = 0;
-          corrupt_manifested = 0;
-          corrupt_detected = 0;
-          corrupt_repaired = 0;
-          sweep_rounds = 0;
-          sweep_msgs = 0;
-          sweep_lost = 0;
-          sweep_bytes = 0;
-          repair_sum = 0.0;
-          repair_max = 0.0;
-          reopt_pivots = 0;
-          reopt_phase1 = 0;
-          reopt_warm = 0;
-          reopt_fallback = 0;
-        };
-      entity_ctrl_retries = Array.make (n_proxies + n_mboxes) 0;
-      entity_ctrl_lost = Array.make (n_proxies + n_mboxes) 0;
+      stats;
       latencies = Stdx.Fvec.create ();
       busy_until = Array.make n_mboxes 0.0;
-      loads = Array.make n_mboxes 0.0;
+      loads = stats.loads;
       proxy_caches =
         Array.init n_proxies (fun _ ->
             Policy.Flow_cache.create ~timeout:cache_timeout
@@ -2309,8 +2209,7 @@ let run ?(config = default_config) ~controller ~workload () =
       mbox_match =
         Array.init n_mboxes (fun i -> entity_table (Mbox.Entity.Middlebox i));
       mbox_labels =
-        Array.init n_mboxes (fun _ ->
-            Mbox.Label_table.create ~timeout:config.label_timeout ());
+        Array.init n_mboxes (fun _ -> Mbox.Label_table.create ());
       proxy_label_index =
         Array.init n_proxies (fun _ ->
             Stdx.Flat_table.create ~initial:proxy_flow_hint ());
@@ -2331,21 +2230,18 @@ let run ?(config = default_config) ~controller ~workload () =
               ctrl_router = primary;
               configs = [| controller |];
               latest = 0;
-              device_version = Array.make (n_proxies + n_mboxes) 0;
-              device_acked = Array.make (n_proxies + n_mboxes) 0;
+              device_version = Array.make n_devs 0;
+              device_acked = Array.make n_devs 0;
               meas = Sdm.Measurement.create ();
               horizon = 0.0;
               reconcile_rounds = 0;
               leader = 0;
               replica_router =
-                (match lcfg.replica_routers with
-                | Some rs -> Array.of_list rs
-                | None ->
-                  if lcfg.replicas = 1 then [| primary |]
-                  else
-                    Array.of_list
-                      (Controlplane.replica_routers dep ~primary
-                         ~n:lcfg.replicas));
+                (if lcfg.replicas = 1 then [| primary |]
+                 else
+                   Array.of_list
+                     (Controlplane.replica_routers dep ~primary
+                        ~n:lcfg.replicas));
               replica_up = Array.make lcfg.replicas true;
               acceptors =
                 Array.init lcfg.replicas (fun _ -> Quorum.Acceptor.create ());
@@ -2404,8 +2300,8 @@ let run ?(config = default_config) ~controller ~workload () =
             (Dess.Engine.schedule_at w.engine
                ~time:(start +. (float_of_int i *. config.packet_interval))
                (fun _ ->
-                 let aid = w.counters.injected in
-                 w.counters.injected <- aid + 1;
+                 let aid = w.stats.injected_packets in
+                 w.stats.injected_packets <- aid + 1;
                  proxy_emit w fs ~aid;
                  packet_at (i + 1)))
       in
@@ -2449,11 +2345,11 @@ let run ?(config = default_config) ~controller ~workload () =
         (Audit.Checker.finalize
            ~expect:
              {
-               Audit.Checker.injected = w.counters.injected;
-               delivered = w.counters.delivered;
-               dropped = w.counters.dropped;
-               wp_served = w.counters.wp_served;
-               fragments = w.counters.fragments;
+               Audit.Checker.injected = w.stats.injected_packets;
+               delivered = w.stats.delivered_packets;
+               dropped = w.stats.dropped_packets;
+               wp_served = w.stats.wp_cache_served;
+               fragments = w.stats.fragments_created;
                loads = w.loads;
              }
            a)
@@ -2477,45 +2373,21 @@ let run ?(config = default_config) ~controller ~workload () =
     end
   in
   {
-    loads = w.loads;
-    injected_packets = w.counters.injected;
-    delivered_packets = w.counters.delivered;
-    dropped_packets = w.counters.dropped;
-    control_packets = w.counters.control;
-    multi_field_lookups = w.counters.lookups;
-    cache_hits = w.counters.cache_hits;
-    cache_negative_hits = w.counters.cache_negative_hits;
-    tunneled_packets = w.counters.tunneled;
-    label_switched_packets = w.counters.label_switched;
-    fragments_created = w.counters.fragments;
-    router_hops = w.counters.hops;
+    stats with
     sim_time = Dess.Engine.now engine;
     latency_mean;
     latency_p50;
     latency_p99;
-    label_misses = w.counters.label_misses;
-    teardowns = w.counters.teardowns;
-    wp_cache_served = w.counters.wp_served;
     cache_evictions =
       (let sum caches =
          Array.fold_left
-           (fun acc c -> acc + (Policy.Flow_cache.stats c).Policy.Flow_cache.evictions)
+           (fun acc c ->
+             acc + (Policy.Flow_cache.stats c).Policy.Flow_cache.evictions)
            0 caches
        in
        sum w.proxy_caches + sum w.mbox_caches);
     events_scheduled = Dess.Engine.events_scheduled engine;
     events_processed = Dess.Engine.events_processed engine;
-    policy_violations = w.counters.violations;
-    fault_dropped = w.counters.fault_dropped;
-    control_retries = w.counters.retries;
-    control_lost = w.counters.ctrl_lost;
-    last_violation_time = w.counters.last_violation;
-    config_pushes = w.counters.cfg_pushes;
-    config_acks = w.counters.cfg_acks;
-    config_lost = w.counters.cfg_lost;
-    config_bytes = w.counters.cfg_bytes;
-    reoptimizations = w.counters.reopts;
-    config_degraded = w.counters.cfg_degraded;
     final_config_version =
       (match w.live with None -> 0 | Some ls -> ls.latest);
     stale_devices =
@@ -2525,37 +2397,18 @@ let run ?(config = default_config) ~controller ~workload () =
         Array.fold_left
           (fun acc v -> if v < ls.latest then acc + 1 else acc)
           0 ls.device_version);
-    entity_control_retries = w.entity_ctrl_retries;
-    entity_control_lost = w.entity_ctrl_lost;
     entity_config_version =
       (match w.live with
-      | None -> Array.make (n_proxies + n_mboxes) 0
+      | None -> Array.make n_devs 0
       | Some ls -> Array.copy ls.device_version);
-    quorum_rounds = w.counters.q_rounds;
-    quorum_commits = w.counters.q_commits;
-    quorum_aborts = w.counters.q_aborts;
-    quorum_msgs = w.counters.q_msgs;
-    quorum_lost = w.counters.q_lost;
-    leader_changes = w.counters.elections;
     replica_versions =
       (match w.live with
       | None -> [||]
       | Some ls -> Array.map Quorum.Acceptor.committed ls.acceptors);
-    corruptions_injected = w.counters.corrupt_injected;
-    corruptions_manifested = w.counters.corrupt_manifested;
-    corruptions_detected = w.counters.corrupt_detected;
-    corruptions_repaired = w.counters.corrupt_repaired;
-    sweep_rounds = w.counters.sweep_rounds;
-    sweep_msgs = w.counters.sweep_msgs;
-    sweep_lost = w.counters.sweep_lost;
-    sweep_bytes = w.counters.sweep_bytes;
     repair_window_mean =
-      (if w.counters.corrupt_repaired = 0 then 0.0
-       else w.counters.repair_sum /. float_of_int w.counters.corrupt_repaired);
-    repair_window_max = w.counters.repair_max;
-    reopt_pivots = w.counters.reopt_pivots;
-    reopt_phase1_pivots = w.counters.reopt_phase1;
-    reopt_warm_used = w.counters.reopt_warm;
-    reopt_fallback = w.counters.reopt_fallback;
+      (match corrupt_of w with
+      | Some cs when stats.corruptions_repaired > 0 ->
+        cs.repair_sum /. float_of_int stats.corruptions_repaired
+      | _ -> 0.0);
     audit_report;
   }

@@ -19,11 +19,11 @@
     decision points (proxy, middlebox, destination subnet) forwarding
     is deterministic under fixed tables, so the simulator walks the
     per-hop tables inline and schedules a single event per path
-    segment instead of one per router hop.  Hop and fragment counters,
-    ECMP hash choices, and every timestamp are identical to per-hop
-    execution; only {!stats.events_processed} shrinks.  Per-event
-    fidelity is kept exactly where state evolves over time — middlebox
-    FIFO queueing, label/cache soft-state expiry.
+    segment instead of one per router hop.  Hop and fragment counters
+    and every timestamp are identical to per-hop execution; only
+    {!stats.events_processed} shrinks.  Per-event fidelity is kept
+    exactly where state evolves over time — middlebox FIFO queueing,
+    crashes, and mid-run topology changes.
 
     Used by integration tests (per-middlebox loads must equal
     {!Flowsim.run}'s), by the cache and fragmentation ablations, and
@@ -41,11 +41,11 @@
     configuration carries a monotonically increasing {e version} and
     is pushed hop-by-hop to every proxy and middlebox over the lossy
     control channel, with per-device acknowledgement and
-    exponential-backoff retries, a periodic reconciliation loop that
-    re-pushes to devices stuck on stale versions, and graceful
-    degradation to the last-known-good configuration when the
-    controller is partitioned from a device or the new configuration
-    fails verification.
+    exponential-backoff retries (2, 4, ..., 64), a periodic
+    reconciliation loop that re-pushes to devices stuck on stale
+    versions, and graceful degradation to the last-known-good
+    configuration when the controller is partitioned from a device or
+    the new configuration fails verification.
 
     Mixed-version safety: a new version is published only after
     {!Sdm.Verify.check_window} certifies every reachable mix of the
@@ -62,39 +62,22 @@
     in {!Controlplane.price}); the lowest-id live replica leads.  Every
     candidate configuration runs a two-phase {!Quorum} round over the
     same lossy control channel — propose out, votes back, each leg
-    with the capped-backoff retry ladder — and is published only once
-    a quorum accepted it.  A leader crash triggers a deterministic
-    re-election one detection delay later; a minority-side partition
-    abandons its round and degrades to last-known-good without ever
-    publishing.  [replicas = 1] (the default) commits synchronously
-    with zero quorum traffic and is bit-identical to the
-    pre-replication control plane. *)
+    with the same retry ladder — and is published only once a strict
+    majority of the replicas accepted it.  A leader crash triggers a
+    deterministic re-election one detection delay later; a
+    minority-side partition abandons its round and degrades to
+    last-known-good without ever publishing.  [replicas = 1] (the
+    default) commits synchronously with zero quorum traffic. *)
 type live_config = {
   epoch_interval : float;
       (** period of measurement-driven re-optimizations (default 25.0);
           epochs are scheduled across the traffic window *)
   reconcile_interval : float;
       (** period of the re-push loop for stale devices (default 5.0) *)
-  push_backoff : float;
-      (** initial retry delay of a config push; doubles per attempt
-          (default 2.0) *)
-  push_backoff_cap : float;
-      (** ceiling on the exponential retry delay, shared by every
-          control-plane chain (pushes, proposals, commit notices).
-          Must be at least [push_backoff]; [infinity] leaves the
-          ladder uncapped.  Default 120.0 — above the last rung of the
-          default ladder, so defaults never clip. *)
   replicas : int;
       (** controller replicas (default 1 = the unreplicated control
-          plane) *)
-  quorum : Quorum.family;
-      (** what counts as a quorum of the replicas (default
-          {!Quorum.Majority}) *)
-  replica_routers : int list option;
-      (** attachment router per replica; default
-          {!Controlplane.replica_routers} placement from the
-          controller's router.  Must list [replicas] distinct
-          routers. *)
+          plane), placed by {!Controlplane.replica_routers} from the
+          controller's router *)
   sweep_period : float option;
       (** anti-entropy period: every [p] time units the live leader
           digest-audits each device's soft state over the lossy
@@ -120,10 +103,6 @@ type live_config = {
 
 val default_live : live_config
 
-val push_backoff_delay : live_config -> attempt:int -> float
-(** The retry ladder every control-plane chain climbs:
-    [min (push_backoff * 2^attempt) push_backoff_cap]. *)
-
 type config = {
   label_switching : bool; (** default true *)
   packet_interval : float;(** spacing within a flow, default 1.0 *)
@@ -135,13 +114,6 @@ type config = {
           overloaded middlebox shows up as latency.  Default
           [infinity] = processing is instantaneous (the load-counting
           semantics of the figures). *)
-  label_timeout : float;
-      (** soft-state timeout of middlebox label tables.  When an entry
-          expires mid-flow, the packet that hits the stale path is
-          lost (its original destination is unknown downstream), a
-          teardown notification travels back to the proxy, and the
-          flow falls back to IP-over-IP until re-established.  Default
-          [infinity]. *)
   wp_cache_hit_ratio : float;
       (** Figure 3's web-proxy semantics: this fraction of flows (a
           per-flow sticky draw) find their page cached at the WP, which
@@ -152,11 +124,6 @@ type config = {
       (** bound on every proxy/middlebox flow cache (hardware hash
           tables are finite); LRU eviction past the bound.  Default
           unbounded. *)
-  ecmp : bool;
-      (** equal-cost multipath: routers hash flows over every
-          shortest-path next hop instead of the single deterministic
-          one.  Middlebox loads are invariant; only paths vary.
-          Default false. *)
   faults : Fault.Schedule.t option;
       (** in-run fault injection: middlebox crash/recovery, link
           fail/restore (routing then reconverges through a live
@@ -198,56 +165,71 @@ type config = {
 
 val default_config : config
 
+(** The run's result.  The run counts straight into one value of this
+    record, so the counters are [mutable]; treat them as read-only. *)
 type stats = {
   loads : float array;            (** packets processed per middlebox id *)
-  injected_packets : int;
-  delivered_packets : int;
-  dropped_packets : int;          (** TTL expiry / lookup failure; expect 0 *)
-  control_packets : int;          (** label-switching confirmations *)
-  multi_field_lookups : int;      (** policy-table lookups at proxies+middleboxes *)
-  cache_hits : int;
-  cache_negative_hits : int;
-  tunneled_packets : int;         (** tunnel legs traversed IP-over-IP *)
-  label_switched_packets : int;   (** legs traversed by label switching *)
-  fragments_created : int;        (** extra fragments beyond original packets *)
-  router_hops : int;
+  mutable injected_packets : int;
+  mutable delivered_packets : int;
+  mutable dropped_packets : int;
+      (** TTL expiry / lookup failure; expect 0 *)
+  mutable control_packets : int;          (** label-switching confirmations *)
+  mutable multi_field_lookups : int;
+      (** policy-table lookups at proxies+middleboxes *)
+  mutable cache_hits : int;
+  mutable cache_negative_hits : int;
+  mutable tunneled_packets : int;
+      (** tunnel legs traversed IP-over-IP *)
+  mutable label_switched_packets : int;
+      (** legs traversed by label switching *)
+  mutable fragments_created : int;
+      (** extra fragments beyond original packets *)
+  mutable router_hops : int;
   sim_time : float;
   latency_mean : float;           (** end-to-end delivery latency; 0.0 if none *)
   latency_p50 : float;
   latency_p99 : float;
-  label_misses : int;    (** label-switched packets that hit an expired entry *)
-  teardowns : int;       (** teardown notifications delivered to proxies *)
-  wp_cache_served : int; (** packets answered from a web proxy's cache *)
+  mutable label_misses : int;
+      (** label-switched packets that found no entry (crash-wiped or
+          corrupted state); each is lost, a teardown notification
+          travels back to the proxy, and the flow falls back to
+          IP-over-IP until re-established *)
+  mutable teardowns : int;
+      (** teardown notifications delivered to proxies *)
+  mutable wp_cache_served : int;
+      (** packets answered from a web proxy's cache *)
   cache_evictions : int; (** capacity-forced flow-cache evictions, all nodes *)
   events_scheduled : int;
       (** engine events created over the run — with hop fast-forwarding
           this stays well below one per router hop *)
   events_processed : int; (** engine events fired over the run *)
-  policy_violations : int;
+  mutable policy_violations : int;
       (** packets of enforced flows that escaped their chain: steered
           into a crashed middlebox, or dropped because every candidate
           for some function was believed dead.  0 without faults. *)
-  fault_dropped : int;
+  mutable fault_dropped : int;
       (** packets lost to injected faults (dead-box arrivals plus
           per-link loss); a subset of [dropped_packets] *)
-  control_retries : int;
+  mutable control_retries : int;
       (** control-packet retransmissions triggered by [control_loss] *)
-  control_lost : int; (** control-packet transmissions lost to faults *)
-  last_violation_time : float;
+  mutable control_lost : int; (** control-packet transmissions lost to faults *)
+  mutable last_violation_time : float;
       (** simulated time of the last policy violation (0.0 if none) —
           [last_violation_time - crash time] is ABL-CHAOS's recovery
           time *)
   (* Live control plane — all zero (and all-zero arrays) when
      [config.live = None]. *)
-  config_pushes : int;
+  mutable config_pushes : int;
       (** config-push transmissions sent, retries included *)
-  config_acks : int;  (** install acknowledgements the controller received *)
-  config_lost : int;  (** config/ack transmissions lost to [control_loss] *)
-  config_bytes : int;
+  mutable config_acks : int;
+      (** install acknowledgements the controller received *)
+  mutable config_lost : int;
+      (** config/ack transmissions lost to [control_loss] *)
+  mutable config_bytes : int;
       (** configuration bytes put on the wire ({!Controlplane}'s byte
           model, priced per transmission) *)
-  reoptimizations : int; (** configuration versions published *)
-  config_degraded : int;
+  mutable reoptimizations : int; (** configuration versions published *)
+  mutable config_degraded : int;
       (** degradations to last-known-good: re-optimizations vetoed by
           the verifier or the LP, and pushes skipped because the
           controller was partitioned from the device *)
@@ -267,16 +249,17 @@ type stats = {
      still tick (the single replica plays a one-acceptor quorum and
      commits synchronously) but no quorum message ever hits the wire,
      so [quorum_msgs], [quorum_lost] and [leader_changes] stay 0. *)
-  quorum_rounds : int;  (** propose/accept/commit rounds started *)
-  quorum_commits : int; (** rounds that reached quorum and committed *)
-  quorum_aborts : int;
+  mutable quorum_rounds : int;  (** propose/accept/commit rounds started *)
+  mutable quorum_commits : int; (** rounds that reached quorum and committed *)
+  mutable quorum_aborts : int;
       (** rounds abandoned: quorum unreachable (partition, crashes,
           retries exhausted) or superseded by a fresher candidate *)
-  quorum_msgs : int;
+  mutable quorum_msgs : int;
       (** proposal / vote / commit-notice transmissions, retries
           included *)
-  quorum_lost : int; (** of those, lost to the control channel *)
-  leader_changes : int; (** deterministic re-elections after leader crashes *)
+  mutable quorum_lost : int; (** of those, lost to the control channel *)
+  mutable leader_changes : int;
+      (** deterministic re-elections after leader crashes *)
   replica_versions : int array;
       (** per-replica highest committed version at run end (empty when
           [live = None]) — divergence from [final_config_version]
@@ -284,39 +267,41 @@ type stats = {
   (* Silent state corruption and anti-entropy repair.  All zero unless
      the fault schedule carries corruption events (injection counters)
      or [live.sweep_period] is set (sweep counters). *)
-  corruptions_injected : int;
+  mutable corruptions_injected : int;
       (** corruption events that actually mutated state (an event
           aimed at an empty table, a crashed box, or a version-0
           device no-ops and is not counted) *)
-  corruptions_manifested : int;
+  mutable corruptions_manifested : int;
       (** injected corruptions whose state influenced the data plane
           at least once before repair (mis-steered / bypassed packets,
           lost-entry drops, regressed-weight decisions) *)
-  corruptions_detected : int;
+  mutable corruptions_detected : int;
       (** digest mismatches the sweep found (one per device visit that
           scrubbed) *)
-  corruptions_repaired : int;
+  mutable corruptions_repaired : int;
       (** injected corruptions retired: scrub-purged, naturally
           overwritten/rebased, crash-wiped, or config re-installed *)
-  sweep_rounds : int; (** anti-entropy rounds the live leader ran *)
-  sweep_msgs : int;   (** sweep queries + reports sent, retries included *)
-  sweep_lost : int;   (** of those, lost to the control channel *)
-  sweep_bytes : int;  (** sweep wire overhead — the repair-traffic cost *)
+  mutable sweep_rounds : int; (** anti-entropy rounds the live leader ran *)
+  mutable sweep_msgs : int;
+      (** sweep queries + reports sent, retries included *)
+  mutable sweep_lost : int;   (** of those, lost to the control channel *)
+  mutable sweep_bytes : int;
+      (** sweep wire overhead — the repair-traffic cost *)
   repair_window_mean : float;
       (** mean inject-to-repair time over repaired corruptions (0 when
           none) *)
-  repair_window_max : float; (** worst inject-to-repair window *)
-  reopt_pivots : int;
+  mutable repair_window_max : float; (** worst inject-to-repair window *)
+  mutable reopt_pivots : int;
       (** phase-2 simplex pivots across every in-run re-optimization (0 when
           [live = None]) *)
-  reopt_phase1_pivots : int;
+  mutable reopt_phase1_pivots : int;
       (** phase-1 and drive-out pivots across the same re-solves,
           counted apart from [reopt_pivots] — cold-path work a
           successful warm start skips entirely *)
-  reopt_warm_used : int;
+  mutable reopt_warm_used : int;
       (** re-solves the previous basis carried to optimality (0 unless
           [live.warm_start]) *)
-  reopt_fallback : int;
+  mutable reopt_fallback : int;
       (** warm attempts that fell back to the cold two-phase path *)
   audit_report : Audit.Checker.report option;
       (** the invariant auditor's verdict; [None] unless
@@ -329,7 +314,7 @@ val run :
 (** Simulate [workload] under [controller].  Raises [Invalid_argument]
     before any work on an out-of-range config value: a negative or
     non-finite [packet_interval], [start_window] or [detection_delay];
-    a non-positive [service_rate] or [label_timeout]; a
+    a non-positive [service_rate]; a
     [wp_cache_hit_ratio] outside [0, 1]; a [cache_capacity] or
     [debug_bypass_chain] below 1; NaN anywhere; an
     invalid live config; or a fault schedule that does not fit the

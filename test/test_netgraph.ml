@@ -123,48 +123,6 @@ let qcheck_routing_walk_matches_dijkstra =
       done;
       !ok)
 
-let qcheck_ecmp_hops_on_shortest_paths =
-  QCheck.Test.make ~count:40 ~name:"every ECMP hop lies on a shortest path"
-    QCheck.(make Gen.(pair (int_range 2 20) (int_range 0 1000000)))
-    (fun (n, seed) ->
-      let rng = Stdx.Rng.create seed in
-      let g = random_connected_graph rng n n in
-      let ecmp = Netgraph.Routing.build_all_ecmp g in
-      let dist = Netgraph.Dijkstra.all_pairs g in
-      let ok = ref true in
-      for u = 0 to n - 1 do
-        for dst = 0 to n - 1 do
-          if u <> dst then begin
-            (* Non-empty on connected graphs, and each hop advances. *)
-            if ecmp.(u).(dst) = [||] then ok := false;
-            Array.iter
-              (fun h ->
-                let c = Option.get (Netgraph.Graph.cost g u h) in
-                if abs_float ((c +. dist.(h).(dst)) -. dist.(u).(dst)) > 1e-9 then
-                  ok := false)
-              ecmp.(u).(dst)
-          end
-        done
-      done;
-      !ok)
-
-let test_ecmp_superset_of_deterministic () =
-  let g = simple_graph () in
-  let tables = Netgraph.Routing.build_all g in
-  let ecmp = Netgraph.Routing.build_all_ecmp g in
-  for u = 0 to 3 do
-    for dst = 0 to 3 do
-      if u <> dst then
-        match Netgraph.Routing.next_hop tables.(u) dst with
-        | Some hop ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%d->%d deterministic hop in ECMP set" u dst)
-            true
-            (Array.mem hop ecmp.(u).(dst))
-        | None -> Alcotest.fail "connected graph"
-    done
-  done
-
 let test_campus_shape () =
   let topo = Netgraph.Campus.generate ~seed:7 () in
   Alcotest.(check int) "gateways" 2 (List.length (Netgraph.Topology.gateways topo));
@@ -297,9 +255,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_dijkstra_vs_bellman_ford;
     Alcotest.test_case "routing tables" `Quick test_routing_tables;
     QCheck_alcotest.to_alcotest qcheck_routing_walk_matches_dijkstra;
-    QCheck_alcotest.to_alcotest qcheck_ecmp_hops_on_shortest_paths;
-    Alcotest.test_case "ECMP supersets deterministic" `Quick
-      test_ecmp_superset_of_deterministic;
     Alcotest.test_case "campus shape" `Quick test_campus_shape;
     Alcotest.test_case "campus deterministic" `Quick test_campus_deterministic;
     Alcotest.test_case "waxman shape" `Quick test_waxman_shape;

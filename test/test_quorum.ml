@@ -1,5 +1,6 @@
-(* Quorum agreement: families, acceptor state machine, rounds, and the
-   intersection property that makes divergent commits impossible. *)
+(* Quorum agreement: majority thresholds, acceptor state machine,
+   rounds, and the intersection property that makes divergent commits
+   impossible. *)
 
 let check_ok = function
   | Ok () -> ()
@@ -9,55 +10,39 @@ let check_err = function
   | Ok () -> Alcotest.fail "expected Error, got Ok"
   | Error _ -> ()
 
-(* ---- families ----------------------------------------------------- *)
+(* ---- majorities -------------------------------------------------- *)
 
-let test_validate () =
-  check_ok (Quorum.validate Quorum.Majority ~n:1);
-  check_ok (Quorum.validate Quorum.Majority ~n:5);
-  check_err (Quorum.validate Quorum.Majority ~n:0);
-  check_ok (Quorum.validate (Quorum.Weighted [| 3; 1; 1 |]) ~n:3);
-  check_err (Quorum.validate (Quorum.Weighted [| 1; 1 |]) ~n:3);
-  check_err (Quorum.validate (Quorum.Weighted [| 1; -1; 1 |]) ~n:3);
-  check_err (Quorum.validate (Quorum.Weighted [| 0; 0; 0 |]) ~n:3)
+let test_acceptor_count () =
+  let start n = Quorum.Round.start ~n ~version:1 ~digest:1L in
+  ignore (start 1);
+  ignore (start 5);
+  Alcotest.check_raises "no acceptors"
+    (Invalid_argument
+       "Quorum.Round.start: acceptor count must be at least 1")
+    (fun () -> ignore (start 0))
 
 let test_threshold () =
-  Alcotest.(check int) "majority of 1" 1 (Quorum.threshold Quorum.Majority ~n:1);
-  Alcotest.(check int) "majority of 3" 2 (Quorum.threshold Quorum.Majority ~n:3);
-  Alcotest.(check int) "majority of 4" 3 (Quorum.threshold Quorum.Majority ~n:4);
-  Alcotest.(check int) "majority of 5" 3 (Quorum.threshold Quorum.Majority ~n:5);
-  (* Weighted [3;1;1]: total 5, threshold 3 — the heavy acceptor alone
-     is a quorum, the two light ones together are not. *)
-  let fam = Quorum.Weighted [| 3; 1; 1 |] in
-  Alcotest.(check int) "weighted threshold" 3 (Quorum.threshold fam ~n:3);
-  Alcotest.(check bool) "heavy alone" true
-    (Quorum.is_quorum fam ~n:3 (fun i -> i = 0));
-  Alcotest.(check bool) "lights together" false
-    (Quorum.is_quorum fam ~n:3 (fun i -> i > 0))
+  Alcotest.(check int) "majority of 1" 1 (Quorum.threshold ~n:1);
+  Alcotest.(check int) "majority of 3" 2 (Quorum.threshold ~n:3);
+  Alcotest.(check int) "majority of 4" 3 (Quorum.threshold ~n:4);
+  Alcotest.(check int) "majority of 5" 3 (Quorum.threshold ~n:5)
 
-(* Any two quorums of one family intersect: the local acceptor rule
-   plus this property is the global no-divergent-commit argument. *)
+(* Any two quorums intersect: the local acceptor rule plus this
+   property is the global no-divergent-commit argument. *)
 let test_quorum_intersection_qcheck () =
   let gen =
     QCheck.Gen.(
       int_range 1 7 >>= fun n ->
-      bool >>= fun weighted ->
-      (if weighted then
-         map
-           (fun ws ->
-             (* keep the family valid: force a positive total *)
-             if Array.for_all (fun w -> w = 0) ws then
-               Quorum.Weighted (Array.make n 1)
-             else Quorum.Weighted ws)
-           (array_size (return n) (int_range 0 5))
-       else return Quorum.Majority)
-      >>= fun fam ->
       array_size (return n) bool >>= fun a ->
-      map (fun b -> (n, fam, a, b)) (array_size (return n) bool))
+      map (fun b -> (n, a, b)) (array_size (return n) bool))
   in
-  let prop (n, fam, a, b) =
-    let qa = Quorum.is_quorum fam ~n (fun i -> a.(i)) in
-    let qb = Quorum.is_quorum fam ~n (fun i -> b.(i)) in
-    (not (qa && qb))
+  let is_quorum n member =
+    let r = Quorum.Round.start ~n ~version:1 ~digest:1L in
+    Array.iteri (fun i v -> if v then Quorum.Round.accept r ~acceptor:i) member;
+    Quorum.Round.has_quorum r
+  in
+  let prop (n, a, b) =
+    (not (is_quorum n a && is_quorum n b))
     || Array.exists2 (fun x y -> x && y) a b
   in
   let cell =
@@ -126,7 +111,7 @@ let test_acceptor_commit () =
 (* ---- rounds ------------------------------------------------------- *)
 
 let test_round () =
-  let r = Quorum.Round.start Quorum.Majority ~n:3 ~version:4 ~digest:40L in
+  let r = Quorum.Round.start ~n:3 ~version:4 ~digest:40L in
   Alcotest.(check int) "version" 4 (Quorum.Round.version r);
   Alcotest.(check int64) "digest" 40L (Quorum.Round.digest r);
   Alcotest.(check bool) "no quorum yet" false (Quorum.Round.has_quorum r);
@@ -146,7 +131,7 @@ let test_round () =
     (Quorum.Round.outcome r = Quorum.Round.Abandoned)
 
 let test_round_commit_path () =
-  let r = Quorum.Round.start Quorum.Majority ~n:3 ~version:1 ~digest:1L in
+  let r = Quorum.Round.start ~n:3 ~version:1 ~digest:1L in
   Quorum.Round.accept r ~acceptor:2;
   Quorum.Round.accept r ~acceptor:0;
   Alcotest.(check bool) "majority reached" true (Quorum.Round.has_quorum r);
@@ -154,25 +139,16 @@ let test_round_commit_path () =
   Alcotest.(check bool) "committed" true
     (Quorum.Round.outcome r = Quorum.Round.Committed)
 
-let test_round_bad_family () =
-  Alcotest.check_raises "invalid family rejected"
-    (Invalid_argument
-       "Quorum.Round.start: weight vector has 2 entries for 3 acceptors")
-    (fun () ->
-      ignore
-        (Quorum.Round.start
-           (Quorum.Weighted [| 1; 1 |])
-           ~n:3 ~version:1 ~digest:1L))
-
 let suite =
   [
-    Alcotest.test_case "family validation" `Quick test_validate;
-    Alcotest.test_case "thresholds and weighted quorums" `Quick test_threshold;
+    Alcotest.test_case "round validates the acceptor count" `Quick
+      test_acceptor_count;
+    Alcotest.test_case "majority thresholds" `Quick test_threshold;
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~count:500 ~name:"threshold is a strict majority"
          QCheck.(int_range 1 64)
          (fun n ->
-           let t = Quorum.threshold Quorum.Majority ~n in
+           let t = Quorum.threshold ~n in
            (2 * t > n) && 2 * (t - 1) <= n));
     Alcotest.test_case "quorum intersection (qcheck)" `Quick
       test_quorum_intersection_qcheck;
@@ -180,6 +156,4 @@ let suite =
     Alcotest.test_case "acceptor commit rules" `Quick test_acceptor_commit;
     Alcotest.test_case "round bookkeeping" `Quick test_round;
     Alcotest.test_case "round commit path" `Quick test_round_commit_path;
-    Alcotest.test_case "round rejects invalid family" `Quick
-      test_round_bad_family;
   ]

@@ -254,8 +254,6 @@ let test_pktsim_rejects_bad_config () =
        "service_rate must be > 0");
       ("NaN service_rate", { c with service_rate = nan },
        "service_rate must be > 0");
-      ("zero label_timeout", { c with label_timeout = 0.0 },
-       "label_timeout must be > 0");
       ("wp_cache_hit_ratio above 1", { c with wp_cache_hit_ratio = 1.5 },
        "wp_cache_hit_ratio must be in [0, 1]");
       ("negative wp_cache_hit_ratio", { c with wp_cache_hit_ratio = -0.1 },
@@ -365,37 +363,6 @@ let test_pktsim_cache_suppresses_lookups () =
   Alcotest.(check bool) "cache hits dominate" true
     (stats.Sim.Pktsim.cache_hits > stats.Sim.Pktsim.multi_field_lookups)
 
-let test_pktsim_label_expiry_recovery () =
-  let controller, workload = small_pkt_setup ~flows:60 () in
-  (* Packets spaced wider than the label timeout: label-switched paths
-     keep expiring mid-flow, packets that hit stale paths are lost, a
-     teardown flows back, and the proxy re-establishes via IP-over-IP. *)
-  let config =
-    { pkt_config with packet_interval = 10.0; label_timeout = 3.0 }
-  in
-  let stats = Sim.Pktsim.run ~config ~controller ~workload () in
-  Alcotest.(check bool) "misses happened" true (stats.Sim.Pktsim.label_misses > 0);
-  Alcotest.(check bool) "teardowns flowed" true (stats.Sim.Pktsim.teardowns > 0);
-  Alcotest.(check int) "every loss is a label miss"
-    stats.Sim.Pktsim.label_misses stats.Sim.Pktsim.dropped_packets;
-  Alcotest.(check int) "everything else delivered"
-    (stats.Sim.Pktsim.injected_packets - stats.Sim.Pktsim.label_misses)
-    stats.Sim.Pktsim.delivered_packets;
-  (* Recovery really happens: the flow keeps re-establishing, so
-     tunnelled legs outnumber flows (one initial establishment each). *)
-  Alcotest.(check bool) "re-establishments" true
-    (stats.Sim.Pktsim.control_packets > Array.length workload.Sim.Workload.flows);
-  (* With a comfortable timeout the same setup loses nothing. *)
-  let healthy =
-    Sim.Pktsim.run
-      ~config:{ config with label_timeout = 1e6 }
-      ~controller ~workload ()
-  in
-  Alcotest.(check int) "no misses with long timeout" 0
-    healthy.Sim.Pktsim.label_misses;
-  Alcotest.(check int) "all delivered" healthy.Sim.Pktsim.injected_packets
-    healthy.Sim.Pktsim.delivered_packets
-
 let test_pktsim_wp_cache_short_circuit () =
   (* Figure 3's chain: WP first; cached flows stop at the web proxy and
      never load the downstream FW/IDS. *)
@@ -458,22 +425,6 @@ let test_pktsim_wp_cache_short_circuit () =
   Alcotest.(check (float 1e-9)) "ratio 0: full chain everywhere"
     (load_of uncached Policy.Action.WP)
     (load_of uncached Policy.Action.FW)
-
-let test_pktsim_ecmp_invariance () =
-  (* ECMP spreading changes paths, never middlebox loads or delivery. *)
-  let controller, workload = small_pkt_setup ~flows:150 () in
-  let plain = Sim.Pktsim.run ~config:pkt_config ~controller ~workload () in
-  let ecmp =
-    Sim.Pktsim.run ~config:{ pkt_config with ecmp = true } ~controller ~workload ()
-  in
-  Alcotest.(check int) "all delivered" ecmp.Sim.Pktsim.injected_packets
-    ecmp.Sim.Pktsim.delivered_packets;
-  Alcotest.(check int) "no drops" 0 ecmp.Sim.Pktsim.dropped_packets;
-  Array.iteri
-    (fun i expected ->
-      Alcotest.(check (float 1e-6)) (Printf.sprintf "mbox %d" i) expected
-        ecmp.Sim.Pktsim.loads.(i))
-    plain.Sim.Pktsim.loads
 
 let test_pktsim_latency_overhead () =
   (* Enforcement detours must show up as end-to-end latency: the same
@@ -564,9 +515,8 @@ let check_pinned name (p : pinned) (s : Sim.Pktsim.stats) =
 
 let test_pktsim_pinned_equivalence () =
   (* The built-in correctness oracle for the fast-forward rewrite: the
-     seed scenarios with label switching and ECMP toggled, pinned to
-     the per-hop cascade's exact output.  ECMP must change nothing —
-     the hash walk visits the same arrays in the same order. *)
+     seed scenarios with label switching toggled, pinned to the per-hop
+     cascade's exact output. *)
   let campus_ls =
     {
       e_injected = 5212; e_control = 523; e_lookups = 1000; e_hits = 5455;
@@ -608,17 +558,17 @@ let test_pktsim_pinned_equivalence () =
     | Error e -> Alcotest.fail e
     | Ok controller ->
       List.iter
-        (fun (label_switching, ecmp) ->
+        (fun label_switching ->
           let stats =
             Sim.Pktsim.run
-              ~config:{ pkt_config with label_switching; ecmp }
+              ~config:{ pkt_config with label_switching }
               ~controller ~workload ()
           in
           let expect = if label_switching then expect_ls else expect_tun in
           check_pinned
-            (Printf.sprintf "%s ls=%b ecmp=%b" name label_switching ecmp)
+            (Printf.sprintf "%s ls=%b" name label_switching)
             expect stats)
-        [ (true, false); (false, false); (true, true); (false, true) ]
+        [ true; false ]
   in
   scenario "campus" Sim.Experiment.Campus ~seed:21 ~flows:300 campus_ls
     campus_tun;
@@ -652,7 +602,6 @@ let qcheck_pktsim_chaos =
     (fun seed ->
       let rng = Stdx.Rng.create seed in
       let label_switching = Stdx.Rng.bool rng in
-      let ecmp = Stdx.Rng.bool rng in
       let service_rate =
         if Stdx.Rng.bool rng then infinity else 2.0 +. Stdx.Rng.float rng 20.0
       in
@@ -663,7 +612,6 @@ let qcheck_pktsim_chaos =
         {
           Sim.Pktsim.default_config with
           label_switching;
-          ecmp;
           service_rate;
           cache_capacity;
           packet_interval = 0.5;
@@ -974,34 +922,6 @@ let single_fw_flow ~packets =
     | Error e -> Alcotest.fail e
   in
   (controller, rules, flow, workload)
-
-let test_pktsim_teardown_exact_counters () =
-  (* One flow, packets spaced wider than the label timeout: label
-     switching and IP-over-IP re-establishment alternate packet by
-     packet, so every soft-state counter is exact.  p1 tunnels and
-     establishes; p2's label has expired (miss, drop, teardown back to
-     the proxy); p3 re-establishes; and so on. *)
-  let controller, _, _, workload = single_fw_flow ~packets:6 in
-  let config =
-    {
-      pkt_config with
-      packet_interval = 10.0;
-      label_timeout = 3.0;
-      start_window = 1.0;
-    }
-  in
-  let s = Sim.Pktsim.run ~config ~controller ~workload () in
-  Alcotest.(check int) "injected" 6 s.Sim.Pktsim.injected_packets;
-  Alcotest.(check int) "tunneled legs" 3 s.Sim.Pktsim.tunneled_packets;
-  Alcotest.(check int) "label misses" 3 s.Sim.Pktsim.label_misses;
-  Alcotest.(check int) "dropped" 3 s.Sim.Pktsim.dropped_packets;
-  Alcotest.(check int) "teardowns" 3 s.Sim.Pktsim.teardowns;
-  Alcotest.(check int) "control packets" 3 s.Sim.Pktsim.control_packets;
-  Alcotest.(check int) "delivered" 3 s.Sim.Pktsim.delivered_packets;
-  Alcotest.(check int) "no leg completes label-switched" 0
-    s.Sim.Pktsim.label_switched_packets;
-  Alcotest.(check int) "expiry is not a policy violation" 0
-    s.Sim.Pktsim.policy_violations
 
 let test_pktsim_crash_failover_relabels () =
   (* Mid-run crash of the one middlebox serving a label-switched flow.
@@ -1343,37 +1263,10 @@ let test_pktsim_empty_schedule_inert () =
 
 (* ---- Replicated control plane ------------------------------------- *)
 
-let qcheck_push_backoff =
-  (* The retry ladder is monotone non-decreasing in the attempt number
-     and never exceeds the configured cap. *)
-  QCheck.Test.make ~count:200 ~name:"push backoff monotone and capped"
-    QCheck.(make Gen.(int_range 0 1000000))
-    (fun seed ->
-      let rng = Stdx.Rng.create seed in
-      let base = 0.1 +. Stdx.Rng.float rng 10.0 in
-      let cap =
-        if Stdx.Rng.bool rng then infinity
-        else base +. Stdx.Rng.float rng 100.0
-      in
-      let live =
-        {
-          Sim.Pktsim.default_live with
-          push_backoff = base;
-          push_backoff_cap = cap;
-        }
-      in
-      let delay a = Sim.Pktsim.push_backoff_delay live ~attempt:a in
-      let ok = ref (delay 0 = Float.min base cap) in
-      for a = 1 to 24 do
-        ok := !ok && delay a >= delay (a - 1) && delay a <= cap
-      done;
-      !ok)
-
 let test_pktsim_rejects_invalid_live () =
   (* The configuration gate for the replicated control plane: non-finite
-     timers, a cap below the base backoff, nonsensical replica counts,
-     bad attachment routers and malformed quorum families are all
-     rejected before the run starts. *)
+     timers and nonsensical replica counts are rejected before the run
+     starts. *)
   let controller, workload = small_pkt_setup ~flows:10 () in
   let expect_invalid label live =
     let config = { pkt_config with live = Some live } in
@@ -1385,28 +1278,7 @@ let test_pktsim_rejects_invalid_live () =
   expect_invalid "NaN epoch" { live with epoch_interval = Float.nan };
   expect_invalid "infinite epoch" { live with epoch_interval = infinity };
   expect_invalid "NaN reconcile" { live with reconcile_interval = Float.nan };
-  expect_invalid "NaN backoff" { live with push_backoff = Float.nan };
-  expect_invalid "NaN backoff cap" { live with push_backoff_cap = Float.nan };
-  expect_invalid "cap below base backoff"
-    { live with push_backoff = 4.0; push_backoff_cap = 2.0 };
-  expect_invalid "zero replicas" { live with replicas = 0 };
-  expect_invalid "replica routers wrong length"
-    { live with replicas = 3; replica_routers = Some [ 0; 1 ] };
-  expect_invalid "replica router out of range"
-    { live with replicas = 2; replica_routers = Some [ 0; 9999 ] };
-  expect_invalid "duplicate replica routers"
-    { live with replicas = 3; replica_routers = Some [ 0; 0; 1 ] };
-  expect_invalid "weight vector length mismatch"
-    { live with replicas = 3; quorum = Quorum.Weighted [| 1 |] };
-  (* An infinite cap is legal: it simply leaves the ladder uncapped. *)
-  let uncapped = { live with push_backoff_cap = infinity } in
-  match
-    Sim.Pktsim.run
-      ~config:{ pkt_config with live = Some uncapped }
-      ~controller ~workload ()
-  with
-  | exception Invalid_argument e -> Alcotest.failf "infinite cap rejected: %s" e
-  | _ -> ()
+  expect_invalid "zero replicas" { live with replicas = 0 }
 
 let test_pktsim_single_replica_quiet () =
   (* replicas = 1 (the default) plays a one-acceptor quorum entirely in
@@ -1663,19 +1535,14 @@ let suite =
     Alcotest.test_case "pktsim cache suppresses lookups" `Quick
       test_pktsim_cache_suppresses_lookups;
     Alcotest.test_case "pktsim latency overhead" `Quick test_pktsim_latency_overhead;
-    Alcotest.test_case "pktsim label expiry recovery" `Quick
-      test_pktsim_label_expiry_recovery;
     Alcotest.test_case "pktsim WP cache short-circuit" `Quick
       test_pktsim_wp_cache_short_circuit;
-    Alcotest.test_case "pktsim ECMP invariance" `Quick test_pktsim_ecmp_invariance;
     Alcotest.test_case "pktsim same-seed determinism" `Quick
       test_pktsim_same_seed_deterministic;
     Alcotest.test_case "pktsim pinned equivalence oracle" `Slow
       test_pktsim_pinned_equivalence;
     Alcotest.test_case "pktsim event-count regression" `Quick
       test_pktsim_event_count_regression;
-    Alcotest.test_case "pktsim teardown exact counters" `Quick
-      test_pktsim_teardown_exact_counters;
     Alcotest.test_case "pktsim crash failover relabels" `Quick
       test_pktsim_crash_failover_relabels;
     Alcotest.test_case "pktsim link flap load invariance" `Quick
@@ -1690,7 +1557,6 @@ let suite =
       test_pktsim_rejects_invalid_schedule;
     Alcotest.test_case "pktsim live convergence under loss" `Quick
       test_pktsim_live_convergence;
-    QCheck_alcotest.to_alcotest qcheck_push_backoff;
     Alcotest.test_case "pktsim rejects invalid live configs" `Quick
       test_pktsim_rejects_invalid_live;
     Alcotest.test_case "pktsim single replica stays quiet" `Quick
