@@ -307,22 +307,43 @@ let verify_cmd =
 
 (* ---- trace --------------------------------------------------------- *)
 
+(* Header fields are parsed by converters, so a malformed address or
+   an out-of-range port/protocol is flag misuse (exit 2) that names the
+   argument, not an exception out of [Flow.make]. *)
+let addr_conv =
+  let parse s =
+    match Netpkt.Addr.of_string s with
+    | a -> Ok a
+    | exception Invalid_argument _ ->
+      Error (`Msg (Printf.sprintf "expected a dotted-quad address, got %S" s))
+  in
+  Arg.conv (parse, fun ppf a -> Format.pp_print_string ppf (Netpkt.Addr.to_string a))
+
+let int_in ~lo ~hi =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo && n <= hi -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected an integer in [%d, %d], got %S" lo hi s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let trace_cmd =
   let flow_args =
+    let port = int_in ~lo:0 ~hi:65535 in
     let src =
-      Arg.(required & pos 1 (some string) None & info [] ~docv:"SRC" ~doc:"Source address")
+      Arg.(required & pos 1 (some addr_conv) None & info [] ~docv:"SRC" ~doc:"Source address")
     in
     let dst =
-      Arg.(required & pos 2 (some string) None & info [] ~docv:"DST" ~doc:"Destination address")
+      Arg.(required & pos 2 (some addr_conv) None & info [] ~docv:"DST" ~doc:"Destination address")
     in
     let sport =
-      Arg.(value & opt int 40000 & info [ "sport" ] ~docv:"PORT" ~doc:"Source port")
+      Arg.(value & opt port 40000 & info [ "sport" ] ~docv:"PORT" ~doc:"Source port")
     in
     let dport =
-      Arg.(value & opt int 80 & info [ "dport" ] ~docv:"PORT" ~doc:"Destination port")
+      Arg.(value & opt port 80 & info [ "dport" ] ~docv:"PORT" ~doc:"Destination port")
     in
     let proto =
-      Arg.(value & opt int 6 & info [ "proto" ] ~docv:"P" ~doc:"IP protocol")
+      Arg.(value & opt (int_in ~lo:0 ~hi:255) 6 & info [ "proto" ] ~docv:"P" ~doc:"IP protocol")
     in
     (src, dst, sport, dport, proto)
   in
@@ -339,10 +360,7 @@ let trace_cmd =
       Format.eprintf "configuration failed: %s@." e;
       exit 1
     | Ok c -> (
-      let flow =
-        Netpkt.Flow.make ~src:(Netpkt.Addr.of_string src)
-          ~dst:(Netpkt.Addr.of_string dst) ~proto ~sport ~dport
-      in
+      let flow = Netpkt.Flow.make ~src ~dst ~proto ~sport ~dport in
       match Sim.Flowsim.trace ~controller:c flow with
       | exception Invalid_argument msg ->
         Format.eprintf "%s@." msg;
@@ -369,7 +387,7 @@ let policies_cmd =
   let file =
     Arg.(
       value
-      & opt (some file) None
+      & opt (some non_dir_file) None
       & info [ "file" ] ~docv:"FILE" ~doc:"Validate a policy file (DSL syntax)")
   in
   let run file =

@@ -55,22 +55,29 @@ let test_unknown_experiment () =
 
 let test_bad_flags () =
   (* Non-positive counts are flag misuse, --flows included, and so are
-     removed flags and flags the chosen experiment does not read. *)
+     removed flags, flags the chosen experiment does not read, malformed
+     addresses, out-of-range header fields and a directory given as a
+     policy file. *)
   List.iter
     (fun (args, needle) ->
-      let code, out = run_sdmctl ("exp" :: args) in
+      let code, out = run_sdmctl args in
       let label = String.concat " " args in
       Alcotest.(check int) (label ^ " exits 2") 2 code;
       Alcotest.(check bool) (label ^ " explains") true (contains ~needle out))
     [
-      ([ "table3"; "--jobs"; "0" ], "--jobs");
-      ([ "table3"; "--shards"; "2" ], "--shards");
-      ([ "chaos"; "--flows=-5" ], "--flows");
-      ([ "chaos"; "--flows=0" ], "--flows");
-      ([ "table3"; "--flows"; "2000"; "--corrupt-rate"; "0.5" ], "--corrupt-rate");
-      ([ "lat"; "--sweep-period"; "3" ], "--sweep-period");
-      ([ "fig4"; "--flows"; "100" ], "--flows");
-      ([ "table3"; "--audit" ], "--audit");
+      ([ "exp"; "table3"; "--jobs"; "0" ], "--jobs");
+      ([ "exp"; "table3"; "--shards"; "2" ], "--shards");
+      ([ "exp"; "chaos"; "--flows=-5" ], "--flows");
+      ([ "exp"; "chaos"; "--flows=0" ], "--flows");
+      ( [ "exp"; "table3"; "--flows"; "2000"; "--corrupt-rate"; "0.5" ],
+        "--corrupt-rate" );
+      ([ "exp"; "lat"; "--sweep-period"; "3" ], "--sweep-period");
+      ([ "exp"; "fig4"; "--flows"; "100" ], "--flows");
+      ([ "exp"; "table3"; "--audit" ], "--audit");
+      ([ "trace"; "campus"; "1.2.3"; "4.5.6.7" ], "SRC");
+      ([ "trace"; "campus"; "1.2.3.4"; "4.5.6.7"; "--sport"; "70000" ], "--sport");
+      ([ "trace"; "campus"; "1.2.3.4"; "4.5.6.7"; "--proto"; "999" ], "--proto");
+      ([ "policies"; "--file"; Filename.get_temp_dir_name () ], "--file");
     ]
 
 let test_bad_corrupt_flags () =
