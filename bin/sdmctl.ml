@@ -317,13 +317,16 @@ let addr_conv =
     | exception Invalid_argument _ ->
       Error (`Msg (Printf.sprintf "expected a dotted-quad address, got %S" s))
   in
-  Arg.conv (parse, fun ppf a -> Format.pp_print_string ppf (Netpkt.Addr.to_string a))
+  let print ppf a = Format.pp_print_string ppf (Netpkt.Addr.to_string a) in
+  Arg.conv (parse, print)
 
 let int_in ~lo ~hi =
   let parse s =
     match int_of_string_opt s with
     | Some n when n >= lo && n <= hi -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "expected an integer in [%d, %d], got %S" lo hi s))
+    | _ ->
+      Error
+        (`Msg (Printf.sprintf "expected an integer in [%d, %d], got %S" lo hi s))
   in
   Arg.conv (parse, Format.pp_print_int)
 
@@ -343,7 +346,9 @@ let trace_cmd =
       Arg.(value & opt port 80 & info [ "dport" ] ~docv:"PORT" ~doc:"Destination port")
     in
     let proto =
-      Arg.(value & opt (int_in ~lo:0 ~hi:255) 6 & info [ "proto" ] ~docv:"P" ~doc:"IP protocol")
+      Arg.(
+        value & opt (int_in ~lo:0 ~hi:255) 6
+        & info [ "proto" ] ~docv:"P" ~doc:"IP protocol")
     in
     (src, dst, sport, dport, proto)
   in

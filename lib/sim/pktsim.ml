@@ -2237,11 +2237,8 @@ let run ?(config = default_config) ~controller ~workload () =
               reconcile_rounds = 0;
               leader = 0;
               replica_router =
-                (if lcfg.replicas = 1 then [| primary |]
-                 else
-                   Array.of_list
-                     (Controlplane.replica_routers dep ~primary
-                        ~n:lcfg.replicas));
+                Array.of_list
+                  (Controlplane.replica_routers dep ~primary ~n:lcfg.replicas);
               replica_up = Array.make lcfg.replicas true;
               acceptors =
                 Array.init lcfg.replicas (fun _ -> Quorum.Acceptor.create ());
