@@ -1499,7 +1499,19 @@ let test_experiment_jobs_invariant_pktsim () =
     Sim.Experiment.ablation_chaos ~flows:120 ~audit:true
       ~detection_delays:[ 2.0; 10.0 ] ~jobs ()
   in
-  Alcotest.(check bool) "chaos jobs=1 = jobs=4" true (run 1 = run 4)
+  let base = run 1 in
+  Alcotest.(check bool) "chaos jobs=1 = jobs=4" true (base = run 4);
+  Alcotest.(check string) "chaos report digest pinned"
+    "463d30167080da5e45337fcfdd5663eb" (report_digest base)
+
+let test_experiment_live_invariant () =
+  (* ABL-LIVE drives the config-push ladder hardest: pin its whole
+     report, and check it is bit-identical across --jobs. *)
+  let run jobs = Sim.Experiment.ablation_live ~flows:120 ~audit:true ~jobs () in
+  let base = run 1 in
+  Alcotest.(check bool) "live jobs=1 = jobs=4" true (base = run 4);
+  Alcotest.(check string) "live report digest pinned"
+    "07a7fcb5076bbcd26198bf79e1593e85" (report_digest base)
 
 let suite =
   [
@@ -1580,6 +1592,8 @@ let suite =
       test_experiment_jobs_invariant_flowsim;
     Alcotest.test_case "experiment jobs-invariant (pktsim)" `Slow
       test_experiment_jobs_invariant_pktsim;
+    Alcotest.test_case "experiment live jobs invariance" `Slow
+      test_experiment_live_invariant;
     Alcotest.test_case "experiment k=1 equals HP" `Quick test_experiment_k1_equals_hp;
     Alcotest.test_case "epoch adaptation" `Slow test_epoch_adaptation;
     Alcotest.test_case "queue ablation" `Slow test_queue_ablation;
