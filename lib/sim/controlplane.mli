@@ -28,6 +28,10 @@ type report = {
 val device_count : Sdm.Deployment.t -> int
 (** Proxies plus middleboxes — everything the controller configures. *)
 
+val device_of_mbox : Sdm.Deployment.t -> int -> int
+(** [device_of_entity dep (Middlebox id)] without building the
+    entity. *)
+
 val device_of_entity : Sdm.Deployment.t -> Mbox.Entity.t -> int
 (** Flat device index: proxies first (by id), then middleboxes.  The
     convention shared by {!Pktsim}'s per-device statistics and the
@@ -49,7 +53,7 @@ val replica_routers : Sdm.Deployment.t -> primary:int -> n:int -> int list
 
 val entity_bytes : Sdm.Controller.t -> Mbox.Entity.t -> int
 (** Size of one entity's configuration under the byte model above —
-    also what {!Pktsim}'s live control plane charges per config-push
+    also what the live control plane charges per config-push
     message. *)
 
 val price :
@@ -62,3 +66,127 @@ val price :
     the first core router. *)
 
 val pp_report : Format.formatter -> report -> unit
+
+(** {1 Live control plane}
+
+    Sec. III.A-III.C run in-line, as {!Pktsim} does when
+    {!Pktsim.config.live} is set.  The controller becomes a simulated
+    entity at an attachment router: at epoch boundaries it re-solves
+    the placement from the traffic volumes measured since the run
+    began, and one detection delay after every middlebox transition it
+    re-optimizes around the believed-failed set.  Each published
+    configuration carries a monotonically increasing {e version} and
+    is pushed hop-by-hop to every proxy and middlebox over the lossy
+    control channel, with per-device acknowledgement, a periodic
+    reconciliation loop that re-pushes to devices stuck on stale
+    versions, and graceful degradation to the last-known-good
+    configuration when the controller is partitioned from a device or
+    the new configuration fails verification.
+
+    One exchange carries every control message — config push and ack,
+    sweep query and report, proposal and vote, commit notice — and
+    one retry ladder backs them all off: up to 6 retries after 2, 4,
+    ..., 64 time units.
+
+    Mixed-version safety: a new version is published only after
+    {!Sdm.Verify.check_window} certifies every reachable mix of the
+    two adjacent versions.  Devices stage at most {installed-1,
+    installed}; flows stay sticky to the version that admitted them
+    (clamped into the staged window), and label-table entries more
+    than one version old are purged on install, so an in-flight flow
+    crossing an update boundary re-establishes its path instead of
+    stranding.
+
+    Replication ([replicas > 1]): the controller becomes [replicas]
+    replicas at distinct attachment routers ({!replica_routers} from
+    {!default_router}); the lowest-id live replica leads.  Every
+    candidate configuration runs a two-phase {!Quorum} round — propose
+    out, votes back — and is published only once a strict majority of
+    the replicas accepted it.  A leader crash triggers a deterministic
+    re-election one detection delay later; a minority-side partition
+    abandons its round and degrades to last-known-good without ever
+    publishing.  [replicas = 1] (the default) commits synchronously
+    with zero quorum traffic.
+
+    The control plane never sees the data plane's state: it reaches
+    the network only through {!net}. *)
+
+type net = {
+  hops : from:int -> target:int -> int option;
+      (** router hops from [from] to [target] on the current routing
+          tables; [None] when partitioned *)
+  control_lost : unit -> bool;
+      (** one loss draw of the control channel, per transmitted leg *)
+  device_up : Mbox.Entity.t -> bool;
+  install : dev:int -> version:int -> unit;
+      (** the device side of an install, after the version is stored *)
+  sweep_check : dev:int -> unit;
+      (** the device side of a sweep visit: digest check and scrub *)
+  believed_failed : unit -> int list;
+      (** middleboxes the failure detector believes down *)
+  corruption_outstanding : unit -> bool;
+      (** some injected corruption is not repaired yet *)
+}
+
+(** Live control-plane state.  The data plane reads it directly on
+    every packet (installed versions, published configs, the traffic
+    measurement); only this module writes it. *)
+type t = private {
+  lcfg : Pktsim_types.live_config;
+  dep : Sdm.Deployment.t;
+  engine : Dess.Engine.t;
+  stats : Pktsim_types.stats; (** counted into; owned by the run *)
+  audit : Audit.Checker.t option;
+  net : net;
+  link_delay : float; (** per router hop *)
+  mutable configs : Sdm.Controller.t array;
+      (** [configs.(v)] is version [v]; version 0 is the start plan *)
+  mutable latest : int;
+  device_version : int array; (** installed, per flat device index *)
+  device_acked : int array;   (** highest version the controller saw acked *)
+  meas : Sdm.Measurement.t;   (** per-(src, dst, rule) volumes so far *)
+  mutable horizon : float;    (** time of the last scheduled injection *)
+  mutable reconcile_rounds : int;
+  mutable leader : int;
+  replica_router : int array;
+  replica_up : bool array;
+  acceptors : Quorum.Acceptor.t array; (** durable across crashes *)
+  mutable round : Quorum.Round.t option;
+  mutable pending : Sdm.Controller.t option;
+      (** candidate waiting on its quorum round *)
+}
+
+val create :
+  Pktsim_types.live_config ->
+  controller:Sdm.Controller.t ->
+  engine:Dess.Engine.t ->
+  stats:Pktsim_types.stats ->
+  audit:Audit.Checker.t option ->
+  link_delay:float ->
+  net ->
+  t
+(** A control plane on [controller]'s deployment, publishing
+    [controller] as version 0.  Schedules nothing. *)
+
+val start : t -> horizon:float -> unit
+(** Arm the epoch re-optimizations up to [horizon], the reconciliation
+    heartbeat and (when [sweep_period] is set) the anti-entropy
+    sweep. *)
+
+val publish : t -> Sdm.Controller.t -> unit
+(** Publish a committed configuration as the next version and push it
+    to every device.  In a run only a quorum commit calls this. *)
+
+val reoptimize : t -> unit
+(** Re-solve from the measured traffic around the believed-failed set
+    and submit the plan to a quorum round. *)
+
+val handle_ctrl_crash : t -> int -> unit
+(** The crash of replica [id] has been detected: re-elect if it led. *)
+
+val set_replica_up : t -> int -> bool -> unit
+(** A replica crashed or recovered; ids past [replicas] are ignored. *)
+
+val regress_device : t -> int -> unit
+(** Take one version back from a device, silently: the lost-install
+    corruption. *)

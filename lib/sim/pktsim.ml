@@ -1,22 +1,4 @@
-(* Live control plane (Sec. III.A-III.C run in-line): the controller
-   sits at an attachment router, re-optimizes at epoch boundaries and
-   on detected failures, and pushes versioned configuration updates to
-   every proxy and middlebox over the same lossy control channel the
-   data plane uses. *)
-type live_config = {
-  epoch_interval : float;
-  reconcile_interval : float;
-  replicas : int;
-  sweep_period : float option;
-      (* anti-entropy digest sweep over every device's soft state;
-         [None] disables it (and keeps the run bit-identical to a
-         build without the sweep machinery) *)
-  warm_start : bool;
-      (* thread the previous plan's simplex basis through every in-run
-         re-optimization (incremental candidate patching + phase-2-only
-         LP re-solve where the layout held); [false] runs the cold path
-         bit-identically to builds without warm-start support *)
-}
+include Pktsim_types
 
 let default_live =
   {
@@ -32,12 +14,6 @@ let link_delay = 0.1 (* per router hop *)
 let cache_timeout = 1e9 (* flow-cache soft state never expires *)
 let ctrl_retry_timeout = 5.0 (* label-control retransmission timer *)
 let ctrl_max_retries = 3 (* label-control retransmissions per message *)
-let push_max_retries = 6 (* config-push retries before reconciliation *)
-let push_backoff = 2.0 (* first retry delay of every control-plane ladder *)
-
-(* The retry ladder every control-plane chain (config push, sweep
-   visit, proposal, commit notice) climbs: 2, 4, ..., 64. *)
-let backoff_delay ~attempt = push_backoff *. (2.0 ** float_of_int attempt)
 
 type config = {
   label_switching : bool;
@@ -71,81 +47,6 @@ let default_config =
     audit = false;
     debug_bypass_chain = None;
   }
-
-(* The run counts straight into its result: the fields the run
-   increments are mutable, the derived ones are filled in at the end. *)
-type stats = {
-  loads : float array;
-  mutable injected_packets : int;
-  mutable delivered_packets : int;
-  mutable dropped_packets : int;
-  mutable control_packets : int;
-  mutable multi_field_lookups : int;
-  mutable cache_hits : int;
-  mutable cache_negative_hits : int;
-  mutable tunneled_packets : int;
-  mutable label_switched_packets : int;
-  mutable fragments_created : int;
-  mutable router_hops : int;
-  sim_time : float;
-  latency_mean : float;  (* 0.0 when nothing was delivered *)
-  latency_p50 : float;
-  latency_p99 : float;
-  mutable label_misses : int; (* label-switched packets finding no entry *)
-  mutable teardowns : int;    (* teardown notifications back to proxies *)
-  mutable wp_cache_served : int; (* requests answered from the WP's cache *)
-  cache_evictions : int; (* capacity-forced LRU evictions across all caches *)
-  events_scheduled : int; (* engine events created over the whole run *)
-  events_processed : int; (* engine events fired over the whole run *)
-  mutable policy_violations : int; (* enforced packets escaping their chain *)
-  mutable fault_dropped : int;   (* packets lost to injected faults *)
-  mutable control_retries : int; (* control-packet retransmissions *)
-  mutable control_lost : int;    (* control transmissions lost to faults *)
-  mutable last_violation_time : float; (* last policy violation, 0 if none *)
-  (* Live control plane (all 0 / all-zero arrays when [live = None]). *)
-  mutable config_pushes : int;   (* config-push transmissions, with retries *)
-  mutable config_acks : int;     (* install acks the controller got *)
-  mutable config_lost : int;     (* config/ack transmissions lost to faults *)
-  mutable config_bytes : int;    (* bytes of configuration put on the wire *)
-  mutable reoptimizations : int; (* configuration versions published *)
-  mutable config_degraded : int;
-      (* re-optimizations or pushes abandoned: partition, LP failure,
-         or mixed-version verification veto *)
-  final_config_version : int;
-  stale_devices : int;   (* devices below the final version at run end *)
-  entity_control_retries : int array; (* per device: proxies, then mboxes *)
-  entity_control_lost : int array;
-  entity_config_version : int array;
-  (* Replicated control plane (with [replicas = 1] the counters still
-     run — the single replica plays a one-acceptor quorum — but no
-     quorum traffic ever hits the wire). *)
-  mutable quorum_rounds : int;  (* propose/accept/commit rounds started *)
-  mutable quorum_commits : int; (* rounds that reached quorum and committed *)
-  mutable quorum_aborts : int;  (* rounds abandoned: no quorum, or superseded *)
-  mutable quorum_msgs : int;    (* proposal/vote/commit-notice transmissions *)
-  mutable quorum_lost : int;    (* of those, lost to the control channel *)
-  mutable leader_changes : int; (* re-elections after a leader crash *)
-  replica_versions : int array; (* per replica: highest committed version *)
-  (* Silent state corruption and the anti-entropy sweep (all 0 when the
-     schedule has no corruption events / [sweep_period = None]). *)
-  mutable corruptions_injected : int;   (* events that found a target *)
-  mutable corruptions_manifested : int; (* of those, ones the data plane used *)
-  mutable corruptions_detected : int;   (* digest mismatches the sweep found *)
-  mutable corruptions_repaired : int;   (* resolved: purge/rebase/re-push *)
-  mutable sweep_rounds : int;  (* sweep rounds started *)
-  mutable sweep_msgs : int;    (* digest query/reply transmissions *)
-  mutable sweep_lost : int;    (* of those, lost to the control channel *)
-  mutable sweep_bytes : int;   (* repair-traffic overhead on the wire *)
-  repair_window_mean : float;  (* mean inject-to-repair time, 0 if none *)
-  mutable repair_window_max : float;
-  (* Incremental re-optimization (all 0 when [live = None]; warm/
-     fallback are 0 unless [warm_start] was on). *)
-  mutable reopt_pivots : int;        (* simplex pivots, all in-run re-solves *)
-  mutable reopt_phase1_pivots : int; (* of those, phase-1 (cold-path) pivots *)
-  mutable reopt_warm_used : int;     (* re-solves the previous basis carried *)
-  mutable reopt_fallback : int;      (* warm attempts that fell back cold *)
-  audit_report : Audit.Checker.report option; (* None unless [config.audit] *)
-}
 
 (* Messages on the wire: ordinary data packets, or the control packet
    the chain's last middlebox sends back to the proxy (Sec. III.E).
@@ -206,35 +107,6 @@ type fault_state = {
   corrupt : corrupt_state option;
 }
 
-(* Live control-plane state.  Devices (proxies first, then middleboxes)
-   are indexed flat; [configs.(v)] is the controller published as
-   version [v], with version 0 the configuration the run started on.
-   Devices stage at most the two adjacent versions {installed-1,
-   installed}: that is the invariant Verify.check_mixed certifies. *)
-type live_state = {
-  lcfg : live_config;
-  ctrl_router : int;
-  mutable configs : Sdm.Controller.t array;
-  mutable latest : int;
-  device_version : int array; (* installed at the device *)
-  device_acked : int array;   (* highest version the controller saw acked *)
-  meas : Sdm.Measurement.t;   (* per-(src, dst, rule) volumes observed so far *)
-  mutable horizon : float;    (* time of the last scheduled injection *)
-  mutable reconcile_rounds : int;
-  (* Controller replication.  Replica [i] sits at [replica_router.(i)]
-     (replica 0 at [ctrl_router]); the leader is the lowest-id live
-     replica and the only one that proposes, commits, and pushes.  A
-     candidate configuration parks in [pending] while its quorum round
-     is in flight and reaches [configs] only through a commit — the
-     single gate into the staged window. *)
-  mutable leader : int;
-  replica_router : int array;
-  replica_up : bool array;
-  acceptors : Quorum.Acceptor.t array; (* durable across crashes *)
-  mutable round : Quorum.Round.t option;
-  mutable pending : Sdm.Controller.t option;
-}
-
 type world = {
   cfg : config;
   controller : Sdm.Controller.t;
@@ -242,7 +114,7 @@ type world = {
   engine : Dess.Engine.t;
   mutable tables : Netgraph.Routing.table array;
   fault : fault_state option;
-  live : live_state option;
+  mutable live : Controlplane.t option; (* set once, right after creation *)
   (* The run's counters.  Per-device control-channel accounting is
      maintained for static runs too: label establishment/teardown
      retransmissions are attributed to the sending middlebox, config
@@ -390,27 +262,11 @@ let steer_view w =
     Fault.Detector.belief_signature f.detector ~now:(Dess.Engine.now w.engine)
   | _ -> 0L
 
-(* ---- Live-control-plane device indexing -------------------------- *)
-
-let n_devices w =
-  Array.length w.dep.Sdm.Deployment.proxies
-  + Array.length w.dep.Sdm.Deployment.middleboxes
-
-let dev_of_entity w = function
-  | Mbox.Entity.Proxy i -> i
-  | Mbox.Entity.Middlebox i -> Array.length w.dep.Sdm.Deployment.proxies + i
-
-let dev_of_mbox w id = Array.length w.dep.Sdm.Deployment.proxies + id
-
-let dev_entity w dev =
-  let n_proxies = Array.length w.dep.Sdm.Deployment.proxies in
-  if dev < n_proxies then Mbox.Entity.Proxy dev
-  else Mbox.Entity.Middlebox (dev - n_proxies)
-
 let installed_version w entity =
   match w.live with
   | None -> 0
-  | Some ls -> ls.device_version.(dev_of_entity w entity)
+  | Some ls ->
+    ls.Controlplane.device_version.(Controlplane.device_of_entity w.dep entity)
 
 (* A steering decision at a device whose config install was silently
    lost runs under regressed weights: that is the lost install
@@ -421,7 +277,9 @@ let note_config_use w entity =
   match corrupt_of w with
   | None -> ()
   | Some cs -> (
-    match Hashtbl.find_opt cs.config_sites (dev_of_entity w entity) with
+    match
+      Hashtbl.find_opt cs.config_sites (Controlplane.device_of_entity w.dep entity)
+    with
     | Some cid -> manifest_corruption w cs ~cid ~aid:(-1)
     | None -> ())
 
@@ -436,7 +294,7 @@ let note_label_overwrite w ~mbox ~src ~label =
   | Some cs -> (
     match Hashtbl.find_opt cs.label_sites (mbox, src, label) with
     | Some cid ->
-      resolve_cid w cs ~cid ~dev:(dev_of_mbox w mbox)
+      resolve_cid w cs ~cid ~dev:(Controlplane.device_of_mbox w.dep mbox)
         ~action:Audit.Event.Rebased
     | None -> ())
 
@@ -494,7 +352,9 @@ let decision_version w ?admitted entity =
   match w.live with
   | None -> 0
   | Some ls -> (
-    let inst = ls.device_version.(dev_of_entity w entity) in
+    let inst =
+      ls.Controlplane.device_version.(Controlplane.device_of_entity w.dep entity)
+    in
     match admitted with
     | Some a when a < inst -> Stdlib.max a (inst - 1)
     | _ -> inst)
@@ -502,7 +362,7 @@ let decision_version w ?admitted entity =
 let decision_controller w ?admitted entity =
   match w.live with
   | None -> w.controller
-  | Some ls -> ls.configs.(decision_version w ?admitted entity)
+  | Some ls -> ls.Controlplane.configs.(decision_version w ?admitted entity)
 
 (* Steering decision under faults: with failover on, entities consult
    the failure detector's (delayed) view; with it off they keep using
@@ -529,7 +389,7 @@ let note_traffic w (fs : Workload.flow_spec) ~rule_id =
   match w.live with
   | None -> ()
   | Some ls ->
-    Sdm.Measurement.add ls.meas ~src:fs.Workload.src_proxy
+    Sdm.Measurement.add ls.Controlplane.meas ~src:fs.Workload.src_proxy
       ~dst:fs.Workload.dst_proxy ~rule:rule_id 1.0
 
 (* One Bernoulli draw per data packet per link crossed; control-packet
@@ -548,9 +408,16 @@ let control_loss_draw w =
     Stdx.Rng.float f.loss_rng 1.0 < f.schedule.Fault.Schedule.control_loss
   | _ -> false
 
-let drop_to_fault w =
+(* A message dies on the data path: counted, and announced to the
+   auditor ([aid] = -1 for control traffic). *)
+let drop w ~aid reason =
   w.stats.dropped_packets <- w.stats.dropped_packets + 1;
-  w.stats.fault_dropped <- w.stats.fault_dropped + 1
+  audit_emit w (fun () ->
+      Audit.Event.Dropped { aid; time = Dess.Engine.now w.engine; reason })
+
+let drop_to_fault w ~aid reason =
+  w.stats.fault_dropped <- w.stats.fault_dropped + 1;
+  drop w ~aid reason
 
 let resolve w addr =
   match Hashtbl.find_opt w.mbox_index addr with
@@ -610,6 +477,29 @@ let serve_from_cache w ~born ~aid ~mbox =
   audit_emit w (fun () ->
       Audit.Event.Wp_served { aid; time = Dess.Engine.now w.engine; mbox })
 
+(* Every candidate for the next function is believed dead: degrade
+   gracefully by dropping just this packet instead of aborting the
+   run. *)
+let drop_no_candidate w ~aid =
+  drop w ~aid Audit.Event.No_candidate;
+  policy_violation w
+
+(* Middlebox [id] stores a label-switched path's entry under its
+   installed configuration version. *)
+let insert_label w id ~src ~label ~actions ~next ~final_dst =
+  note_label_overwrite w ~mbox:id ~src ~label;
+  Mbox.Label_table.insert w.mbox_labels.(id)
+    ~now:(Dess.Engine.now w.engine)
+    ~version:(installed_version w (Mbox.Entity.Middlebox id))
+    { Mbox.Label_table.src; label } ~actions ~next ~final_dst;
+  audit_emit w (fun () ->
+      Audit.Event.Label_insert
+        { mbox = id;
+          time = Dess.Engine.now w.engine;
+          src;
+          label;
+          version = installed_version w (Mbox.Entity.Middlebox id) })
+
 (* Hop fast-forwarding: the routers between two policy decision points
    are policy-oblivious and their tables are fixed between topology
    changes, so transit is fully deterministic.  Instead of paying one
@@ -621,22 +511,13 @@ let serve_from_cache w ~born ~aid ~mbox =
    execution. *)
 let rec send w ~from_router msg =
   note_fragments w msg;
-  let audit_drop reason =
-    audit_emit w (fun () ->
-        Audit.Event.Dropped
-          { aid = msg_aid msg; time = Dess.Engine.now w.engine; reason })
-  in
   match resolve w (msg_dst msg) with
-  | None ->
-    w.stats.dropped_packets <- w.stats.dropped_packets + 1;
-    audit_drop Audit.Event.Unroutable
+  | None -> drop w ~aid:(msg_aid msg) Audit.Event.Unroutable
   | Some (target_router, endpoint) ->
     let rec walk router time =
       if router = target_router then begin
-        if link_lost w msg then begin
-          drop_to_fault w;
-          audit_drop Audit.Event.Link_loss
-        end
+        if link_lost w msg then
+          drop_to_fault w ~aid:(msg_aid msg) Audit.Event.Link_loss
         else
           ignore
             (Dess.Engine.schedule_at w.engine ~time:(time +. link_delay)
@@ -644,14 +525,10 @@ let rec send w ~from_router msg =
       end
       else
         match Netgraph.Routing.next_hop w.tables.(router) target_router with
-        | None ->
-          w.stats.dropped_packets <- w.stats.dropped_packets + 1;
-          audit_drop Audit.Event.Unroutable
+        | None -> drop w ~aid:(msg_aid msg) Audit.Event.Unroutable
         | Some hop ->
-          if link_lost w msg then begin
-            drop_to_fault w;
-            audit_drop Audit.Event.Link_loss
-          end
+          if link_lost w msg then
+            drop_to_fault w ~aid:(msg_aid msg) Audit.Event.Link_loss
           else begin
             w.stats.router_hops <- w.stats.router_hops + 1;
             walk hop (time +. link_delay)
@@ -690,14 +567,8 @@ and deliver w endpoint msg =
   | To_subnet proxy_id, Data (pkt, born, aid) ->
     (* Arrived in its stub network.  Encapsulated packets must not
        reach subnets; plain ones are final deliveries. *)
-    if Netpkt.Packet.is_encapsulated pkt then begin
-      w.stats.dropped_packets <- w.stats.dropped_packets + 1;
-      audit_emit w (fun () ->
-          Audit.Event.Dropped
-            { aid;
-              time = Dess.Engine.now w.engine;
-              reason = Audit.Event.Encap_at_subnet })
-    end
+    if Netpkt.Packet.is_encapsulated pkt then
+      drop w ~aid Audit.Event.Encap_at_subnet
     else begin
       ignore proxy_id;
       w.stats.delivered_packets <- w.stats.delivered_packets + 1;
@@ -742,12 +613,7 @@ and deliver w endpoint msg =
              mbox_receive w id pkt ~born ~aid))
     end
   | To_mbox _, (Control _ | Teardown _) ->
-    w.stats.dropped_packets <- w.stats.dropped_packets + 1;
-    audit_emit w (fun () ->
-        Audit.Event.Dropped
-          { aid = -1;
-            time = Dess.Engine.now w.engine;
-            reason = Audit.Event.Unroutable })
+    drop w ~aid:(-1) Audit.Event.Unroutable
 
 (* ---- Middlebox data path ---------------------------------------- *)
 
@@ -779,12 +645,7 @@ and mbox_receive w id pkt ~born ~aid =
   if mbox_is_down w id then begin
     (* Steered into a crashed middlebox (the detection window, or
        failover disabled): the packet is lost unenforced. *)
-    drop_to_fault w;
-    audit_emit w (fun () ->
-        Audit.Event.Dropped
-          { aid;
-            time = Dess.Engine.now w.engine;
-            reason = Audit.Event.Dead_mbox });
+    drop_to_fault w ~aid Audit.Event.Dead_mbox;
     policy_violation w
   end
   else mbox_process w id pkt ~born ~aid
@@ -822,16 +683,7 @@ and mbox_process w id pkt ~born ~aid =
         match
           controller_next_hop w (Mbox.Entity.Middlebox id) ~rule ~nf:nf' flow
         with
-        | Error `No_live_candidate ->
-          (* Every candidate for the rest of the chain is believed
-             dead: degrade gracefully by dropping just this packet. *)
-          w.stats.dropped_packets <- w.stats.dropped_packets + 1;
-          audit_emit w (fun () ->
-              Audit.Event.Dropped
-                { aid;
-                  time = Dess.Engine.now w.engine;
-                  reason = Audit.Event.No_candidate });
-          policy_violation w
+        | Error `No_live_candidate -> drop_no_candidate w ~aid
         | Ok y ->
           audit_emit w (fun () ->
               Audit.Event.Steered
@@ -845,19 +697,8 @@ and mbox_process w id pkt ~born ~aid =
                   mbox = y.Mbox.Middlebox.id });
           (match (label, w.cfg.label_switching) with
           | Some l, true ->
-            note_label_overwrite w ~mbox:id ~src:flow.Netpkt.Flow.src ~label:l;
-            Mbox.Label_table.insert w.mbox_labels.(id)
-              ~now:(Dess.Engine.now w.engine)
-              ~version:(installed_version w (Mbox.Entity.Middlebox id))
-              { Mbox.Label_table.src = flow.Netpkt.Flow.src; label = l }
-              ~actions ~next:(Some y.Mbox.Middlebox.addr) ~final_dst:None;
-            audit_emit w (fun () ->
-                Audit.Event.Label_insert
-                  { mbox = id;
-                    time = Dess.Engine.now w.engine;
-                    src = flow.Netpkt.Flow.src;
-                    label = l;
-                    version = installed_version w (Mbox.Entity.Middlebox id) })
+            insert_label w id ~src:flow.Netpkt.Flow.src ~label:l ~actions
+              ~next:(Some y.Mbox.Middlebox.addr) ~final_dst:None
           | _ -> ());
           let outer =
             Netpkt.Packet.encapsulate ~src:proxy_addr ~dst:y.Mbox.Middlebox.addr
@@ -869,34 +710,17 @@ and mbox_process w id pkt ~born ~aid =
            confirm the label-switched path to the proxy. *)
         (match (label, w.cfg.label_switching) with
         | Some l, true ->
-          note_label_overwrite w ~mbox:id ~src:flow.Netpkt.Flow.src ~label:l;
-          Mbox.Label_table.insert w.mbox_labels.(id)
-            ~now:(Dess.Engine.now w.engine)
-            ~version:(installed_version w (Mbox.Entity.Middlebox id))
-            { Mbox.Label_table.src = flow.Netpkt.Flow.src; label = l }
-            ~actions ~next:None ~final_dst:(Some flow.Netpkt.Flow.dst);
-          audit_emit w (fun () ->
-              Audit.Event.Label_insert
-                { mbox = id;
-                  time = Dess.Engine.now w.engine;
-                  src = flow.Netpkt.Flow.src;
-                  label = l;
-                  version = installed_version w (Mbox.Entity.Middlebox id) });
+          insert_label w id ~src:flow.Netpkt.Flow.src ~label:l ~actions
+            ~next:None ~final_dst:(Some flow.Netpkt.Flow.dst);
           send_control w ~from_router:mb.Mbox.Middlebox.router
-            ~sender:(dev_of_mbox w id)
+            ~sender:(Controlplane.device_of_mbox w.dep id)
             (Control { dst = proxy_addr; flow })
         | _ -> ());
         send w ~from_router:mb.Mbox.Middlebox.router (Data (inner, born, aid))))
   | None -> (
     (* No outer header: a label-switched packet addressed to us. *)
     match pkt.Netpkt.Packet.header.Netpkt.Header.label with
-    | None ->
-      w.stats.dropped_packets <- w.stats.dropped_packets + 1;
-      audit_emit w (fun () ->
-          Audit.Event.Dropped
-            { aid;
-              time = Dess.Engine.now w.engine;
-              reason = Audit.Event.No_label })
+    | None -> drop w ~aid Audit.Event.No_label
     | Some l -> (
       (* The flat [find] entry point: no key record on the per-packet
          label-switched path. *)
@@ -909,13 +733,8 @@ and mbox_process w id pkt ~born ~aid =
         (* Crash-wiped (or never-installed) path: the packet cannot be
            forwarded — its original destination is unknown here — but
            the proxy is told to re-establish. *)
-        w.stats.dropped_packets <- w.stats.dropped_packets + 1;
         w.stats.label_misses <- w.stats.label_misses + 1;
-        audit_emit w (fun () ->
-            Audit.Event.Dropped
-              { aid;
-                time = Dess.Engine.now w.engine;
-                reason = Audit.Event.Label_miss });
+        drop w ~aid Audit.Event.Label_miss;
         note_label_miss w ~mbox:id
           ~src:pkt.Netpkt.Packet.header.Netpkt.Header.src ~label:l ~aid;
         (match
@@ -924,7 +743,7 @@ and mbox_process w id pkt ~born ~aid =
          with
         | Some p ->
           send_control w ~from_router:mb.Mbox.Middlebox.router
-            ~sender:(dev_of_mbox w id)
+            ~sender:(Controlplane.device_of_mbox w.dep id)
             (Teardown { dst = p.Mbox.Proxy.addr; label = l })
         | None -> () (* orphaned source: nothing to notify *))
       | Some entry ->
@@ -974,9 +793,7 @@ let proxy_emit w (fs : Workload.flow_spec) ~aid =
   let now = Dess.Engine.now w.engine in
   let cache = w.proxy_caches.(proxy_id) in
   let flow = fs.Workload.flow in
-  let header =
-    Netpkt.Header.of_flow flow
-  in
+  let header = Netpkt.Header.of_flow flow in
   let payload_bytes = max 0 (fs.Workload.packet_bytes - Netpkt.Header.size) in
   let plain = Netpkt.Packet.plain header ~payload_bytes in
   let entity = Mbox.Entity.Proxy proxy_id in
@@ -1002,14 +819,7 @@ let proxy_emit w (fs : Workload.flow_spec) ~aid =
     | _ -> (
       let nf = List.hd rule.Policy.Rule.actions in
       match controller_next_hop w ~admitted entity ~rule ~nf flow with
-      | Error `No_live_candidate ->
-        (* Nowhere alive to start the chain: degrade gracefully by
-           dropping the packet instead of aborting the run. *)
-        w.stats.dropped_packets <- w.stats.dropped_packets + 1;
-        audit_emit w (fun () ->
-            Audit.Event.Dropped
-              { aid; time = now; reason = Audit.Event.No_candidate });
-        policy_violation w
+      | Error `No_live_candidate -> drop_no_candidate w ~aid
       | Ok mb ->
         audit_emit w (fun () ->
             Audit.Event.Steered
@@ -1058,12 +868,7 @@ let proxy_emit w (fs : Workload.flow_spec) ~aid =
          packet straight to the first middlebox, no outer header. *)
       let nf = List.hd rule.Policy.Rule.actions in
       match controller_next_hop w ~admitted:cfg_version entity ~rule ~nf flow with
-      | Error `No_live_candidate ->
-        w.stats.dropped_packets <- w.stats.dropped_packets + 1;
-        audit_emit w (fun () ->
-            Audit.Event.Dropped
-              { aid; time = now; reason = Audit.Event.No_candidate });
-        policy_violation w
+      | Error `No_live_candidate -> drop_no_candidate w ~aid
       | Ok mb ->
         audit_emit w (fun () ->
             Audit.Event.Steered
@@ -1175,7 +980,7 @@ let inject_label_corrupt w cs id =
     in
     if redirect <> current && Mbox.Label_table.unsafe_corrupt t key ~redirect
     then
-      register_corruption w cs ~dev:(dev_of_mbox w id)
+      register_corruption w cs ~dev:(Controlplane.device_of_mbox w.dep id)
         ~kind:Audit.Event.Wrong_steer
         ~site:
           (Audit.Event.Label_site
@@ -1189,7 +994,7 @@ let inject_label_drop w cs id =
   if (not (mbox_is_down w id)) && n > 0 then begin
     let key, _ = nth_label_entry t (Stdx.Rng.int cs.crng n) in
     if Mbox.Label_table.unsafe_drop t key then
-      register_corruption w cs ~dev:(dev_of_mbox w id)
+      register_corruption w cs ~dev:(Controlplane.device_of_mbox w.dep id)
         ~kind:Audit.Event.Lost_entry
         ~site:
           (Audit.Event.Label_site
@@ -1236,9 +1041,11 @@ let inject_config_lose w cs dev =
   match w.live with
   | None -> ()
   | Some ls ->
-    if ls.device_version.(dev) > 0 && not (Hashtbl.mem cs.config_sites dev)
+    if
+      ls.Controlplane.device_version.(dev) > 0
+      && not (Hashtbl.mem cs.config_sites dev)
     then begin
-      ls.device_version.(dev) <- ls.device_version.(dev) - 1;
+      Controlplane.regress_device ls dev;
       register_corruption w cs ~dev ~kind:Audit.Event.Lost_config
         ~site:(Audit.Event.Config_site { dev })
     end
@@ -1256,12 +1063,15 @@ let inject_stale_resurrect w cs id =
       let key, entry = List.nth g k in
       cs.graveyard.(id) <- List.filteri (fun i _ -> i <> k) g;
       if Mbox.Label_table.unsafe_resurrect w.mbox_labels.(id) key entry then
-        register_corruption w cs ~dev:(dev_of_mbox w id)
+        register_corruption w cs ~dev:(Controlplane.device_of_mbox w.dep id)
           ~kind:Audit.Event.Resurrected
           ~site:
             (Audit.Event.Label_site
                { mbox = id; src = key.Mbox.Label_table.src;
                  label = key.Mbox.Label_table.label })
+
+let with_corrupt f inject target =
+  match f.corrupt with Some cs -> inject cs target | None -> ()
 
 let apply_fault w f what =
   let now = Dess.Engine.now w.engine in
@@ -1281,7 +1091,7 @@ let apply_fault w f what =
     (match f.corrupt with
     | None -> ()
     | Some cs ->
-      let dev = dev_of_mbox w id in
+      let dev = Controlplane.device_of_mbox w.dep id in
       Hashtbl.iter
         (fun _ r ->
           match r.cr_site with
@@ -1309,180 +1119,68 @@ let apply_fault w f what =
        happens one detection delay later (scheduled alongside the
        fault), not here. *)
     match w.live with
-    | Some ls when id < Array.length ls.replica_up ->
-      ls.replica_up.(id) <- false
-    | _ -> ())
+    | Some ls -> Controlplane.set_replica_up ls id false
+    | None -> ())
   | Fault.Schedule.Ctrl_recover id -> (
     (* Recovery is quiet: the replica rejoins as a standby (stable
        leadership — no failback) and resumes voting from its durable
        acceptor state. *)
     match w.live with
-    | Some ls when id < Array.length ls.replica_up ->
-      ls.replica_up.(id) <- true
-    | _ -> ())
+    | Some ls -> Controlplane.set_replica_up ls id true
+    | None -> ())
   (* Silent state corruption: each event draws its victim from the
      corruption RNG (a derived child of the loss stream, so the loss
      draws are unperturbed) and registers the ground truth with the
      auditor.  Without a [corrupt] state (no corruption events in the
      schedule) these arms are unreachable. *)
-  | Fault.Schedule.Label_corrupt id -> (
-    match f.corrupt with
-    | Some cs -> inject_label_corrupt w cs id
-    | None -> ())
-  | Fault.Schedule.Label_drop id -> (
-    match f.corrupt with
-    | Some cs -> inject_label_drop w cs id
-    | None -> ())
-  | Fault.Schedule.Cache_poison id -> (
-    match f.corrupt with
-    | Some cs -> inject_cache_poison w cs id
-    | None -> ())
-  | Fault.Schedule.Config_lose dev -> (
-    match f.corrupt with
-    | Some cs -> inject_config_lose w cs dev
-    | None -> ())
-  | Fault.Schedule.Stale_resurrect id -> (
-    match f.corrupt with
-    | Some cs -> inject_stale_resurrect w cs id
-    | None -> ())
+  | Fault.Schedule.Label_corrupt id -> with_corrupt f (inject_label_corrupt w) id
+  | Fault.Schedule.Label_drop id -> with_corrupt f (inject_label_drop w) id
+  | Fault.Schedule.Cache_poison id -> with_corrupt f (inject_cache_poison w) id
+  | Fault.Schedule.Config_lose dev -> with_corrupt f (inject_config_lose w) dev
+  | Fault.Schedule.Stale_resurrect id -> with_corrupt f (inject_stale_resurrect w) id
 
-(* ---- Live control plane ----------------------------------------- *)
+(* ---- The network under the live control plane ------------------- *)
 
-(* Hop count from the controller's attachment router to a device,
+(* Hop count from a controller replica's router to a target router,
    walking the *current* routing tables (so a partition shows up as
    None, and a reconverged detour is priced at its real length). *)
 let route_hops w ~from ~target =
-  if from = target then Some 0
-  else begin
-    let n = Array.length w.tables in
-    let rec go r acc =
-      if r = target then Some acc
-      else if acc > n then None (* routing loop guard *)
-      else
-        match Netgraph.Routing.next_hop w.tables.(r) target with
-        | None -> None
-        | Some h -> go h (acc + 1)
-    in
-    go from 0
-  end
+  match Netgraph.Routing.walk w.tables ~src:from ~dst:target with
+  | path -> Some (List.length path - 1)
+  | exception Failure _ -> None (* dead end or forwarding loop *)
 
-(* A device installs a configuration version: monotone, idempotent
-   (duplicate deliveries from retried pushes are harmless).  The
-   config store survives crashes — unlike the soft flow state — so a
-   recovering box resumes from whatever version it last installed.
-   On install, a middlebox purges label entries more than one version
-   old: only the adjacent version stays staged, which is exactly the
-   mix Verify.check_mixed certified before the push went out. *)
-let install_config w ls ~dev ~version =
-  if version > ls.device_version.(dev) then begin
-    ls.device_version.(dev) <- version;
-    audit_emit w (fun () ->
-        Audit.Event.Config_install
-          { dev; time = Dess.Engine.now w.engine; version });
-    (match dev_entity w dev with
-    | Mbox.Entity.Middlebox id ->
-      (* When the schedule can resurrect stale entries, remember what
-         this install is about to purge — the resurrection pool is
-         exactly the state that legitimately died here. *)
-      (match corrupt_of w with
-      | Some cs when cs.want_graveyard ->
-        Mbox.Label_table.iter
-          (fun key e ->
-            if e.Mbox.Label_table.version < version - 1 then
-              cs.graveyard.(id) <- (key, e) :: cs.graveyard.(id))
-          w.mbox_labels.(id)
-      | _ -> ());
-      ignore
-        (Mbox.Label_table.purge_versions_below w.mbox_labels.(id)
-           ~version:(version - 1))
-    | Mbox.Entity.Proxy _ -> ());
-    (* A fresh install heals a silently regressed device: the device
-       is back on a published version at least as new as the one the
-       loss took back. *)
-    match corrupt_of w with
-    | Some cs -> (
-      match Hashtbl.find_opt cs.config_sites dev with
-      | Some cid ->
-        resolve_cid w cs ~cid ~dev ~action:(Audit.Event.Reinstalled version)
-      | None -> ())
-    | None -> ()
-  end
-
-(* Push one version to one device: per-device ack/retry with
-   exponential backoff over the lossy control channel.  Like the label
-   control machinery, the retransmission timer is modelled as firing
-   only when a transmission (config or ack leg) was actually lost —
-   receivers are idempotent, so suppressing the redundant duplicates a
-   real timer would also generate is observationally equivalent.  A
-   chain whose version has been superseded, or whose device has
-   meanwhile acked, dies silently; the reconciliation loop is the
-   backstop once retries are exhausted. *)
-let rec push_config w ls ~dev ~version ~attempt =
-  if
-    version = ls.latest
-    && ls.device_acked.(dev) < version
-    && ls.replica_up.(ls.leader)
-  then begin
-    let entity = dev_entity w dev in
-    let target = Sdm.Deployment.entity_router w.dep entity in
-    match route_hops w ~from:ls.replica_router.(ls.leader) ~target with
-    | None ->
-      (* The controller is partitioned from the device: no retry timer
-         helps until routing heals.  The device keeps its last-known-
-         good configuration; reconciliation re-pushes later. *)
-      w.stats.config_degraded <- w.stats.config_degraded + 1
-    | Some h ->
-      w.stats.config_pushes <- w.stats.config_pushes + 1;
-      w.stats.config_bytes <-
-        w.stats.config_bytes
-        + Controlplane.entity_bytes ls.configs.(version) entity;
-      let one_way = float_of_int (h + 1) *. link_delay in
-      let retry () =
-        if attempt < push_max_retries then begin
-          bump w.stats.entity_control_retries dev;
-          ignore
-            (Dess.Engine.schedule w.engine ~delay:(backoff_delay ~attempt)
-               (fun _ ->
-                 push_config w ls ~dev ~version ~attempt:(attempt + 1)))
-        end
-      in
-      let fwd_lost = control_loss_draw w in
-      let target_down =
-        match entity with
-        | Mbox.Entity.Middlebox id -> mbox_is_down w id
-        | Mbox.Entity.Proxy _ -> false
-      in
-      if fwd_lost || target_down then begin
-        w.stats.config_lost <- w.stats.config_lost + 1;
-        bump w.stats.entity_control_lost dev;
-        retry ()
-      end
-      else begin
-        ignore
-          (Dess.Engine.schedule w.engine ~delay:one_way (fun _ ->
-               install_config w ls ~dev ~version));
-        let ack_lost = control_loss_draw w in
-        if ack_lost then begin
-          w.stats.config_lost <- w.stats.config_lost + 1;
-          bump w.stats.entity_control_lost dev;
-          retry ()
-        end
-        else
-          ignore
-            (Dess.Engine.schedule w.engine ~delay:(2.0 *. one_way) (fun _ ->
-                 if version > ls.device_acked.(dev) then begin
-                   ls.device_acked.(dev) <- version;
-                   w.stats.config_acks <- w.stats.config_acks + 1
-                 end))
-      end
-  end
-
-(* ---- Anti-entropy sweep ------------------------------------------ *)
-
-(* Wire cost of the sweep protocol: an 8-byte digest query down, a
-   24-byte report back (digest, installed version, entry count). *)
-let sweep_query_bytes = 8
-let sweep_reply_bytes = 24
+(* The device side of a config install.  A middlebox purges label
+   entries more than one version old: only the adjacent version stays
+   staged, which is exactly the mix Verify.check_mixed certified
+   before the push went out. *)
+let install_at_device w ~dev ~version =
+  (match Controlplane.entity_of_device w.dep dev with
+  | Mbox.Entity.Middlebox id ->
+    (* When the schedule can resurrect stale entries, remember what
+       this install is about to purge — the resurrection pool is
+       exactly the state that legitimately died here. *)
+    (match corrupt_of w with
+    | Some cs when cs.want_graveyard ->
+      Mbox.Label_table.iter
+        (fun key e ->
+          if e.Mbox.Label_table.version < version - 1 then
+            cs.graveyard.(id) <- (key, e) :: cs.graveyard.(id))
+        w.mbox_labels.(id)
+    | _ -> ());
+    ignore
+      (Mbox.Label_table.purge_versions_below w.mbox_labels.(id)
+         ~version:(version - 1))
+  | Mbox.Entity.Proxy _ -> ());
+  (* A fresh install heals a silently regressed device: the device
+     is back on a published version at least as new as the one the
+     loss took back. *)
+  match corrupt_of w with
+  | Some cs -> (
+    match Hashtbl.find_opt cs.config_sites dev with
+    | Some cid ->
+      resolve_cid w cs ~cid ~dev ~action:(Audit.Event.Reinstalled version)
+    | None -> ())
+  | None -> ()
 
 (* The device-side half of a sweep visit: compare the incrementally
    maintained digest against a fresh walk of the table.  On mismatch,
@@ -1502,7 +1200,7 @@ let sweep_check w ~dev =
       audit_emit w (fun () ->
           Audit.Event.Corrupt_detect { time = Dess.Engine.now w.engine; dev })
     in
-    (match dev_entity w dev with
+    (match Controlplane.entity_of_device w.dep dev with
     | Mbox.Entity.Proxy i ->
       let c = w.proxy_caches.(i) in
       if
@@ -1530,7 +1228,7 @@ let sweep_check w ~dev =
           detect ();
           let floor =
             match w.live with
-            | Some ls -> ls.device_version.(dev) - 1
+            | Some ls -> ls.Controlplane.device_version.(dev) - 1
             | None -> 0
           in
           List.iter
@@ -1557,436 +1255,70 @@ let sweep_check w ~dev =
             resolve_corruption w cs ~dev ~action:Audit.Event.Rebased r)
       cs.records
 
-(* The report half of a sweep visit, back at the controller: a device
-   whose installed version trails the latest published one is re-pushed
-   — crucially *resetting its ack watermark first*, because a silently
-   lost install left the stale ack in place and the ack-driven
-   reconciliation loop trusts it. *)
-let sweep_reply w ls ~dev =
-  let v = ls.device_version.(dev) in
-  if v < ls.latest && ls.replica_up.(ls.leader) then begin
-    if ls.device_acked.(dev) > v then ls.device_acked.(dev) <- v;
-    push_config w ls ~dev ~version:ls.latest ~attempt:0
-  end
-
-(* Visit one device: query and report ride the same lossy control
-   channel as config pushes, with the same retry ladder.  The query
-   reaching the device is what triggers the local scrub; losing only
-   the report costs the version check, not the repair of soft state. *)
-let rec sweep_device w ls ~dev ~attempt =
-  if ls.replica_up.(ls.leader) then begin
-    let entity = dev_entity w dev in
-    let target = Sdm.Deployment.entity_router w.dep entity in
-    match route_hops w ~from:ls.replica_router.(ls.leader) ~target with
-    | None ->
-      (* Partitioned: no retry timer helps until routing heals; the
-         next round revisits. *)
-      w.stats.config_degraded <- w.stats.config_degraded + 1
-    | Some h ->
-      let one_way = float_of_int (h + 1) *. link_delay in
-      let retry () =
-        if attempt < push_max_retries then begin
-          bump w.stats.entity_control_retries dev;
-          ignore
-            (Dess.Engine.schedule w.engine
-               ~delay:(backoff_delay ~attempt) (fun _ ->
-                 sweep_device w ls ~dev ~attempt:(attempt + 1)))
-        end
-      in
-      w.stats.sweep_msgs <- w.stats.sweep_msgs + 1;
-      w.stats.sweep_bytes <- w.stats.sweep_bytes + sweep_query_bytes;
-      let target_down =
-        match entity with
-        | Mbox.Entity.Middlebox id -> mbox_is_down w id
-        | Mbox.Entity.Proxy _ -> false
-      in
-      if control_loss_draw w || target_down then begin
-        w.stats.sweep_lost <- w.stats.sweep_lost + 1;
-        bump w.stats.entity_control_lost dev;
-        retry ()
-      end
-      else begin
-        ignore
-          (Dess.Engine.schedule w.engine ~delay:one_way (fun _ ->
-               sweep_check w ~dev));
-        w.stats.sweep_msgs <- w.stats.sweep_msgs + 1;
-        w.stats.sweep_bytes <- w.stats.sweep_bytes + sweep_reply_bytes;
-        if control_loss_draw w then begin
-          w.stats.sweep_lost <- w.stats.sweep_lost + 1;
-          bump w.stats.entity_control_lost dev;
-          retry ()
-        end
-        else
-          ignore
-            (Dess.Engine.schedule w.engine ~delay:(2.0 *. one_way) (fun _ ->
-                 sweep_reply w ls ~dev))
-      end
-  end
-
-(* One anti-entropy round: visit every device, then re-arm.  The loop
-   keeps ticking through the traffic window and until every registered
-   corruption is repaired, with the same generous round cap the
-   reconciliation loop uses as its safety valve. *)
-let rec sweep_round w ls ~period =
-  if ls.replica_up.(ls.leader) then begin
-    w.stats.sweep_rounds <- w.stats.sweep_rounds + 1;
-    for dev = 0 to n_devices w - 1 do
-      sweep_device w ls ~dev ~attempt:0
-    done
-  end;
-  let outstanding =
-    match corrupt_of w with
-    | None -> false
-    | Some cs ->
-      Hashtbl.fold
-        (fun _ r acc -> acc || not r.cr_repaired)
-        cs.records false
-  in
-  let now = Dess.Engine.now w.engine in
-  if (now < ls.horizon || outstanding) && w.stats.sweep_rounds < 10_000 then
-    ignore
-      (Dess.Engine.schedule w.engine ~delay:period (fun _ ->
-           sweep_round w ls ~period))
-
-(* ---- Quorum rounds (replicated controller) ----------------------- *)
-
-let quorum_n ls = Array.length ls.replica_up
-
-(* Publish a committed configuration: append it to the staged window,
-   bump the shared version, emit the audit events, and push to every
-   device from the leader's router.  Only [maybe_commit] calls this —
-   the quorum commit is the single gate into the staged window. *)
-let publish_committed w ls next =
-  ls.configs <- Array.append ls.configs [| next |];
-  ls.latest <- ls.latest + 1;
-  w.stats.reoptimizations <- w.stats.reoptimizations + 1;
-  (match w.audit with
-  | None -> ()
-  | Some a ->
-    Audit.Checker.register_config a ~version:ls.latest next;
-    Audit.Checker.record a
-      (Audit.Event.Config_publish
-         { time = Dess.Engine.now w.engine; version = ls.latest }));
-  for dev = 0 to n_devices w - 1 do
-    push_config w ls ~dev ~version:ls.latest ~attempt:0
-  done
-
-(* Spread a commit to one standby replica over the same lossy control
-   channel the config pushes ride, with the same retry ladder.
-   [Acceptor.commit] is idempotent, so duplicates from retries
-   are harmless; a partitioned or crashed standby simply stays at its
-   last-known-good commit until the reconciliation of a later round
-   reaches it. *)
-let rec commit_notice w ls ~replica ~version ~digest ~attempt =
-  if
-    ls.replica_up.(ls.leader)
-    && Quorum.Acceptor.committed ls.acceptors.(replica) < version
-  then begin
-    match
-      route_hops w ~from:ls.replica_router.(ls.leader)
-        ~target:ls.replica_router.(replica)
-    with
-    | None -> () (* partitioned: no retry timer helps until routing heals *)
-    | Some h ->
-      w.stats.quorum_msgs <- w.stats.quorum_msgs + 1;
-      let one_way = float_of_int (h + 1) *. link_delay in
-      let retry () =
-        if attempt < push_max_retries then
-          ignore
-            (Dess.Engine.schedule w.engine
-               ~delay:(backoff_delay ~attempt) (fun _ ->
-                 commit_notice w ls ~replica ~version ~digest
-                   ~attempt:(attempt + 1)))
-      in
-      if control_loss_draw w || not ls.replica_up.(replica) then begin
-        w.stats.quorum_lost <- w.stats.quorum_lost + 1;
-        retry ()
-      end
-      else
-        ignore
-          (Dess.Engine.schedule w.engine ~delay:one_way (fun _ ->
-               if
-                 ls.replica_up.(replica)
-                 && Quorum.Acceptor.committed ls.acceptors.(replica) < version
-               then
-                 match
-                   Quorum.Acceptor.commit ls.acceptors.(replica) ~version
-                     ~digest
-                 with
-                 | Ok () ->
-                   audit_emit w (fun () ->
-                       Audit.Event.Quorum_commit
-                         {
-                           time = Dess.Engine.now w.engine;
-                           version;
-                           replica;
-                           digest;
-                         })
-                 | Error _ -> ()))
-  end
-
-(* Commit as soon as the votes form a quorum: the leader commits its
-   own acceptor, publishes the pending candidate, and spreads the
-   commit to the standbys.  With one replica this runs synchronously
-   inside the proposal — no quorum traffic ever hits the wire. *)
-let maybe_commit w ls r =
-  if Quorum.Round.outcome r = Quorum.Round.Pending && Quorum.Round.has_quorum r
-  then begin
-    Quorum.Round.mark_committed r;
-    let version = Quorum.Round.version r in
-    let digest = Quorum.Round.digest r in
-    w.stats.quorum_commits <- w.stats.quorum_commits + 1;
-    ignore (Quorum.Acceptor.commit ls.acceptors.(ls.leader) ~version ~digest);
-    audit_emit w (fun () ->
-        Audit.Event.Quorum_commit
-          { time = Dess.Engine.now w.engine; version; replica = ls.leader; digest });
-    (match ls.pending with
-    | Some next ->
-      ls.pending <- None;
-      publish_committed w ls next
-    | None -> ());
-    for i = 0 to quorum_n ls - 1 do
-      if i <> ls.leader then
-        commit_notice w ls ~replica:i ~version ~digest ~attempt:0
-    done
-  end
-
-(* The minority-side rule: once the reachable votes can no longer form
-   a quorum, the round is dead and the candidate is discarded — the
-   control plane refuses to publish and degrades to last-known-good. *)
-let abandon_if_dead w ls r =
-  if
-    Quorum.Round.outcome r = Quorum.Round.Pending
-    && not (Quorum.Round.can_reach_quorum r)
-  then begin
-    Quorum.Round.mark_abandoned r;
-    w.stats.quorum_aborts <- w.stats.quorum_aborts + 1;
-    w.stats.config_degraded <- w.stats.config_degraded + 1;
-    ls.pending <- None
-  end
-
-(* Propose the round's candidate to one standby acceptor: proposal out,
-   vote back, both legs over the lossy control channel with the same
-   retry ladder (mirrors [push_config]'s fwd/ack structure).  A refusal
-   or exhausted retries loses this acceptor's vote for the round; a
-   partition loses it immediately. *)
-let rec propose_to w ls r ~replica ~attempt =
-  if Quorum.Round.outcome r = Quorum.Round.Pending && ls.replica_up.(ls.leader)
-  then begin
-    let version = Quorum.Round.version r in
-    let digest = Quorum.Round.digest r in
-    let retry () =
-      if attempt < push_max_retries then
-        ignore
-          (Dess.Engine.schedule w.engine
-             ~delay:(backoff_delay ~attempt) (fun _ ->
-               propose_to w ls r ~replica ~attempt:(attempt + 1)))
-      else begin
-        Quorum.Round.fail r ~acceptor:replica;
-        abandon_if_dead w ls r
-      end
-    in
-    match
-      route_hops w ~from:ls.replica_router.(ls.leader)
-        ~target:ls.replica_router.(replica)
-    with
-    | None ->
-      (* Partitioned from this acceptor: its vote is lost to the round
-         (no retry timer helps until routing heals, and the round will
-         long be superseded by then). *)
-      Quorum.Round.fail r ~acceptor:replica;
-      abandon_if_dead w ls r
-    | Some h ->
-      w.stats.quorum_msgs <- w.stats.quorum_msgs + 1;
-      let one_way = float_of_int (h + 1) *. link_delay in
-      let fwd_lost = control_loss_draw w in
-      if fwd_lost || not ls.replica_up.(replica) then begin
-        w.stats.quorum_lost <- w.stats.quorum_lost + 1;
-        retry ()
-      end
-      else begin
-        (* The proposal arrives after one_way; the acceptor's verdict
-           rides back over the same lossy channel. *)
-        let verdict = ref None in
-        ignore
-          (Dess.Engine.schedule w.engine ~delay:one_way (fun _ ->
-               if ls.replica_up.(replica) then begin
-                 let v =
-                   Quorum.Acceptor.receive ls.acceptors.(replica) ~version
-                     ~digest
-                 in
-                 (match v with
-                 | Quorum.Acceptor.Accept ->
-                   audit_emit w (fun () ->
-                       Audit.Event.Quorum_accept
-                         {
-                           time = Dess.Engine.now w.engine;
-                           version;
-                           replica;
-                           digest;
-                         })
-                 | Repeat | Stale | Conflict -> ());
-                 verdict := Some v
-               end));
-        w.stats.quorum_msgs <- w.stats.quorum_msgs + 1;
-        let vote_lost = control_loss_draw w in
-        if vote_lost then begin
-          w.stats.quorum_lost <- w.stats.quorum_lost + 1;
-          (* The leader re-sends the whole proposal; acceptance is
-             idempotent, so the duplicate is harmless. *)
-          retry ()
-        end
-        else
-          ignore
-            (Dess.Engine.schedule w.engine ~delay:(2.0 *. one_way) (fun _ ->
-                 match !verdict with
-                 | Some (Quorum.Acceptor.Accept | Quorum.Acceptor.Repeat)
-                   when Quorum.Round.outcome r = Quorum.Round.Pending ->
-                   Quorum.Round.accept r ~acceptor:replica;
-                   maybe_commit w ls r
-                 | Some (Quorum.Acceptor.Stale | Quorum.Acceptor.Conflict) ->
-                   Quorum.Round.fail r ~acceptor:replica;
-                   abandon_if_dead w ls r
-                 | None ->
-                   (* the replica crashed while the proposal was in
-                      flight — no vote will come; keep retrying *)
-                   retry ()
-                 | Some _ -> ()))
-      end
-  end
-
-(* Re-optimize from what the run has measured: rebuild candidate sets
-   around the believed-failed boxes, re-solve the LP over the in-run
-   traffic matrix, and submit the result to a quorum round — the
-   candidate is published as a new version only once a quorum of
-   replicas accepted it, and only after Verify certified both the new
-   configuration alone and every reachable version mix with the
-   still-installed previous one.  A failed solve, a verification veto,
-   or a dead round keeps the last-known-good configuration (graceful
-   degradation, counted). *)
-let reoptimize w ls =
-  let now = Dess.Engine.now w.engine in
-  if ls.replica_up.(ls.leader) then begin
-    let failed =
-      match w.fault with
-      | Some f -> Fault.Detector.believed_failed f.detector ~now
-      | None -> []
-    in
-    let current = ls.configs.(ls.latest) in
-    match
-      Sdm.Controller.reoptimize current ~failed
-        ~use_warm:ls.lcfg.warm_start ~traffic:ls.meas ()
-    with
-    | Error _ -> w.stats.config_degraded <- w.stats.config_degraded + 1
-    | Ok next -> (
-      (* Solver-work accounting happens whether or not verification or
-         the quorum later vetoes the plan — the pivots were spent. *)
-      (match next.Sdm.Controller.lp with
-      | Some lp ->
-        w.stats.reopt_pivots <-
-          w.stats.reopt_pivots + lp.Sdm.Lp_formulation.lp_pivots;
-        w.stats.reopt_phase1_pivots <-
-          w.stats.reopt_phase1_pivots + lp.Sdm.Lp_formulation.lp_phase1_pivots;
-        if lp.Sdm.Lp_formulation.lp_warm_used then
-          w.stats.reopt_warm_used <- w.stats.reopt_warm_used + 1;
-        if lp.Sdm.Lp_formulation.lp_fallback then
-          w.stats.reopt_fallback <- w.stats.reopt_fallback + 1
-      | None -> ());
-      match
-        match Sdm.Verify.check next with
-        | Error _ as e -> e
-        | Ok () -> Sdm.Verify.check_window [ current; next ]
-      with
-      | Error _ -> w.stats.config_degraded <- w.stats.config_degraded + 1
-      | Ok () ->
-        (* A fresher candidate supersedes any round still in flight. *)
-        (match ls.round with
-        | Some r when Quorum.Round.outcome r = Quorum.Round.Pending ->
-          Quorum.Round.mark_abandoned r;
-          w.stats.quorum_aborts <- w.stats.quorum_aborts + 1
-        | _ -> ());
-        let version = ls.latest + 1 in
-        (* Structural digest of the candidate, salted with the version
-           so re-proposals of distinct candidates under one version
-           number stay distinguishable to the auditor. *)
-        let digest =
-          Int64.logxor
-            (Sdm.Controller.fingerprint next)
-            (Int64.mul 0x9e3779b97f4a7c15L (Int64.of_int version))
-        in
-        let r =
-          Quorum.Round.start ~n:(quorum_n ls) ~version ~digest
-        in
-        ls.round <- Some r;
-        ls.pending <- Some next;
-        w.stats.quorum_rounds <- w.stats.quorum_rounds + 1;
-        audit_emit w (fun () ->
-            Audit.Event.Quorum_propose
-              { time = now; version; replica = ls.leader; digest });
-        (* The leader votes for its own proposal locally — no message,
-           no loss draw. *)
-        (match
-           Quorum.Acceptor.receive ls.acceptors.(ls.leader) ~version ~digest
-         with
-        | Quorum.Acceptor.Accept ->
-          Quorum.Round.accept r ~acceptor:ls.leader;
-          audit_emit w (fun () ->
-              Audit.Event.Quorum_accept
-                { time = now; version; replica = ls.leader; digest })
-        | Repeat -> Quorum.Round.accept r ~acceptor:ls.leader
-        | Stale | Conflict -> Quorum.Round.fail r ~acceptor:ls.leader);
-        maybe_commit w ls r;
-        if Quorum.Round.outcome r = Quorum.Round.Pending then
-          for i = 0 to quorum_n ls - 1 do
-            if i <> ls.leader then propose_to w ls r ~replica:i ~attempt:0
-          done)
-  end
-
-(* A detection delay after a controller crash: if the dead replica led,
-   the lowest-id live replica takes over — deterministic re-election —
-   and immediately re-optimizes, re-doing whatever in-flight work died
-   with the old leader. *)
-let handle_ctrl_crash w ls crashed =
-  if ls.leader = crashed && not ls.replica_up.(crashed) then begin
-    let n = quorum_n ls in
-    let rec first i =
-      if i >= n then None
-      else if ls.replica_up.(i) then Some i
-      else first (i + 1)
-    in
-    match first 0 with
-    | None -> () (* total control-plane outage: devices keep running *)
-    | Some nl ->
-      let prev = ls.leader in
-      ls.leader <- nl;
-      w.stats.leader_changes <- w.stats.leader_changes + 1;
-      audit_emit w (fun () ->
-          Audit.Event.Leader_elect
-            { time = Dess.Engine.now w.engine; replica = nl; previous = prev });
-      if Sdm.Measurement.total ls.meas > 0.0 then reoptimize w ls
-  end
-
-(* The reconciliation loop: periodically re-push the latest version to
-   every device whose ack is missing, however its retry chain died
-   (loss burst, crash window, partition).  Keeps ticking through the
-   traffic window and until every device has acked, with a generous
-   round cap as the safety valve against a permanently partitioned
-   device. *)
-let rec reconcile w ls =
-  ls.reconcile_rounds <- ls.reconcile_rounds + 1;
-  let stale = ref false in
-  Array.iteri
-    (fun dev acked ->
-      if acked < ls.latest then begin
-        stale := true;
-        push_config w ls ~dev ~version:ls.latest ~attempt:0
-      end)
-    ls.device_acked;
-  let now = Dess.Engine.now w.engine in
-  if (!stale || now < ls.horizon) && ls.reconcile_rounds < 10_000 then
-    ignore
-      (Dess.Engine.schedule w.engine ~delay:ls.lcfg.reconcile_interval
-         (fun _ -> reconcile w ls))
+(* All counters zero: what a run starts counting from. *)
+let zero_stats ~n_mboxes ~n_devices =
+  {
+    loads = Array.make n_mboxes 0.0;
+    injected_packets = 0;
+    delivered_packets = 0;
+    dropped_packets = 0;
+    control_packets = 0;
+    multi_field_lookups = 0;
+    cache_hits = 0;
+    cache_negative_hits = 0;
+    tunneled_packets = 0;
+    label_switched_packets = 0;
+    fragments_created = 0;
+    router_hops = 0;
+    sim_time = 0.0;
+    latency_mean = 0.0;
+    latency_p50 = 0.0;
+    latency_p99 = 0.0;
+    label_misses = 0;
+    teardowns = 0;
+    wp_cache_served = 0;
+    cache_evictions = 0;
+    events_scheduled = 0;
+    events_processed = 0;
+    policy_violations = 0;
+    fault_dropped = 0;
+    control_retries = 0;
+    control_lost = 0;
+    last_violation_time = 0.0;
+    config_pushes = 0;
+    config_acks = 0;
+    config_lost = 0;
+    config_bytes = 0;
+    reoptimizations = 0;
+    config_degraded = 0;
+    final_config_version = 0;
+    stale_devices = 0;
+    entity_control_retries = Array.make n_devices 0;
+    entity_control_lost = Array.make n_devices 0;
+    entity_config_version = [||];
+    quorum_rounds = 0;
+    quorum_commits = 0;
+    quorum_aborts = 0;
+    quorum_msgs = 0;
+    quorum_lost = 0;
+    leader_changes = 0;
+    replica_versions = [||];
+    corruptions_injected = 0;
+    corruptions_manifested = 0;
+    corruptions_detected = 0;
+    corruptions_repaired = 0;
+    sweep_rounds = 0;
+    sweep_msgs = 0;
+    sweep_lost = 0;
+    sweep_bytes = 0;
+    repair_window_mean = 0.0;
+    repair_window_max = 0.0;
+    reopt_pivots = 0;
+    reopt_phase1_pivots = 0;
+    reopt_warm_used = 0;
+    reopt_fallback = 0;
+    audit_report = None;
+  }
 
 let run ?(config = default_config) ~controller ~workload () =
   let dep = controller.Sdm.Controller.deployment in
@@ -2116,71 +1448,8 @@ let run ?(config = default_config) ~controller ~workload () =
           corrupt;
         }
   in
-  let n_devs = n_proxies + n_mboxes in
-  let stats =
-    {
-      loads = Array.make n_mboxes 0.0;
-      injected_packets = 0;
-      delivered_packets = 0;
-      dropped_packets = 0;
-      control_packets = 0;
-      multi_field_lookups = 0;
-      cache_hits = 0;
-      cache_negative_hits = 0;
-      tunneled_packets = 0;
-      label_switched_packets = 0;
-      fragments_created = 0;
-      router_hops = 0;
-      sim_time = 0.0;
-      latency_mean = 0.0;
-      latency_p50 = 0.0;
-      latency_p99 = 0.0;
-      label_misses = 0;
-      teardowns = 0;
-      wp_cache_served = 0;
-      cache_evictions = 0;
-      events_scheduled = 0;
-      events_processed = 0;
-      policy_violations = 0;
-      fault_dropped = 0;
-      control_retries = 0;
-      control_lost = 0;
-      last_violation_time = 0.0;
-      config_pushes = 0;
-      config_acks = 0;
-      config_lost = 0;
-      config_bytes = 0;
-      reoptimizations = 0;
-      config_degraded = 0;
-      final_config_version = 0;
-      stale_devices = 0;
-      entity_control_retries = Array.make n_devs 0;
-      entity_control_lost = Array.make n_devs 0;
-      entity_config_version = [||];
-      quorum_rounds = 0;
-      quorum_commits = 0;
-      quorum_aborts = 0;
-      quorum_msgs = 0;
-      quorum_lost = 0;
-      leader_changes = 0;
-      replica_versions = [||];
-      corruptions_injected = 0;
-      corruptions_manifested = 0;
-      corruptions_detected = 0;
-      corruptions_repaired = 0;
-      sweep_rounds = 0;
-      sweep_msgs = 0;
-      sweep_lost = 0;
-      sweep_bytes = 0;
-      repair_window_mean = 0.0;
-      repair_window_max = 0.0;
-      reopt_pivots = 0;
-      reopt_phase1_pivots = 0;
-      reopt_warm_used = 0;
-      reopt_fallback = 0;
-      audit_report = None;
-    }
-  in
+  let n_devs = Controlplane.device_count dep in
+  let stats = zero_stats ~n_mboxes ~n_devices:n_devs in
   let w =
     {
       cfg = config;
@@ -2219,34 +1488,41 @@ let run ?(config = default_config) ~controller ~workload () =
       audit =
         (if config.audit then Some (Audit.Checker.create ~controller ())
          else None);
-      live =
-        (match config.live with
-        | None -> None
-        | Some lcfg ->
-          let primary = Controlplane.default_router dep in
-          Some
-            {
-              lcfg;
-              ctrl_router = primary;
-              configs = [| controller |];
-              latest = 0;
-              device_version = Array.make n_devs 0;
-              device_acked = Array.make n_devs 0;
-              meas = Sdm.Measurement.create ();
-              horizon = 0.0;
-              reconcile_rounds = 0;
-              leader = 0;
-              replica_router =
-                Array.of_list
-                  (Controlplane.replica_routers dep ~primary ~n:lcfg.replicas);
-              replica_up = Array.make lcfg.replicas true;
-              acceptors =
-                Array.init lcfg.replicas (fun _ -> Quorum.Acceptor.create ());
-              round = None;
-              pending = None;
-            });
+      live = None;
     }
   in
+  (* The live control plane reaches the network only through [net]. *)
+  w.live <-
+    Option.map
+      (fun lcfg ->
+        Controlplane.create lcfg ~controller ~engine ~stats ~audit:w.audit
+          ~link_delay
+          {
+            Controlplane.hops = (fun ~from ~target -> route_hops w ~from ~target);
+            control_lost = (fun () -> control_loss_draw w);
+            device_up =
+              (function
+              | Mbox.Entity.Middlebox id -> not (mbox_is_down w id)
+              | Mbox.Entity.Proxy _ -> true);
+            install = install_at_device w;
+            sweep_check = sweep_check w;
+            believed_failed =
+              (fun () ->
+                match w.fault with
+                | Some f ->
+                  Fault.Detector.believed_failed f.detector
+                    ~now:(Dess.Engine.now engine)
+                | None -> []);
+            corruption_outstanding =
+              (fun () ->
+                match corrupt_of w with
+                | None -> false
+                | Some cs ->
+                  Hashtbl.fold
+                    (fun _ r acc -> acc || not r.cr_repaired)
+                    cs.records false);
+          })
+      config.live;
   (* Schedule the fault events before the traffic so that a fault tied
      with a packet injection applies first (the engine breaks time ties
      in FIFO order). *)
@@ -2267,7 +1543,7 @@ let run ?(config = default_config) ~controller ~workload () =
           ignore
             (Dess.Engine.schedule_at w.engine
                ~time:(at +. config.detection_delay) (fun _ ->
-                 reoptimize w ls))
+                 Controlplane.reoptimize ls))
         (* A controller crash is detected by the surviving replicas one
            detection delay after the fact; re-election (if the dead
            replica led) happens then. *)
@@ -2275,7 +1551,7 @@ let run ?(config = default_config) ~controller ~workload () =
           ignore
             (Dess.Engine.schedule_at w.engine
                ~time:(at +. config.detection_delay) (fun _ ->
-                 handle_ctrl_crash w ls id))
+                 Controlplane.handle_ctrl_crash ls id))
         | _, _ -> ())
       f.schedule.Fault.Schedule.events);
   (* Inject flows: first packet at a jittered start, each subsequent
@@ -2304,35 +1580,9 @@ let run ?(config = default_config) ~controller ~workload () =
       in
       packet_at 0)
     workload.Workload.flows;
-  (* Arm the live control plane: epoch re-optimizations across the
-     traffic window, and the reconciliation heartbeat. *)
   (match w.live with
   | None -> ()
-  | Some ls ->
-    ls.horizon <- !horizon;
-    let rec epochs k =
-      let t = float_of_int k *. ls.lcfg.epoch_interval in
-      if t <= ls.horizon then begin
-        ignore
-          (Dess.Engine.schedule_at w.engine ~time:t (fun _ ->
-               (* Nothing measured yet means nothing to re-optimize
-                  from; failure reactions have their own trigger. *)
-               if Sdm.Measurement.total ls.meas > 0.0 then reoptimize w ls));
-        epochs (k + 1)
-      end
-    in
-    epochs 1;
-    ignore
-      (Dess.Engine.schedule_at w.engine ~time:ls.lcfg.reconcile_interval
-         (fun _ -> reconcile w ls));
-    (* The anti-entropy sweep: digest-audit every device each period.
-       [None] arms nothing — no events, no draws, bit-identical. *)
-    match ls.lcfg.sweep_period with
-    | None -> ()
-    | Some p ->
-      ignore
-        (Dess.Engine.schedule_at w.engine ~time:p (fun _ ->
-             sweep_round w ls ~period:p)));
+  | Some ls -> Controlplane.start ls ~horizon:!horizon);
   Dess.Engine.run engine;
   let audit_report =
     match w.audit with
@@ -2386,22 +1636,22 @@ let run ?(config = default_config) ~controller ~workload () =
     events_scheduled = Dess.Engine.events_scheduled engine;
     events_processed = Dess.Engine.events_processed engine;
     final_config_version =
-      (match w.live with None -> 0 | Some ls -> ls.latest);
+      (match w.live with None -> 0 | Some ls -> ls.Controlplane.latest);
     stale_devices =
       (match w.live with
       | None -> 0
       | Some ls ->
         Array.fold_left
-          (fun acc v -> if v < ls.latest then acc + 1 else acc)
-          0 ls.device_version);
+          (fun acc v -> if v < ls.Controlplane.latest then acc + 1 else acc)
+          0 ls.Controlplane.device_version);
     entity_config_version =
       (match w.live with
       | None -> Array.make n_devs 0
-      | Some ls -> Array.copy ls.device_version);
+      | Some ls -> Array.copy ls.Controlplane.device_version);
     replica_versions =
       (match w.live with
       | None -> [||]
-      | Some ls -> Array.map Quorum.Acceptor.committed ls.acceptors);
+      | Some ls -> Array.map Quorum.Acceptor.committed ls.Controlplane.acceptors);
     repair_window_mean =
       (match corrupt_of w with
       | Some cs when stats.corruptions_repaired > 0 ->

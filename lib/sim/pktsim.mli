@@ -11,9 +11,8 @@
     {!Policy.Trie}s.
 
     Fixed model constants: 1500-byte MTU, 0.1 time units per router
-    hop, flow-cache entries that never expire, label-control packets
-    retransmitted up to 3 times on a 5.0 timer, and config pushes
-    retried up to 6 times before the reconciliation loop takes over.
+    hop, flow-cache entries that never expire, and label-control
+    packets retransmitted up to 3 times on a 5.0 timer.
 
     Router transit is {e hop fast-forwarded}: between two policy
     decision points (proxy, middlebox, destination subnet) forwarding
@@ -31,44 +30,12 @@
     scale (≤ ~100k packets); the figure-scale experiments use
     {!Flowsim}. *)
 
-(** Live control plane (Sec. III.A-III.C run in-line).
-
+(** Live control plane ({!Controlplane}, which documents the protocol).
     When {!config.live} is set, the controller becomes a simulated
-    entity at an attachment router: at epoch boundaries it re-solves
-    the placement from the traffic volumes measured since the run
-    began, and one detection delay after every middlebox transition it
-    re-optimizes around the believed-failed set.  Each published
-    configuration carries a monotonically increasing {e version} and
-    is pushed hop-by-hop to every proxy and middlebox over the lossy
-    control channel, with per-device acknowledgement and
-    exponential-backoff retries (2, 4, ..., 64), a periodic
-    reconciliation loop that re-pushes to devices stuck on stale
-    versions, and graceful degradation to the last-known-good
-    configuration when the controller is partitioned from a device or
-    the new configuration fails verification.
-
-    Mixed-version safety: a new version is published only after
-    {!Sdm.Verify.check_window} certifies every reachable mix of the
-    two adjacent versions.  Devices stage at most {installed-1,
-    installed}; flows stay sticky to the version that admitted them
-    (clamped into the staged window), and label-table entries more
-    than one version old are purged on install, so an in-flight flow
-    crossing an update boundary re-establishes its path instead of
-    stranding.
-
-    Replication ([replicas > 1]): the controller becomes [replicas]
-    replicas at distinct attachment routers (replica 0 at the
-    controller's router: the first gateway, else the first core, as
-    in {!Controlplane.price}); the lowest-id live replica leads.  Every
-    candidate configuration runs a two-phase {!Quorum} round over the
-    same lossy control channel — propose out, votes back, each leg
-    with the same retry ladder — and is published only once a strict
-    majority of the replicas accepted it.  A leader crash triggers a
-    deterministic re-election one detection delay later; a
-    minority-side partition abandons its round and degrades to
-    last-known-good without ever publishing.  [replicas = 1] (the
-    default) commits synchronously with zero quorum traffic. *)
-type live_config = {
+    entity that re-optimizes in-run and pushes versioned configuration
+    updates to every proxy and middlebox over the lossy control
+    channel. *)
+type live_config = Pktsim_types.live_config = {
   epoch_interval : float;
       (** period of measurement-driven re-optimizations (default 25.0);
           epochs are scheduled across the traffic window *)
@@ -167,7 +134,7 @@ val default_config : config
 
 (** The run's result.  The run counts straight into one value of this
     record, so the counters are [mutable]; treat them as read-only. *)
-type stats = {
+type stats = Pktsim_types.stats = {
   loads : float array;            (** packets processed per middlebox id *)
   mutable injected_packets : int;
   mutable delivered_packets : int;
@@ -307,6 +274,10 @@ type stats = {
       (** the invariant auditor's verdict; [None] unless
           {!config.audit} was set *)
 }
+
+val zero_stats : n_mboxes:int -> n_devices:int -> stats
+(** All counters zero, per-middlebox and per-device arrays sized for a
+    deployment: what a run starts counting from. *)
 
 val run :
   ?config:config -> controller:Sdm.Controller.t -> workload:Workload.t ->

@@ -830,6 +830,81 @@ let test_controlplane_device_indexing () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative device accepted"
 
+(* A live control plane over a single proxy and a network the test
+   plays: every message routes over [hops], every leg draws
+   [control_lost], and the time of each draw is logged.  Publishing one
+   version pushes to the one device; the run returns once the engine
+   drains. *)
+let fake_network_push ~hops ~control_lost =
+  let dep = campus () in
+  let one =
+    Sdm.Deployment.make ~topo:dep.Sdm.Deployment.topo ~middleboxes:[||]
+      ~proxies:[| dep.Sdm.Deployment.proxies.(0) |]
+  in
+  let controller =
+    match Sdm.Controller.configure one ~rules:[] Sdm.Controller.Hot_potato with
+    | Ok c -> c
+    | Error e -> Alcotest.fail e
+  in
+  let engine = Dess.Engine.create () in
+  let draws = ref [] in
+  let net =
+    {
+      Sim.Controlplane.hops = (fun ~from:_ ~target:_ -> hops);
+      control_lost =
+        (fun () ->
+          draws := Dess.Engine.now engine :: !draws;
+          control_lost);
+      device_up = (fun _ -> true);
+      install = (fun ~dev:_ ~version:_ -> ());
+      sweep_check = (fun ~dev:_ -> ());
+      believed_failed = (fun () -> []);
+      corruption_outstanding = (fun () -> false);
+    }
+  in
+  let stats = Sim.Pktsim.zero_stats ~n_mboxes:0 ~n_devices:1 in
+  let cp =
+    Sim.Controlplane.create Sim.Pktsim.default_live ~controller ~engine ~stats
+      ~audit:None ~link_delay:0.1 net
+  in
+  Sim.Controlplane.publish cp controller;
+  Dess.Engine.run engine;
+  (stats, cp, List.rev !draws, Dess.Engine.now engine)
+
+let test_controlplane_ladder_on_loss () =
+  (* Every transmission lost: the push climbs the whole ladder — the
+     first send plus 6 retries after 2, 4, ..., 64 — and stops. *)
+  let s, cp, draws, last = fake_network_push ~hops:(Some 3) ~control_lost:true in
+  Alcotest.(check (list (float 0.0))) "pushes at t = 0, 2, 6, ..., 126"
+    [ 0.0; 2.0; 6.0; 14.0; 30.0; 62.0; 126.0 ] draws;
+  Alcotest.(check int) "config_pushes" 7 s.Sim.Pktsim.config_pushes;
+  Alcotest.(check int) "config_lost" 7 s.Sim.Pktsim.config_lost;
+  Alcotest.(check int) "device retries" 6 s.Sim.Pktsim.entity_control_retries.(0);
+  Alcotest.(check int) "device losses" 7 s.Sim.Pktsim.entity_control_lost.(0);
+  Alcotest.(check int) "no acks" 0 s.Sim.Pktsim.config_acks;
+  Alcotest.(check int) "never installed" 0
+    cp.Sim.Controlplane.device_version.(0);
+  Alcotest.(check (float 0.0)) "nothing after the last push" 126.0 last;
+  (* The same push over a clean channel: one send, one ack leg, one
+     install, acked a round trip of 4 hops later. *)
+  let s, cp, draws, last = fake_network_push ~hops:(Some 3) ~control_lost:false in
+  Alcotest.(check (list (float 0.0))) "send and ack drawn at once" [ 0.0; 0.0 ]
+    draws;
+  Alcotest.(check int) "one push" 1 s.Sim.Pktsim.config_pushes;
+  Alcotest.(check int) "one ack" 1 s.Sim.Pktsim.config_acks;
+  Alcotest.(check int) "installed" 1 cp.Sim.Controlplane.device_version.(0);
+  Alcotest.(check (float 1e-12)) "acked after a round trip" 0.8 last
+
+let test_controlplane_ladder_on_partition () =
+  (* No route to the device: nothing is sent, nothing is drawn, and the
+     device keeps its last-known-good configuration. *)
+  let s, cp, draws, _ = fake_network_push ~hops:None ~control_lost:false in
+  Alcotest.(check int) "no pushes" 0 s.Sim.Pktsim.config_pushes;
+  Alcotest.(check (list (float 0.0))) "no draws" [] draws;
+  Alcotest.(check int) "config_degraded" 1 s.Sim.Pktsim.config_degraded;
+  Alcotest.(check int) "still at version 0" 0
+    cp.Sim.Controlplane.device_version.(0)
+
 let test_controlplane_entity_bytes () =
   let dep = campus () in
   let workload = Sim.Workload.generate ~deployment:dep ~seed:5 ~flows:1_000 () in
@@ -1602,6 +1677,10 @@ let suite =
       test_controlplane_device_indexing;
     Alcotest.test_case "control-plane entity bytes" `Quick
       test_controlplane_entity_bytes;
+    Alcotest.test_case "control-plane ladder on loss" `Quick
+      test_controlplane_ladder_on_loss;
+    Alcotest.test_case "control-plane ladder on partition" `Quick
+      test_controlplane_ladder_on_partition;
     Alcotest.test_case "flowsim trace" `Quick test_flowsim_trace;
     Alcotest.test_case "queueing preserves loads" `Quick test_queueing_preserves_loads;
   ]
