@@ -209,6 +209,7 @@ type t = {
   meas : Sdm.Measurement.t;   (* per-(src, dst, rule) volumes observed so far *)
   mutable horizon : float;    (* time of the last scheduled injection *)
   mutable reconcile_rounds : int;
+  mutable sweep_ticks : int;  (* sweep periods elapsed, leader or not *)
   mutable leader : int;
   replica_router : int array;
   replica_up : bool array;
@@ -235,6 +236,7 @@ let create lcfg ~controller ~engine ~stats ~audit ~link_delay net =
     meas = Sdm.Measurement.create ();
     horizon = 0.0;
     reconcile_rounds = 0;
+    sweep_ticks = 0;
     leader = 0;
     replica_router =
       Array.of_list
@@ -427,9 +429,12 @@ let rec sweep_device cp ~dev ~attempt =
 
 (* One anti-entropy round: visit every device, then re-arm.  The loop
    keeps ticking through the traffic window and until every registered
-   corruption is repaired, with the same generous round cap the
-   reconciliation loop uses as its safety valve. *)
+   corruption is repaired, with the same generous cap the
+   reconciliation loop uses as its safety valve.  The cap counts ticks,
+   not rounds: with no live leader no round runs, nothing gets
+   repaired, and a cap on rounds would never be reached. *)
 let rec sweep_round cp ~period =
+  cp.sweep_ticks <- cp.sweep_ticks + 1;
   if cp.replica_up.(cp.leader) then begin
     cp.stats.sweep_rounds <- cp.stats.sweep_rounds + 1;
     for dev = 0 to device_count cp.dep - 1 do
@@ -438,7 +443,7 @@ let rec sweep_round cp ~period =
   end;
   if
     (now cp < cp.horizon || cp.net.corruption_outstanding ())
-    && cp.stats.sweep_rounds < 10_000
+    && cp.sweep_ticks < 10_000
   then
     ignore
       (Dess.Engine.schedule cp.engine ~delay:period (fun _ ->

@@ -147,6 +147,7 @@ type t = private {
   meas : Sdm.Measurement.t;   (** per-(src, dst, rule) volumes so far *)
   mutable horizon : float;    (** time of the last scheduled injection *)
   mutable reconcile_rounds : int;
+  mutable sweep_ticks : int;  (** sweep periods elapsed, leader or not *)
   mutable leader : int;
   replica_router : int array;
   replica_up : bool array;

@@ -1514,6 +1514,35 @@ let test_pktsim_corruption_without_sweep () =
     Alcotest.(check int) "unenforceable deadlines stay clean" 0
       r.Audit.Checker.violations
 
+let test_pktsim_sweep_stops_without_leader () =
+  (* Regression: with the only replica crashed no sweep round runs, so
+     nothing repairs the dropped label entries — and the sweep loop,
+     which re-arms while a corruption is outstanding, once re-armed
+     forever because its cap counted only the rounds a leader ran.  It
+     now stops after 10,000 ticks of its period. *)
+  let controller, workload = small_pkt_setup ~strategy:`Hp ~flows:120 () in
+  let n_mboxes =
+    Array.length controller.Sdm.Controller.deployment.Sdm.Deployment.middleboxes
+  in
+  let events =
+    { Fault.Schedule.at = 5.0; what = Fault.Schedule.Ctrl_crash 0 }
+    :: List.init n_mboxes (fun i ->
+           { Fault.Schedule.at = 30.0; what = Fault.Schedule.Label_drop i })
+  in
+  let config =
+    {
+      pkt_config with
+      faults = Some (Fault.Schedule.make events);
+      live = Some { Sim.Pktsim.default_live with sweep_period = Some 5.0 };
+    }
+  in
+  let s = Sim.Pktsim.run ~config ~controller ~workload () in
+  Alcotest.(check int) "no round without a leader" 0 s.Sim.Pktsim.sweep_rounds;
+  Alcotest.(check bool) "a corruption stays unrepaired" true
+    (s.Sim.Pktsim.corruptions_repaired < s.Sim.Pktsim.corruptions_injected);
+  Alcotest.(check (float 0.0)) "the loop stopped at its tick cap" 50_000.0
+    s.Sim.Pktsim.sim_time
+
 (* Bit-for-bit pin of a whole report: any change to the control plane's
    behaviour (a counter, a float, a version history) moves the digest. *)
 let report_digest r =
@@ -1656,6 +1685,8 @@ let suite =
       test_pktsim_sweep_repairs_corruption;
     Alcotest.test_case "pktsim corruption without sweep" `Quick
       test_pktsim_corruption_without_sweep;
+    Alcotest.test_case "pktsim sweep stops without a leader" `Quick
+      test_pktsim_sweep_stops_without_leader;
     Alcotest.test_case "experiment corrupt jobs invariance" `Slow
       test_experiment_corrupt_invariant;
     QCheck_alcotest.to_alcotest qcheck_pktsim_chaos;
