@@ -309,8 +309,8 @@ let count_retry s = function
 
 (* Carry one control message from the leader's router over the lossy
    control channel.  The route is walked on the current tables, so a
-   partition shows up at once: no retry timer helps until routing
-   heals, so a partitioned device counts a degradation (it keeps its
+   partition shows up at once.  No retry timer helps until routing
+   heals: a partitioned device counts a degradation (it keeps its
    last-known-good state) and the message is given up.  Otherwise the
    message is counted, drawn for loss and checked against the target's
    liveness; a delivered message [arrive]s one way later, and its

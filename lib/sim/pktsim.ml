@@ -349,15 +349,10 @@ let note_cache_bypass w ~proxy ~flow ~aid =
    boundary; beyond that the flow is re-steered under newer weights
    (its stale label entries have been purged by then). *)
 let decision_version w ?admitted entity =
-  match w.live with
-  | None -> 0
-  | Some ls -> (
-    let inst =
-      ls.Controlplane.device_version.(Controlplane.device_of_entity w.dep entity)
-    in
-    match admitted with
-    | Some a when a < inst -> Stdlib.max a (inst - 1)
-    | _ -> inst)
+  let inst = installed_version w entity in
+  match admitted with
+  | Some a when a < inst -> Stdlib.max a (inst - 1)
+  | _ -> inst
 
 let decision_controller w ?admitted entity =
   match w.live with
@@ -793,7 +788,9 @@ let proxy_emit w (fs : Workload.flow_spec) ~aid =
   let now = Dess.Engine.now w.engine in
   let cache = w.proxy_caches.(proxy_id) in
   let flow = fs.Workload.flow in
-  let header = Netpkt.Header.of_flow flow in
+  let header =
+    Netpkt.Header.of_flow flow
+  in
   let payload_bytes = max 0 (fs.Workload.packet_bytes - Netpkt.Header.size) in
   let plain = Netpkt.Packet.plain header ~payload_bytes in
   let entity = Mbox.Entity.Proxy proxy_id in
@@ -1498,7 +1495,7 @@ let run ?(config = default_config) ~controller ~workload () =
         Controlplane.create lcfg ~controller ~engine ~stats ~audit:w.audit
           ~link_delay
           {
-            Controlplane.hops = (fun ~from ~target -> route_hops w ~from ~target);
+            Controlplane.hops = route_hops w;
             control_lost = (fun () -> control_loss_draw w);
             device_up =
               (function
