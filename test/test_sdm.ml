@@ -988,6 +988,109 @@ let test_reoptimize_warm_off_is_cold () =
         (lp warm).Sdm.Lp_formulation.lp_pivots
     | Error e, _ | _, Error e -> Alcotest.fail e)
 
+(* --- LP pin ---------------------------------------------------------------- *)
+
+(* One line per Eq. (2) solve: the pivot counters, the warm/fallback
+   flags, λ as a hex float, and an MD5 of λ, the planned loads and
+   every weight row.  Floats are hashed by bit pattern, so one ulp
+   anywhere moves the digest.  [v +. 0.0] maps -0.0 to +0.0 and leaves
+   every other value alone: the sign of a zero is not part of the
+   answer (every comparison the solver makes treats ±0 alike), and a
+   pivot that skips zero columns may leave either sign behind. *)
+let lp_pin_line (c : Sdm.Controller.t) =
+  let lp = Option.get c.Sdm.Controller.lp in
+  let buf = Buffer.create 4096 in
+  let add_float v = Buffer.add_int64_le buf (Int64.bits_of_float (v +. 0.0)) in
+  let add_int i = Buffer.add_int64_le buf (Int64.of_int i) in
+  add_float lp.Sdm.Lp_formulation.lambda;
+  Array.iter add_float lp.Sdm.Lp_formulation.loads;
+  let dep = c.Sdm.Controller.deployment in
+  let entities =
+    List.init (Array.length dep.Sdm.Deployment.proxies) (fun i -> Mbox.Entity.Proxy i)
+    @ List.init (Array.length dep.Sdm.Deployment.middleboxes) (fun i ->
+          Mbox.Entity.Middlebox i)
+  in
+  List.iter
+    (fun entity ->
+      List.iter
+        (fun (r : Policy.Rule.t) ->
+          List.iter
+            (fun nf ->
+              match Sdm.Weights.find lp.Sdm.Lp_formulation.weights entity ~rule:r.id ~nf with
+              | None -> ()
+              | Some row ->
+                add_int (Mbox.Entity.hash_key entity);
+                add_int r.id;
+                Buffer.add_string buf (Policy.Action.nf_to_string nf);
+                add_int (Array.length row);
+                Array.iter
+                  (fun (id, v) ->
+                    add_int id;
+                    add_float v)
+                  row)
+            r.actions)
+        c.Sdm.Controller.rules)
+    entities;
+  Printf.sprintf "pivots=%d phase1=%d warm=%b fallback=%b lambda=%h md5=%s"
+    lp.Sdm.Lp_formulation.lp_pivots lp.Sdm.Lp_formulation.lp_phase1_pivots
+    lp.Sdm.Lp_formulation.lp_warm_used lp.Sdm.Lp_formulation.lp_fallback
+    lp.Sdm.Lp_formulation.lambda
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let test_lp_pin () =
+  (* Two LPs pinned to the bit: the campus load-balanced configure at
+     seed 17, and the Waxman warm-started re-optimization chain over
+     ABL-REOPT's failure sets (no change, crash IDS, crash FW too,
+     recover IDS, recover all, no change).  A change to the simplex
+     that moves a pivot or an ulp of the answer fails here. *)
+  let lb scenario ~flows =
+    let deployment = Sim.Experiment.build_deployment scenario ~seed:17 in
+    let w = Sim.Workload.generate ~deployment ~seed:17 ~flows () in
+    let traffic = Sim.Workload.measure w in
+    match
+      Sdm.Controller.configure deployment ~rules:w.Sim.Workload.rules
+        (Sdm.Controller.Load_balanced traffic)
+    with
+    | Ok c -> (deployment, traffic, c)
+    | Error e -> Alcotest.fail e
+  in
+  let _, _, campus = lb Sim.Experiment.Campus ~flows:2_000 in
+  let deployment, traffic, waxman = lb Sim.Experiment.Waxman ~flows:150 in
+  let first nf =
+    (List.hd (Sdm.Deployment.middleboxes_of deployment nf)).Mbox.Middlebox.id
+  in
+  let v1 = first Policy.Action.IDS and v2 = first Policy.Action.FW in
+  let _, chain =
+    List.fold_left
+      (fun (c, acc) failed ->
+        match Sdm.Controller.reoptimize c ~failed ~use_warm:true ~traffic () with
+        | Ok c' -> (c', lp_pin_line c' :: acc)
+        | Error e -> Alcotest.fail e)
+      (waxman, [])
+      [ []; [ v1 ]; [ v1; v2 ]; [ v2 ]; []; [] ]
+  in
+  Alcotest.(check (list string))
+    "campus configure, then Waxman configure and its re-solve chain"
+    [
+      "pivots=98 phase1=479 warm=false fallback=false "
+      ^ "lambda=0x1.5f2aaaaaaaaa6p+13 md5=46129a99f420aa831d1bee4ea514bab1";
+      "pivots=206 phase1=864 warm=false fallback=false "
+      ^ "lambda=0x1.284000000000dp+10 md5=1e38b54f077ad86a8d54a08c238c8b24";
+      "pivots=0 phase1=0 warm=true fallback=false "
+      ^ "lambda=0x1.284p+10 md5=e5e2cd4e0e3afaa4bd66fec7ea47496b";
+      "pivots=178 phase1=637 warm=false fallback=true "
+      ^ "lambda=0x1.647fffffffff8p+10 md5=41053e6ec3ee8286c4effd8554c86e7d";
+      "pivots=112 phase1=703 warm=false fallback=true "
+      ^ "lambda=0x1.647ffffffffefp+10 md5=eba56459bf716bef8def45060f5f46bc";
+      "pivots=108 phase1=630 warm=false fallback=true "
+      ^ "lambda=0x1.283fffffffffap+10 md5=d650f42da286d9707a1ba018445b67ac";
+      "pivots=206 phase1=864 warm=false fallback=true "
+      ^ "lambda=0x1.284000000000dp+10 md5=1e38b54f077ad86a8d54a08c238c8b24";
+      "pivots=0 phase1=0 warm=true fallback=false "
+      ^ "lambda=0x1.284p+10 md5=e5e2cd4e0e3afaa4bd66fec7ea47496b";
+    ]
+    (lp_pin_line campus :: lp_pin_line waxman :: List.rev chain)
+
 (* --- Policy updates ------------------------------------------------------- *)
 
 let test_update_rules_delta () =
@@ -1478,6 +1581,8 @@ let suite =
       test_reoptimize_warm_matches_cold;
     Alcotest.test_case "warm off is the cold path" `Quick
       test_reoptimize_warm_off_is_cold;
+    Alcotest.test_case "LP pin: campus configure and Waxman re-solve chain" `Quick
+      test_lp_pin;
     Alcotest.test_case "policy update delta" `Quick test_update_rules_delta;
     Alcotest.test_case "verify accepts valid configs" `Quick
       test_verify_accepts_valid_configs;
