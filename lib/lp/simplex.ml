@@ -33,45 +33,68 @@ type tableau = {
   m : int;
   width : int;
   basis : int array; (* basic variable of each row *)
+  nz : int array;    (* pivot-row scratch: its nonzero columns *)
 }
 
-let pivot t ~row ~col =
-  let a = t.a in
-  let piv = a.(row).(col) in
+(* The pivot kernel.  Scale the pivot row, recording its nonzero
+   columns in [nz], then subtract [f] times it from every other row
+   with [f <> 0.0] — over the recorded columns only.  The arithmetic
+   is the dense update's, entry for entry; a skipped column would have
+   computed [x -. f *. (±0.0)], which is [x] for every nonzero [x] and
+   can differ only in the sign of a zero [x] (-0.0 -. -0.0 is +0.0).
+   The solver never divides by a zero and its comparisons treat ±0
+   alike, so the pivots and the answer are the dense pivot's, bit for
+   bit.  Bounds: each recorded index is < [Array.length arow] (at most
+   [width]), and every row has as many entries as [arow]. *)
+let eliminate a ~nz ~row ~col =
   let arow = a.(row) in
-  let inv = 1.0 /. piv in
-  for j = 0 to t.width do
-    arow.(j) <- arow.(j) *. inv
-  done;
-  for i = 0 to t.m do
-    if i <> row then begin
-      let f = a.(i).(col) in
-      if f <> 0.0 then begin
-        let ai = a.(i) in
-        for j = 0 to t.width do
-          ai.(j) <- ai.(j) -. (f *. arow.(j))
-        done
-      end
+  let inv = 1.0 /. arow.(col) in
+  let k = ref 0 in
+  for j = 0 to Array.length arow - 1 do
+    let v = arow.(j) *. inv in
+    arow.(j) <- v;
+    if v <> 0.0 then begin
+      nz.(!k) <- j;
+      incr k
     end
   done;
+  let k = !k in
+  for i = 0 to Array.length a - 1 do
+    let ai = a.(i) in
+    let f = ai.(col) in
+    if i <> row && f <> 0.0 then
+      for q = 0 to k - 1 do
+        let j = Array.unsafe_get nz q in
+        Array.unsafe_set ai j (Array.unsafe_get ai j -. (f *. Array.unsafe_get arow j))
+      done
+  done
+
+let pivot a ~row ~col =
+  let w = Array.length a.(row) in
+  if Array.exists (fun r -> Array.length r <> w) a then
+    invalid_arg "Simplex.pivot: ragged tableau";
+  eliminate a ~nz:(Array.make w 0) ~row ~col
+
+let pivot_basis t ~row ~col =
+  eliminate t.a ~nz:t.nz ~row ~col;
   t.basis.(row) <- col
 
-(* Entering column: Dantzig unless [bland]; [allowed col] filters out
-   artificial columns during phase 2. *)
-let entering t ~bland ~allowed =
+(* Entering column among [0, limit): Dantzig unless [bland].  Phase 2
+   passes [art_first], barring the artificial columns. *)
+let entering t ~bland ~limit =
   let obj = t.a.(t.m) in
   if bland then begin
     let rec find j =
-      if j >= t.width then None
-      else if allowed j && obj.(j) < -.eps then Some j
+      if j >= limit then None
+      else if obj.(j) < -.eps then Some j
       else find (j + 1)
     in
     find 0
   end
   else begin
     let best = ref (-1) and best_v = ref (-.eps) in
-    for j = 0 to t.width - 1 do
-      if allowed j && obj.(j) < !best_v then begin
+    for j = 0 to limit - 1 do
+      if obj.(j) < !best_v then begin
         best := j;
         best_v := obj.(j)
       end
@@ -105,7 +128,7 @@ let iteration_cap = 2_000_000
 
 (* Run simplex iterations until no entering column remains.  [count]
    only observes pivots — no float the tableau sees depends on it. *)
-let optimise t ~count ~allowed =
+let optimise t ~count ~limit =
   let degenerate_streak = ref 0 in
   let bland = ref false in
   let iter = ref 0 in
@@ -113,7 +136,7 @@ let optimise t ~count ~allowed =
   while !continue do
     incr iter;
     if !iter > iteration_cap then failwith "Simplex: iteration cap exceeded";
-    match entering t ~bland:!bland ~allowed with
+    match entering t ~bland:!bland ~limit with
     | None -> continue := false
     | Some col -> (
       match leaving t ~col with
@@ -126,7 +149,7 @@ let optimise t ~count ~allowed =
         end
         else degenerate_streak := 0;
         incr count;
-        pivot t ~row ~col)
+        pivot_basis t ~row ~col)
   done
 
 let solve_ext ?warm_basis ~cost ~rows () =
@@ -187,7 +210,7 @@ let solve_ext ?warm_basis ~cost ~rows () =
           basis.(i) <- !art_col;
           incr art_col))
       norm;
-    { a; m; width; basis }
+    { a; m; width; basis; nz = Array.make (width + 1) 0 }
   in
   let is_artificial j = j >= art_first in
   let pivots = ref 0 and phase1_pivots = ref 0 in
@@ -213,7 +236,7 @@ let solve_ext ?warm_basis ~cost ~rows () =
         done
       end
     done;
-    optimise t ~count:pivots ~allowed:(fun j -> not (is_artificial j));
+    optimise t ~count:pivots ~limit:art_first;
     let values = Array.make n 0.0 in
     for i = 0 to m - 1 do
       if t.basis.(i) < n then values.(t.basis.(i)) <- a.(i).(width)
@@ -267,7 +290,7 @@ let solve_ext ?warm_basis ~cost ~rows () =
               done;
               if !best_v <= 1e-7 then singular := true
               else begin
-                pivot t ~row:!best ~col;
+                pivot_basis t ~row:!best ~col;
                 assigned.(!best) <- true
               end
             end)
@@ -336,7 +359,7 @@ let solve_ext ?warm_basis ~cost ~rows () =
               a.(m).(j) <- a.(m).(j) -. a.(i).(j)
             done
         done;
-        (try optimise t ~count:phase1_pivots ~allowed:(fun _ -> true)
+        (try optimise t ~count:phase1_pivots ~limit:width
          with Unbounded_lp -> failwith "Simplex: phase 1 cannot be unbounded");
         let phase1 = -.a.(m).(width) in
         if phase1 > 1e-6 then raise Exit
@@ -350,7 +373,7 @@ let solve_ext ?warm_basis ~cost ~rows () =
           done;
           if !col >= 0 then begin
             incr phase1_pivots;
-            pivot t ~row:i ~col:!col
+            pivot_basis t ~row:i ~col:!col
           end
           (* Otherwise the row is redundant (all-zero over real
              columns); the artificial stays basic at value ~0 and,

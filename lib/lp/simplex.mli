@@ -6,9 +6,15 @@
     feasible solution; phase 2 optimises the real objective.  Pricing
     is Dantzig (most negative reduced cost) with a permanent switch to
     Bland's rule after a long degenerate streak, which guarantees
-    termination.  Dense float arrays throughout: the paper's Eq. (2)
-    instances stay in the low thousands of variables, where a dense
-    tableau is simple and fast enough.
+    termination.  The tableau is a dense float matrix: the paper's
+    Eq. (2) instances stay in the low thousands of variables.  A pivot
+    row is mostly zeros, though, so each pivot records the row's
+    nonzero columns while scaling it and eliminates over those columns
+    alone ({!pivot}).  The arithmetic on every touched entry is the
+    dense update's, so the pivots and the answers are bit-identical to
+    a dense pivot; only the sign of a zero entry may differ (a skipped
+    [-0.0] stays [-0.0] where the dense update could write [+0.0]),
+    which no comparison or division in the solver can see.
 
     {b Warm starting.}  An [Optimal] {!solve_ext} exports its final
     {!basis}; feeding it back through [?warm_basis] on a perturbed
@@ -47,6 +53,15 @@ type stats = {
   fallback : bool;       (** a warm basis was supplied but unusable: the
                              cold two-phase path ran instead *)
 }
+
+val pivot : float array array -> row:int -> col:int -> unit
+(** [pivot a ~row ~col] pivots the tableau [a] (one array per row, all
+    of one length; the last column is the right-hand side) in place on
+    [a.(row).(col)]: the pivot row is divided by that entry and its
+    multiples are subtracted from every other row.  This is the kernel
+    every solve runs; see the preamble for what "sparse" changes.
+    Raises [Invalid_argument] on rows of differing lengths.  The entry
+    [a.(row).(col)] must be nonzero. *)
 
 val solve : cost:float array -> rows:(float array * sense * float) array -> result
 (** [solve ~cost ~rows]: [cost] has one entry per structural variable;

@@ -571,6 +571,74 @@ let qcheck_warm_noop =
         s.Lp.Simplex.fallback && not s.Lp.Simplex.warm_used
       | _ -> false)
 
+(* --- The pivot kernel against a dense reference ------------------ *)
+
+(* The dense pivot the solver used before the sparse kernel: scale the
+   pivot row, then subtract its multiple from every other row across
+   all columns. *)
+let dense_pivot a ~row ~col =
+  let piv = a.(row).(col) in
+  let arow = a.(row) in
+  let inv = 1.0 /. piv in
+  let width = Array.length arow - 1 in
+  for j = 0 to width do
+    arow.(j) <- arow.(j) *. inv
+  done;
+  for i = 0 to Array.length a - 1 do
+    if i <> row then begin
+      let f = a.(i).(col) in
+      if f <> 0.0 then begin
+        let ai = a.(i) in
+        for j = 0 to width do
+          ai.(j) <- ai.(j) -. (f *. arow.(j))
+        done
+      end
+    end
+  done
+
+let qcheck_pivot_vs_dense =
+  let open QCheck in
+  (* Random tableaux of 5-60% density whose entries include both zero
+     signs and negatives, and a chain of 1-4 pivots on entries with
+     |pivot| > 1e-9 (pairs landing on a smaller entry are skipped by
+     both sides alike).  Entries must stay [=]-equal throughout, and
+     bit-identical wherever they are nonzero: only a zero's sign may
+     differ. *)
+  let gen =
+    Gen.(
+      int_range 2 12 >>= fun rows ->
+      int_range 2 24 >>= fun cols ->
+      float_range 0.05 0.6 >>= fun density ->
+      let entry =
+        float_bound_inclusive 1.0 >>= fun u ->
+        if u < density then
+          oneof [ float_range (-10.0) 10.0; map (fun x -> x *. 1e-6) (float_range (-1.0) 1.0) ]
+        else oneofl [ 0.0; -0.0 ]
+      in
+      pair
+        (array_size (return rows) (array_size (return cols) entry))
+        (list_size (int_range 1 4) (pair (int_bound (rows - 1)) (int_bound (cols - 2)))))
+  in
+  let same x y =
+    x = y && (x = 0.0 || Int64.bits_of_float x = Int64.bits_of_float y)
+  in
+  Test.make ~count:500 ~name:"sparse pivot kernel equals the dense pivot"
+    (make gen)
+    (fun (a, pivots) ->
+      let sparse = Array.map Array.copy a and dense = Array.map Array.copy a in
+      List.for_all
+        (fun (row, col) ->
+          if abs_float dense.(row).(col) > 1e-9 then begin
+            Lp.Simplex.pivot sparse ~row ~col;
+            dense_pivot dense ~row ~col
+          end;
+          Array.for_all2 (Array.for_all2 same) sparse dense)
+        pivots)
+
+let test_pivot_rejects_ragged () =
+  Alcotest.check_raises "ragged" (Invalid_argument "Simplex.pivot: ragged tableau")
+    (fun () -> Lp.Simplex.pivot [| [| 1.0; 2.0 |]; [| 3.0 |] |] ~row:0 ~col:0)
+
 let suite =
   [
     Alcotest.test_case "trivial min" `Quick test_trivial_min;
@@ -608,4 +676,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_feasibility;
     QCheck_alcotest.to_alcotest qcheck_warm_vs_cold;
     QCheck_alcotest.to_alcotest qcheck_warm_noop;
+    QCheck_alcotest.to_alcotest qcheck_pivot_vs_dense;
+    Alcotest.test_case "pivot rejects a ragged tableau" `Quick test_pivot_rejects_ragged;
   ]
