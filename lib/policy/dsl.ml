@@ -39,17 +39,22 @@ let parse_proto tok =
     | Some p when p >= 0 && p <= 255 -> Ok (Descriptor.Proto p)
     | _ -> Error (Printf.sprintf "bad protocol %S" tok))
 
+(* An action list the controller would reject fails here, at its
+   line: a repeated function, or "permit" next to a function (it would
+   otherwise name a custom function called "permit"). *)
 let parse_actions toks =
-  match toks with
-  | [ "permit" ] -> Ok Action.permit
+  let names =
+    List.concat_map (String.split_on_char ',') toks
+    |> List.filter (fun s -> s <> "")
+  in
+  match names with
   | [] -> Error "missing actions after =>"
+  | [ "permit" ] -> Ok Action.permit
+  | _ when List.mem "permit" names -> Error "permit cannot be combined with a function"
   | _ ->
-    let names =
-      List.concat_map (String.split_on_char ',') toks
-      |> List.filter (fun s -> s <> "")
-    in
-    if names = [] then Error "missing actions after =>"
-    else Ok (List.map Action.nf_of_string names)
+    let actions = List.map Action.nf_of_string names in
+    if Action.has_duplicates actions then Error "repeats a function in its action list"
+    else Ok actions
 
 (* Optional fields in any order, each exactly once. *)
 let rec parse_fields acc = function

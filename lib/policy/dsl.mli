@@ -18,7 +18,7 @@
     field   ::= ("sport" | "dport") port | "proto" proto
     port    ::= "any" | int | int "-" int
     proto   ::= "any" | "tcp" | "udp" | "icmp" | int
-    actions ::= "permit" | nf ("," nf)*
+    actions ::= "permit" | nf ("," nf)*     (no function twice)
     nf      ::= "FW" | "IDS" | "WP" | "TM" | identifier
     v}
 

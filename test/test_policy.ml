@@ -310,6 +310,8 @@ let test_dsl_parse_errors () =
       "from any to any sport 5 sport 6 => FW";
       "from any to any proto zebra => FW";
       "from any to any banana => FW";
+      "from any to any => FW, FW";
+      "from any to any => permit, FW";
     ]
 
 let test_dsl_document () =
@@ -330,6 +332,21 @@ let test_dsl_document_error_position () =
     Alcotest.(check bool) "names line 3" true
       (String.length e >= 7 && String.sub e 0 7 = "line 3:")
   | Ok _ -> Alcotest.fail "expected parse error"
+
+let test_dsl_action_errors_name_line () =
+  (* Both action lists the controller rejects fail at parse time, with
+     the line number. *)
+  List.iter
+    (fun (text, want) ->
+      match Policy.Dsl.parse text with
+      | Error e -> Alcotest.(check string) text want e
+      | Ok _ -> Alcotest.failf "accepted %S" text)
+    [
+      ( "from any to any => FW\nfrom any to any => FW, IDS, FW\n",
+        "line 2: repeats a function in its action list" );
+      ( "# header\nfrom any to any => permit, FW\n",
+        "line 2: permit cannot be combined with a function" );
+    ]
 
 let test_dsl_table_one_roundtrip () =
   match Policy.Dsl.parse Policy.Dsl.table_one_text with
@@ -667,6 +684,8 @@ let suite =
     Alcotest.test_case "DSL parse errors" `Quick test_dsl_parse_errors;
     Alcotest.test_case "DSL document" `Quick test_dsl_document;
     Alcotest.test_case "DSL error position" `Quick test_dsl_document_error_position;
+    Alcotest.test_case "DSL action errors name the line" `Quick
+      test_dsl_action_errors_name_line;
     Alcotest.test_case "DSL Table I roundtrip" `Quick test_dsl_table_one_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_dsl_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_dsl_never_crashes;
