@@ -1,4 +1,4 @@
-(** Two-phase dense primal simplex.
+(** Two-phase primal simplex on a dense tableau.
 
     Solves  min cᵀx  s.t.  Ax {≤,=,≥} b,  x ≥ 0.
 

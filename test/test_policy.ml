@@ -310,8 +310,6 @@ let test_dsl_parse_errors () =
       "from any to any sport 5 sport 6 => FW";
       "from any to any proto zebra => FW";
       "from any to any banana => FW";
-      "from any to any => FW, FW";
-      "from any to any => permit, FW";
     ]
 
 let test_dsl_document () =
@@ -342,7 +340,7 @@ let test_dsl_action_errors_name_line () =
       | Error e -> Alcotest.(check string) text want e
       | Ok _ -> Alcotest.failf "accepted %S" text)
     [
-      ( "from any to any => FW\nfrom any to any => FW, IDS, FW\n",
+      ( "from any to any => FW\nfrom any to any => FW, FW\n",
         "line 2: repeats a function in its action list" );
       ( "# header\nfrom any to any => permit, FW\n",
         "line 2: permit cannot be combined with a function" );
