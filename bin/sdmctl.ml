@@ -213,7 +213,7 @@ let exp_cmd =
       (* Under --audit any invariant violation fails the invocation so
          CI can gate on it. *)
       if audit then begin
-        let counts = List.filter_map Fun.id o.audits in
+        let counts = List.filter_map Sim.Experiment.audit_violations o.runs in
         let total = List.fold_left ( + ) 0 counts in
         if total > 0 then begin
           Format.eprintf "audit: %d invariant violation(s)@." total;

@@ -915,6 +915,7 @@ type queue_report = {
   lb_latency_p99 : float;
   events_processed : int;
   router_hops : int;
+  queue_runs : Pktsim.stats list;
 }
 
 let ablation_queue ?(flows = 800) ?(seed = 17) ?jobs () =
@@ -947,6 +948,7 @@ let ablation_queue ?(flows = 800) ?(seed = 17) ?jobs () =
     lb_latency_p99 = lb_run.Pktsim.latency_p99;
     events_processed = sum (fun s -> s.Pktsim.events_processed) runs;
     router_hops = sum (fun s -> s.Pktsim.router_hops) runs;
+    queue_runs = [ hp_run; lb_run ];
   }
 
 type lp_side = {

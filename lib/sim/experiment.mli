@@ -428,6 +428,7 @@ type queue_report = {
   lb_latency_p99 : float;
   events_processed : int;  (** engine events fired, all three runs together *)
   router_hops : int;       (** hops fast-forwarded, all three runs together *)
+  queue_runs : Pktsim.stats list;  (** the HP and LB runs *)
 }
 
 val ablation_queue :

@@ -13,7 +13,7 @@ type outcome = {
   csvs : (string * string) list;
   events : int;
   hops : int;
-  audits : int option list;
+  runs : Pktsim.stats list;
   mismatch : string option;
   ledger : (clock:(unit -> float) -> Format.formatter -> string * string) option;
 }
@@ -28,8 +28,8 @@ type entry = {
   run : ctx -> outcome;
 }
 
-let outcome ?(csvs = []) ?(hops = 0) ?(audits = []) ?mismatch ?ledger ~events doc =
-  { doc; csvs; events; hops; audits; mismatch; ledger }
+let outcome ?(csvs = []) ?(hops = 0) ?(runs = []) ?mismatch ?ledger ~events doc =
+  { doc; csvs; events; hops; runs; mismatch; ledger }
 
 let entry ?(audited = false) ?cap name title (flows, fast_flows) run =
   { name; title; flows; fast_flows; cap = Option.value cap ~default:flows; audited; run }
@@ -38,12 +38,9 @@ let events (stats : Pktsim.stats list) =
   List.fold_left (fun acc s -> acc + s.Pktsim.events_processed) 0 stats
 
 (* A packet-level sweep's outcome: its probe runs plus one stats record
-   per row, every row's audit verdict included. *)
+   per row. *)
 let sweep ?csvs ?mismatch ?ledger ~probe_events stats doc =
-  outcome ?csvs ?mismatch ?ledger
-    ~events:(probe_events + events stats)
-    ~audits:(List.map Experiment.audit_violations stats)
-    doc
+  outcome ?csvs ?mismatch ?ledger ~events:(probe_events + events stats) ~runs:stats doc
 
 let figure name title scenario =
   entry name title (0, 0) (fun { fast; seed; jobs; _ } ->
@@ -136,17 +133,17 @@ let all =
     entry ~cap:5_000 "cache" "ABL-CACHE: flow cache vs multi-field lookups (Sec. III.D)"
       (2_000, 500) (fun { flows; seed; _ } ->
         let s = ablation_cache ~flows ~seed () in
-        outcome ~events:s.Pktsim.events_processed (Report.cache_ablation s));
+        outcome ~events:s.Pktsim.events_processed ~runs:[ s ] (Report.cache_ablation s));
     entry "cachesize" "ABL-CACHESIZE: flow-cache capacity vs lookups" (1_000, 300)
       (fun { flows; seed; jobs; _ } ->
         let points = ablation_cache_size ~flows ~seed ~jobs () in
-        outcome
-          ~events:(events (List.map (fun (p : cache_size_point) -> p.stats) points))
-          (Report.cache_size_ablation points));
+        let runs = List.map (fun (p : cache_size_point) -> p.stats) points in
+        outcome ~events:(events runs) ~runs (Report.cache_size_ablation points));
     entry ~cap:5_000 "frag" "ABL-FRAG: fragmentation vs label switching (Sec. III.E)"
       (2_000, 500) (fun { flows; seed; jobs; _ } ->
         let r = ablation_fragmentation ~flows ~seed ~jobs () in
-        outcome ~events:(events [ r.with_labels; r.ip_over_ip ]) (Report.frag_ablation r));
+        let runs = [ r.with_labels; r.ip_over_ip ] in
+        outcome ~events:(events runs) ~runs (Report.frag_ablation r));
     entry "fail" "ABL-FAIL: middlebox failure, failover vs re-optimization" (120_000, 60_000)
       (fun { flows; seed; jobs; _ } ->
         let r = ablation_failure ~flows ~seed ~jobs () in
@@ -221,13 +218,14 @@ let all =
       (fun { flows; seed; jobs; _ } ->
         let r = ablation_latency ~flows ~seed ~jobs () in
         let runs = [ r.enforced; r.plain ] in
-        outcome ~events:(events runs)
+        outcome ~events:(events runs) ~runs
           ~hops:(List.fold_left (fun acc s -> acc + s.Pktsim.router_hops) 0 runs)
           (Report.latency_ablation r));
     entry "queue" "ABL-QUEUE: middlebox queueing, HP vs LB latency" (800, 300)
       (fun { flows; seed; jobs; _ } ->
         let r = ablation_queue ~flows ~seed ~jobs () in
-        outcome ~events:r.events_processed ~hops:r.router_hops (Report.queue_ablation r));
+        outcome ~events:r.events_processed ~hops:r.router_hops ~runs:r.queue_runs
+          (Report.queue_ablation r));
     entry ~cap:10_000 "lp" "ABL-LP: Eq.(1) exact vs Eq.(2) simplified" (5_000, 2_000)
       (fun { flows; seed; jobs; _ } ->
         let r = ablation_lp ~flows ~seed ~jobs () in

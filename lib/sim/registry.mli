@@ -19,7 +19,7 @@ type outcome = {
   csvs : (string * string) list;  (** file name, contents *)
   events : int;  (** simulator events processed, every run included *)
   hops : int;  (** router hops fast-forwarded (packet-level latency runs) *)
-  audits : int option list;  (** per packet-level row: audit violations *)
+  runs : Pktsim.stats list;  (** the packet-level rows' runs, in row order *)
   mismatch : string option;
       (** a failed differential oracle (warm/cold objective
           disagreement): the run must exit non-zero *)

@@ -17,4 +17,5 @@ let () =
       ("audit", Test_audit.suite);
       ("report", Test_report.suite);
       ("cli", Test_cli.suite);
+      ("golden", Test_golden.suite);
     ]
