@@ -213,7 +213,7 @@ let exp_cmd =
       (* Under --audit any invariant violation fails the invocation so
          CI can gate on it. *)
       if audit then begin
-        let counts = List.filter_map Sim.Experiment.audit_violations o.runs in
+        let counts = List.filter_map Sim.Ablation.audit_violations o.runs in
         let total = List.fold_left ( + ) 0 counts in
         if total > 0 then begin
           Format.eprintf "audit: %d invariant violation(s)@." total;
@@ -275,27 +275,18 @@ let demo_cmd =
 
 let verify_cmd =
   let run scenario seed flows =
-    let dep = Sim.Experiment.build_deployment scenario ~seed in
-    let workload = Sim.Workload.generate ~deployment:dep ~seed ~flows () in
-    let traffic = Sim.Workload.measure workload in
-    match
-      Sdm.Controller.configure dep ~rules:workload.Sim.Workload.rules
-        (Sdm.Controller.Load_balanced traffic)
-    with
+    match Sim.Registry.configuration scenario ~seed ~flows with
     | Error e ->
       Format.eprintf "configuration failed: %s@." e;
       exit 1
-    | Ok c -> (
-      Format.printf "%a@." Sdm.Controller.pp_config_summary
-        (Sdm.Controller.config_summary c);
-      Format.printf "%a@." Sim.Controlplane.pp_report
-        (Sim.Controlplane.price c ~traffic);
-      match Sdm.Verify.check c with
-      | Ok () -> Format.printf "static verification: configuration certified@."
-      | Error vs ->
-        Format.printf "static verification: %d violations@." (List.length vs);
-        List.iter (fun v -> Format.printf "  %a@." Sdm.Verify.pp_violation v) vs;
-        exit 1)
+    | Ok (doc, []) ->
+      Format.printf "%a" Sim.Table.pp_doc doc;
+      Format.printf "static verification: configuration certified@."
+    | Ok (doc, vs) ->
+      Format.printf "%a" Sim.Table.pp_doc doc;
+      Format.printf "static verification: %d violations@." (List.length vs);
+      List.iter (fun v -> Format.printf "  %a@." Sdm.Verify.pp_violation v) vs;
+      exit 1
   in
   Cmd.v
     (Cmd.info "verify"

@@ -80,15 +80,12 @@ let () =
   (* The same flag inside the packet simulator: live control plane,
      middlebox churn, warm_start off vs on.  Identical traffic and
      faults; only the solver's path to each optimum differs. *)
-  let r = Sim.Experiment.ablation_reopt ~flows:400 () in
-  let row warm =
-    (List.find
-       (fun (row : Sim.Experiment.reopt_row) ->
-         row.Sim.Experiment.rp_scenario = "campus"
-         && row.Sim.Experiment.rp_warm = warm)
-       r.Sim.Experiment.rp_rows)
-      .Sim.Experiment.stats
+  let jobs = Stdx.Domain_pool.default_jobs () in
+  let reopt, replays = Sim.Ablation.reopt ~flows:400 ~seed:17 ~audit:false ~jobs in
+  let rows =
+    Sim.Ablation.sweep ~jobs (Sim.Ablation.filter (fun (name, _, _) -> name = "campus") reopt)
   in
+  let row warm = snd (List.find (fun ((_, _, w), _) -> w = warm) rows) in
   let cold = row false and warm = row true in
   Format.printf
     "in-run (campus, %d re-optimizations): cold %d pivots, warm %d pivots \
@@ -104,7 +101,8 @@ let () =
     warm.Sim.Pktsim.final_config_version = cold.Sim.Pktsim.final_config_version);
   (* 5. The replay's global verdict: every step of every scenario
      agreed. *)
-  assert (r.Sim.Experiment.rp_agree = r.Sim.Experiment.rp_total);
+  let agree, total = Sim.Ablation.agreement replays in
+  assert (agree = total);
 
   Format.printf
     "@.all invariants hold: equal optima, zero-pivot no-op re-solves, \

@@ -34,13 +34,23 @@ let outcome ?(csvs = []) ?(hops = 0) ?(runs = []) ?mismatch ?ledger ~events doc 
 let entry ?(audited = false) ?cap name title (flows, fast_flows) run =
   { name; title; flows; fast_flows; cap = Option.value cap ~default:flows; audited; run }
 
-let events (stats : Pktsim.stats list) =
-  List.fold_left (fun acc s -> acc + s.Pktsim.events_processed) 0 stats
+let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l
 
-(* A packet-level sweep's outcome: its probe runs plus one stats record
-   per row. *)
-let sweep ?csvs ?mismatch ?ledger ~probe_events stats doc =
-  outcome ?csvs ?mismatch ?ledger ~events:(probe_events + events stats) ~runs:stats doc
+(* A packet-level ablation's outcome: one run per cell, its probes
+   counted in the events; [hops] for the reports that print them. *)
+let sweep ?(hops = false) ?mismatch ?ledger ~jobs (a : _ Ablation.t) =
+  let rows = Ablation.sweep ~jobs a in
+  let runs = List.map snd rows in
+  let all = Ablation.probes a @ runs in
+  let doc, csvs = a.report rows in
+  outcome ~csvs ~runs ?mismatch
+    ?ledger:(Option.map (fun l -> l rows) ledger)
+    ~events:(sum (fun s -> s.Pktsim.events_processed) all)
+    ~hops:(if hops then sum (fun s -> s.Pktsim.router_hops) all else 0)
+    doc
+
+let packet ?audited ?cap ?hops name title flows ablation =
+  entry ?audited ?cap name title flows (fun ctx -> sweep ?hops ~jobs:ctx.jobs (ablation ctx))
 
 let figure name title scenario =
   entry name title (0, 0) (fun { fast; seed; jobs; _ } ->
@@ -60,63 +70,59 @@ let table3 ?(csv = false) name title scenario =
 
 (* Wall-clock warm-vs-cold re-solve latency per scenario, next to the
    deterministic pivot counts of the report it follows. *)
-let reopt_ledger (r : Experiment.reopt_report) ~flows ~seed ~clock ppf =
+let reopt_ledger replays ~flows ~seed rows ~clock ppf =
   let scenario s =
     let name = Experiment.scenario_name s in
     let cold_ms, warm_ms = Experiment.reopt_solve_ms ~clock s ~flows ~seed () in
     Format.fprintf ppf "[ABL-REOPT %s: cold %.2f ms/solve, warm %.2f ms/solve]@." name
       cold_ms warm_ms;
-    let steps = List.assoc name r.Experiment.rp_replays in
-    let replay f = List.fold_left (fun acc s -> acc + f s) 0 steps in
-    let row warm =
-      List.find
-        (fun (x : Experiment.reopt_row) ->
-          x.Experiment.rp_scenario = name && x.Experiment.rp_warm = warm)
-        r.Experiment.rp_rows
-    in
-    let cold = row false and warm = row true in
+    let steps = List.assoc name replays in
+    let replay f = sum f steps in
+    let row warm = List.find (fun ((n, _, w), _) -> n = name && w = warm) rows in
+    let (_, routers, _), cold = row false and _, warm = row true in
     Printf.sprintf
       "{\"name\": %S, \"routers\": %d, \"replay_steps\": %d, \"replay_cold_pivots\": \
        %d, \"replay_warm_pivots\": %d, \"cold_ms_per_solve\": %.3f, \
        \"warm_ms_per_solve\": %.3f, \"run_cold_pivots\": %d, \"run_warm_pivots\": %d, \
        \"run_warm_used\": %d, \"run_fallback\": %d}"
-      name cold.Experiment.rp_routers (List.length steps)
+      name routers (List.length steps)
       (replay (fun s -> s.Experiment.rs_cold_pivots))
       (replay (fun s -> s.Experiment.rs_warm_pivots))
-      cold_ms warm_ms cold.Experiment.stats.Pktsim.reopt_pivots
-      warm.Experiment.stats.Pktsim.reopt_pivots
-      warm.Experiment.stats.Pktsim.reopt_warm_used
-      warm.Experiment.stats.Pktsim.reopt_fallback
+      cold_ms warm_ms cold.Pktsim.reopt_pivots warm.Pktsim.reopt_pivots
+      warm.Pktsim.reopt_warm_used warm.Pktsim.reopt_fallback
   in
+  let agree, total = Ablation.agreement replays in
   ( "reopt",
     Printf.sprintf "{\"scenarios\": [%s], \"agree_steps\": %d, \"total_steps\": %d}"
       (String.concat ", " (List.map scenario Experiment.[ Campus; Waxman ]))
-      r.Experiment.rp_agree r.Experiment.rp_total )
+      agree total )
+
+let configuration scenario ~seed ~flows =
+  let deployment = Experiment.build_deployment scenario ~seed in
+  let workload = Workload.generate ~deployment ~seed ~flows () in
+  let traffic = Workload.measure workload in
+  let report ctl =
+    let price = Controlplane.price ctl ~traffic in
+    ( [ (fun ppf -> Format.fprintf ppf "%a@." Sdm.Controller.pp_config_summary
+            (Sdm.Controller.config_summary ctl));
+        (fun ppf -> Format.fprintf ppf "%a@." Controlplane.pp_report price) ],
+      match Sdm.Verify.check ctl with Ok () -> [] | Error vs -> vs )
+  in
+  Result.map report
+    (Sdm.Controller.configure deployment ~rules:workload.Workload.rules
+       (Sdm.Controller.Load_balanced traffic))
 
 (* The controller's dissemination volume and static verdict.  Its last
    line is left open: every caller ends a report with a newline. *)
 let config { flows; seed; _ } =
-  let deployment = Experiment.build_deployment Experiment.Campus ~seed in
-  let workload = Workload.generate ~deployment ~seed ~flows () in
-  let traffic = Workload.measure workload in
   outcome ~events:0
-    (match
-       Sdm.Controller.configure deployment ~rules:workload.Workload.rules
-         (Sdm.Controller.Load_balanced traffic)
-     with
-    | Ok ctl ->
-      [
-        (fun ppf ->
-          Format.fprintf ppf "%a@." Sdm.Controller.pp_config_summary
-            (Sdm.Controller.config_summary ctl));
-        (fun ppf ->
-          Format.fprintf ppf "%a@." Controlplane.pp_report (Controlplane.price ctl ~traffic));
-        (fun ppf ->
-          match Sdm.Verify.check ctl with
-          | Ok () -> Format.fprintf ppf "static verification: configuration certified"
-          | Error vs ->
-            Format.fprintf ppf "static verification FAILED (%d violations)" (List.length vs));
-      ]
+    (match configuration Experiment.Campus ~seed ~flows with
+    | Ok (doc, []) ->
+      doc @ [ (fun ppf -> Format.fprintf ppf "static verification: configuration certified") ]
+    | Ok (doc, vs) ->
+      doc
+      @ [ (fun ppf ->
+            Format.fprintf ppf "static verification FAILED (%d violations)" (List.length vs)) ]
     | Error e -> [ (fun ppf -> Format.fprintf ppf "configuration failed: %s" e) ])
 
 let all =
@@ -130,81 +136,41 @@ let all =
       (fun { flows; seed; jobs; _ } ->
         let r = ablation_k ~flows ~seed ~jobs () in
         outcome ~events:r.k_events (Report.k_ablation r.k_points));
-    entry ~cap:5_000 "cache" "ABL-CACHE: flow cache vs multi-field lookups (Sec. III.D)"
-      (2_000, 500) (fun { flows; seed; _ } ->
-        let s = ablation_cache ~flows ~seed () in
-        outcome ~events:s.Pktsim.events_processed ~runs:[ s ] (Report.cache_ablation s));
-    entry "cachesize" "ABL-CACHESIZE: flow-cache capacity vs lookups" (1_000, 300)
-      (fun { flows; seed; jobs; _ } ->
-        let points = ablation_cache_size ~flows ~seed ~jobs () in
-        let runs = List.map (fun (p : cache_size_point) -> p.stats) points in
-        outcome ~events:(events runs) ~runs (Report.cache_size_ablation points));
-    entry ~cap:5_000 "frag" "ABL-FRAG: fragmentation vs label switching (Sec. III.E)"
-      (2_000, 500) (fun { flows; seed; jobs; _ } ->
-        let r = ablation_fragmentation ~flows ~seed ~jobs () in
-        let runs = [ r.with_labels; r.ip_over_ip ] in
-        outcome ~events:(events runs) ~runs (Report.frag_ablation r));
+    packet ~cap:5_000 "cache" "ABL-CACHE: flow cache vs multi-field lookups (Sec. III.D)"
+      (2_000, 500) (fun { flows; seed; _ } -> Ablation.cache ~flows ~seed);
+    packet "cachesize" "ABL-CACHESIZE: flow-cache capacity vs lookups" (1_000, 300)
+      (fun { flows; seed; _ } -> Ablation.cachesize ~flows ~seed);
+    packet ~cap:5_000 "frag" "ABL-FRAG: fragmentation vs label switching (Sec. III.E)"
+      (2_000, 500) (fun { flows; seed; _ } -> Ablation.frag ~flows ~seed);
     entry "fail" "ABL-FAIL: middlebox failure, failover vs re-optimization" (120_000, 60_000)
       (fun { flows; seed; jobs; _ } ->
         let r = ablation_failure ~flows ~seed ~jobs () in
         outcome ~events:r.fail_events (Report.failure_ablation r));
-    entry ~audited:true "chaos" "ABL-CHAOS: in-run faults, detection-delay sweep" (800, 300)
-      (fun { flows; seed; audit; jobs; _ } ->
-        let r = ablation_chaos ~flows ~seed ~audit ~jobs () in
-        sweep ~probe_events:r.chaos_probe_events
-          (List.map (fun (x : chaos_row) -> x.stats) r.chaos_rows)
-          (Report.chaos r));
-    entry ~audited:true "live" "ABL-LIVE: live reconfiguration, control-loss sweep" (500, 300)
-      (fun { flows; seed; audit; jobs; _ } ->
-        let r = ablation_live ~flows ~seed ~audit ~jobs () in
-        sweep ~probe_events:r.live_probe_events
-          ~csvs:
-            [ ("abl_live.csv", Report.live_csv r);
-              ("abl_live_devices.csv", Report.live_devices_csv r) ]
-          (List.map (fun (x : live_row) -> x.stats) r.live_rows)
-          (Report.live r));
-    entry ~audited:true "quorum" "ABL-QUORUM: replicated controller under chaos" (400, 200)
-      (fun { flows; seed; audit; jobs; _ } ->
-        let r = ablation_quorum ~flows ~seed ~audit ~jobs () in
-        sweep ~probe_events:r.q_probe_events
-          ~csvs:[ ("abl_quorum.csv", Report.quorum_csv r) ]
-          (List.map (fun (x : quorum_row) -> x.stats) r.q_rows)
-          (Report.quorum r));
-    entry ~audited:true "corrupt" "ABL-CORRUPT: silent corruption vs anti-entropy repair"
-      (400, 200) (fun { flows; seed; audit; jobs; corrupt_rate; sweep_period; _ } ->
-        let rates = Option.map (fun r -> [ r ]) corrupt_rate in
-        let sweep_periods =
-          Option.map (fun p -> if p = 0.0 then [ None ] else [ Some p ]) sweep_period
-        in
-        let r = ablation_corrupt ~flows ~seed ~audit ?rates ?sweep_periods ~jobs () in
-        sweep ~probe_events:r.c_probe_events
-          ~csvs:[ ("abl_corrupt.csv", Report.corrupt_csv r) ]
-          (List.map (fun (x : corrupt_row) -> x.stats) r.c_rows)
-          (Report.corrupt r));
+    packet ~audited:true "chaos" "ABL-CHAOS: in-run faults, detection-delay sweep" (800, 300)
+      (fun { flows; seed; audit; _ } -> Ablation.chaos ~flows ~seed ~audit);
+    packet ~audited:true "live" "ABL-LIVE: live reconfiguration, control-loss sweep" (500, 300)
+      (fun { flows; seed; audit; jobs; _ } -> Ablation.live ~flows ~seed ~audit ~jobs);
+    packet ~audited:true "quorum" "ABL-QUORUM: replicated controller under chaos" (400, 200)
+      (fun { flows; seed; audit; _ } -> Ablation.quorum ~flows ~seed ~audit);
+    packet ~audited:true "corrupt" "ABL-CORRUPT: silent corruption vs anti-entropy repair"
+      (400, 200) (fun { flows; seed; audit; corrupt_rate; sweep_period; _ } ->
+        Ablation.corrupt ~flows ~seed ~audit ~rate:corrupt_rate ~sweep_period);
     (* 400 flows even in fast mode: with fewer flows the measured
        traffic support keeps growing between epochs and the in-run warm
        path falls back on every epoch of the small campus topology,
        hiding the pivot savings the sweep exists to show. *)
     entry ~audited:true "reopt" "ABL-REOPT: warm-started re-optimization vs cold re-solve"
       (400, 400) (fun { flows; seed; audit; jobs; _ } ->
-        let r = ablation_reopt ~flows ~seed ~audit ~jobs () in
+        let a, replays = Ablation.reopt ~flows ~seed ~audit ~jobs in
         (* A warm optimum disagreeing with the cold solve is a solver
            bug, not an enforcement-invariant violation: it fails the
            run whether or not it was audited. *)
+        let agree, total = Ablation.agreement replays in
         let mismatch =
-          if r.rp_agree = r.rp_total then None
-          else
-            Some
-              (Printf.sprintf "reopt: warm/cold objective mismatch (%d/%d steps)" r.rp_agree
-                 r.rp_total)
+          Printf.sprintf "reopt: warm/cold objective mismatch (%d/%d steps)" agree total
         in
-        sweep ?mismatch ~ledger:(reopt_ledger r ~flows ~seed)
-          ~probe_events:(List.fold_left (fun acc i -> acc + i.ri_probe_events) 0 r.rp_infos)
-          ~csvs:
-            [ ("abl_reopt.csv", Report.reopt_csv r);
-              ("abl_reopt_steps.csv", Report.reopt_steps_csv r) ]
-          (List.map (fun (x : reopt_row) -> x.stats) r.rp_rows)
-          (Report.reopt r));
+        sweep ~jobs ?mismatch:(if agree = total then None else Some mismatch)
+          ~ledger:(reopt_ledger replays ~flows ~seed) a);
     entry "epoch" "ABL-EPOCH: adaptation across measurement epochs" (60_000, 30_000)
       (fun { flows; seed; jobs; _ } ->
         let deployment = build_deployment Campus ~seed in
@@ -214,18 +180,10 @@ let all =
       (fun { flows; seed; jobs; _ } ->
         let r = ablation_sketch ~flows ~seed ~jobs () in
         outcome ~events:r.sk_events (Report.sketch_ablation r.sk_points));
-    entry "lat" "ABL-LAT: end-to-end latency overhead of enforcement" (1_000, 300)
-      (fun { flows; seed; jobs; _ } ->
-        let r = ablation_latency ~flows ~seed ~jobs () in
-        let runs = [ r.enforced; r.plain ] in
-        outcome ~events:(events runs) ~runs
-          ~hops:(List.fold_left (fun acc s -> acc + s.Pktsim.router_hops) 0 runs)
-          (Report.latency_ablation r));
-    entry "queue" "ABL-QUEUE: middlebox queueing, HP vs LB latency" (800, 300)
-      (fun { flows; seed; jobs; _ } ->
-        let r = ablation_queue ~flows ~seed ~jobs () in
-        outcome ~events:r.events_processed ~hops:r.router_hops ~runs:r.queue_runs
-          (Report.queue_ablation r));
+    packet ~hops:true "lat" "ABL-LAT: end-to-end latency overhead of enforcement" (1_000, 300)
+      (fun { flows; seed; _ } -> Ablation.lat ~flows ~seed);
+    packet ~hops:true "queue" "ABL-QUEUE: middlebox queueing, HP vs LB latency" (800, 300)
+      (fun { flows; seed; _ } -> Ablation.queue ~flows ~seed);
     entry ~cap:10_000 "lp" "ABL-LP: Eq.(1) exact vs Eq.(2) simplified" (5_000, 2_000)
       (fun { flows; seed; jobs; _ } ->
         let r = ablation_lp ~flows ~seed ~jobs () in

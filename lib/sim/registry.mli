@@ -1,7 +1,9 @@
 (** Every experiment of the reproduction as data: one entry per paper
     artifact or ablation.  The bench's sections, [sdmctl exp]'s cases,
     the known and audited name lists and the CSV exports are all
-    derived from {!all}; adding an experiment means adding one entry. *)
+    derived from {!all}; adding an experiment means adding one entry.
+    A packet-level entry runs an {!Ablation.t}: its outcome holds one
+    run per cell and counts the probes' events too. *)
 
 type ctx = {
   flows : int;  (** flow population (the figures sweep their own) *)
@@ -40,6 +42,14 @@ type entry = {
 
 val all : entry list
 (** In report order: FIG4, FIG5, TABLE3, then the ablations. *)
+
+val configuration :
+  Experiment.scenario -> seed:int -> flows:int ->
+  (Table.doc * Sdm.Verify.violation list, string) result
+(** Load-balanced enforcement on [flows] generated flows: its
+    dissemination summary and control-plane price, and the static
+    verifier's violations.  [exp config] and [sdmctl verify] add their
+    own verdict lines. *)
 
 val find : string -> entry option
 val key : entry -> string

@@ -196,36 +196,35 @@ let test_audit_clean_live () =
     s.Sim.Pktsim.final_config_version r.Audit.Checker.versions
 
 let test_ablation_audit_plumbing () =
-  (* The Experiment layer threads [?audit] down to every packet-level
-     row and reports the per-row verdicts. *)
-  let chaos =
-    Sim.Experiment.ablation_chaos ~flows:80 ~audit:true
-      ~detection_delays:[ 5.0 ] ()
+  (* The ablation layer threads [audit] down to every packet-level row
+     and reports the per-row verdicts. *)
+  let chaos audit =
+    Sim.Ablation.sweep
+      (Sim.Ablation.filter
+         (fun (_, delay) -> delay = 10.0)
+         (Sim.Ablation.chaos ~flows:80 ~seed:17 ~audit))
   in
   List.iter
-    (fun (row : Sim.Experiment.chaos_row) ->
-      Alcotest.(check (option int))
-        ("chaos row " ^ row.Sim.Experiment.chaos_mode)
-        (Some 0) (Sim.Experiment.audit_violations row.Sim.Experiment.stats))
-    chaos.Sim.Experiment.chaos_rows;
+    (fun ((mode, _), stats) ->
+      Alcotest.(check (option int)) ("chaos row " ^ mode) (Some 0)
+        (Sim.Ablation.audit_violations stats))
+    (chaos true);
   let live =
-    Sim.Experiment.ablation_live ~flows:80 ~audit:true ~control_losses:[ 0.05 ]
-      ()
+    Sim.Ablation.filter
+      (fun loss -> loss = 0.10)
+      (Sim.Ablation.live ~flows:80 ~seed:17 ~audit:true ~jobs:1)
   in
   List.iter
-    (fun (row : Sim.Experiment.live_row) ->
+    (fun (_, stats) ->
       Alcotest.(check (option int)) "live row" (Some 0)
-        (Sim.Experiment.audit_violations row.Sim.Experiment.stats))
-    live.Sim.Experiment.live_rows;
+        (Sim.Ablation.audit_violations stats))
+    (Sim.Ablation.sweep live);
   (* Audit off: the rows say so instead of claiming a clean pass. *)
-  let plain =
-    Sim.Experiment.ablation_chaos ~flows:80 ~detection_delays:[ 5.0 ] ()
-  in
   List.iter
-    (fun (row : Sim.Experiment.chaos_row) ->
+    (fun (_, stats) ->
       Alcotest.(check (option int)) "unaudited row" None
-        (Sim.Experiment.audit_violations row.Sim.Experiment.stats))
-    plain.Sim.Experiment.chaos_rows
+        (Sim.Ablation.audit_violations stats))
+    (chaos false)
 
 let test_audit_reopt_ablation () =
   (* Warm-started in-run plans under churn: the audited ABL-REOPT runs
@@ -234,51 +233,43 @@ let test_audit_reopt_ablation () =
      (LP-plan feasibility and mixed-version hygiene included), and the
      controller-level replay must agree on the optimum at every
      step. *)
-  let r = Sim.Experiment.ablation_reopt ~flows:80 ~audit:true () in
+  let reopt, replays = Sim.Ablation.reopt ~flows:80 ~seed:17 ~audit:true ~jobs:2 in
+  let rows = Sim.Ablation.sweep reopt in
   List.iter
-    (fun (row : Sim.Experiment.reopt_row) ->
+    (fun ((name, _, warm), stats) ->
       Alcotest.(check (option int))
-        (Printf.sprintf "%s warm=%b audits clean" row.Sim.Experiment.rp_scenario
-           row.Sim.Experiment.rp_warm)
-        (Some 0) (Sim.Experiment.audit_violations row.Sim.Experiment.stats))
-    r.Sim.Experiment.rp_rows;
-  Alcotest.(check int) "four audited rows" 4
-    (List.length r.Sim.Experiment.rp_rows);
-  Alcotest.(check int) "warm/cold optima agree on every replay step"
-    r.Sim.Experiment.rp_total r.Sim.Experiment.rp_agree;
+        (Printf.sprintf "%s warm=%b audits clean" name warm)
+        (Some 0) (Sim.Ablation.audit_violations stats))
+    rows;
+  Alcotest.(check int) "four audited rows" 4 (List.length rows);
+  let agree, total = Sim.Ablation.agreement replays in
+  Alcotest.(check int) "warm/cold optima agree on every replay step" total agree;
   (* Warm starting must not perturb the data plane: per scenario the
      warm row injects the same packets and publishes the same number
      of versions as the cold row. *)
   List.iter
-    (fun (info : Sim.Experiment.reopt_scenario_info) ->
-      let row warm =
-        List.find
-          (fun (row : Sim.Experiment.reopt_row) ->
-            row.Sim.Experiment.rp_scenario = info.Sim.Experiment.ri_name
-            && row.Sim.Experiment.rp_warm = warm)
-          r.Sim.Experiment.rp_rows
-      in
-      let cold = (row false).Sim.Experiment.stats
-      and warm = (row true).Sim.Experiment.stats in
-      Alcotest.(check int)
-        (info.Sim.Experiment.ri_name ^ " same injected")
+    (fun (name, _) ->
+      let row warm = snd (List.find (fun ((n, _, w), _) -> n = name && w = warm) rows) in
+      let cold = row false and warm = row true in
+      Alcotest.(check int) (name ^ " same injected")
         cold.Sim.Pktsim.injected_packets warm.Sim.Pktsim.injected_packets;
-      Alcotest.(check int)
-        (info.Sim.Experiment.ri_name ^ " same versions")
+      Alcotest.(check int) (name ^ " same versions")
         cold.Sim.Pktsim.final_config_version warm.Sim.Pktsim.final_config_version)
-    r.Sim.Experiment.rp_infos
+    replays
 
 let test_audit_reopt_jobs_identical () =
   (* The fan-out discipline extends to the new experiment: the whole
      report — audited rows, pivot counters, replay steps, float
-     lambdas — is structurally identical under one and two jobs. *)
-  let a = Sim.Experiment.ablation_reopt ~flows:60 ~audit:true ~jobs:1 () in
-  let b = Sim.Experiment.ablation_reopt ~flows:60 ~audit:true ~jobs:2 () in
-  Alcotest.(check bool) "jobs bit-identity" true (a = b);
-  (* Bit-for-bit pin of the whole report against later refactors. *)
-  Alcotest.(check string) "reopt report digest pinned"
-    "cfc2c8cb630ad8a9dc826aa4b573697b"
-    (Digest.to_hex (Digest.string (Marshal.to_string a [ Marshal.No_sharing ])))
+     lambdas — is identical under one and two jobs. *)
+  let report jobs =
+    let o =
+      (Option.get (Sim.Registry.find "reopt")).run
+        { flows = 60; fast = false; seed = 17; jobs; audit = true; corrupt_rate = None;
+          sweep_period = None }
+    in
+    (Format.asprintf "%a" Sim.Table.pp_doc o.doc, o.csvs, o.runs, o.events)
+  in
+  Alcotest.(check bool) "jobs bit-identity" true (report 1 = report 2)
 
 (* --- Synthetic event streams: each invariant fires ---------------------- *)
 

