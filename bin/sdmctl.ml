@@ -206,7 +206,14 @@ let exp_cmd =
       if flows <> None && e.flows = 0 then
         reject "--flows"
           (Printf.sprintf "does not apply to %s: it sweeps its own flow counts" e.name);
-      let flows = min (Option.value flows ~default:300_000) e.cap in
+      let flows =
+        match flows with
+        | None -> min 300_000 e.cap
+        | Some n when n > e.cap ->
+          reject "--flows"
+            (Printf.sprintf "%d exceeds the cap of %d flows for %s" n e.cap e.name)
+        | Some n -> n
+      in
       let o = e.run { flows; fast = false; seed; jobs; audit; corrupt_rate; sweep_period } in
       Format.printf "%a@." Sim.Table.pp_doc o.doc;
       Option.iter (fun m -> Format.eprintf "%s@." m; exit 1) o.mismatch;

@@ -35,7 +35,7 @@ type entry = {
   title : string;  (** bench section title; its prefix up to [':'] keys the timings *)
   flows : int;  (** full-scale flows; 0 for the figures, which sweep their own *)
   fast_flows : int;  (** flows under [--fast] *)
-  cap : int;  (** ceiling on [sdmctl exp --flows] *)
+  cap : int;  (** ceiling on [sdmctl exp --flows]; above it, exit 2 *)
   audited : bool;  (** [--audit] applies *)
   run : ctx -> outcome;
 }

@@ -55,9 +55,9 @@ let test_unknown_experiment () =
 
 let test_bad_flags () =
   (* Non-positive counts are flag misuse, --flows included, and so are
-     removed flags, flags the chosen experiment does not read, malformed
-     addresses, out-of-range header fields and a directory given as a
-     policy file. *)
+     a --flows above the experiment's cap, removed flags, flags the
+     chosen experiment does not read, malformed addresses, out-of-range
+     header fields and a directory given as a policy file. *)
   List.iter
     (fun (args, needle) ->
       let code, out = run_sdmctl args in
@@ -69,6 +69,7 @@ let test_bad_flags () =
       ([ "exp"; "table3"; "--shards"; "2" ], "--shards");
       ([ "exp"; "chaos"; "--flows=-5" ], "--flows");
       ([ "exp"; "chaos"; "--flows=0" ], "--flows");
+      ([ "exp"; "chaos"; "--flows"; "5000" ], "cap of 800");
       ( [ "exp"; "table3"; "--flows"; "2000"; "--corrupt-rate"; "0.5" ],
         "--corrupt-rate" );
       ([ "exp"; "lat"; "--sweep-period"; "3" ], "--sweep-period");
