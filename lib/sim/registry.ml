@@ -38,7 +38,7 @@ let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l
 
 (* A packet-level ablation's outcome: one run per cell, its probes
    counted in the events; [hops] for the reports that print them. *)
-let sweep ?(hops = false) ?mismatch ?ledger ~jobs (a : _ Ablation.t) =
+let sweep_outcome ?(hops = false) ?mismatch ?ledger ~jobs (a : _ Ablation.t) =
   let rows = Ablation.sweep ~jobs a in
   let runs = List.map snd rows in
   let all = Ablation.probes a @ runs in
@@ -50,7 +50,8 @@ let sweep ?(hops = false) ?mismatch ?ledger ~jobs (a : _ Ablation.t) =
     doc
 
 let packet ?audited ?cap ?hops name title flows ablation =
-  entry ?audited ?cap name title flows (fun ctx -> sweep ?hops ~jobs:ctx.jobs (ablation ctx))
+  entry ?audited ?cap name title flows (fun ctx ->
+      sweep_outcome ?hops ~jobs:ctx.jobs (ablation ctx))
 
 let figure name title scenario =
   entry name title (0, 0) (fun { fast; seed; jobs; _ } ->
@@ -103,7 +104,8 @@ let configuration scenario ~seed ~flows =
   let traffic = Workload.measure workload in
   let report ctl =
     let price = Controlplane.price ctl ~traffic in
-    ( [ (fun ppf -> Format.fprintf ppf "%a@." Sdm.Controller.pp_config_summary
+    ( [ (fun ppf ->
+          Format.fprintf ppf "%a@." Sdm.Controller.pp_config_summary
             (Sdm.Controller.config_summary ctl));
         (fun ppf -> Format.fprintf ppf "%a@." Controlplane.pp_report price) ],
       match Sdm.Verify.check ctl with Ok () -> [] | Error vs -> vs )
@@ -169,7 +171,7 @@ let all =
         let mismatch =
           Printf.sprintf "reopt: warm/cold objective mismatch (%d/%d steps)" agree total
         in
-        sweep ~jobs ?mismatch:(if agree = total then None else Some mismatch)
+        sweep_outcome ~jobs ?mismatch:(if agree = total then None else Some mismatch)
           ~ledger:(reopt_ledger replays ~flows ~seed) a);
     entry "epoch" "ABL-EPOCH: adaptation across measurement epochs" (60_000, 30_000)
       (fun { flows; seed; jobs; _ } ->
