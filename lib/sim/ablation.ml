@@ -51,13 +51,15 @@ let scenario ?(topology = Experiment.Campus) plan ~flows ~seed =
 (* The fault-free run under the plan that the sweep is calibrated
    against; call before changing the config. *)
 let probed s = { s with probes = [ run s ] }
-let horizon s = (List.hd s.probes).Pktsim.sim_time
+let probe s = List.hd s.probes
 let with_config f s = { s with config = f s.config }
 let lb_campus = scenario Experiment.load_balanced
 let hp_campus = scenario Experiment.hot_potato
 
-(* Epochs every [epoch], the re-push loop four times as often. *)
-let live_every epoch =
+(* Epochs every [1/share] of the probe's horizon, the re-push loop four
+   times as often: builders and report preambles both read it. *)
+let cadence ?(share = 5.0) (probe : Pktsim.stats) =
+  let epoch = probe.sim_time /. share in
   { Pktsim.default_live with epoch_interval = epoch; reconcile_interval = epoch /. 4.0 }
 
 (* Faults under Bernoulli control-packet loss, one loss stream per
@@ -65,9 +67,7 @@ let live_every epoch =
 let faults ~seed ~control_loss events =
   Some (Fault.Schedule.make ~control_loss ~loss_seed:(seed + 3) events)
 
-let nf_name = Policy.Action.nf_to_string
 let pct x = Printf.sprintf "%.0f%%" (100.0 *. x)
-let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l
 let stat ?csv w head f = T.col ?csv ~w head (T.Int (fun (_, s) -> f s))
 
 let packets () =
@@ -79,8 +79,8 @@ let audit_col () = T.col ~w:6 "audit" (T.Audit (fun (_, s) -> audit_violations s
 
 let engine_events runs =
   T.line "engine events: %d processed, %d router hops fast-forwarded"
-    (sum (fun s -> s.Pktsim.events_processed) runs)
-    (sum (fun s -> s.Pktsim.router_hops) runs)
+    (Experiment.sum (fun s -> s.Pktsim.events_processed) runs)
+    (Experiment.sum (fun s -> s.Pktsim.router_hops) runs)
 
 (* ---- ABL-CACHE, ABL-CACHESIZE, ABL-FRAG: Sec. III.D and III.E -------- *)
 
@@ -159,7 +159,7 @@ let service_rate (probe : Pktsim.stats) =
 
 let queue ~flows ~seed =
   let s = probed (lb_campus ~flows ~seed) in
-  let probe = List.hd s.probes in
+  let probe = probe s in
   let rate = service_rate probe in
   (* Busiest box's work time over the span it was receiving. *)
   let util (s : Pktsim.stats) = Array.fold_left max 0.0 s.loads /. rate /. probe.sim_time in
@@ -215,7 +215,7 @@ let chaos_report ~victim ~survivors ~link ~(probe : Pktsim.stats) rows =
   let detect ((_, d), _) = if Float.is_integer d then Printf.sprintf "%.0f" d else "never" in
   ( T.line "=== ABL-CHAOS: in-run faults, detection-delay sweep (campus) ==="
     :: T.line "crash: mbox%d (%s) at t=%.1f, never restored" victim
-         (nf_name chaos_victim_nf) (at chaos_crash)
+         (Policy.Action.nf_to_string chaos_victim_nf) (at chaos_crash)
     :: Option.fold ~none:[]
          ~some:(fun (u, v) ->
            [ T.line "link: %d-%d fails at t=%.1f, restored at t=%.1f" u v
@@ -237,7 +237,7 @@ let chaos_report ~victim ~survivors ~link ~(probe : Pktsim.stats) rows =
 
 let chaos ~flows ~seed ~audit =
   let s = probed (lb_campus ~flows ~seed) in
-  let probe = List.hd s.probes in
+  let probe = probe s in
   let boxes = Sdm.Deployment.middleboxes_of s.deployment chaos_victim_nf in
   let victim = Experiment.busiest boxes probe.loads in
   let link = gateway_link s.deployment in
@@ -253,18 +253,19 @@ let chaos ~flows ~seed ~audit =
   in
   let faults = faults ~seed ~control_loss:chaos_control_loss events in
   let s = with_config (fun c -> { c with faults; audit }) s in
+  let hp = Experiment.hot_potato s.deployment s.workload in
   let cell mode plan ~failover detection_delay =
     ( (mode, if failover then detection_delay else infinity),
-      fun s -> { (plan s) with config = { s.config with detection_delay; failover } } )
+      fun s -> { s with plan; config = { s.config with detection_delay; failover } } )
   in
   { sweeps =
       [ ( s,
           List.concat_map
             (fun d ->
-              [ cell "HP+failover" to_hp ~failover:true d;
-                cell "LB+failover" Fun.id ~failover:true d ])
+              [ cell "HP+failover" hp ~failover:true d;
+                cell "LB+failover" s.plan ~failover:true d ])
             chaos_delays
-          @ [ cell "LB, no failover" Fun.id ~failover:false 0.0 ] ) ];
+          @ [ cell "LB, no failover" s.plan ~failover:false 0.0 ] ) ];
     report =
       chaos_report ~victim ~link ~probe
         ~survivors:
@@ -303,7 +304,7 @@ let device_columns ~n_proxies =
       col ~w:5 "lost" (device (fun s i -> s.entity_control_lost.(i))) ]
 
 let live_report ~n_proxies ~(stale : Pktsim.stats) ~clairvoyant rows =
-  let live = live_every (stale.sim_time /. 5.0) in
+  let live = cadence stale in
   (* Per-device attribution comes from the lossiest row — the one where
      retries and version lag actually have something to show. *)
   let devices =
@@ -337,7 +338,7 @@ let live ~flows ~seed ~audit ~jobs =
       (fun () -> run s)
       (fun () -> run { s with plan = Experiment.load_balanced s.deployment s.workload })
   in
-  let live = Some (live_every (stale.sim_time /. 5.0)) in
+  let live = Some (cadence stale) in
   let s = { s with probes = [ stale; clairvoyant ]; config = { s.config with live; audit } } in
   (* loss = 0 still goes through the fault plumbing so the control
      channel is exercised end to end. *)
@@ -380,7 +381,7 @@ let quorum_columns =
       audit_col () ]
 
 let quorum_report ~leader_router ~(probe : Pktsim.stats) rows =
-  let live = live_every (probe.sim_time /. 5.0) in
+  let live = cadence probe in
   let crash_at, partition_at, heal_at = quorum_times probe.sim_time in
   ( T.[ line "=== ABL-QUORUM: replicated controller under chaos (campus) ===";
         line "%d replicas (majority quorum), leader at router %d; epoch %.1f, reconcile %.1f"
@@ -392,7 +393,8 @@ let quorum_report ~leader_router ~(probe : Pktsim.stats) rows =
 
 let quorum ~flows ~seed ~audit =
   let s = probed (hp_campus ~flows ~seed) in
-  let crash_at, partition_at, heal_at = quorum_times (horizon s) in
+  let probe = probe s in
+  let crash_at, partition_at, heal_at = quorum_times probe.sim_time in
   let leader = Controlplane.default_router s.deployment in
   (* Split brain: cut every link of the lead replica's router, leaving
      the leader alone on the minority side while the two standbys (and
@@ -406,7 +408,7 @@ let quorum ~flows ~seed ~audit =
     ( (name, control_loss),
       with_config (fun c -> { c with faults = faults ~seed ~control_loss events }) )
   in
-  let live = { (live_every (horizon s /. 5.0)) with replicas = quorum_replicas } in
+  let live = { (cadence probe) with replicas = quorum_replicas } in
   { sweeps =
       [ ( with_config (fun c -> { c with live = Some live; audit }) s,
           [ cell "leader crash" 0.02 Fault.Schedule.[ { at = crash_at; what = Ctrl_crash 0 } ];
@@ -414,11 +416,14 @@ let quorum ~flows ~seed ~audit =
               (on_leader_links partition_at (fun (u, v) -> Fault.Schedule.Link_fail (u, v))
               @ on_leader_links heal_at (fun (u, v) -> Fault.Schedule.Link_restore (u, v)));
             cell "quorum loss" 0.45 [] ] ) ];
-    report = quorum_report ~leader_router:leader ~probe:(List.hd s.probes) }
+    report = quorum_report ~leader_router:leader ~probe }
 
 (* ---- ABL-CORRUPT: silent corruption vs anti-entropy repair ----------- *)
 
 let corrupt_rates = [ 0.1; 0.4 ]
+
+(* The anti-entropy sweep's period when on. *)
+let sweep_every (probe : Pktsim.stats) = probe.sim_time /. 12.0
 
 let corrupt_columns =
   let window ~csv head f = T.col ~csv ~w:8 head (T.Float (2, 3, fun (_, s) -> f s)) in
@@ -443,23 +448,22 @@ let corrupt_columns =
       audit_col () ]
 
 let corrupt_report ~(probe : Pktsim.stats) rows =
-  let horizon = probe.sim_time in
-  let live = live_every (horizon /. 5.0) in
+  let live = cadence probe in
   ( T.[ line "=== ABL-CORRUPT: silent corruption vs anti-entropy repair (campus) ===";
         line "horizon %.1f; epoch %.1f, reconcile %.1f; sweep period %.1f when on; \
               probe %d events"
-          horizon live.epoch_interval live.reconcile_interval (horizon /. 12.0)
+          probe.sim_time live.epoch_interval live.reconcile_interval (sweep_every probe)
           probe.events_processed;
         grid corrupt_columns rows ],
     [ ("abl_corrupt.csv", T.to_csv corrupt_columns rows) ] )
 
 let corrupt ~flows ~seed ~audit ~rate ~sweep_period =
   let s = probed (hp_campus ~flows ~seed) in
-  let horizon = horizon s and d = s.deployment in
+  let probe = probe s and d = s.deployment in
   let rates = Option.fold ~none:corrupt_rates ~some:(fun r -> [ r ]) rate in
   let periods =
     match sweep_period with
-    | None -> [ None; Some (horizon /. 12.0) ]
+    | None -> [ None; Some (sweep_every probe) ]
     | Some p when p = 0.0 -> [ None ]
     | Some p -> [ Some p ]
   in
@@ -469,10 +473,10 @@ let corrupt ~flows ~seed ~audit ~rate ~sweep_period =
      query/re-push ladder honest. *)
   let cell (name, plan) rate sweep_period =
     let burst =
-      Fault.Schedule.corruption_events ~seed:(seed + 5) ~rate ~horizon
+      Fault.Schedule.corruption_events ~seed:(seed + 5) ~rate ~horizon:probe.sim_time
         ~n_proxies:(Array.length d.proxies) ~n_mboxes:(Array.length d.middleboxes)
     in
-    let live = Some { (live_every (horizon /. 5.0)) with sweep_period } in
+    let live = Some { (cadence probe) with sweep_period } in
     ( (name, rate, sweep_period),
       fun s ->
         { (plan s) with
@@ -485,11 +489,17 @@ let corrupt ~flows ~seed ~audit ~rate ~sweep_period =
           List.concat_map
             (fun plan -> List.concat_map (fun rate -> List.map (cell plan rate) periods) rates)
             [ ("HP", Fun.id); ("LB", to_lb) ] ) ];
-    report = corrupt_report ~probe:(List.hd s.probes) }
+    report = corrupt_report ~probe }
 
 (* ---- ABL-REOPT: warm-started re-optimization vs cold re-solve -------- *)
 
 let reopt_control_loss = 0.02
+
+(* Twice the usual epoch cadence: the sweep's point is the re-solve
+   sequence itself, and a denser cadence gives the warm chain
+   same-layout neighbours (churn-free epochs late in the run) as well
+   as layout-changing ones (around the churn window). *)
+let reopt_cadence = cadence ~share:10.0
 
 (* The IDS victim's crash and recovery, then the FW victim's, as
    shares of the probe horizon. *)
@@ -541,7 +551,7 @@ let agreement replays =
 
 let reopt_report ~topologies ~replays rows =
   let info (name, routers, (v1, v2), (probe : Pktsim.stats)) =
-    let live = live_every (probe.sim_time /. 10.0) in
+    let live = reopt_cadence probe in
     let crash1, recover1, crash2, recover2 = reopt_times probe.sim_time in
     T.line
       "%s: %d routers; epoch %.1f, reconcile %.1f; churn mbox%d %.1f-%.1f, mbox%d %.1f-%.1f"
@@ -569,7 +579,8 @@ let reopt_topology ~flows ~seed ~audit topology =
   let name = Experiment.scenario_name topology in
   let routers = Netgraph.Graph.node_count s.deployment.topo.graph in
   let ((v1, v2) as victims) = Experiment.churn_victims s.deployment in
-  let crash1, recover1, crash2, recover2 = reopt_times (horizon s) in
+  let probe = probe s in
+  let crash1, recover1, crash2, recover2 = reopt_times probe.sim_time in
   let faults =
     faults ~seed ~control_loss:reopt_control_loss
       Fault.Schedule.
@@ -578,16 +589,12 @@ let reopt_topology ~flows ~seed ~audit topology =
           { at = crash2; what = Mbox_crash v2 };
           { at = recover2; what = Mbox_recover v2 } ]
   in
-  (* Twice the usual epoch cadence: the sweep's point is the re-solve
-     sequence itself, and a denser cadence gives the warm chain
-     same-layout neighbours (churn-free epochs late in the run) as
-     well as layout-changing ones (around the churn window). *)
-  let live = live_every (horizon s /. 10.0) in
+  let live = reopt_cadence probe in
   let cell warm_start =
     ( (name, routers, warm_start),
       with_config (fun c -> { c with live = Some { live with warm_start } }) )
   in
-  ( (name, routers, victims, List.hd s.probes),
+  ( (name, routers, victims, probe),
     (with_config (fun c -> { c with faults; audit }) s, [ cell false; cell true ]) )
 
 let reopt ~flows ~seed ~audit ~jobs =

@@ -40,6 +40,8 @@ val fan_out : ?jobs:int -> (unit -> 'a) list -> 'a list
 
 val fan_out2 : ?jobs:int -> (unit -> 'a) -> (unit -> 'a) -> 'a * 'a
 
+val sum : ('a -> int) -> 'a list -> int
+
 type strategy_run = {
   strategy : string;
   controller : Sdm.Controller.t;

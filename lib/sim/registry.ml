@@ -34,8 +34,6 @@ let outcome ?(csvs = []) ?(hops = 0) ?(runs = []) ?mismatch ?ledger ~events doc 
 let entry ?(audited = false) ?cap name title (flows, fast_flows) run =
   { name; title; flows; fast_flows; cap = Option.value cap ~default:flows; audited; run }
 
-let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l
-
 (* A packet-level ablation's outcome: one run per cell, its probes
    counted in the events; [hops] for the reports that print them. *)
 let sweep_outcome ?(hops = false) ?mismatch ?ledger ~jobs (a : _ Ablation.t) =
@@ -45,8 +43,8 @@ let sweep_outcome ?(hops = false) ?mismatch ?ledger ~jobs (a : _ Ablation.t) =
   let doc, csvs = a.report rows in
   outcome ~csvs ~runs ?mismatch
     ?ledger:(Option.map (fun l -> l rows) ledger)
-    ~events:(sum (fun s -> s.Pktsim.events_processed) all)
-    ~hops:(if hops then sum (fun s -> s.Pktsim.router_hops) all else 0)
+    ~events:(Experiment.sum (fun s -> s.Pktsim.events_processed) all)
+    ~hops:(if hops then Experiment.sum (fun s -> s.Pktsim.router_hops) all else 0)
     doc
 
 let packet ?audited ?cap ?hops name title flows ablation =
@@ -78,7 +76,7 @@ let reopt_ledger replays ~flows ~seed rows ~clock ppf =
     Format.fprintf ppf "[ABL-REOPT %s: cold %.2f ms/solve, warm %.2f ms/solve]@." name
       cold_ms warm_ms;
     let steps = List.assoc name replays in
-    let replay f = sum f steps in
+    let replay f = Experiment.sum f steps in
     let row warm = List.find (fun ((n, _, w), _) -> n = name && w = warm) rows in
     let (_, routers, _), cold = row false and _, warm = row true in
     Printf.sprintf

@@ -199,10 +199,17 @@ let test_ablation_audit_plumbing () =
   (* The ablation layer threads [audit] down to every packet-level row
      and reports the per-row verdicts. *)
   let chaos audit =
-    Sim.Ablation.sweep
-      (Sim.Ablation.filter
-         (fun (_, delay) -> delay = 10.0)
-         (Sim.Ablation.chaos ~flows:80 ~seed:17 ~audit))
+    (* One failover delay, plus the no-failover row (delay infinity). *)
+    let rows =
+      Sim.Ablation.sweep
+        (Sim.Ablation.filter
+           (fun (_, delay) -> delay = 10.0 || delay = infinity)
+           (Sim.Ablation.chaos ~flows:80 ~seed:17 ~audit))
+    in
+    Alcotest.(check (list string)) "chaos modes"
+      [ "HP+failover"; "LB+failover"; "LB, no failover" ]
+      (List.map (fun ((mode, _), _) -> mode) rows);
+    rows
   in
   List.iter
     (fun ((mode, _), stats) ->

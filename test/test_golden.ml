@@ -2,25 +2,28 @@
    (test/golden.txt, rewritten by test/golden/golden_write.exe).  A
    mismatch names the entry and the first token that moved. *)
 
-let golden_file =
-  List.find Sys.file_exists [ "golden.txt"; "test/golden.txt" ]
-
+(* The file's lines by entry name; [Error] names what is missing, so a
+   lost file fails these cases alone. *)
 let expected =
   lazy
-    (let ic = open_in golden_file in
-     let rec read acc =
-       match input_line ic with
-       | line -> read ((fst (Golden.tokens line), line) :: acc)
-       | exception End_of_file ->
-         close_in ic;
-         List.rev acc
-     in
-     read [])
+    (match List.find_opt Sys.file_exists [ "golden.txt"; "test/golden.txt" ] with
+    | None -> Error "golden.txt not found"
+    | Some file ->
+      let ic = open_in file in
+      let rec read acc =
+        match input_line ic with
+        | line -> read ((fst (Golden.tokens line), line) :: acc)
+        | exception End_of_file ->
+          close_in ic;
+          List.rev acc
+      in
+      Ok (read []))
 
 let check (c : Golden.case) () =
-  match List.assoc_opt c.name (Lazy.force expected) with
-  | None -> Alcotest.failf "%s: no golden line in %s" c.name golden_file
-  | Some expected -> (
+  match Result.map (List.assoc_opt c.name) (Lazy.force expected) with
+  | Error e -> Alcotest.failf "%s: %s" c.name e
+  | Ok None -> Alcotest.failf "%s: no golden line in golden.txt" c.name
+  | Ok (Some expected) -> (
     match Golden.first_difference ~expected ~actual:(Golden.line c) with
     | None -> ()
     | Some diff -> Alcotest.failf "golden %s: %s" c.name diff)
