@@ -18,6 +18,10 @@ val pick : (int * float) array -> u:float -> int option
     falls back to hot-potato).  Raises [Invalid_argument] if [u] is
     outside [0,1) or a weight is negative. *)
 
+val pick_slot : (int * float) array -> u:float -> int
+(** {!pick} as the chosen entry's index in the row, [-1] for [None]:
+    no option on the per-packet path. *)
+
 val pick_uniform : 'a list -> u:float -> 'a
 (** Uniform selection among candidates (the Rand baseline).
     Raises [Invalid_argument] on an empty list. *)

@@ -45,9 +45,10 @@ val next_hop_result :
     [Error `No_live_candidate] — a policy violation for the caller to
     count, not a reason to kill the run.
 
-    When [alive] is omitted, no filtering happens at all (candidate
-    sets are non-empty by construction, so the result is always [Ok]);
-    this is the allocation-free fast path the per-packet simulator
+    When [alive] is omitted, or spares every candidate, nothing is
+    filtered (candidate sets are non-empty by construction, so without
+    [alive] the result is always [Ok]); {!next_hop} then wraps no
+    [result] and copies nothing, the fast path the per-packet simulator
     relies on. *)
 
 val next_hop :

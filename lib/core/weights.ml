@@ -38,6 +38,16 @@ let find t entity ~rule ~nf =
       ((rule lsl 2) lor slot)
   else Hashtbl.find_opt t.slow (Mbox.Entity.hash_key entity, rule, nf)
 
+let row t entity ~rule ~nf =
+  let slot = nf_slot nf and e = Mbox.Entity.hash_key entity in
+  let d =
+    if slot >= 0 && rule >= 0 then
+      Stdx.Flat_table.find_slot t.flat e ((rule lsl 2) lor slot)
+    else -1
+  in
+  if d >= 0 then Stdx.Flat_table.value t.flat d
+  else Option.value ~default:[||] (find t entity ~rule ~nf)
+
 let entries t = Stdx.Flat_table.length t.flat + Hashtbl.length t.slow
 
 let cells t =

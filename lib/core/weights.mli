@@ -17,6 +17,10 @@ val find :
   t -> Mbox.Entity.t -> rule:int -> nf:Policy.Action.nf ->
   (int * float) array option
 
+val row :
+  t -> Mbox.Entity.t -> rule:int -> nf:Policy.Action.nf -> (int * float) array
+(** {!find}, [[||]] when absent: no option on the per-packet path. *)
+
 val entries : t -> int
 (** Number of stored rows — the controller-to-middlebox communication
     volume the simplified formulation is designed to shrink. *)

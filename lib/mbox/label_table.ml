@@ -24,28 +24,28 @@ let create ?(timeout = infinity) () =
   if timeout <= 0.0 then invalid_arg "Label_table.create: timeout must be positive";
   { table = Stdx.Flat_table.create ~initial:256 (); timeout; digest = 0L }
 
+let add_addr_opt h = function
+  | None -> Stdx.Xhash.add h (-1)
+  | Some a ->
+    Stdx.Xhash.add h 1;
+    Stdx.Xhash.add h a
+
 (* Per-entry hash over the key and the immutable payload ([last_used]
    is refreshed on every hit and must not perturb the digest).  The
    avalanche finalizer matters here: entries differing only in the
    label or version would otherwise produce correlated FNV values
-   whose XOR could cancel.  The first two folds are the non-allocating
-   [combine2] — bit-identical to folding src then label. *)
+   whose XOR could cancel.  Top-level folds over one [Xhash.state]:
+   the same FNV-1a bytes as folding [int64]s, without a box per int
+   or a closure per call. *)
 let entry_hash key ~actions ~next ~final_dst ~version =
-  let h = Stdx.Xhash.combine2 key.src key.label in
-  let h =
-    List.fold_left
-      (fun h nf ->
-        Stdx.Xhash.fold_int h
-          (Int64.to_int (Stdx.Xhash.string (Policy.Action.nf_to_string nf))))
-      h actions
-  in
-  let fold_addr_opt h = function
-    | None -> Stdx.Xhash.fold_int h (-1)
-    | Some a -> Stdx.Xhash.fold_int (Stdx.Xhash.fold_int h 1) a
-  in
-  let h = fold_addr_opt h next in
-  let h = fold_addr_opt h final_dst in
-  Stdx.Xhash.fmix64 (Stdx.Xhash.fold_int h version)
+  let h = Stdx.Xhash.start () in
+  Stdx.Xhash.add h key.src;
+  Stdx.Xhash.add h key.label;
+  Policy.Action.add_salts h actions;
+  add_addr_opt h next;
+  add_addr_opt h final_dst;
+  Stdx.Xhash.add h version;
+  Stdx.Xhash.finish h
 
 let entry_hash_packed src label (e : entry) =
   entry_hash { src; label } ~actions:e.actions ~next:e.next
@@ -65,9 +65,8 @@ let insert t ~now ?(version = 0) key ~actions ~next ~final_dst =
     invalid_arg
       (Printf.sprintf "Label_table.insert: label %d outside [0, %d]" key.label
          Netpkt.Header.max_label);
-  (match Stdx.Flat_table.find t.table key.src key.label with
-  | Some old -> forget t old
-  | None -> ());
+  let d = Stdx.Flat_table.find_slot t.table key.src key.label in
+  if d >= 0 then forget t (Stdx.Flat_table.value t.table d);
   let check = entry_hash key ~actions ~next ~final_dst ~version in
   t.digest <- Int64.logxor t.digest check;
   Stdx.Flat_table.replace t.table key.src key.label

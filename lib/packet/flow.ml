@@ -54,10 +54,3 @@ let to_string t =
     (Addr.to_string t.dst) t.dport t.proto
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
-
-module Table = Hashtbl.Make (struct
-  type nonrec t = t
-
-  let equal = equal
-  let hash t = Int64.to_int (hash t) land max_int
-end)

@@ -45,5 +45,3 @@ val reverse : t -> t
 
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
-
-module Table : Hashtbl.S with type key = t

@@ -11,8 +11,12 @@ type t = {
 let size = 20
 let max_label = (1 lsl 21) - 1
 
-let make ?(ttl = 64) ~src ~dst ~proto ~sport ~dport () =
-  { src; dst; proto; sport; dport; ttl; label = None }
+let make ?(ttl = 64) ?label ~src ~dst ~proto ~sport ~dport () =
+  (match label with
+  | Some l when l < 0 || l > max_label ->
+    invalid_arg "Header.make: label out of range"
+  | _ -> ());
+  { src; dst; proto; sport; dport; ttl; label }
 
 let of_flow ?ttl f =
   make ?ttl ~src:f.Flow.src ~dst:f.Flow.dst ~proto:f.Flow.proto
@@ -26,8 +30,6 @@ let with_label t l =
   { t with label = Some l }
 
 let clear_label t = { t with label = None }
-let with_dst t dst = { t with dst }
-let with_src t src = { t with src }
 
 let decrement_ttl t = if t.ttl <= 1 then None else Some { t with ttl = t.ttl - 1 }
 

@@ -24,8 +24,9 @@ val max_label : int
 (** Largest embeddable label: 2^21 - 1. *)
 
 val make :
-  ?ttl:int -> src:Addr.t -> dst:Addr.t -> proto:int -> sport:int -> dport:int ->
-  unit -> t
+  ?ttl:int -> ?label:int -> src:Addr.t -> dst:Addr.t -> proto:int ->
+  sport:int -> dport:int -> unit -> t
+(** Raises [Invalid_argument] if the label exceeds {!max_label}. *)
 
 val of_flow : ?ttl:int -> Flow.t -> t
 val flow : t -> Flow.t
@@ -34,8 +35,6 @@ val with_label : t -> int -> t
 (** Raises [Invalid_argument] if the label exceeds {!max_label}. *)
 
 val clear_label : t -> t
-val with_dst : t -> Addr.t -> t
-val with_src : t -> Addr.t -> t
 val decrement_ttl : t -> t option
 (** [None] when the TTL would reach zero (packet dropped). *)
 

@@ -17,6 +17,24 @@ let nf_to_string = function
   | TM -> "TM"
   | Custom s -> s
 
+(* Built-in salts are constants, so the per-packet path hashes no
+   name; [Custom] hashes its name per call. *)
+let name_salt s = Int64.to_int (Stdx.Xhash.string s)
+let salts = Array.map name_salt [| "FW"; "IDS"; "WP"; "TM" |]
+
+let nf_salt = function
+  | FW -> salts.(0)
+  | IDS -> salts.(1)
+  | WP -> salts.(2)
+  | TM -> salts.(3)
+  | Custom s -> name_salt s
+
+let rec add_salts h = function
+  | [] -> ()
+  | nf :: rest ->
+    Stdx.Xhash.add h (nf_salt nf);
+    add_salts h rest
+
 let nf_of_string = function
   | "FW" -> FW
   | "IDS" -> IDS

@@ -27,6 +27,13 @@ val equal_nf : nf -> nf -> bool
 val compare_nf : nf -> nf -> int
 
 val nf_to_string : nf -> string
+val nf_salt : nf -> int
+(** [Int64.to_int (Stdx.Xhash.string (nf_to_string nf))]: the salt of
+    the steering hash and the state digests, a constant when built in. *)
+
+val add_salts : Stdx.Xhash.state -> t -> unit
+(** Fold each function's {!nf_salt} into the hash, in order. *)
+
 val nf_of_string : string -> nf
 (** Inverse of [nf_to_string]; unknown names become [Custom]. *)
 

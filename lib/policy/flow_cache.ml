@@ -65,30 +65,32 @@ let create ?(timeout = 60.0) ?negative_timeout ?capacity ?expected () =
 (* Hash of the flow identity and the entry's immutable payload.
    [ls_ready] and [last_used] are legitimately mutated in place and
    are excluded, so neither refreshes nor the label-switching control
-   packet perturb the digest. *)
+   packet perturb the digest.  One [Xhash.state] fold: the same bytes
+   as folding boxed [int64]s, with no box per int. *)
 let entry_hash flow ~actions ~rule_id ~label ~cfg_version =
-  let h =
-    Stdx.Xhash.fold_int Stdx.Xhash.fnv_offset
-      (Int64.to_int (Netpkt.Flow.hash flow))
-  in
-  let h =
-    match actions with
-    | None -> Stdx.Xhash.fold_int h (-2)
-    | Some acts ->
-      List.fold_left
-        (fun h nf ->
-          Stdx.Xhash.fold_int h
-            (Int64.to_int (Stdx.Xhash.string (Action.nf_to_string nf))))
-        (Stdx.Xhash.fold_int h 2)
-        acts
-  in
-  let h = Stdx.Xhash.fold_int h rule_id in
-  let h =
-    match label with
-    | None -> Stdx.Xhash.fold_int h (-1)
-    | Some l -> Stdx.Xhash.fold_int (Stdx.Xhash.fold_int h 1) l
-  in
-  Stdx.Xhash.fmix64 (Stdx.Xhash.fold_int h cfg_version)
+  let h = Stdx.Xhash.start () in
+  Stdx.Xhash.add h flow.Netpkt.Flow.src;
+  Stdx.Xhash.add h flow.Netpkt.Flow.dst;
+  Stdx.Xhash.add h flow.Netpkt.Flow.proto;
+  Stdx.Xhash.add h flow.Netpkt.Flow.sport;
+  Stdx.Xhash.add h flow.Netpkt.Flow.dport;
+  (* [Int64.to_int (Netpkt.Flow.hash flow)] opens the entry's fold. *)
+  let flow_hash = Stdx.Xhash.value h in
+  Stdx.Xhash.reset h;
+  Stdx.Xhash.add h flow_hash;
+  (match actions with
+  | None -> Stdx.Xhash.add h (-2)
+  | Some acts ->
+    Stdx.Xhash.add h 2;
+    Action.add_salts h acts);
+  Stdx.Xhash.add h rule_id;
+  (match label with
+  | None -> Stdx.Xhash.add h (-1)
+  | Some l ->
+    Stdx.Xhash.add h 1;
+    Stdx.Xhash.add h l);
+  Stdx.Xhash.add h cfg_version;
+  Stdx.Xhash.finish h
 
 let entry_hash_packed k1 k2 (e : entry) =
   entry_hash (Netpkt.Flow.of_key k1 k2) ~actions:e.actions ~rule_id:e.rule_id
@@ -175,9 +177,8 @@ let make_room t ~now flow =
 
 let stash t flow entry =
   let k1 = Netpkt.Flow.key flow and k2 = Netpkt.Flow.key2 flow in
-  (match Stdx.Flat_table.find t.table k1 k2 with
-  | Some old -> forget t old
-  | None -> ());
+  let d = Stdx.Flat_table.find_slot t.table k1 k2 in
+  if d >= 0 then forget t (Stdx.Flat_table.value t.table d);
   remember t entry;
   Stdx.Flat_table.replace t.table k1 k2 entry
 

@@ -252,8 +252,8 @@ let set_replica_up cp id up =
 
 let regress_device cp dev = cp.device_version.(dev) <- cp.device_version.(dev) - 1
 
-(* The event is built inside a thunk so an unaudited run allocates
-   nothing. *)
+(* The event is built inside a thunk, never in an unaudited run; the
+   thunk itself is allocated per control message, audited or not. *)
 let emit cp f =
   match cp.audit with None -> () | Some a -> Audit.Checker.record a (f ())
 

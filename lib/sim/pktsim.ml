@@ -50,10 +50,11 @@ let default_config =
 
 (* Messages on the wire: ordinary data packets, or the control packet
    the chain's last middlebox sends back to the proxy (Sec. III.E).
-   Data packets carry their audit identity (the injected-packet counter
-   at admission) across tunnel legs and header rewrites. *)
+   One data message per injected packet travels every leg (each leg
+   replaces its [pkt]), carrying the packet's audit identity (the
+   injected-packet counter at admission). *)
 type msg =
-  | Data of Netpkt.Packet.t * float * int (* packet, injection time, aid *)
+  | Data of { mutable pkt : Netpkt.Packet.t; born : float; aid : int }
   | Control of { dst : Netpkt.Addr.t; flow : Netpkt.Flow.t }
   | Teardown of { dst : Netpkt.Addr.t; label : int }
       (* a label-switched path lost its entry downstream (crash-wiped
@@ -63,6 +64,11 @@ type msg =
 (* Where a destination address lives: the attachment router plus the
    endpoint to hand the message to on arrival. *)
 type endpoint = To_subnet of int | To_mbox of int
+
+(* A segment arrival in flight: the slot's engine action, built once,
+   delivers whatever the slot holds.  Delivered slots are reused. *)
+type slot = { mutable msg : msg; mutable ep : endpoint; act : Dess.Engine.t -> unit }
+type transit = { mutable free : slot array; mutable n_free : int }
 
 (* One injected corruption, tracked from injection to repair so the
    repair-window statistics and the audit's Repair invariant have
@@ -101,6 +107,7 @@ type corrupt_state = {
    tables replace the world's on every topology change. *)
 type fault_state = {
   detector : Fault.Detector.t;
+  alive : (int -> bool) option; (* the detector's belief, for failover *)
   schedule : Fault.Schedule.t;
   loss_rng : Stdx.Rng.t;
   session : Ospf.Session.t option;
@@ -134,9 +141,12 @@ type world = {
   mbox_caches : Policy.Flow_cache.t array;
   mbox_match : Policy.Trie.t array;
   mbox_labels : Mbox.Label_table.t array;
-  (* Address resolution (middleboxes by exact address; stub subnets
-     via the deployment's prefix index). *)
-  mbox_index : (Netpkt.Addr.t, int) Hashtbl.t;
+  proxy_entity : Mbox.Entity.t array; (* built once, not per decision *)
+  mbox_entity : Mbox.Entity.t array;
+  (* Address resolution, memoized per address (middleboxes up front;
+     stub subnets via the deployment's prefix index on first sight). *)
+  endpoints : (int * endpoint) option Stdx.Flat_table.t;
+  transit : transit;
   rule_by_id : (int, Policy.Rule.t) Hashtbl.t;
   (* Online invariant auditor (None unless [config.audit]).  Emission
      is a pure side-channel: no randomness, no engine work, no float
@@ -162,21 +172,22 @@ let mbox_is_down w id =
 
 (* ---- Audit emission ---------------------------------------------- *)
 
-(* The event is built inside a thunk so an unaudited run pays one
-   [match] per site and allocates nothing. *)
-let audit_emit w f =
-  match w.audit with None -> () | Some a -> Audit.Checker.record a (f ())
+(* Sites are guarded, [if auditing w then record w ev], so an unaudited
+   run builds no event — nor a thunk, which would capture the site's
+   variables and be allocated on every call. *)
+let auditing w = match w.audit with None -> false | Some _ -> true
+
+let record w ev =
+  match w.audit with None -> () | Some a -> Audit.Checker.record a ev
 
 let msg_aid = function
-  | Data (_, _, aid) -> aid
+  | Data { aid; _ } -> aid
   | Control _ | Teardown _ -> -1 (* control traffic: counted, not traced *)
 
 (* ---- Silent-corruption bookkeeping ------------------------------- *)
 
 let corrupt_of w =
-  match w.fault with
-  | Some { corrupt = Some cs; _ } -> Some cs
-  | _ -> None
+  match w.fault with Some { corrupt; _ } -> corrupt | None -> None
 
 (* The Repair invariant's bound: a corruption must be repaired within
    two sweep periods of injection (one period to be visited, one for
@@ -202,10 +213,10 @@ let register_corruption w cs ~dev ~kind ~site =
     Hashtbl.replace cs.cache_sites (proxy, flow) cid
   | Audit.Event.Config_site { dev } -> Hashtbl.replace cs.config_sites dev cid);
   w.stats.corruptions_injected <- w.stats.corruptions_injected + 1;
-  audit_emit w (fun () ->
-      Audit.Event.Corrupt_inject
-        { time = now; cid; kind; site;
-          deadline = repair_deadline w ~now })
+  if auditing w then
+    record w
+      (Audit.Event.Corrupt_inject
+         { time = now; cid; kind; site; deadline = repair_deadline w ~now })
 
 (* The corrupted state just influenced the data plane.  The distinct-
    corruption counter advances once; packet-scoped manifestations are
@@ -220,10 +231,10 @@ let manifest_corruption w cs ~cid ~aid =
       r.cr_manifested <- true;
       w.stats.corruptions_manifested <- w.stats.corruptions_manifested + 1
     end;
-    if aid >= 0 || first then
-      audit_emit w (fun () ->
-          Audit.Event.Corrupt_manifest
-            { time = Dess.Engine.now w.engine; cid; aid })
+    if (aid >= 0 || first) && auditing w then
+      record w
+        (Audit.Event.Corrupt_manifest
+           { time = Dess.Engine.now w.engine; cid; aid })
 
 (* Mark one corruption repaired: record the inject-to-repair window,
    retire its site (later lookups there see clean state) and announce
@@ -243,8 +254,9 @@ let resolve_corruption w cs ~dev ~action r =
     | Audit.Event.Cache_site { proxy; flow } ->
       Hashtbl.remove cs.cache_sites (proxy, flow)
     | Audit.Event.Config_site { dev } -> Hashtbl.remove cs.config_sites dev);
-    audit_emit w (fun () ->
-        Audit.Event.Corrupt_repair { time = now; cid = r.cr_cid; dev; action })
+    if auditing w then
+      record w
+        (Audit.Event.Corrupt_repair { time = now; cid = r.cr_cid; dev; action })
   end
 
 let resolve_cid w cs ~cid ~dev ~action =
@@ -347,35 +359,36 @@ let note_cache_bypass w ~proxy ~flow ~aid =
    window {installed-1, installed}.  Clamping keeps in-flight flows
    sticky to the weights that admitted them for exactly one update
    boundary; beyond that the flow is re-steered under newer weights
-   (its stale label entries have been purged by then). *)
-let decision_version w ?admitted entity =
-  let inst = installed_version w entity in
-  match admitted with
-  | Some a when a < inst -> Stdlib.max a (inst - 1)
-  | _ -> inst
+   (its stale label entries have been purged by then).  A middlebox's
+   own decisions have no admitting version: [unadmitted]. *)
+let unadmitted = max_int
 
-let decision_controller w ?admitted entity =
+let decision_version w ~admitted entity =
+  let inst = installed_version w entity in
+  if admitted < inst then Stdlib.max admitted (inst - 1) else inst
+
+let decision_controller w ~admitted entity =
   match w.live with
   | None -> w.controller
-  | Some ls -> ls.Controlplane.configs.(decision_version w ?admitted entity)
+  | Some ls -> ls.Controlplane.configs.(decision_version w ~admitted entity)
+
+exception No_live_candidate
 
 (* Steering decision under faults: with failover on, entities consult
    the failure detector's (delayed) view; with it off they keep using
    the static configuration.  The no-fault path calls the raising
    variant directly — candidate sets are non-empty by construction, so
-   it cannot raise, and it skips all liveness filtering. *)
-let controller_next_hop w ?admitted entity ~rule ~nf flow =
+   it cannot raise, and it skips all liveness filtering.  Raises
+   [No_live_candidate] when every candidate is believed dead. *)
+let controller_next_hop w ~admitted entity ~rule ~nf flow =
   note_config_use w entity;
-  let c = decision_controller w ?admitted entity in
+  let c = decision_controller w ~admitted entity in
   match w.fault with
-  | None -> Ok (Sdm.Controller.next_hop c entity ~rule ~nf flow)
-  | Some f ->
-    if w.cfg.failover then
-      let now = Dess.Engine.now w.engine in
-      Sdm.Controller.next_hop_result
-        ~alive:(fun id -> Fault.Detector.believed_alive f.detector ~now id)
-        c entity ~rule ~nf flow
-    else Sdm.Controller.next_hop_result c entity ~rule ~nf flow
+  | None -> Sdm.Controller.next_hop c entity ~rule ~nf flow
+  | Some f -> (
+    match Sdm.Controller.next_hop_result ?alive:f.alive c entity ~rule ~nf flow with
+    | Ok m -> m
+    | Error `No_live_candidate -> raise_notrace No_live_candidate)
 
 (* Traffic measurement feeding re-optimization: each enforced packet a
    proxy admits adds one unit at its (source, destination, rule) cell,
@@ -407,24 +420,28 @@ let control_loss_draw w =
    auditor ([aid] = -1 for control traffic). *)
 let drop w ~aid reason =
   w.stats.dropped_packets <- w.stats.dropped_packets + 1;
-  audit_emit w (fun () ->
-      Audit.Event.Dropped { aid; time = Dess.Engine.now w.engine; reason })
+  if auditing w then
+    record w (Audit.Event.Dropped { aid; time = Dess.Engine.now w.engine; reason })
 
 let drop_to_fault w ~aid reason =
   w.stats.fault_dropped <- w.stats.fault_dropped + 1;
   drop w ~aid reason
 
 let resolve w addr =
-  match Hashtbl.find_opt w.mbox_index addr with
-  | Some id ->
-    Some (w.dep.Sdm.Deployment.middleboxes.(id).Mbox.Middlebox.router, To_mbox id)
-  | None -> (
-    match Sdm.Deployment.proxy_of_addr w.dep addr with
-    | Some p -> Some (p.Mbox.Proxy.router, To_subnet p.Mbox.Proxy.id)
-    | None -> None)
+  let d = Stdx.Flat_table.find_slot w.endpoints addr 0 in
+  if d >= 0 then Stdx.Flat_table.value w.endpoints d
+  else begin
+    let r =
+      match Sdm.Deployment.proxy_of_addr w.dep addr with
+      | Some p -> Some (p.Mbox.Proxy.router, To_subnet p.Mbox.Proxy.id)
+      | None -> None
+    in
+    Stdx.Flat_table.replace w.endpoints addr 0 r;
+    r
+  end
 
 let msg_dst = function
-  | Data (pkt, _, _) -> pkt.Netpkt.Packet.header.Netpkt.Header.dst
+  | Data { pkt; _ } -> pkt.Netpkt.Packet.header.Netpkt.Header.dst
   | Control { dst; _ } -> dst
   | Teardown { dst; _ } -> dst
 
@@ -433,17 +450,15 @@ let msg_dst = function
    endpoints would reassemble anyway), only the statistic records the
    overhead label switching exists to avoid. *)
 let note_fragments w = function
-  | Data (pkt, _, aid) ->
+  | Data { pkt; aid; _ } ->
     let extra =
       Netpkt.Fragment.count ~mtu:Netpkt.Fragment.default_mtu
         (Netpkt.Packet.size pkt)
       - 1
     in
     w.stats.fragments_created <- w.stats.fragments_created + extra;
-    if extra > 0 then
-      audit_emit w (fun () ->
-          Audit.Event.Fragmented
-            { aid; time = Dess.Engine.now w.engine; extra })
+    if extra > 0 && auditing w then
+      record w (Audit.Event.Fragmented { aid; time = Dess.Engine.now w.engine; extra })
   | Control _ | Teardown _ -> ()
 
 (* Figure 3: a web proxy holding the requested page "honors" the
@@ -451,17 +466,16 @@ let note_fragments w = function
    the rest of the chain and the origin server.  The decision must be
    per-flow sticky across tunnelled and label-switched packets, so it
    hashes the fields both forms share: source address and label when
-   present, the full 5-tuple otherwise. *)
-let wp_serves_from_cache w (mb : Mbox.Middlebox.t) ~src ~label ~flow_hash =
+   present, the full 5-tuple otherwise.  Only a run with a positive
+   hit ratio, at a WP box, computes the hash. *)
+let wp_caching w (mb : Mbox.Middlebox.t) =
   w.cfg.wp_cache_hit_ratio > 0.0
   && Policy.Action.equal_nf mb.Mbox.Middlebox.nf Policy.Action.WP
-  &&
-  let h =
-    match label with
-    | Some l -> Stdx.Xhash.combine3 src l 0x77AC
-    | None -> Stdx.Xhash.fold_int flow_hash 0x77AC
-  in
-  Stdx.Xhash.to_unit_interval h < w.cfg.wp_cache_hit_ratio
+
+let wp_label_key ~src l = Stdx.Xhash.combine3 src l 0x77AC
+
+let wp_serves_from_cache w key =
+  Stdx.Xhash.to_unit_interval key < w.cfg.wp_cache_hit_ratio
 
 (* The cached response: modelled as immediate delivery back to the
    client (the reverse path carries no policy work in our classes). *)
@@ -469,8 +483,8 @@ let serve_from_cache w ~born ~aid ~mbox =
   w.stats.wp_cache_served <- w.stats.wp_cache_served + 1;
   w.stats.delivered_packets <- w.stats.delivered_packets + 1;
   Stdx.Fvec.push w.latencies (Dess.Engine.now w.engine -. born);
-  audit_emit w (fun () ->
-      Audit.Event.Wp_served { aid; time = Dess.Engine.now w.engine; mbox })
+  if auditing w then
+    record w (Audit.Event.Wp_served { aid; time = Dess.Engine.now w.engine; mbox })
 
 (* Every candidate for the next function is believed dead: degrade
    gracefully by dropping just this packet instead of aborting the
@@ -479,21 +493,52 @@ let drop_no_candidate w ~aid =
   drop w ~aid Audit.Event.No_candidate;
   policy_violation w
 
+let audit_enforced w ~aid (mb : Mbox.Middlebox.t) =
+  if auditing w then
+    record w
+      (Audit.Event.Enforced
+         { aid; time = Dess.Engine.now w.engine; mbox = mb.id; nf = mb.nf })
+
+let audit_steered w ~aid ~entity ~admitted ~rule_id ~nf (y : Mbox.Middlebox.t) =
+  if auditing w then
+    record w
+      (Audit.Event.Steered
+         { aid; time = Dess.Engine.now w.engine; entity; rule_id; nf;
+           version = decision_version w ~admitted entity; view = steer_view w;
+           mbox = y.Mbox.Middlebox.id })
+
 (* Middlebox [id] stores a label-switched path's entry under its
    installed configuration version. *)
 let insert_label w id ~src ~label ~actions ~next ~final_dst =
   note_label_overwrite w ~mbox:id ~src ~label;
-  Mbox.Label_table.insert w.mbox_labels.(id)
-    ~now:(Dess.Engine.now w.engine)
-    ~version:(installed_version w (Mbox.Entity.Middlebox id))
-    { Mbox.Label_table.src; label } ~actions ~next ~final_dst;
-  audit_emit w (fun () ->
-      Audit.Event.Label_insert
-        { mbox = id;
-          time = Dess.Engine.now w.engine;
-          src;
-          label;
-          version = installed_version w (Mbox.Entity.Middlebox id) })
+  let version = installed_version w w.mbox_entity.(id) in
+  Mbox.Label_table.insert w.mbox_labels.(id) ~now:(Dess.Engine.now w.engine)
+    ~version { Mbox.Label_table.src; label } ~actions ~next ~final_dst;
+  if auditing w then
+    record w
+      (Audit.Event.Label_insert
+         { mbox = id; time = Dess.Engine.now w.engine; src; label; version })
+
+(* The cache entry classifying a tunnelled flow at a middlebox: flow
+   cache first, then the local policy table (Sec. III.D applies to
+   middleboxes too); negative when no rule matches. *)
+let mbox_classify w id flow =
+  let now = Dess.Engine.now w.engine in
+  let cache = w.mbox_caches.(id) in
+  match Policy.Flow_cache.lookup cache ~now flow with
+  | Some ({ actions = Some _; _ } as hit) ->
+    w.stats.cache_hits <- w.stats.cache_hits + 1;
+    hit
+  | Some ({ actions = None; _ } as negative) ->
+    w.stats.cache_negative_hits <- w.stats.cache_negative_hits + 1;
+    negative
+  | None -> (
+    w.stats.multi_field_lookups <- w.stats.multi_field_lookups + 1;
+    match Policy.Trie.first_match w.mbox_match.(id) flow with
+    | None -> Policy.Flow_cache.insert_negative cache ~now flow
+    | Some rule ->
+      Policy.Flow_cache.insert cache ~now flow ~rule_id:rule.Policy.Rule.id
+        ~actions:rule.Policy.Rule.actions ())
 
 (* Hop fast-forwarding: the routers between two policy decision points
    are policy-oblivious and their tables are fixed between topology
@@ -508,28 +553,51 @@ let rec send w ~from_router msg =
   note_fragments w msg;
   match resolve w (msg_dst msg) with
   | None -> drop w ~aid:(msg_aid msg) Audit.Event.Unroutable
-  | Some (target_router, endpoint) ->
-    let rec walk router time =
-      if router = target_router then begin
-        if link_lost w msg then
-          drop_to_fault w ~aid:(msg_aid msg) Audit.Event.Link_loss
-        else
-          ignore
-            (Dess.Engine.schedule_at w.engine ~time:(time +. link_delay)
-               (fun _ -> deliver w endpoint msg))
-      end
-      else
-        match Netgraph.Routing.next_hop w.tables.(router) target_router with
-        | None -> drop w ~aid:(msg_aid msg) Audit.Event.Unroutable
-        | Some hop ->
-          if link_lost w msg then
-            drop_to_fault w ~aid:(msg_aid msg) Audit.Event.Link_loss
-          else begin
-            w.stats.router_hops <- w.stats.router_hops + 1;
-            walk hop (time +. link_delay)
-          end
-    in
-    walk from_router (Dess.Engine.now w.engine)
+  | Some (target, endpoint) ->
+    (* Walk to the target, a table hole (unroutable) or a lost link —
+       as a loop, so no closure and no boxed [time]. *)
+    let router = ref from_router and time = ref (Dess.Engine.now w.engine) in
+    while
+      !router <> target && w.tables.(!router).(target) >= 0 && not (link_lost w msg)
+    do
+      w.stats.router_hops <- w.stats.router_hops + 1;
+      router := w.tables.(!router).(target);
+      time := !time +. link_delay
+    done;
+    if !router <> target && w.tables.(!router).(target) < 0 then
+      drop w ~aid:(msg_aid msg) Audit.Event.Unroutable
+    else if !router <> target || link_lost w msg then
+      drop_to_fault w ~aid:(msg_aid msg) Audit.Event.Link_loss
+    else arrive_at w ~time:(!time +. link_delay) endpoint msg
+
+(* A data message's next leg: the same message, carrying [pkt]. *)
+and forward w ~from_router msg pkt =
+  (match msg with Data d -> d.pkt <- pkt | Control _ | Teardown _ -> ());
+  send w ~from_router msg
+
+and arrive_at w ~time ep msg =
+  let t = w.transit in
+  let s =
+    if t.n_free = 0 then
+      let rec s = { msg; ep; act = (fun _ -> arrive w s) } in
+      s
+    else begin
+      t.n_free <- t.n_free - 1;
+      let s = t.free.(t.n_free) in
+      s.msg <- msg;
+      s.ep <- ep;
+      s
+    end
+  in
+  ignore (Dess.Engine.schedule_at w.engine ~time s.act)
+
+and arrive w s =
+  let t = w.transit and msg = s.msg and ep = s.ep in
+  if t.n_free = Array.length t.free then
+    t.free <- Array.append t.free (Array.make (Stdlib.max 16 t.n_free) s);
+  t.free.(t.n_free) <- s;
+  t.n_free <- t.n_free + 1;
+  deliver w ep msg
 
 (* Control-plane reliability (Sec. III.E under faults): label
    establishment and teardown notifications are retransmitted on a
@@ -559,34 +627,34 @@ and control_attempt w ~from_router ~sender ~retries_left msg =
 
 and deliver w endpoint msg =
   match (endpoint, msg) with
-  | To_subnet proxy_id, Data (pkt, born, aid) ->
+  | To_subnet _, Data { pkt; born; aid } ->
     (* Arrived in its stub network.  Encapsulated packets must not
        reach subnets; plain ones are final deliveries. *)
     if Netpkt.Packet.is_encapsulated pkt then
       drop w ~aid Audit.Event.Encap_at_subnet
     else begin
-      ignore proxy_id;
       w.stats.delivered_packets <- w.stats.delivered_packets + 1;
       Stdx.Fvec.push w.latencies (Dess.Engine.now w.engine -. born);
-      audit_emit w (fun () ->
-          Audit.Event.Delivered
-            { aid;
-              time = Dess.Engine.now w.engine;
-              bytes = Netpkt.Packet.size pkt })
+      if auditing w then
+        record w
+          (Audit.Event.Delivered
+             { aid; time = Dess.Engine.now w.engine; bytes = Netpkt.Packet.size pkt })
     end
   | To_subnet proxy_id, Control { flow; _ } ->
     w.stats.control_packets <- w.stats.control_packets + 1;
     ignore (Policy.Flow_cache.mark_ls_ready w.proxy_caches.(proxy_id) flow);
-    audit_emit w (fun () ->
-        Audit.Event.Ls_confirm
-          { proxy = proxy_id; time = Dess.Engine.now w.engine; flow })
+    if auditing w then
+      record w
+        (Audit.Event.Ls_confirm
+           { proxy = proxy_id; time = Dess.Engine.now w.engine; flow })
   | To_subnet proxy_id, Teardown { label; _ } -> (
     (* A downstream label entry is gone: drop back to IP-over-IP until
        a fresh first packet re-establishes the path. *)
     w.stats.teardowns <- w.stats.teardowns + 1;
-    audit_emit w (fun () ->
-        Audit.Event.Ls_teardown
-          { proxy = proxy_id; time = Dess.Engine.now w.engine; label });
+    if auditing w then
+      record w
+        (Audit.Event.Ls_teardown
+           { proxy = proxy_id; time = Dess.Engine.now w.engine; label });
     match Stdx.Flat_table.find w.proxy_label_index.(proxy_id) label 0 with
     | None -> ()
     | Some flow -> (
@@ -594,10 +662,11 @@ and deliver w endpoint msg =
       match Policy.Flow_cache.lookup w.proxy_caches.(proxy_id) ~now flow with
       | Some entry -> entry.Policy.Flow_cache.ls_ready <- false
       | None -> ()))
-  | To_mbox id, Data (pkt, born, aid) ->
+  | To_mbox id, Data { pkt; born; aid } ->
     (* FIFO service: a busy middlebox queues the packet; the wait is
        end-to-end latency, which is how overload becomes visible. *)
-    if w.cfg.service_rate = infinity then mbox_receive w id pkt ~born ~aid
+    if w.cfg.service_rate = infinity then
+      mbox_receive w id msg ~pkt ~born ~aid
     else begin
       let now = Dess.Engine.now w.engine in
       let start = Stdlib.max now w.busy_until.(id) in
@@ -605,124 +674,91 @@ and deliver w endpoint msg =
       w.busy_until.(id) <- depart;
       ignore
         (Dess.Engine.schedule_at w.engine ~time:depart (fun _ ->
-             mbox_receive w id pkt ~born ~aid))
+             mbox_receive w id msg ~pkt ~born ~aid))
     end
   | To_mbox _, (Control _ | Teardown _) ->
     drop w ~aid:(-1) Audit.Event.Unroutable
 
 (* ---- Middlebox data path ---------------------------------------- *)
 
-and mbox_actions w id flow =
-  (* Action list for a flow at a middlebox: flow cache first, then the
-     local policy table (Sec. III.D applies to middleboxes too). *)
-  let now = Dess.Engine.now w.engine in
-  let cache = w.mbox_caches.(id) in
-  match Policy.Flow_cache.lookup cache ~now flow with
-  | Some { actions = Some a; rule_id; _ } ->
-    w.stats.cache_hits <- w.stats.cache_hits + 1;
-    Some (a, rule_id)
-  | Some { actions = None; _ } ->
-    w.stats.cache_negative_hits <- w.stats.cache_negative_hits + 1;
-    None
-  | None -> (
-    w.stats.multi_field_lookups <- w.stats.multi_field_lookups + 1;
-    match Policy.Trie.first_match w.mbox_match.(id) flow with
-    | None ->
-      ignore (Policy.Flow_cache.insert_negative cache ~now flow);
-      None
-    | Some rule ->
-      ignore
-        (Policy.Flow_cache.insert cache ~now flow ~rule_id:rule.Policy.Rule.id
-           ~actions:rule.Policy.Rule.actions ());
-      Some (rule.Policy.Rule.actions, rule.Policy.Rule.id))
-
-and mbox_receive w id pkt ~born ~aid =
+and mbox_receive w id msg ~pkt ~born ~aid =
   if mbox_is_down w id then begin
     (* Steered into a crashed middlebox (the detection window, or
        failover disabled): the packet is lost unenforced. *)
     drop_to_fault w ~aid Audit.Event.Dead_mbox;
     policy_violation w
   end
-  else mbox_process w id pkt ~born ~aid
+  else mbox_process w id msg ~pkt ~born ~aid
 
-and mbox_process w id pkt ~born ~aid =
+and mbox_process w id msg ~pkt ~born ~aid =
   let mb = w.dep.Sdm.Deployment.middleboxes.(id) in
-  match Netpkt.Packet.decapsulate pkt with
-  | Some inner -> (
+  let from_router = mb.Mbox.Middlebox.router in
+  match pkt.Netpkt.Packet.body with
+  | Netpkt.Packet.Encap inner -> (
     (* Tunnelled leg: strip the outer header, apply the function. *)
     w.stats.tunneled_packets <- w.stats.tunneled_packets + 1;
     w.loads.(id) <- w.loads.(id) +. 1.0;
-    audit_emit w (fun () ->
-        Audit.Event.Enforced
-          { aid;
-            time = Dess.Engine.now w.engine;
-            mbox = id;
-            nf = mb.Mbox.Middlebox.nf });
+    audit_enforced w ~aid mb;
     let flow = Netpkt.Packet.inner_flow pkt in
     let proxy_addr = pkt.Netpkt.Packet.header.Netpkt.Header.src in
-    match mbox_actions w id flow with
-    | None ->
+    match mbox_classify w id flow with
+    | { actions = None; _ } ->
       (* A tunnelled packet the middlebox cannot classify: forward the
          inner packet onward unprocessed. *)
-      send w ~from_router:mb.Mbox.Middlebox.router (Data (inner, born, aid))
-    | Some (actions, rule_id) -> (
+      forward w ~from_router msg inner
+    | { actions = Some actions; rule_id; _ } -> (
       let rule = Hashtbl.find w.rule_by_id rule_id in
+      let src = flow.Netpkt.Flow.src in
       let label = inner.Netpkt.Packet.header.Netpkt.Header.label in
       if
-        wp_serves_from_cache w mb ~src:flow.Netpkt.Flow.src ~label
-          ~flow_hash:(Netpkt.Flow.hash flow)
+        wp_caching w mb
+        && wp_serves_from_cache w
+             (match label with
+             | Some l -> wp_label_key ~src l
+             | None -> Stdx.Xhash.fold_int (Netpkt.Flow.hash flow) 0x77AC)
       then serve_from_cache w ~born ~aid ~mbox:id
       else
       match Policy.Action.next_after actions mb.Mbox.Middlebox.nf with
       | Some nf' -> (
+        let entity = w.mbox_entity.(id) in
         match
-          controller_next_hop w (Mbox.Entity.Middlebox id) ~rule ~nf:nf' flow
+          controller_next_hop w ~admitted:unadmitted entity ~rule ~nf:nf' flow
         with
-        | Error `No_live_candidate -> drop_no_candidate w ~aid
-        | Ok y ->
-          audit_emit w (fun () ->
-              Audit.Event.Steered
-                { aid;
-                  time = Dess.Engine.now w.engine;
-                  entity = Mbox.Entity.Middlebox id;
-                  rule_id;
-                  nf = nf';
-                  version = decision_version w (Mbox.Entity.Middlebox id);
-                  view = steer_view w;
-                  mbox = y.Mbox.Middlebox.id });
+        | exception No_live_candidate -> drop_no_candidate w ~aid
+        | y ->
+          audit_steered w ~aid ~entity ~admitted:unadmitted ~rule_id ~nf:nf' y;
           (match (label, w.cfg.label_switching) with
           | Some l, true ->
-            insert_label w id ~src:flow.Netpkt.Flow.src ~label:l ~actions
+            insert_label w id ~src ~label:l ~actions
               ~next:(Some y.Mbox.Middlebox.addr) ~final_dst:None
           | _ -> ());
-          let outer =
-            Netpkt.Packet.encapsulate ~src:proxy_addr ~dst:y.Mbox.Middlebox.addr
-              inner
-          in
-          send w ~from_router:mb.Mbox.Middlebox.router (Data (outer, born, aid)))
+          forward w ~from_router msg
+            (Netpkt.Packet.encapsulate ~src:proxy_addr
+               ~dst:y.Mbox.Middlebox.addr inner))
       | None ->
         (* Last function of the chain: restore normal routing and
            confirm the label-switched path to the proxy. *)
         (match (label, w.cfg.label_switching) with
         | Some l, true ->
-          insert_label w id ~src:flow.Netpkt.Flow.src ~label:l ~actions
-            ~next:None ~final_dst:(Some flow.Netpkt.Flow.dst);
-          send_control w ~from_router:mb.Mbox.Middlebox.router
+          insert_label w id ~src ~label:l ~actions ~next:None
+            ~final_dst:(Some flow.Netpkt.Flow.dst);
+          send_control w ~from_router
             ~sender:(Controlplane.device_of_mbox w.dep id)
             (Control { dst = proxy_addr; flow })
         | _ -> ());
-        send w ~from_router:mb.Mbox.Middlebox.router (Data (inner, born, aid))))
-  | None -> (
+        forward w ~from_router msg inner))
+  | Netpkt.Packet.Payload _ -> (
     (* No outer header: a label-switched packet addressed to us. *)
-    match pkt.Netpkt.Packet.header.Netpkt.Header.label with
+    let header = pkt.Netpkt.Packet.header in
+    let src = header.Netpkt.Header.src in
+    match header.Netpkt.Header.label with
     | None -> drop w ~aid Audit.Event.No_label
     | Some l -> (
       (* The flat [find] entry point: no key record on the per-packet
          label-switched path. *)
       match
         Mbox.Label_table.find w.mbox_labels.(id)
-          ~now:(Dess.Engine.now w.engine)
-          ~src:pkt.Netpkt.Packet.header.Netpkt.Header.src ~label:l
+          ~now:(Dess.Engine.now w.engine) ~src ~label:l
       with
       | None ->
         (* Crash-wiped (or never-installed) path: the packet cannot be
@@ -730,184 +766,153 @@ and mbox_process w id pkt ~born ~aid =
            the proxy is told to re-establish. *)
         w.stats.label_misses <- w.stats.label_misses + 1;
         drop w ~aid Audit.Event.Label_miss;
-        note_label_miss w ~mbox:id
-          ~src:pkt.Netpkt.Packet.header.Netpkt.Header.src ~label:l ~aid;
-        (match
-           Sdm.Deployment.proxy_of_addr w.dep
-             pkt.Netpkt.Packet.header.Netpkt.Header.src
-         with
+        note_label_miss w ~mbox:id ~src ~label:l ~aid;
+        (match Sdm.Deployment.proxy_of_addr w.dep src with
         | Some p ->
-          send_control w ~from_router:mb.Mbox.Middlebox.router
+          send_control w ~from_router
             ~sender:(Controlplane.device_of_mbox w.dep id)
             (Teardown { dst = p.Mbox.Proxy.addr; label = l })
         | None -> () (* orphaned source: nothing to notify *))
       | Some entry ->
         w.stats.label_switched_packets <- w.stats.label_switched_packets + 1;
         w.loads.(id) <- w.loads.(id) +. 1.0;
-        audit_emit w (fun () ->
-            Audit.Event.Label_hit
-              { mbox = id;
-                time = Dess.Engine.now w.engine;
-                src = pkt.Netpkt.Packet.header.Netpkt.Header.src;
-                label = l;
-                version = entry.Mbox.Label_table.version });
-        audit_emit w (fun () ->
-            Audit.Event.Enforced
-              { aid;
-                time = Dess.Engine.now w.engine;
-                mbox = id;
-                nf = mb.Mbox.Middlebox.nf });
-        note_label_hit w ~mbox:id
-          ~src:pkt.Netpkt.Packet.header.Netpkt.Header.src ~label:l ~aid;
-        if
-          wp_serves_from_cache w mb
-            ~src:pkt.Netpkt.Packet.header.Netpkt.Header.src ~label:(Some l)
-            ~flow_hash:0L
-        then serve_from_cache w ~born ~aid ~mbox:id
+        if auditing w then
+          record w
+            (Audit.Event.Label_hit
+               { mbox = id; time = Dess.Engine.now w.engine; src; label = l;
+                 version = entry.Mbox.Label_table.version });
+        audit_enforced w ~aid mb;
+        note_label_hit w ~mbox:id ~src ~label:l ~aid;
+        if wp_caching w mb && wp_serves_from_cache w (wp_label_key ~src l) then
+          serve_from_cache w ~born ~aid ~mbox:id
         else
-        let header = pkt.Netpkt.Packet.header in
-        let forward_to, strip =
-          match (entry.Mbox.Label_table.next, entry.Mbox.Label_table.final_dst) with
-          | Some next, None -> (next, false)
-          | None, Some dst -> (dst, true)
-          | _ -> assert false (* Label_table.insert forbids *)
-        in
-        let header = Netpkt.Header.with_dst header forward_to in
-        let header = if strip then Netpkt.Header.clear_label header else header in
-        send w ~from_router:mb.Mbox.Middlebox.router
-          (Data ({ pkt with Netpkt.Packet.header }, born, aid))))
+          (* One header copy per rewrite: re-addressed, and unlabelled
+             at the chain's end. *)
+          let header =
+            match
+              (entry.Mbox.Label_table.next, entry.Mbox.Label_table.final_dst)
+            with
+            | Some next, None -> { header with Netpkt.Header.dst = next }
+            | None, Some dst -> { header with Netpkt.Header.dst; label = None }
+            | _ -> assert false (* Label_table.insert forbids *)
+          in
+          forward w ~from_router msg { pkt with Netpkt.Packet.header }))
 
 (* ---- Proxy data path -------------------------------------------- *)
+
+(* The packet [fs] leaves its proxy with: the flow's header (labelled
+   and re-addressed on a label-switched path) over its payload. *)
+let flow_packet (fs : Workload.flow_spec) ?label ~dst () =
+  let f = fs.Workload.flow in
+  Netpkt.Packet.plain
+    (Netpkt.Header.make ?label ~src:f.Netpkt.Flow.src ~dst ~proto:f.proto
+       ~sport:f.sport ~dport:f.dport ())
+    ~payload_bytes:(max 0 (fs.Workload.packet_bytes - Netpkt.Header.size))
+
+(* A fresh data message for [fs], on the wire at its proxy. *)
+let launch w (fs : Workload.flow_spec) ~aid pkt =
+  send w ~from_router:w.dep.Sdm.Deployment.proxies.(fs.src_proxy).Mbox.Proxy.router
+    (Data { pkt; born = Dess.Engine.now w.engine; aid })
+
+let audit_admitted w (fs : Workload.flow_spec) ~aid ~admission ~version ~label =
+  record w
+    (Audit.Event.Admitted
+       { aid; time = Dess.Engine.now w.engine; flow = fs.flow; proxy = fs.src_proxy;
+         admission; version; bytes = Netpkt.Packet.size (flow_packet fs ~dst:0 ());
+         label })
+
+(* The first function of an IP-over-IP chain: steer, then tunnel the
+   (labelled, when label switching) packet to the chosen middlebox. *)
+let tunnel_first w (fs : Workload.flow_spec) ~aid ~rule ~label ~admitted =
+  match w.cfg.debug_bypass_chain with
+  | Some n when aid mod n = 0 ->
+    (* Test-only corruption hook: every n-th packet skips its chain
+       entirely and travels straight to the destination — exactly
+       the escape the audit's chain invariant must catch. *)
+    launch w fs ~aid (flow_packet fs ~dst:fs.flow.dst ())
+  | _ -> (
+    let proxy_id = fs.Workload.src_proxy in
+    let entity = w.proxy_entity.(proxy_id) in
+    let flow = fs.Workload.flow in
+    let nf = List.hd rule.Policy.Rule.actions in
+    match controller_next_hop w ~admitted entity ~rule ~nf flow with
+    | exception No_live_candidate -> drop_no_candidate w ~aid
+    | mb ->
+      audit_steered w ~aid ~entity ~admitted ~rule_id:rule.Policy.Rule.id ~nf
+        mb;
+      launch w fs ~aid
+        (Netpkt.Packet.encapsulate
+           ~src:w.dep.Sdm.Deployment.proxies.(proxy_id).Mbox.Proxy.addr
+           ~dst:mb.Mbox.Middlebox.addr
+           (flow_packet fs ?label ~dst:flow.Netpkt.Flow.dst ())))
 
 (* The proxy's decision for one outbound packet of [fs].  [aid] is the
    packet's audit identity — the injected-packet counter at admission,
    carried on the wire for the auditor's benefit only. *)
 let proxy_emit w (fs : Workload.flow_spec) ~aid =
   let proxy_id = fs.Workload.src_proxy in
-  let proxy = w.dep.Sdm.Deployment.proxies.(proxy_id) in
   let now = Dess.Engine.now w.engine in
   let cache = w.proxy_caches.(proxy_id) in
   let flow = fs.Workload.flow in
-  let header =
-    Netpkt.Header.of_flow flow
-  in
-  let payload_bytes = max 0 (fs.Workload.packet_bytes - Netpkt.Header.size) in
-  let plain = Netpkt.Packet.plain header ~payload_bytes in
-  let entity = Mbox.Entity.Proxy proxy_id in
-  let audit_admit ~admission ~version ~label =
-    audit_emit w (fun () ->
-        Audit.Event.Admitted
-          { aid;
-            time = now;
-            flow;
-            proxy = proxy_id;
-            admission;
-            version;
-            bytes = Netpkt.Packet.size plain;
-            label })
-  in
-  let tunnel_first ~rule ~label ~admitted =
-    match w.cfg.debug_bypass_chain with
-    | Some n when aid mod n = 0 ->
-      (* Test-only corruption hook: every n-th packet skips its chain
-         entirely and travels straight to the destination — exactly
-         the escape the audit's chain invariant must catch. *)
-      send w ~from_router:proxy.Mbox.Proxy.router (Data (plain, now, aid))
-    | _ -> (
-      let nf = List.hd rule.Policy.Rule.actions in
-      match controller_next_hop w ~admitted entity ~rule ~nf flow with
-      | Error `No_live_candidate -> drop_no_candidate w ~aid
-      | Ok mb ->
-        audit_emit w (fun () ->
-            Audit.Event.Steered
-              { aid;
-                time = now;
-                entity;
-                rule_id = rule.Policy.Rule.id;
-                nf;
-                version = decision_version w ~admitted entity;
-                view = steer_view w;
-                mbox = mb.Mbox.Middlebox.id });
-        let inner =
-          match label with
-          | Some l ->
-            { plain with Netpkt.Packet.header = Netpkt.Header.with_label header l }
-          | None -> plain
-        in
-        let outer =
-          Netpkt.Packet.encapsulate ~src:proxy.Mbox.Proxy.addr
-            ~dst:mb.Mbox.Middlebox.addr inner
-        in
-        send w ~from_router:proxy.Mbox.Proxy.router (Data (outer, now, aid)))
-  in
+  let entity = w.proxy_entity.(proxy_id) in
   match Policy.Flow_cache.lookup cache ~now flow with
   | Some { actions = Some a; rule_id; _ } when Policy.Action.is_permit a ->
     w.stats.cache_hits <- w.stats.cache_hits + 1;
-    audit_admit
-      ~admission:(Audit.Event.Permit (Some rule_id))
-      ~version:(installed_version w entity) ~label:None;
+    if auditing w then
+      audit_admitted w fs ~aid
+        ~admission:(Audit.Event.Permit (Some rule_id))
+        ~version:(installed_version w entity) ~label:None;
     note_cache_bypass w ~proxy:proxy_id ~flow ~aid;
-    send w ~from_router:proxy.Mbox.Proxy.router (Data (plain, now, aid))
+    launch w fs ~aid (flow_packet fs ~dst:fs.flow.dst ())
   | Some ({ actions = Some _; rule_id; label; cfg_version; _ } as entry) ->
     w.stats.cache_hits <- w.stats.cache_hits + 1;
     note_traffic w fs ~rule_id;
     let rule = Hashtbl.find w.rule_by_id rule_id in
     let ls_path = entry.Policy.Flow_cache.ls_ready && w.cfg.label_switching in
-    audit_admit
-      ~admission:
-        (Audit.Event.Chained
-           { rule_id;
-             mode = (if ls_path then Audit.Event.Label else Audit.Event.Tunnel) })
-      ~version:(decision_version w ~admitted:cfg_version entity)
-      ~label;
+    if auditing w then
+      audit_admitted w fs ~aid
+        ~admission:
+          (Audit.Event.Chained
+             { rule_id;
+               mode = (if ls_path then Audit.Event.Label else Audit.Event.Tunnel) })
+        ~version:(decision_version w ~admitted:cfg_version entity)
+        ~label;
     if ls_path then begin
       (* Established label-switched path: embed the label, address the
          packet straight to the first middlebox, no outer header. *)
       let nf = List.hd rule.Policy.Rule.actions in
       match controller_next_hop w ~admitted:cfg_version entity ~rule ~nf flow with
-      | Error `No_live_candidate -> drop_no_candidate w ~aid
-      | Ok mb ->
-        audit_emit w (fun () ->
-            Audit.Event.Steered
-              { aid;
-                time = now;
-                entity;
-                rule_id;
-                nf;
-                version = decision_version w ~admitted:cfg_version entity;
-                view = steer_view w;
-                mbox = mb.Mbox.Middlebox.id });
-        let header =
-          Netpkt.Header.with_dst
-            (Netpkt.Header.with_label header (Option.get label))
-            mb.Mbox.Middlebox.addr
-        in
-        send w ~from_router:proxy.Mbox.Proxy.router
-          (Data ({ plain with Netpkt.Packet.header }, now, aid))
+      | exception No_live_candidate -> drop_no_candidate w ~aid
+      | mb ->
+        audit_steered w ~aid ~entity ~admitted:cfg_version ~rule_id ~nf mb;
+        launch w fs ~aid (flow_packet fs ?label ~dst:mb.Mbox.Middlebox.addr ())
     end
-    else tunnel_first ~rule ~label ~admitted:cfg_version
+    else tunnel_first w fs ~aid ~rule ~label ~admitted:cfg_version
   | Some { actions = None; _ } ->
     w.stats.cache_negative_hits <- w.stats.cache_negative_hits + 1;
-    audit_admit ~admission:Audit.Event.Unmatched
-      ~version:(installed_version w entity) ~label:None;
+    if auditing w then
+      audit_admitted w fs ~aid ~admission:Audit.Event.Unmatched
+        ~version:(installed_version w entity) ~label:None;
     note_cache_bypass w ~proxy:proxy_id ~flow ~aid;
-    send w ~from_router:proxy.Mbox.Proxy.router (Data (plain, now, aid))
+    launch w fs ~aid (flow_packet fs ~dst:fs.flow.dst ())
   | None -> (
     w.stats.multi_field_lookups <- w.stats.multi_field_lookups + 1;
     match Policy.Trie.first_match w.proxy_match.(proxy_id) flow with
     | None ->
       ignore (Policy.Flow_cache.insert_negative cache ~now flow);
-      audit_admit ~admission:Audit.Event.Unmatched
-        ~version:(installed_version w entity) ~label:None;
-      send w ~from_router:proxy.Mbox.Proxy.router (Data (plain, now, aid))
+      if auditing w then
+        audit_admitted w fs ~aid ~admission:Audit.Event.Unmatched
+          ~version:(installed_version w entity) ~label:None;
+      launch w fs ~aid (flow_packet fs ~dst:fs.flow.dst ())
     | Some rule when Policy.Action.is_permit rule.Policy.Rule.actions ->
       ignore
         (Policy.Flow_cache.insert cache ~now flow ~rule_id:rule.Policy.Rule.id
            ~actions:Policy.Action.permit ());
-      audit_admit
-        ~admission:(Audit.Event.Permit (Some rule.Policy.Rule.id))
-        ~version:(installed_version w entity) ~label:None;
-      send w ~from_router:proxy.Mbox.Proxy.router (Data (plain, now, aid))
+      if auditing w then
+        audit_admitted w fs ~aid
+          ~admission:(Audit.Event.Permit (Some rule.Policy.Rule.id))
+          ~version:(installed_version w entity) ~label:None;
+      launch w fs ~aid (flow_packet fs ~dst:fs.flow.dst ())
     | Some rule ->
       let label =
         if w.cfg.label_switching then begin
@@ -923,15 +928,17 @@ let proxy_emit w (fs : Workload.flow_spec) ~aid =
       ignore
         (Policy.Flow_cache.insert cache ~now flow ~rule_id:rule.Policy.Rule.id
            ~actions:rule.Policy.Rule.actions ?label ~cfg_version:admitted ());
-      audit_admit
-        ~admission:
-          (Audit.Event.Chained
-             { rule_id = rule.Policy.Rule.id; mode = Audit.Event.Tunnel })
-        ~version:admitted ~label;
-      audit_emit w (fun () ->
-          Audit.Event.Cache_insert
-            { proxy = proxy_id; time = now; flow; version = admitted });
-      tunnel_first ~rule ~label ~admitted)
+      if auditing w then begin
+        audit_admitted w fs ~aid
+          ~admission:
+            (Audit.Event.Chained
+               { rule_id = rule.Policy.Rule.id; mode = Audit.Event.Tunnel })
+          ~version:admitted ~label;
+        record w
+          (Audit.Event.Cache_insert
+             { proxy = proxy_id; time = now; flow; version = admitted })
+      end;
+      tunnel_first w fs ~aid ~rule ~label ~admitted)
 
 (* ---- Fault-schedule execution ----------------------------------- *)
 
@@ -1194,8 +1201,9 @@ let sweep_check w ~dev =
   | Some cs ->
     let detect () =
       w.stats.corruptions_detected <- w.stats.corruptions_detected + 1;
-      audit_emit w (fun () ->
-          Audit.Event.Corrupt_detect { time = Dess.Engine.now w.engine; dev })
+      if auditing w then
+        record w
+          (Audit.Event.Corrupt_detect { time = Dess.Engine.now w.engine; dev })
     in
     (match Controlplane.entity_of_device w.dep dev with
     | Mbox.Entity.Proxy i ->
@@ -1377,9 +1385,10 @@ let run ?(config = default_config) ~controller ~workload () =
      blanket 64: the tables reach these sizes on every large run, so
      sizing them up front removes the rehash churn on the hot path.
      A hint never changes behaviour, only when Hashtbl grows. *)
-  let mbox_index = Hashtbl.create (max 16 n_mboxes) in
+  let endpoints = Stdx.Flat_table.create ~initial:(max 16 n_mboxes) () in
   Array.iter
-    (fun (m : Mbox.Middlebox.t) -> Hashtbl.replace mbox_index m.addr m.id)
+    (fun (m : Mbox.Middlebox.t) ->
+      Stdx.Flat_table.replace endpoints m.addr 0 (Some (m.router, To_mbox m.id)))
     dep.Sdm.Deployment.middleboxes;
   let rule_by_id =
     Hashtbl.create (max 16 (List.length controller.Sdm.Controller.rules))
@@ -1392,6 +1401,8 @@ let run ?(config = default_config) ~controller ~workload () =
      two or three boxes). *)
   let proxy_flow_hint = max 64 (n_flows / max 1 n_proxies) in
   let mbox_flow_hint = max 64 (3 * n_flows / max 1 n_mboxes) in
+  let proxy_entity = Array.init n_proxies (fun i -> Mbox.Entity.Proxy i) in
+  let mbox_entity = Array.init n_mboxes (fun i -> Mbox.Entity.Middlebox i) in
   let entity_table entity =
     Policy.Trie.build (Sdm.Controller.policy_table_for controller entity)
   in
@@ -1435,10 +1446,19 @@ let run ?(config = default_config) ~controller ~workload () =
             }
         else None
       in
+      let detector =
+        Fault.Detector.create ~n:n_mboxes ~delay:config.detection_delay
+      in
       Some
         {
-          detector =
-            Fault.Detector.create ~n:n_mboxes ~delay:config.detection_delay;
+          detector;
+          alive =
+            (if config.failover then
+               Some
+                 (fun id ->
+                   Fault.Detector.believed_alive detector
+                     ~now:(Dess.Engine.now engine) id)
+             else None);
           schedule;
           loss_rng = Stdx.Rng.create schedule.Fault.Schedule.loss_seed;
           session;
@@ -1466,20 +1486,23 @@ let run ?(config = default_config) ~controller ~workload () =
         Array.init n_proxies (fun _ ->
             Policy.Flow_cache.create ~timeout:cache_timeout
               ?capacity:config.cache_capacity ~expected:proxy_flow_hint ());
-      proxy_match = Array.init n_proxies (fun i -> entity_table (Mbox.Entity.Proxy i));
+      proxy_match = Array.map entity_table proxy_entity;
       mutable_label = Array.make n_proxies 0;
       mbox_caches =
         Array.init n_mboxes (fun _ ->
             Policy.Flow_cache.create ~timeout:cache_timeout
               ?capacity:config.cache_capacity ~expected:mbox_flow_hint ());
       mbox_match =
-        Array.init n_mboxes (fun i -> entity_table (Mbox.Entity.Middlebox i));
+        Array.map entity_table mbox_entity;
       mbox_labels =
         Array.init n_mboxes (fun _ -> Mbox.Label_table.create ());
       proxy_label_index =
         Array.init n_proxies (fun _ ->
             Stdx.Flat_table.create ~initial:proxy_flow_hint ());
-      mbox_index;
+      proxy_entity;
+      mbox_entity;
+      endpoints;
+      transit = { free = [||]; n_free = 0 };
       rule_by_id;
       fault;
       audit =
@@ -1552,7 +1575,8 @@ let run ?(config = default_config) ~controller ~workload () =
         | _, _ -> ())
       f.schedule.Fault.Schedule.events);
   (* Inject flows: first packet at a jittered start, each subsequent
-     packet scheduled by its predecessor (keeps the heap small). *)
+     packet scheduled by its predecessor (keeps the heap small).  One
+     injection action per flow serves all its packets. *)
   let rng = Stdx.Rng.create config.seed in
   let horizon = ref 0.0 in
   Array.iter
@@ -1564,18 +1588,21 @@ let run ?(config = default_config) ~controller ~workload () =
             *. config.packet_interval)
       in
       if last > !horizon then horizon := last;
-      let rec packet_at i =
-        if i < fs.Workload.packets then
+      let next = ref 0 in
+      let rec inject _ =
+        let aid = w.stats.injected_packets in
+        w.stats.injected_packets <- aid + 1;
+        proxy_emit w fs ~aid;
+        incr next;
+        schedule_next ()
+      and schedule_next () =
+        if !next < fs.Workload.packets then
           ignore
             (Dess.Engine.schedule_at w.engine
-               ~time:(start +. (float_of_int i *. config.packet_interval))
-               (fun _ ->
-                 let aid = w.stats.injected_packets in
-                 w.stats.injected_packets <- aid + 1;
-                 proxy_emit w fs ~aid;
-                 packet_at (i + 1)))
+               ~time:(start +. (float_of_int !next *. config.packet_interval))
+               inject)
       in
-      packet_at 0)
+      schedule_next ())
     workload.Workload.flows;
   (match w.live with
   | None -> ()
@@ -1599,7 +1626,8 @@ let run ?(config = default_config) ~controller ~workload () =
            a)
   in
   let latency_mean, latency_p50, latency_p99 =
-    let n = Stdx.Fvec.length w.latencies in
+    let samples = Stdx.Fvec.to_array w.latencies in
+    let n = Array.length samples in
     if n = 0 then (0.0, 0.0, 0.0)
     else begin
       (* Sum newest delivery first: float addition is order-sensitive
@@ -1607,11 +1635,9 @@ let run ?(config = default_config) ~controller ~workload () =
          historical cons-list accumulation produced. *)
       let total = ref 0.0 in
       for i = n - 1 downto 0 do
-        total := !total +. Stdx.Fvec.get w.latencies i
+        total := !total +. samples.(i)
       done;
-      match
-        Stdx.Stats.percentiles (Stdx.Fvec.to_array w.latencies) [ 0.5; 0.99 ]
-      with
+      match Stdx.Stats.percentiles samples [ 0.5; 0.99 ] with
       | [ p50; p99 ] -> (!total /. float_of_int n, p50, p99)
       | _ -> assert false
     end

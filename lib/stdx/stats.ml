@@ -11,10 +11,10 @@ type summary = {
    percentiles rely on), so it is rejected up front.  Infinities stay
    allowed: they order correctly and an infinite load is a meaningful
    extreme. *)
-let reject_nan name samples =
-  Array.iter
-    (fun x -> if Float.is_nan x then invalid_arg (name ^ ": NaN sample"))
-    samples
+let reject_nan name (samples : float array) =
+  for i = 0 to Array.length samples - 1 do
+    if Float.is_nan samples.(i) then invalid_arg (name ^ ": NaN sample")
+  done
 
 let summarize samples =
   let n = Array.length samples in
@@ -38,22 +38,38 @@ let rank_in sorted q =
   let rank = if rank < 0 then 0 else if rank >= n then n - 1 else rank in
   sorted.(rank)
 
-(* [Float.compare], not polymorphic [compare]: the latter goes through
-   the generic structural-comparison runtime path and is several times
-   slower on float arrays. *)
-let percentile samples q =
-  if Array.length samples = 0 then invalid_arg "Stats.percentile: empty input";
-  reject_nan "Stats.percentile" samples;
-  let sorted = Array.copy samples in
-  Array.sort Float.compare sorted;
-  rank_in sorted q
+(* In-place heapsort reading unboxed floats: [Array.sort Float.compare]
+   boxes both operands of each of its ~2n log n comparisons, about a
+   quarter of a packet run's allocation.  NaN is rejected first, so [<]
+   orders as [Float.compare] and the sorted bits are the same (only -0.
+   and 0. tie with different bits). *)
+let rec sift (a : float array) i n =
+  let c = (2 * i) + 1 in
+  let c = if c + 1 < n && a.(c) < a.(c + 1) then c + 1 else c in
+  if c < n && a.(i) < a.(c) then begin
+    let x = a.(i) in
+    a.(i) <- a.(c);
+    a.(c) <- x;
+    sift a c n
+  end
+
+let sorted_copy name samples =
+  if Array.length samples = 0 then invalid_arg (name ^ ": empty input");
+  reject_nan name samples;
+  let a = Array.copy samples and n = Array.length samples in
+  for i = (n / 2) - 1 downto 0 do sift a i n done;
+  for last = n - 1 downto 1 do
+    let x = a.(0) in
+    a.(0) <- a.(last);
+    a.(last) <- x;
+    sift a 0 last
+  done;
+  a
+
+let percentile samples q = rank_in (sorted_copy "Stats.percentile" samples) q
 
 let percentiles samples qs =
-  if Array.length samples = 0 then invalid_arg "Stats.percentiles: empty input";
-  reject_nan "Stats.percentiles" samples;
-  let sorted = Array.copy samples in
-  Array.sort Float.compare sorted;
-  List.map (rank_in sorted) qs
+  List.map (rank_in (sorted_copy "Stats.percentiles" samples)) qs
 
 let imbalance samples =
   let s = summarize samples in

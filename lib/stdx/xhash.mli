@@ -49,6 +49,18 @@ val score_unit : int64 -> int -> float
     salt))] without boxing any intermediate: the per-candidate
     rendezvous score. *)
 
+type state
+(** A running FNV-1a fold over ints, updated in place: after [start ()],
+    [add s a] and [add s b], [value s = Int64.to_int (ints [a; b])] and
+    [finish s = fmix64 (ints [a; b])] (which finalizes [s]).  [reset s]
+    returns [s] to [start ()]. *)
+
+val start : unit -> state
+val reset : state -> unit
+val add : state -> int -> unit
+val value : state -> int
+val finish : state -> int64
+
 val mix2_int : int -> int -> int
 (** Non-negative native-int mixer for open-addressing probe
     sequences.  Deterministic but {e not} FNV — do not feed its value

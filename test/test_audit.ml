@@ -1027,6 +1027,66 @@ let qcheck_audited_replay =
       let b = Sim.Pktsim.run ~config ~controller ~workload () in
       Audit.Checker.ok (report a) && a = b)
 
+let qcheck_audit_off_identical =
+  (* Auditing is a pure observer on random configurations: every
+     emission site is guarded, and the guarded sites must not move a
+     single statistic.  The draw covers losses, a middlebox
+     crash/recover pair, the live control plane, web-proxy serving
+     (tunnelled flows without labels hash the 5-tuple, lazily),
+     FIFO service, bounded caches and label switching on and off. *)
+  QCheck.Test.make ~count:20 ~name:"audit on and off agree on random configs"
+    QCheck.(make ~print:string_of_int Gen.(int_range 0 1000000))
+    (fun seed ->
+      let rng = Stdx.Rng.create (seed + 5) in
+      let controller, workload = setup ~flows:60 () in
+      let n_mboxes =
+        Array.length
+          controller.Sdm.Controller.deployment.Sdm.Deployment.middleboxes
+      in
+      let victim = Stdx.Rng.int rng n_mboxes in
+      let crash_at = 5.0 +. Stdx.Rng.float rng 30.0 in
+      let schedule =
+        Fault.Schedule.make
+          ~link_loss:(Stdx.Rng.float rng 0.03)
+          ~control_loss:(Stdx.Rng.float rng 0.2)
+          ~loss_seed:(seed + 7)
+          Fault.Schedule.
+            [
+              { at = crash_at; what = Mbox_crash victim };
+              { at = crash_at +. 10.0 +. Stdx.Rng.float rng 30.0;
+                what = Mbox_recover victim };
+            ]
+      in
+      let config =
+        {
+          pkt_config with
+          Sim.Pktsim.seed = seed mod 1000;
+          faults = Some schedule;
+          live =
+            (if Stdx.Rng.int rng 2 = 0 then None
+             else
+               Some
+                 { Sim.Pktsim.default_live with
+                   epoch_interval = 40.0; reconcile_interval = 7.0 });
+          wp_cache_hit_ratio = 0.05 +. Stdx.Rng.float rng 0.5;
+          service_rate =
+            (if Stdx.Rng.int rng 2 = 0 then infinity
+             else 2.0 +. Stdx.Rng.float rng 20.0);
+          cache_capacity =
+            (if Stdx.Rng.int rng 2 = 0 then None
+             else Some (8 + Stdx.Rng.int rng 120));
+          label_switching = Stdx.Rng.int rng 2 = 0;
+        }
+      in
+      let unaudited = Sim.Pktsim.run ~config ~controller ~workload () in
+      let audited =
+        Sim.Pktsim.run ~config:{ config with audit = true } ~controller
+          ~workload ()
+      in
+      Audit.Checker.ok (report audited)
+      && unaudited.Sim.Pktsim.audit_report = None
+      && { audited with Sim.Pktsim.audit_report = None } = unaudited)
+
 let suite =
   [
     Alcotest.test_case "clean audited run" `Quick test_audit_clean_run;
@@ -1095,4 +1155,5 @@ let suite =
     Alcotest.test_case "differential detects divergence" `Quick
       test_differential_detects_divergence;
     QCheck_alcotest.to_alcotest qcheck_audited_replay;
+    QCheck_alcotest.to_alcotest qcheck_audit_off_identical;
   ]

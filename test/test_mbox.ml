@@ -29,6 +29,40 @@ let test_middlebox_make () =
 
 let key src label = { Mbox.Label_table.src = Netpkt.Addr.of_string src; label }
 
+(* One entry's digest is its checksum: the boxed [int64] fold over the
+   key, the action salts, both addresses and the version. *)
+let test_label_digest_value () =
+  let t = Mbox.Label_table.create () in
+  Mbox.Label_table.insert t ~now:0.0 ~version:4 (key "10.0.0.1" 7)
+    ~actions:Policy.Action.[ IDS; TM ] ~next:None
+    ~final_dst:(Some (Netpkt.Addr.of_string "10.2.0.9"));
+  let salt nf = Int64.to_int (Stdx.Xhash.string (Policy.Action.nf_to_string nf)) in
+  let expected =
+    Stdx.Xhash.fmix64
+      (List.fold_left Stdx.Xhash.fold_int Stdx.Xhash.fnv_offset
+         [ Netpkt.Addr.of_string "10.0.0.1"; 7; salt IDS; salt TM; -1; 1;
+           Netpkt.Addr.of_string "10.2.0.9"; 4 ])
+  in
+  Alcotest.(check int64) "digest" expected (Mbox.Label_table.digest t)
+
+(* Minor words per [insert] of a fresh key: the entry, its checksum
+   and the digest update, folded in one [Xhash.state] with constant
+   salts.  Measured 16 words per call; the ceiling is that plus 15%. *)
+let test_label_insert_words () =
+  let n = 2000 in
+  let keys = Array.init n (fun i -> { Mbox.Label_table.src = 0x0A000001; label = i }) in
+  let next = Some 0xC0A80003 in
+  let actions = Policy.Action.[ FW; IDS; WP ] in
+  let t = Mbox.Label_table.create () in
+  let before = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    Mbox.Label_table.insert t ~now:1.0 keys.(i) ~actions ~next ~final_dst:None
+  done;
+  let per_call = (Gc.minor_words () -. before) /. float_of_int n in
+  Alcotest.(check int) "all inserted" n (Mbox.Label_table.size t);
+  if per_call > 18.4 then
+    Alcotest.failf "Label_table.insert allocates %.2f minor words/call" per_call
+
 let test_label_table_roundtrip () =
   let t = Mbox.Label_table.create () in
   Mbox.Label_table.insert t ~now:0.0 (key "10.0.0.1" 7)
@@ -341,6 +375,9 @@ let test_proxy_off_path () =
 let suite =
   [
     Alcotest.test_case "entity keys" `Quick test_entity_keys;
+    Alcotest.test_case "label insert allocation ceiling" `Quick
+      test_label_insert_words;
+    Alcotest.test_case "label digest value" `Quick test_label_digest_value;
     Alcotest.test_case "proxy make" `Quick test_proxy_make;
     Alcotest.test_case "proxy off-path" `Quick test_proxy_off_path;
     Alcotest.test_case "middlebox make" `Quick test_middlebox_make;

@@ -388,6 +388,49 @@ let qcheck_dsl_roundtrip =
 
 (* --- Flow cache ------------------------------------------------------- *)
 
+(* One entry's digest is its checksum: the boxed [int64] fold over the
+   flow hash, the action salts, the rule, the label and the version. *)
+let test_cache_digest_value () =
+  let f = flow "10.0.0.1" "10.1.0.1" in
+  let c = Policy.Flow_cache.create () in
+  ignore
+    (Policy.Flow_cache.insert c ~now:0.0 f ~rule_id:3
+       ~actions:Policy.Action.[ FW; Custom "dpi" ] ~label:9 ~cfg_version:2 ());
+  let fold = List.fold_left Stdx.Xhash.fold_int in
+  let salt nf = Int64.to_int (Stdx.Xhash.string (Policy.Action.nf_to_string nf)) in
+  let expected =
+    Stdx.Xhash.fmix64
+      (fold Stdx.Xhash.fnv_offset
+         [ Int64.to_int (Netpkt.Flow.hash f); 2; salt FW; salt (Custom "dpi");
+           3; 1; 9; 2 ])
+  in
+  Alcotest.(check int64) "digest" expected (Policy.Flow_cache.digest c)
+
+(* Minor words per [insert] of a fresh flow into a pre-sized cache
+   (no growth inside the measured loop): the entry, its checksum and
+   the digest update, folded in one [Xhash.state] with constant
+   salts.  Measured 21 words per call; the ceiling is that plus 15%. *)
+let test_cache_insert_words () =
+  let n = 2000 in
+  let flows =
+    Array.init n (fun i ->
+        Netpkt.Flow.make ~src:(0x0A000000 + i) ~dst:0x0A010001 ~proto:6
+          ~sport:(1000 + (i mod 50000)) ~dport:80)
+  in
+  let labels = Array.init n (fun i -> Some i) in
+  let actions = Policy.Action.[ FW; IDS; WP ] in
+  let c = Policy.Flow_cache.create ~expected:(2 * n) () in
+  let before = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    ignore
+      (Policy.Flow_cache.insert c ~now:1.0 flows.(i) ~rule_id:i ~actions
+         ?label:labels.(i) ())
+  done;
+  let per_call = (Gc.minor_words () -. before) /. float_of_int n in
+  Alcotest.(check int) "all inserted" n (Policy.Flow_cache.size c);
+  if per_call > 24.2 then
+    Alcotest.failf "Flow_cache.insert allocates %.2f minor words/call" per_call
+
 let test_cache_insert_lookup () =
   let c = Policy.Flow_cache.create () in
   let f = flow "10.0.0.1" "10.1.0.1" in
@@ -661,6 +704,9 @@ let test_cache_digest_and_poison () =
 let suite =
   [
     Alcotest.test_case "action structure" `Quick test_action_structure;
+    Alcotest.test_case "cache insert allocation ceiling" `Quick
+      test_cache_insert_words;
+    Alcotest.test_case "cache digest value" `Quick test_cache_digest_value;
     Alcotest.test_case "action strings" `Quick test_action_strings;
     Alcotest.test_case "descriptor matching" `Quick test_descriptor_matching;
     Alcotest.test_case "descriptor port range" `Quick test_descriptor_port_range;

@@ -234,6 +234,27 @@ let test_pktsim_delivers_everything () =
     stats.Sim.Pktsim.delivered_packets;
   Alcotest.(check int) "no drops" 0 stats.Sim.Pktsim.dropped_packets
 
+(* Minor words per injected packet of a whole campus LB run (300
+   power-law flows, default config), measured on a second run after a
+   warm-up one.  The run's own set-up (routing tables, tries, sized
+   caches) is included, so this pins the packet path and the per-run
+   overhead together.  Measured 130 words per packet; the ceiling is
+   that plus 15%. *)
+let test_pktsim_allocation_ceiling () =
+  let controller, workload = small_pkt_setup () in
+  let run () = Sim.Pktsim.run ~controller ~workload () in
+  ignore (run ());
+  let before = Gc.minor_words () in
+  let stats = run () in
+  let per_packet =
+    (Gc.minor_words () -. before)
+    /. float_of_int stats.Sim.Pktsim.injected_packets
+  in
+  Alcotest.(check bool) "packets injected" true
+    (stats.Sim.Pktsim.injected_packets > 1000);
+  if per_packet > 149.8 then
+    Alcotest.failf "Pktsim.run allocates %.1f minor words per packet" per_packet
+
 let test_pktsim_rejects_bad_config () =
   (* Every out-of-range value is refused before the run starts, with
      a message naming the field. *)
@@ -1627,6 +1648,8 @@ let suite =
     Alcotest.test_case "flowsim stretch sane" `Quick test_flowsim_stretch;
     Alcotest.test_case "pktsim delivers everything" `Quick
       test_pktsim_delivers_everything;
+    Alcotest.test_case "pktsim allocation ceiling" `Quick
+      test_pktsim_allocation_ceiling;
     Alcotest.test_case "pktsim rejects bad config values" `Quick
       test_pktsim_rejects_bad_config;
     Alcotest.test_case "pktsim loads = flowsim loads" `Slow

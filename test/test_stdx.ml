@@ -561,6 +561,17 @@ let qcheck_combine_unit_agreement =
          = Stdx.Xhash.to_unit_interval
              (Stdx.Xhash.fmix64 (Stdx.Xhash.fold_int (Stdx.Xhash.combine2 a b) g)))
 
+let qcheck_state_agreement =
+  QCheck.Test.make ~count:500 ~name:"Xhash.state folds agree with ints"
+    QCheck.(small_list int)
+    (fun l ->
+      let s = Stdx.Xhash.start () in
+      List.iter (Stdx.Xhash.add s) [ 1; 2; 3 ];
+      Stdx.Xhash.reset s;
+      List.iter (Stdx.Xhash.add s) l;
+      Stdx.Xhash.value s = Int64.to_int (Stdx.Xhash.ints l)
+      && Stdx.Xhash.finish s = Stdx.Xhash.fmix64 (Stdx.Xhash.ints l))
+
 (* ---- Flat_table --------------------------------------------------- *)
 
 let test_flat_table_basics () =
@@ -734,6 +745,7 @@ let suite =
       test_count_min_rejects_nonfinite;
     QCheck_alcotest.to_alcotest qcheck_combine_agreement;
     QCheck_alcotest.to_alcotest qcheck_combine_unit_agreement;
+    QCheck_alcotest.to_alcotest qcheck_state_agreement;
     Alcotest.test_case "flat table basics" `Quick test_flat_table_basics;
     QCheck_alcotest.to_alcotest qcheck_flat_table_model;
     Alcotest.test_case "flat table resize boundaries" `Quick
