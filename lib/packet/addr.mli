@@ -22,6 +22,10 @@ module Prefix : sig
   type t = { base : addr; len : int }
   (** Invariant: host bits of [base] are zero; 0 <= len <= 32. *)
 
+  val mask : int -> addr
+  (** The network mask of a prefix length: [contains p a] is
+      [a land mask p.len = p.base]. *)
+
   val make : addr -> int -> t
   (** Normalises the base (masks host bits).  Raises on a bad length. *)
 

@@ -1,150 +1,2 @@
-(* Dimensions: 0 src addr, 1 dst addr, 2 sport, 3 dport, 4 proto.
-   All ranges are inclusive [lo, hi] over non-negative ints. *)
-
-let dims = 5
-
-let dim_max = [| 0xFFFFFFFF; 0xFFFFFFFF; 65535; 65535; 255 |]
-
-type node =
-  | Leaf of Rule.t list (* ascending id *)
-  | Cut of { dim : int; lo : int; width : int; children : node array }
-
-type t = { root : node; rules : int; mutable nodes : int }
-
-(* The rectangle a rule occupies in each dimension. *)
-let rule_range (rule : Rule.t) dim =
-  let d = rule.Rule.descriptor in
-  let prefix_range (p : Netpkt.Addr.Prefix.t) =
-    let size = if p.len >= 32 then 1 else 1 lsl (32 - p.len) in
-    (p.base, p.base + size - 1)
-  in
-  let port_range = function
-    | Descriptor.Any_port -> (0, 65535)
-    | Descriptor.Port p -> (p, p)
-    | Descriptor.Port_range (a, b) -> (a, b)
-  in
-  match dim with
-  | 0 -> prefix_range d.Descriptor.src
-  | 1 -> prefix_range d.Descriptor.dst
-  | 2 -> port_range d.Descriptor.sport
-  | 3 -> port_range d.Descriptor.dport
-  | 4 -> (
-    match d.Descriptor.proto with
-    | Descriptor.Any_proto -> (0, 255)
-    | Descriptor.Proto p -> (p, p))
-  | _ -> invalid_arg "Dectree: bad dimension"
-
-let flow_point (f : Netpkt.Flow.t) dim =
-  match dim with
-  | 0 -> f.Netpkt.Flow.src
-  | 1 -> f.Netpkt.Flow.dst
-  | 2 -> f.Netpkt.Flow.sport
-  | 3 -> f.Netpkt.Flow.dport
-  | 4 -> f.Netpkt.Flow.proto
-  | _ -> invalid_arg "Dectree: bad dimension"
-
-let overlaps (alo, ahi) (blo, bhi) = alo <= bhi && blo <= ahi
-
-(* Number of distinct rule projections in a dimension within a region —
-   the cut heuristic prefers the most discriminating dimension. *)
-let distinct_projections rules region dim =
-  let projections =
-    List.filter_map
-      (fun rule ->
-        let r = rule_range rule dim in
-        if overlaps r region.(dim) then Some r else None)
-      rules
-  in
-  List.length (List.sort_uniq compare projections)
-
-let n_cuts = 4
-
-let build ?(binth = 8) ?(max_depth = 24) rules =
-  let rules = List.sort (fun a b -> compare a.Rule.id b.Rule.id) rules in
-  let t = { root = Leaf []; rules = List.length rules; nodes = 0 } in
-  (* Hard cap on tree size: wildcard-heavy rules replicate into many
-     children, and without a budget the tree can grow until memory
-     runs out.  Past the budget remaining regions become leaves
-     (lookups degrade to short linear scans, correctness unaffected). *)
-  let node_budget = 1024 + (64 * List.length rules) in
-  let rec make rules region depth ~useless =
-    t.nodes <- t.nodes + 1;
-    if List.length rules <= binth || depth >= max_depth || t.nodes > node_budget
-    then Leaf rules
-    else begin
-      (* Pick the dimension whose rule projections are most varied. *)
-      let best_dim = ref 0 and best_score = ref (-1) in
-      for dim = 0 to dims - 1 do
-        let lo, hi = region.(dim) in
-        if hi > lo then begin
-          let score = distinct_projections rules region dim in
-          if score > !best_score then begin
-            best_score := score;
-            best_dim := dim
-          end
-        end
-      done;
-      let dim = !best_dim in
-      let lo, hi = region.(dim) in
-      let span = hi - lo + 1 in
-      if !best_score <= 1 || span < n_cuts then Leaf rules
-      else begin
-        let width = (span + n_cuts - 1) / n_cuts in
-        let child_rules =
-          Array.init n_cuts (fun i ->
-              let clo = lo + (i * width) in
-              let chi = min hi (clo + width - 1) in
-              List.filter (fun r -> overlaps (rule_range r dim) (clo, chi)) rules)
-        in
-        (* Cuts that fail to shed rules are tolerated for a few
-           levels — equal-width cuts often need to zoom in before
-           skewed rule sets start separating — but an unbounded run of
-           them would replicate rules without limit. *)
-        let max_child =
-          Array.fold_left (fun acc l -> max acc (List.length l)) 0 child_rules
-        in
-        let useless' =
-          if max_child >= List.length rules then useless + 1 else 0
-        in
-        if useless' > 8 then Leaf rules
-        else begin
-          let children =
-            Array.mapi
-              (fun i rules_i ->
-                let clo = lo + (i * width) in
-                let chi = min hi (clo + width - 1) in
-                let region' = Array.copy region in
-                region'.(dim) <- (clo, chi);
-                make rules_i region' (depth + 1) ~useless:useless')
-              child_rules
-          in
-          Cut { dim; lo; width; children }
-        end
-      end
-    end
-  in
-  let region = Array.init dims (fun d -> (0, dim_max.(d))) in
-  let root = make rules region 0 ~useless:0 in
-  { t with root }
-
-let first_match t flow =
-  let rec search = function
-    | Leaf rules ->
-      List.find_opt (fun r -> Descriptor.matches r.Rule.descriptor flow) rules
-    | Cut { dim; lo; width; children } ->
-      let v = flow_point flow dim in
-      let idx = (v - lo) / width in
-      if idx < 0 || idx >= Array.length children then None
-      else search children.(idx)
-  in
-  search t.root
-
-let rule_count t = t.rules
-let node_count t = t.nodes
-
-let depth t =
-  let rec go = function
-    | Leaf _ -> 1
-    | Cut { children; _ } -> 1 + Array.fold_left (fun acc c -> max acc (go c)) 0 children
-  in
-  go t.root
+(* Alias of {!Matcher} for bench/perf; the [benchmark] change deletes it. *)
+include Matcher

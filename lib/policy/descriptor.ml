@@ -22,6 +22,9 @@ let make ?(src = Netpkt.Addr.Prefix.any) ?(dst = Netpkt.Addr.Prefix.any)
   | Port_range (a, b) when a > b || a < 0 || b > 65535 ->
     invalid_arg "Descriptor.make: bad dport range"
   | _ -> ());
+  (match proto with
+  | Proto p when p < 0 || p > 255 -> invalid_arg "Descriptor.make: bad proto"
+  | _ -> ());
   { src; dst; sport; dport; proto }
 
 let any = make ()

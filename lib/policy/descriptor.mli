@@ -26,7 +26,9 @@ val make :
   ?proto:proto_match ->
   unit ->
   t
-(** Omitted fields are wildcards. *)
+(** Omitted fields are wildcards.  Raises [Invalid_argument] on a port
+    outside 0..65535, an empty port range or a protocol outside
+    0..255. *)
 
 val any : t
 

@@ -1,151 +1,2 @@
-type dst_node = {
-  mutable d_rules : Rule.t list; (* sorted by ascending id *)
-  mutable d_zero : dst_node option;
-  mutable d_one : dst_node option;
-}
-
-type src_node = {
-  mutable s_dst : dst_node option; (* rules whose src prefix ends here *)
-  mutable s_zero : src_node option;
-  mutable s_one : src_node option;
-}
-
-type t = { root : src_node; mutable rules : int; mutable nodes : int }
-
-let new_dst () = { d_rules = []; d_zero = None; d_one = None }
-let new_src () = { s_dst = None; s_zero = None; s_one = None }
-
-let bit addr i = (addr lsr (31 - i)) land 1
-
-let rec insert_dst t node prefix depth rule =
-  if depth = prefix.Netpkt.Addr.Prefix.len then
-    node.d_rules <-
-      List.sort (fun a b -> compare a.Rule.id b.Rule.id) (rule :: node.d_rules)
-  else begin
-    let b = bit prefix.Netpkt.Addr.Prefix.base depth in
-    let child =
-      if b = 0 then (
-        match node.d_zero with
-        | Some c -> c
-        | None ->
-          let c = new_dst () in
-          t.nodes <- t.nodes + 1;
-          node.d_zero <- Some c;
-          c)
-      else
-        match node.d_one with
-        | Some c -> c
-        | None ->
-          let c = new_dst () in
-          t.nodes <- t.nodes + 1;
-          node.d_one <- Some c;
-          c
-    in
-    insert_dst t child prefix (depth + 1) rule
-  end
-
-let rec insert_src t node rule depth =
-  let sp = rule.Rule.descriptor.Descriptor.src in
-  if depth = sp.Netpkt.Addr.Prefix.len then begin
-    let dst_root =
-      match node.s_dst with
-      | Some d -> d
-      | None ->
-        let d = new_dst () in
-        t.nodes <- t.nodes + 1;
-        node.s_dst <- Some d;
-        d
-    in
-    insert_dst t dst_root rule.Rule.descriptor.Descriptor.dst 0 rule
-  end
-  else begin
-    let b = bit sp.Netpkt.Addr.Prefix.base depth in
-    let child =
-      if b = 0 then (
-        match node.s_zero with
-        | Some c -> c
-        | None ->
-          let c = new_src () in
-          t.nodes <- t.nodes + 1;
-          node.s_zero <- Some c;
-          c)
-      else
-        match node.s_one with
-        | Some c -> c
-        | None ->
-          let c = new_src () in
-          t.nodes <- t.nodes + 1;
-          node.s_one <- Some c;
-          c
-    in
-    insert_src t child rule (depth + 1)
-  end
-
-let build rules =
-  let t = { root = new_src (); rules = 0; nodes = 1 } in
-  List.iter
-    (fun rule ->
-      insert_src t t.root rule 0;
-      t.rules <- t.rules + 1)
-    rules;
-  t
-
-let rule_count t = t.rules
-let node_count t = t.nodes
-
-let ports_match rule flow =
-  Descriptor.port_matches rule.Rule.descriptor.Descriptor.sport
-    flow.Netpkt.Flow.sport
-  && Descriptor.port_matches rule.Rule.descriptor.Descriptor.dport
-       flow.Netpkt.Flow.dport
-  &&
-  match rule.Rule.descriptor.Descriptor.proto with
-  | Descriptor.Any_proto -> true
-  | Descriptor.Proto p -> p = flow.Netpkt.Flow.proto
-
-(* Walk the destination trie along [flow.dst]; every node on the walk
-   terminates rules whose dst prefix covers the address.  Rule lists
-   are id-sorted, so scanning until one passes the port/proto filter
-   yields the best candidate of that node. *)
-let best_in_dst node flow =
-  let best = ref None in
-  let consider rule =
-    if ports_match rule flow then
-      match !best with
-      | Some b when b.Rule.id <= rule.Rule.id -> ()
-      | _ -> best := Some rule
-  in
-  let rec walk node depth =
-    List.iter consider node.d_rules;
-    if depth < 32 then begin
-      let b = bit flow.Netpkt.Flow.dst depth in
-      match (if b = 0 then node.d_zero else node.d_one) with
-      | Some child -> walk child (depth + 1)
-      | None -> ()
-    end
-  in
-  walk node 0;
-  !best
-
-let first_match t flow =
-  let best = ref None in
-  let consider = function
-    | None -> ()
-    | Some rule -> (
-      match !best with
-      | Some b when b.Rule.id <= rule.Rule.id -> ()
-      | _ -> best := Some rule)
-  in
-  let rec walk node depth =
-    (match node.s_dst with
-    | Some dst_root -> consider (best_in_dst dst_root flow)
-    | None -> ());
-    if depth < 32 then begin
-      let b = bit flow.Netpkt.Flow.src depth in
-      match (if b = 0 then node.s_zero else node.s_one) with
-      | Some child -> walk child (depth + 1)
-      | None -> ()
-    end
-  in
-  walk t.root 0;
-  !best
+(* Alias of {!Matcher} for bench/perf; the [benchmark] change deletes it. *)
+include Matcher

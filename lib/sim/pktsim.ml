@@ -132,14 +132,14 @@ type world = {
   loads : float array;
   (* Per-proxy and per-middlebox soft state. *)
   proxy_caches : Policy.Flow_cache.t array;
-  proxy_match : Policy.Trie.t array;
+  proxy_match : Policy.Matcher.t array;
   mutable_label : int array; (* next label per proxy *)
   (* reverse index: label -> flow, so a teardown (which carries only
      src|label) can find the proxy's flow-cache entry; flat-keyed on
      (label, 0) so installs on the first-packet path stay cheap *)
   proxy_label_index : Netpkt.Flow.t Stdx.Flat_table.t array;
   mbox_caches : Policy.Flow_cache.t array;
-  mbox_match : Policy.Trie.t array;
+  mbox_match : Policy.Matcher.t array;
   mbox_labels : Mbox.Label_table.t array;
   proxy_entity : Mbox.Entity.t array; (* built once, not per decision *)
   mbox_entity : Mbox.Entity.t array;
@@ -534,7 +534,7 @@ let mbox_classify w id flow =
     negative
   | None -> (
     w.stats.multi_field_lookups <- w.stats.multi_field_lookups + 1;
-    match Policy.Trie.first_match w.mbox_match.(id) flow with
+    match Policy.Matcher.first_match w.mbox_match.(id) flow with
     | None -> Policy.Flow_cache.insert_negative cache ~now flow
     | Some rule ->
       Policy.Flow_cache.insert cache ~now flow ~rule_id:rule.Policy.Rule.id
@@ -897,7 +897,7 @@ let proxy_emit w (fs : Workload.flow_spec) ~aid =
     launch w fs ~aid (flow_packet fs ~dst:fs.flow.dst ())
   | None -> (
     w.stats.multi_field_lookups <- w.stats.multi_field_lookups + 1;
-    match Policy.Trie.first_match w.proxy_match.(proxy_id) flow with
+    match Policy.Matcher.first_match w.proxy_match.(proxy_id) flow with
     | None ->
       ignore (Policy.Flow_cache.insert_negative cache ~now flow);
       if auditing w then
@@ -1404,7 +1404,7 @@ let run ?(config = default_config) ~controller ~workload () =
   let proxy_entity = Array.init n_proxies (fun i -> Mbox.Entity.Proxy i) in
   let mbox_entity = Array.init n_mboxes (fun i -> Mbox.Entity.Middlebox i) in
   let entity_table entity =
-    Policy.Trie.build (Sdm.Controller.policy_table_for controller entity)
+    Policy.Matcher.build (Sdm.Controller.policy_table_for controller entity)
   in
   let fault =
     match config.faults with

@@ -8,7 +8,7 @@
     and routed through the routers' shortest-path tables (global
     Dijkstra, which {!Ospf.Session} provably converges to), which know
     nothing about policies.  Proxy and middlebox policy tables are
-    {!Policy.Trie}s.
+    {!Policy.Matcher}s.
 
     Fixed model constants: 1500-byte MTU, 0.1 time units per router
     hop, flow-cache entries that never expire, and label-control

@@ -151,7 +151,7 @@ let generate ~deployment ?(per_class = 5) ?(seed = 42) ?rule_seed ?class_mix
       (fun id p -> Policy.Rule.make ~id ~descriptor:p.desc ~actions:p.actions)
       protos
   in
-  let trie = Policy.Trie.build rules in
+  let matcher = Policy.Matcher.build rules in
   let by_class cls =
     List.filter (fun p -> p.p_class = Some cls) protos |> Array.of_list
   in
@@ -210,7 +210,7 @@ let generate ~deployment ?(per_class = 5) ?(seed = 42) ?rule_seed ?class_mix
         ~dport:proto.dport
     in
     let rule_id =
-      Option.map (fun r -> r.Policy.Rule.id) (Policy.Trie.first_match trie flow)
+      Option.map (fun r -> r.Policy.Rule.id) (Policy.Matcher.first_match matcher flow)
     in
     let packets = Stdx.Power_law.sample sizes rng in
     total_packets := !total_packets + packets;
@@ -229,14 +229,6 @@ let generate ~deployment ?(per_class = 5) ?(seed = 42) ?rule_seed ?class_mix
   let flows = Array.init flows make_flow in
   { rules; flows; total_packets = !total_packets }
 
-(* Top-level so the per-classification lookup closes over nothing:
-   [List.find_opt (fun r -> ...)] would allocate a closure for every
-   enforced flow on the packet fast path. *)
-let rec find_rule_by_id id = function
-  | [] -> None
-  | r :: rest ->
-    if r.Policy.Rule.id = id then Some r else find_rule_by_id id rest
-
 let measure t =
   let m = Sdm.Measurement.create () in
   Array.iter
@@ -249,7 +241,14 @@ let measure t =
     t.flows;
   m
 
-let rule_of t fs =
-  match fs.rule_id with
-  | None -> None
-  | Some id -> find_rule_by_id id t.rules
+(* Partially applied once per run: the id-indexed table is built here,
+   and each flow's lookup returns the option stored in it. *)
+let rule_of t =
+  let size = List.fold_left (fun m r -> max m (r.Policy.Rule.id + 1)) 0 t.rules in
+  let by_id = Array.make size None in
+  (* Reversed, so that among equal ids the rule listed first wins. *)
+  List.iter (fun r -> by_id.(r.Policy.Rule.id) <- Some r) (List.rev t.rules);
+  fun fs ->
+    match fs.rule_id with
+    | Some id when id >= 0 && id < size -> by_id.(id)
+    | _ -> None

@@ -76,3 +76,6 @@ val measure : t -> Sdm.Measurement.t
     matched rule). *)
 
 val rule_of : t -> flow_spec -> Policy.Rule.t option
+(** The rule a flow matched ([None] when it matched none).  Apply it
+    to [t] once and reuse the result: that builds an id-indexed table,
+    and each lookup then returns a stored option without allocating. *)

@@ -1,5 +1,5 @@
-(* Tests for actions, descriptors, rules, the trie matcher and the flow
-   cache. *)
+(* Tests for actions, descriptors, rules, the compiled matcher and the
+   flow cache. *)
 
 let p = Netpkt.Addr.Prefix.of_string
 
@@ -74,6 +74,17 @@ let test_descriptor_proto () =
   Alcotest.(check bool) "tcp" false
     (Policy.Descriptor.matches d (flow ~proto:6 "1.1.1.1" "2.2.2.2"))
 
+let test_descriptor_rejects_bad_proto () =
+  List.iter
+    (fun p ->
+      Alcotest.check_raises (Printf.sprintf "proto %d" p)
+        (Invalid_argument "Descriptor.make: bad proto") (fun () ->
+          ignore (Policy.Descriptor.make ~proto:(Policy.Descriptor.Proto p) ())))
+    [ -1; 256; max_int ];
+  List.iter
+    (fun p -> ignore (Policy.Descriptor.make ~proto:(Policy.Descriptor.Proto p) ()))
+    [ 0; 255 ]
+
 let test_descriptor_overlap () =
   let d = Policy.Descriptor.make ~src:(p "10.0.0.0/16") () in
   Alcotest.(check bool) "overlapping subnet" true
@@ -128,11 +139,11 @@ let test_relevance () =
   Alcotest.(check (list int)) "FW P_x" [ 2; 3; 4; 5 ]
     (List.map (fun r -> r.Policy.Rule.id) for_fw)
 
-(* --- Trie matcher ----------------------------------------------------- *)
+(* --- Compiled matcher --------------------------------------------------- *)
 
-let test_trie_matches_table_one () =
-  let trie = Policy.Trie.build table_one_rules in
-  Alcotest.(check int) "rule count" 6 (Policy.Trie.rule_count trie);
+let test_matcher_matches_table_one () =
+  let m = Policy.Matcher.build table_one_rules in
+  Alcotest.(check int) "rule count" 6 (Policy.Matcher.rule_count m);
   List.iter
     (fun f ->
       let expected =
@@ -140,7 +151,7 @@ let test_trie_matches_table_one () =
           (Policy.Rule.first_match table_one_rules f)
       in
       let got =
-        Option.map (fun r -> r.Policy.Rule.id) (Policy.Trie.first_match trie f)
+        Option.map (fun r -> r.Policy.Rule.id) (Policy.Matcher.first_match m f)
       in
       Alcotest.(check (option int)) (Netpkt.Flow.to_string f) expected got)
     [
@@ -150,6 +161,89 @@ let test_trie_matches_table_one () =
       flow ~sport:80 ~dport:999 "99.0.0.1" "128.40.2.2";
       flow ~dport:22 "99.0.0.1" "99.0.0.2";
     ]
+
+let test_matcher_empty () =
+  let m = Policy.Matcher.build [] in
+  Alcotest.(check bool) "no match in empty table" true
+    (Policy.Matcher.first_match m (flow "1.1.1.1" "2.2.2.2") = None)
+
+(* Random tables of 0-64 rules built to stress the tie and overlap
+   cases: prefixes of length 0/8/16/24/32 around a few anchor
+   addresses (so they nest and overlap), exact ports and port ranges,
+   any or exact protocol, repeated descriptors, repeated ids, and the
+   list shuffled.  Half the headers fall inside a random rule's
+   prefixes, half are uniform.  The matcher must return the very rule
+   (physically) that the linear scan returns. *)
+let matcher_table rng =
+  let anchor () =
+    Netpkt.Addr.of_octets (10 + Stdx.Rng.int rng 2) (Stdx.Rng.int rng 3)
+      (Stdx.Rng.int rng 3) (Stdx.Rng.int rng 3)
+  in
+  let prefix () = Netpkt.Addr.Prefix.make (anchor ()) (8 * Stdx.Rng.int rng 5) in
+  let port () =
+    match Stdx.Rng.int rng 3 with
+    | 0 -> Policy.Descriptor.Any_port
+    | 1 -> Policy.Descriptor.Port (Stdx.Rng.int rng 6)
+    | _ ->
+      let a = Stdx.Rng.int rng 6 in
+      Policy.Descriptor.Port_range (a, a + Stdx.Rng.int rng 4)
+  in
+  let proto () =
+    if Stdx.Rng.bool rng then Policy.Descriptor.Any_proto
+    else Policy.Descriptor.Proto (if Stdx.Rng.bool rng then 6 else 17)
+  in
+  let n = Stdx.Rng.int rng 65 in
+  let descriptors = ref [||] in
+  let rules =
+    Array.init n (fun i ->
+        let descriptor =
+          if i > 0 && Stdx.Rng.int rng 5 = 0 then Stdx.Rng.choose rng !descriptors
+          else
+            Policy.Descriptor.make ~src:(prefix ()) ~dst:(prefix ()) ~sport:(port ())
+              ~dport:(port ()) ~proto:(proto ()) ()
+        in
+        descriptors := Array.append !descriptors [| descriptor |];
+        let id = if Stdx.Rng.int rng 4 = 0 then Stdx.Rng.int rng (i + 1) else i in
+        Policy.Rule.make ~id ~descriptor
+          ~actions:(if Stdx.Rng.bool rng then [] else Policy.Action.[ FW ]))
+  in
+  Stdx.Rng.shuffle rng rules;
+  Array.to_list rules
+
+let matcher_header rng rules =
+  let port () = Stdx.Rng.int rng 10 in
+  let proto () = if Stdx.Rng.bool rng then 6 else 17 in
+  match rules with
+  | _ :: _ when Stdx.Rng.bool rng ->
+    let d = (Stdx.Rng.choose rng (Array.of_list rules)).Policy.Rule.descriptor in
+    let inside p =
+      let open Netpkt.Addr.Prefix in
+      p.base lor (Stdx.Rng.int rng 0x40000000 land lnot (mask p.len) land 0xFFFFFFFF)
+    in
+    Netpkt.Flow.make ~src:(inside d.Policy.Descriptor.src)
+      ~dst:(inside d.Policy.Descriptor.dst) ~proto:(proto ()) ~sport:(port ())
+      ~dport:(port ())
+  | _ ->
+    let addr () = Stdx.Rng.int rng 0x40000000 lor (Stdx.Rng.int rng 4 lsl 30) in
+    Netpkt.Flow.make ~src:(addr ()) ~dst:(addr ()) ~proto:(proto ()) ~sport:(port ())
+      ~dport:(port ())
+
+let qcheck_matcher_equals_linear =
+  QCheck.Test.make ~count:500
+    ~name:"matcher first-match = linear first-match on random tables"
+    QCheck.(make Gen.(int_range 0 1000000))
+    (fun seed ->
+      let rng = Stdx.Rng.create seed in
+      let rules = matcher_table rng in
+      let m = Policy.Matcher.build rules in
+      let ok = ref (Policy.Matcher.rule_count m = List.length rules) in
+      for _ = 1 to 200 do
+        let f = matcher_header rng rules in
+        if not (Option.equal ( == ) (Policy.Rule.first_match rules f)
+                  (Policy.Matcher.first_match m f))
+        then ok := false
+      done;
+      !ok)
 
 let random_rules rng n =
   let random_prefix () =
@@ -186,28 +280,7 @@ let random_flow rng =
   Netpkt.Flow.make ~src:(addr ()) ~dst:(addr ()) ~proto:6
     ~sport:(Stdx.Rng.int rng 5) ~dport:(Stdx.Rng.int rng 5)
 
-let qcheck_trie_equals_linear =
-  QCheck.Test.make ~count:100
-    ~name:"trie first-match = linear first-match on random rule sets"
-    QCheck.(make Gen.(int_range 0 1000000))
-    (fun seed ->
-      let rng = Stdx.Rng.create seed in
-      let rules = random_rules rng (1 + Stdx.Rng.int rng 40) in
-      let trie = Policy.Trie.build rules in
-      let ok = ref true in
-      for _ = 1 to 200 do
-        let f = random_flow rng in
-        let a =
-          Option.map (fun r -> r.Policy.Rule.id) (Policy.Rule.first_match rules f)
-        in
-        let b =
-          Option.map (fun r -> r.Policy.Rule.id) (Policy.Trie.first_match trie f)
-        in
-        if a <> b then ok := false
-      done;
-      !ok)
-
-(* --- Decision-tree classifier ------------------------------------------ *)
+(* --- The [Dectree] alias: bench/perf's second name for the matcher ------ *)
 
 let test_dectree_matches_table_one () =
   let tree = Policy.Dectree.build table_one_rules in
@@ -251,21 +324,10 @@ let qcheck_dectree_equals_linear =
       done;
       !ok)
 
-let test_dectree_structure_sane () =
-  let dep_rules = random_rules (Stdx.Rng.create 7) 60 in
-  let tree = Policy.Dectree.build ~binth:4 dep_rules in
-  Alcotest.(check bool) "depth bounded" true (Policy.Dectree.depth tree <= 25);
-  Alcotest.(check bool) "nodes positive" true (Policy.Dectree.node_count tree >= 1)
-
 let test_dectree_empty () =
   let tree = Policy.Dectree.build [] in
   Alcotest.(check bool) "no match in empty tree" true
     (Policy.Dectree.first_match tree (flow "1.1.1.1" "2.2.2.2") = None)
-
-let test_trie_empty () =
-  let trie = Policy.Trie.build [] in
-  Alcotest.(check bool) "no match in empty trie" true
-    (Policy.Trie.first_match trie (flow "1.1.1.1" "2.2.2.2") = None)
 
 (* --- Policy DSL --------------------------------------------------------- *)
 
@@ -711,18 +773,19 @@ let suite =
     Alcotest.test_case "descriptor matching" `Quick test_descriptor_matching;
     Alcotest.test_case "descriptor port range" `Quick test_descriptor_port_range;
     Alcotest.test_case "descriptor proto" `Quick test_descriptor_proto;
+    Alcotest.test_case "descriptor rejects bad proto" `Quick
+      test_descriptor_rejects_bad_proto;
     Alcotest.test_case "descriptor overlap" `Quick test_descriptor_overlap;
     Alcotest.test_case "Table I first-match (inbound)" `Quick test_table_one_first_match;
     Alcotest.test_case "Table I first-match (outbound)" `Quick test_table_one_outbound;
     Alcotest.test_case "no match" `Quick test_no_match;
     Alcotest.test_case "P_x relevance" `Quick test_relevance;
-    Alcotest.test_case "trie matches Table I" `Quick test_trie_matches_table_one;
-    QCheck_alcotest.to_alcotest qcheck_trie_equals_linear;
+    Alcotest.test_case "matcher matches Table I" `Quick test_matcher_matches_table_one;
+    QCheck_alcotest.to_alcotest qcheck_matcher_equals_linear;
+    Alcotest.test_case "matcher empty" `Quick test_matcher_empty;
     Alcotest.test_case "dectree matches Table I" `Quick test_dectree_matches_table_one;
     QCheck_alcotest.to_alcotest qcheck_dectree_equals_linear;
-    Alcotest.test_case "dectree structure sane" `Quick test_dectree_structure_sane;
     Alcotest.test_case "dectree empty" `Quick test_dectree_empty;
-    Alcotest.test_case "trie empty" `Quick test_trie_empty;
     Alcotest.test_case "DSL basic parse" `Quick test_dsl_parse_basic;
     Alcotest.test_case "DSL permit and ranges" `Quick test_dsl_parse_permit_and_ranges;
     Alcotest.test_case "DSL parse errors" `Quick test_dsl_parse_errors;

@@ -114,10 +114,11 @@ let test_flowsim_load_conservation () =
   (* Total middlebox load = sum over enforced flows of
      packets * chain length, for every strategy. *)
   let workload, runs = run_campus_strategies 5_000 in
+  let rule_of = Sim.Workload.rule_of workload in
   let expected =
     Array.fold_left
       (fun acc (f : Sim.Workload.flow_spec) ->
-        match Sim.Workload.rule_of workload f with
+        match rule_of f with
         | Some r when not (Policy.Action.is_permit r.Policy.Rule.actions) ->
           acc
           + (f.Sim.Workload.packets * List.length r.Policy.Rule.actions)
@@ -236,9 +237,9 @@ let test_pktsim_delivers_everything () =
 
 (* Minor words per injected packet of a whole campus LB run (300
    power-law flows, default config), measured on a second run after a
-   warm-up one.  The run's own set-up (routing tables, tries, sized
+   warm-up one.  The run's own set-up (routing tables, matchers, sized
    caches) is included, so this pins the packet path and the per-run
-   overhead together.  Measured 130 words per packet; the ceiling is
+   overhead together.  Measured 119.1 words per packet; the ceiling is
    that plus 15%. *)
 let test_pktsim_allocation_ceiling () =
   let controller, workload = small_pkt_setup () in
@@ -252,8 +253,42 @@ let test_pktsim_allocation_ceiling () =
   in
   Alcotest.(check bool) "packets injected" true
     (stats.Sim.Pktsim.injected_packets > 1000);
-  if per_packet > 149.8 then
+  if per_packet > 137.0 then
     Alcotest.failf "Pktsim.run allocates %.1f minor words per packet" per_packet
+
+(* The compiled matcher on the campus tables: every flow of a 10,000-
+   flow workload classified at its source proxy's table, after a
+   warm-up pass.  A match returns an option stored at build time and a
+   miss the constant [None], so the ceiling is effectively zero. *)
+let test_matcher_allocation_ceiling () =
+  let controller, workload = small_pkt_setup ~flows:10_000 () in
+  let flows = workload.Sim.Workload.flows in
+  let tables =
+    Array.init
+      (Array.length controller.Sdm.Controller.deployment.Sdm.Deployment.proxies)
+      (fun p ->
+        Policy.Matcher.build
+          (Sdm.Controller.policy_table_for controller (Mbox.Entity.Proxy p)))
+  in
+  let classify () =
+    let hits = ref 0 in
+    Array.iter
+      (fun (fs : Sim.Workload.flow_spec) ->
+        match Policy.Matcher.first_match tables.(fs.src_proxy) fs.flow with
+        | Some _ -> incr hits
+        | None -> ())
+      flows;
+    !hits
+  in
+  ignore (classify ());
+  let before = Gc.minor_words () in
+  let hits = classify () in
+  let per_call =
+    (Gc.minor_words () -. before) /. float_of_int (Array.length flows)
+  in
+  Alcotest.(check bool) "most flows matched" true (hits > Array.length flows / 2);
+  if per_call >= 0.01 then
+    Alcotest.failf "Matcher.first_match allocates %.4f minor words/call" per_call
 
 let test_pktsim_rejects_bad_config () =
   (* Every out-of-range value is refused before the run starts, with
@@ -1650,6 +1685,8 @@ let suite =
       test_pktsim_delivers_everything;
     Alcotest.test_case "pktsim allocation ceiling" `Quick
       test_pktsim_allocation_ceiling;
+    Alcotest.test_case "matcher allocation ceiling" `Quick
+      test_matcher_allocation_ceiling;
     Alcotest.test_case "pktsim rejects bad config values" `Quick
       test_pktsim_rejects_bad_config;
     Alcotest.test_case "pktsim loads = flowsim loads" `Slow
