@@ -1039,10 +1039,10 @@ let lp_pin_line (c : Sdm.Controller.t) =
 
 let test_lp_pin () =
   (* Two LPs pinned to the bit: the campus load-balanced configure at
-     seed 17, and the Waxman warm-started re-optimization chain over
-     ABL-REOPT's failure sets (no change, crash IDS, crash FW too,
-     recover IDS, recover all, no change).  A change to the simplex
-     that moves a pivot or an ulp of the answer fails here. *)
+     seed 17, and the Waxman re-optimization chain over ABL-REOPT's
+     failure sets (no change, crash IDS, crash FW too, recover IDS,
+     recover all, no change), cold and warm-started.  A change to the
+     simplex that moves a pivot or an ulp of the answer fails here. *)
   let lb scenario ~flows =
     let deployment = Sim.Experiment.build_deployment scenario ~seed:17 in
     let w = Sim.Workload.generate ~deployment ~seed:17 ~flows () in
@@ -1060,15 +1060,35 @@ let test_lp_pin () =
     (List.hd (Sdm.Deployment.middleboxes_of deployment nf)).Mbox.Middlebox.id
   in
   let v1 = first Policy.Action.IDS and v2 = first Policy.Action.FW in
-  let _, chain =
+  let chain ~use_warm =
     List.fold_left
       (fun (c, acc) failed ->
-        match Sdm.Controller.reoptimize c ~failed ~use_warm:true ~traffic () with
+        match Sdm.Controller.reoptimize c ~failed ~use_warm ~traffic () with
         | Ok c' -> (c', lp_pin_line c' :: acc)
         | Error e -> Alcotest.fail e)
       (waxman, [])
       [ []; [ v1 ]; [ v1; v2 ]; [ v2 ]; []; [] ]
+    |> snd |> List.rev
   in
+  (* The cold chain: each step a fresh two-phase solve.  It pins the
+     reference the warm lines below must agree with on λ. *)
+  Alcotest.(check (list string))
+    "Waxman cold re-solve chain"
+    [
+      "pivots=206 phase1=864 warm=false fallback=false "
+      ^ "lambda=0x1.284000000000dp+10 md5=1e38b54f077ad86a8d54a08c238c8b24";
+      "pivots=178 phase1=637 warm=false fallback=false "
+      ^ "lambda=0x1.647fffffffff8p+10 md5=41053e6ec3ee8286c4effd8554c86e7d";
+      "pivots=112 phase1=703 warm=false fallback=false "
+      ^ "lambda=0x1.647ffffffffefp+10 md5=eba56459bf716bef8def45060f5f46bc";
+      "pivots=108 phase1=630 warm=false fallback=false "
+      ^ "lambda=0x1.283fffffffffap+10 md5=d650f42da286d9707a1ba018445b67ac";
+      "pivots=206 phase1=864 warm=false fallback=false "
+      ^ "lambda=0x1.284000000000dp+10 md5=1e38b54f077ad86a8d54a08c238c8b24";
+      "pivots=206 phase1=864 warm=false fallback=false "
+      ^ "lambda=0x1.284000000000dp+10 md5=1e38b54f077ad86a8d54a08c238c8b24";
+    ]
+    (chain ~use_warm:false);
   Alcotest.(check (list string))
     "campus configure, then Waxman configure and its re-solve chain"
     [
@@ -1089,7 +1109,7 @@ let test_lp_pin () =
       "pivots=0 phase1=0 warm=true fallback=false "
       ^ "lambda=0x1.284p+10 md5=e5e2cd4e0e3afaa4bd66fec7ea47496b";
     ]
-    (lp_pin_line campus :: lp_pin_line waxman :: List.rev chain)
+    (lp_pin_line campus :: lp_pin_line waxman :: chain ~use_warm:true)
 
 (* --- Policy updates ------------------------------------------------------- *)
 
