@@ -5,9 +5,9 @@
    crash, a second concurrent crash, staged recovery — twice.  The
    cold chain rebuilds candidate sets and re-solves the placement LP
    from scratch at every step; the warm chain patches the candidate
-   sets in place and restarts the simplex from the previous plan's
-   basis, falling back to the cold two-phase solve whenever the
-   rebuilt LP's layout changed.  Both chains must land on the same
+   sets in place and seeds the simplex with the previous plan's basis,
+   matched by key in the rebuilt LP, whatever variables and rows the
+   failure added or dropped.  Both chains must land on the same
    optimum at every step — warm starting buys pivots, never answers.
 
    The same flag then runs inside the packet simulator: one live
@@ -38,15 +38,16 @@ let () =
 
   (* The controller-level differential: same churn, two chains. *)
   let steps = Sim.Experiment.reopt_replay Sim.Experiment.Campus ~flows:400 () in
-  Format.printf "%-4s %-10s %12s %12s %6s %9s@." "step" "failed"
-    "cold pivots" "warm pivots" "warm" "fallback";
+  Format.printf "%-4s %-10s %12s %12s %12s %12s %6s %9s@." "step" "failed"
+    "cold pivots" "cold phase1" "warm pivots" "warm phase1" "warm" "fallback";
   List.iteri
     (fun i (s : Sim.Experiment.reopt_step) ->
-      Format.printf "%-4d %-10s %12d %12d %6s %9s@." (i + 1)
+      Format.printf "%-4d %-10s %12d %12d %12d %12d %6s %9s@." (i + 1)
         (match s.Sim.Experiment.rs_failed with
         | [] -> "-"
         | l -> String.concat "+" (List.map string_of_int l))
-        s.Sim.Experiment.rs_cold_pivots s.Sim.Experiment.rs_warm_pivots
+        s.Sim.Experiment.rs_cold_pivots s.Sim.Experiment.rs_cold_phase1
+        s.Sim.Experiment.rs_warm_pivots s.Sim.Experiment.rs_warm_phase1
         (if s.Sim.Experiment.rs_warm_used then "yes" else "no")
         (if s.Sim.Experiment.rs_fallback then "yes" else "no"))
     steps;
@@ -56,23 +57,26 @@ let () =
     (fun i (s : Sim.Experiment.reopt_step) ->
       (* 1. Warm and cold agree on the optimum at every step. *)
       assert s.Sim.Experiment.rs_agree;
-      (* 2. The warm solve either carried the basis or honestly fell
-         back — never both, never neither. *)
-      assert (s.Sim.Experiment.rs_warm_used <> s.Sim.Experiment.rs_fallback);
+      (* 2. The keyed basis seeded every warm solve: no step fell
+         back to the cold path. *)
+      assert (s.Sim.Experiment.rs_warm_used && not s.Sim.Experiment.rs_fallback);
       (* 3. An unchanged problem warm-solves in exactly zero pivots:
          the first step repeats the initial solve, and the last step
          repeats its predecessor. *)
       if i = 0 || i = List.length steps - 1 then begin
-        assert s.Sim.Experiment.rs_warm_used;
-        assert (s.Sim.Experiment.rs_warm_pivots = 0)
+        assert (s.Sim.Experiment.rs_warm_pivots + s.Sim.Experiment.rs_warm_phase1 = 0)
       end)
     steps;
   let sum f = List.fold_left (fun acc s -> acc + f s) 0 steps in
-  let cold_total = sum (fun s -> s.Sim.Experiment.rs_cold_pivots) in
-  let warm_total = sum (fun s -> s.Sim.Experiment.rs_warm_pivots) in
+  let cold_total =
+    sum (fun s -> s.Sim.Experiment.rs_cold_pivots + s.Sim.Experiment.rs_cold_phase1)
+  in
+  let warm_total =
+    sum (fun s -> s.Sim.Experiment.rs_warm_pivots + s.Sim.Experiment.rs_warm_phase1)
+  in
   Format.printf
-    "@.churn chain: cold %d pivots, warm %d pivots (%.0f%% saved), same \
-     optima@.@."
+    "@.churn chain: cold %d pivots, warm %d pivots (phase 1 + phase 2, %.0f%% \
+     saved), same optima@.@."
     cold_total warm_total
     (100.0 *. float_of_int (cold_total - warm_total) /. float_of_int cold_total);
   assert (warm_total < cold_total);

@@ -91,11 +91,12 @@ let reoptimize t ?(failed = []) ?(use_warm = false) ~traffic () =
      With [use_warm], the re-optimization is incremental end to end:
      candidate sets are patched from the previous configuration's
      ranked lists instead of recomputed ([Candidate.with_excluded]),
-     and the LP warm-starts from the previous plan's basis.  The
-     patched sets are provably equal to a rebuild and the warm solve
-     is an optimum the cold solve would also reach, so only pivot
-     counts — never feasibility or the objective — depend on the
-     flag.  [use_warm = false] is the cold path, bit-identical to
+     and the LP warm-starts from the previous plan's basis, matched
+     by key: the basic variables and slack rows that survive the
+     failure or recovery seed the rebuilt LP.  The patched sets are
+     provably equal to a rebuild and the warm solve is an optimum the
+     cold solve would also reach, so only pivot counts — never
+     feasibility or the objective — depend on the flag.  [use_warm = false] is the cold path, bit-identical to
      builds without warm-start support. *)
   if not use_warm then
     let kind =

@@ -61,9 +61,12 @@ val reoptimize :
     [use_warm] (default false) makes the step incremental: candidate
     sets are patched from the previous configuration's ranked lists
     ({!Candidate.with_excluded} — equal to a rebuild) and the LP
-    warm-starts from the previous plan's basis, falling back to the
-    cold two-phase solve whenever the rebuilt LP's layout changed.
-    The result is always an optimum the cold path would also reach;
+    warm-starts from the previous plan's basis: its variables and rows
+    are matched by key in the rebuilt LP, so a failure or recovery
+    costs the pivots the change needs, not a cold solve.  The cold
+    two-phase solve answers only if the seeded one ends infeasible or
+    unbounded.  The result is always an optimum the cold path would
+    also reach;
     with the flag off the cold code path runs unchanged,
     bit-identically to builds without warm-start support.  The pivot
     and fallback counters of the solve land in the result's

@@ -12,6 +12,35 @@ type result = {
   lp_snapshot : Lp.Model.snapshot option;
 }
 
+(* Keys (Lp.Model): what each variable and row means, so a re-solve
+   after a failure can match the rebuilt LP against the previous
+   basis.  Fields, low bits first: kind (4 bits), box id (11),
+   upstream entity (12, its [Entity.hash_key]), stage (4), rule id
+   (13), and for Eq. (1) the commodity's source and destination (9
+   each).  Each field is masked to its width: a value past it may
+   alias another key, which weakens the seed but never the answer. *)
+module Key = struct
+  (* Variable kinds 0-5, row kinds 6-11. *)
+  let entry, transfer, exit, lambda, type_max, type_min = (0, 1, 2, 3, 4, 5)
+  let entry_row, conservation, load, max_row, min_row, cap = (6, 7, 8, 9, 10, 11)
+  let field v ~bits ~shift = (v land ((1 lsl bits) - 1)) lsl shift
+
+  let make kind ~rule ~stage ~from ~box =
+    field kind ~bits:4 ~shift:0 lor field box ~bits:11 ~shift:4
+    lor field from ~bits:12 ~shift:15 lor field stage ~bits:4 ~shift:27
+    lor field rule ~bits:13 ~shift:31
+
+  let box kind id = make kind ~rule:0 ~stage:0 ~from:0 ~box:id
+
+  let commodity = function
+    | None -> 0
+    | Some (s, d) -> field s ~bits:9 ~shift:44 lor field d ~bits:9 ~shift:53
+
+  let nf = function
+    | Policy.Action.FW -> 0 | IDS -> 1 | WP -> 2 | TM -> 3
+    | Custom _ as nf -> 4 + (Policy.Action.nf_salt nf land 0x3ff)
+end
+
 (* Shared LP-building state: the model, the lambda variable, the
    per-middlebox load expressions, and the rows from which forwarding
    weights are extracted after solving. *)
@@ -32,7 +61,7 @@ let new_builder dep =
   let model = Lp.Model.create () in
   {
     model;
-    lambda = Lp.Model.var model "lambda";
+    lambda = Lp.Model.var model (Key.box Key.lambda 0);
     load_terms = Array.make (Array.length dep.Deployment.middleboxes) [];
     weight_rows = [];
   }
@@ -45,6 +74,7 @@ let terms_of vars = List.map (fun (_, v) -> (1.0, v)) vars
    share the representative's candidate sets. *)
 let add_chain ?commodity b cand ~rule_id ~chain ~entry_groups =
   let chain = Array.of_list chain in
+  let ck = Key.commodity commodity in
   let n_stages = Array.length chain in
   (* stage_in.(i): (middlebox id, var) inflow pairs of stage i.
      stage_out.(i): per middlebox id, the outflow vars. *)
@@ -55,16 +85,18 @@ let add_chain ?commodity b cand ~rule_id ~chain ~entry_groups =
   List.iter
     (fun (recipients, repr, volume) ->
       let cands = Candidate.get cand repr chain.(0) in
+      let from = Mbox.Entity.hash_key repr in
       let vars =
         List.map
           (fun (mb : Mbox.Middlebox.t) ->
             ( mb.id,
               Lp.Model.var b.model
-                (Printf.sprintf "in_p%d_%s_y%d" rule_id
-                   (Mbox.Entity.to_string repr) mb.id) ))
+                (Key.make Key.entry ~rule:rule_id ~stage:0 ~from ~box:mb.id lor ck) ))
           cands
       in
-      Lp.Model.add_constraint b.model (terms_of vars) Lp.Model.Eq volume;
+      Lp.Model.add_constraint b.model
+        ~key:(Key.make Key.entry_row ~rule:rule_id ~stage:0 ~from ~box:0 lor ck)
+        (terms_of vars) Lp.Model.Eq volume;
       stage_in.(0) <- vars @ stage_in.(0);
       List.iter
         (fun entity ->
@@ -81,12 +113,14 @@ let add_chain ?commodity b cand ~rule_id ~chain ~entry_groups =
       (fun x_id ->
         let x_entity = Mbox.Entity.Middlebox x_id in
         let cands = Candidate.get cand x_entity chain.(i + 1) in
+        let from = Mbox.Entity.hash_key x_entity in
         let vars =
           List.map
             (fun (mb : Mbox.Middlebox.t) ->
               ( mb.id,
                 Lp.Model.var b.model
-                  (Printf.sprintf "t_p%d_s%d_x%d_y%d" rule_id i x_id mb.id) ))
+                  (Key.make Key.transfer ~rule:rule_id ~stage:i ~from ~box:mb.id
+                   lor ck) ))
             cands
         in
         stage_out.(i) <- (x_id, vars) :: stage_out.(i);
@@ -102,7 +136,11 @@ let add_chain ?commodity b cand ~rule_id ~chain ~entry_groups =
   List.iter
     (fun x_id ->
       let v =
-        Lp.Model.var b.model (Printf.sprintf "out_p%d_x%d" rule_id x_id)
+        Lp.Model.var b.model
+          (Key.make Key.exit ~rule:rule_id ~stage:last
+             ~from:(Mbox.Entity.hash_key (Mbox.Entity.Middlebox x_id))
+             ~box:0
+           lor ck)
       in
       stage_out.(last) <- (x_id, [ (-1, v) ]) :: stage_out.(last))
     reachable.(last);
@@ -120,7 +158,9 @@ let add_chain ?commodity b cand ~rule_id ~chain ~entry_groups =
           | Some vars -> List.map (fun (_, v) -> (-1.0, v)) vars
           | None -> []
         in
-        Lp.Model.add_constraint b.model (inflow @ outflow) Lp.Model.Eq 0.0;
+        Lp.Model.add_constraint b.model
+          ~key:(Key.make Key.conservation ~rule:rule_id ~stage:i ~from:0 ~box:y_id lor ck)
+          (inflow @ outflow) Lp.Model.Eq 0.0;
         b.load_terms.(y_id) <- inflow @ b.load_terms.(y_id))
       reachable.(i)
   done
@@ -137,7 +177,9 @@ let add_chain ?commodity b cand ~rule_id ~chain ~entry_groups =
 let eps_type_max = 1e-4
 let eps_type_min = 1e-8
 
-let finish b cand ?lambda_cap ?warm () =
+(* Close the model: the load rows, the per-type refinement and the
+   objective. *)
+let complete b cand ?lambda_cap () =
   let dep = Candidate.deployment cand in
   (* Per-type max/min variables over middleboxes that can carry load. *)
   let type_vars = Hashtbl.create 8 in
@@ -145,10 +187,10 @@ let finish b cand ?lambda_cap ?warm () =
     match Hashtbl.find_opt type_vars nf with
     | Some pair -> pair
     | None ->
-      let name = Policy.Action.nf_to_string nf in
+      let code = Key.nf nf in
       let pair =
-        ( Lp.Model.var b.model ("max_" ^ name),
-          Lp.Model.var b.model ("min_" ^ name) )
+        ( Lp.Model.var b.model (Key.box Key.type_max code),
+          Lp.Model.var b.model (Key.box Key.type_min code) )
       in
       Hashtbl.replace type_vars nf pair;
       pair
@@ -158,17 +200,20 @@ let finish b cand ?lambda_cap ?warm () =
       if terms <> [] then begin
         let mb = dep.Deployment.middleboxes.(x_id) in
         let cap = mb.Mbox.Middlebox.capacity in
-        Lp.Model.add_constraint b.model
+        Lp.Model.add_constraint b.model ~key:(Key.box Key.load x_id)
           ((-.cap, b.lambda) :: terms)
           Lp.Model.Le 0.0;
         let vmax, vmin = type_var mb.Mbox.Middlebox.nf in
-        Lp.Model.add_constraint b.model ((-.cap, vmax) :: terms) Lp.Model.Le 0.0;
-        Lp.Model.add_constraint b.model ((-.cap, vmin) :: terms) Lp.Model.Ge 0.0
+        Lp.Model.add_constraint b.model ~key:(Key.box Key.max_row x_id)
+          ((-.cap, vmax) :: terms) Lp.Model.Le 0.0;
+        Lp.Model.add_constraint b.model ~key:(Key.box Key.min_row x_id)
+          ((-.cap, vmin) :: terms) Lp.Model.Ge 0.0
       end)
     b.load_terms;
   (match lambda_cap with
   | Some cap ->
-    Lp.Model.add_constraint b.model [ (1.0, b.lambda) ] Lp.Model.Le cap
+    Lp.Model.add_constraint b.model ~key:(Key.box Key.cap 0)
+      [ (1.0, b.lambda) ] Lp.Model.Le cap
   | None -> ());
   let refinement =
     Hashtbl.fold
@@ -176,12 +221,16 @@ let finish b cand ?lambda_cap ?warm () =
         (eps_type_max, vmax) :: (-.eps_type_min, vmin) :: acc)
       type_vars []
   in
-  Lp.Model.set_objective b.model ((1.0, b.lambda) :: refinement);
+  Lp.Model.set_objective b.model ((1.0, b.lambda) :: refinement)
+
+let finish ?warm b =
   (* [?warm] threads the previous plan's snapshot through the solver:
-     the basis is reused when the rebuilt model still has the same
-     layout (phase 2 only), and the cold two-phase path runs otherwise
-     — float-identical to an un-warmed solve, so warm-off runs stay
-     bit-identical. *)
+     the variables and rows whose keys it lists as basic and that the
+     rebuilt model still has seed the simplex, whatever else a failure
+     added or dropped.  [lp_warm_used]: a keyed previous basis seeded
+     the solve; [lp_fallback]: a snapshot was offered but the cold path
+     answered.  Without [?warm] the cold path runs, bit-identical to a
+     build without warm starts. *)
   let outcome, sstats, snapshot = Lp.Model.solve_ext ?prev:warm b.model in
   match outcome with
   | Lp.Model.Infeasible -> Error "load-balancing LP infeasible"
@@ -262,7 +311,7 @@ let finish b cand ?lambda_cap ?warm () =
         lp_phase1_pivots = sstats.Lp.Simplex.phase1_pivots;
         lp_warm_used = sstats.Lp.Simplex.warm_used;
         lp_fallback = sstats.Lp.Simplex.fallback;
-        lp_snapshot = Some snapshot;
+        lp_snapshot = snapshot;
       }
 
 let check_chain rule =
@@ -302,8 +351,9 @@ let group_entry_sources cand ~group_sources sources =
     List.rev_map (fun fp -> !(Hashtbl.find groups fp)) !order
   end
 
-let solve_simplified cand ~rules ~traffic ?(group_sources = true) ?lambda_cap
-    ?warm () =
+(* A closed, unsolved model: [add_rule b rule chain] adds each rule
+   whose chain needs middleboxes. *)
+let build cand ~rules ?lambda_cap add_rule =
   let b = new_builder (Candidate.deployment cand) in
   let rec add = function
     | [] -> Ok ()
@@ -312,43 +362,38 @@ let solve_simplified cand ~rules ~traffic ?(group_sources = true) ?lambda_cap
       | Error _ as e -> e
       | Ok [] -> add rest (* permit: no middlebox traffic *)
       | Ok chain ->
-        let sources = Measurement.sources_for traffic ~rule:rule.Policy.Rule.id in
-        if sources = [] then add rest
-        else begin
-          let entry_groups = group_entry_sources cand ~group_sources sources in
-          add_chain b cand ~rule_id:rule.Policy.Rule.id ~chain ~entry_groups;
-          add rest
-        end)
-  in
-  match add rules with
-  | Error e -> Error e
-  | Ok () -> finish b cand ?lambda_cap ?warm ()
-  | exception Not_found ->
-    Error "a rule references a function no middlebox implements"
-
-let solve_exact cand ~rules ~traffic ?lambda_cap ?warm () =
-  let b = new_builder (Candidate.deployment cand) in
-  let rec add = function
-    | [] -> Ok ()
-    | rule :: rest -> (
-      match check_chain rule with
-      | Error _ as e -> e
-      | Ok [] -> add rest
-      | Ok chain ->
-        (* One commodity per (s, d) pair with traffic: full Eq. (1)
-           resolution.  Entry groups are singletons. *)
-        let pairs = Measurement.pairs_for traffic ~rule:rule.Policy.Rule.id in
-        List.iter
-          (fun (s, d, volume) ->
-            let e = Mbox.Entity.Proxy s in
-            add_chain ~commodity:(s, d) b cand ~rule_id:rule.Policy.Rule.id
-              ~chain
-              ~entry_groups:[ ([ e ], e, volume) ])
-          pairs;
+        add_rule b rule.Policy.Rule.id chain;
         add rest)
   in
   match add rules with
   | Error e -> Error e
-  | Ok () -> finish b cand ?lambda_cap ?warm ()
+  | Ok () ->
+    complete b cand ?lambda_cap ();
+    Ok b
   | exception Not_found ->
     Error "a rule references a function no middlebox implements"
+
+let build_simplified cand ~rules ~traffic ?(group_sources = true) ?lambda_cap () =
+  build cand ~rules ?lambda_cap (fun b rule_id chain ->
+      let sources = Measurement.sources_for traffic ~rule:rule_id in
+      if sources <> [] then
+        add_chain b cand ~rule_id ~chain
+          ~entry_groups:(group_entry_sources cand ~group_sources sources))
+
+let simplified_model cand ~rules ~traffic ?group_sources ?lambda_cap () =
+  Result.map (fun b -> b.model) (build_simplified cand ~rules ~traffic ?group_sources ?lambda_cap ())
+
+let solve_simplified cand ~rules ~traffic ?group_sources ?lambda_cap ?warm () =
+  Result.bind (build_simplified cand ~rules ~traffic ?group_sources ?lambda_cap ()) (finish ?warm)
+
+let solve_exact cand ~rules ~traffic ?lambda_cap ?warm () =
+  (* One commodity per (s, d) pair with traffic: full Eq. (1)
+     resolution.  Entry groups are singletons. *)
+  let add_rule b rule_id chain =
+    List.iter
+      (fun (s, d, volume) ->
+        let e = Mbox.Entity.Proxy s in
+        add_chain ~commodity:(s, d) b cand ~rule_id ~chain ~entry_groups:[ ([ e ], e, volume) ])
+      (Measurement.pairs_for traffic ~rule:rule_id)
+  in
+  Result.bind (build cand ~rules ?lambda_cap add_rule) (finish ?warm)

@@ -37,13 +37,30 @@ type result = {
   lp_constraints : int;
   lp_pivots : int;         (** phase-2 simplex pivots this solve performed *)
   lp_phase1_pivots : int;
-      (** phase-1 and drive-out pivots, counted apart from [lp_pivots] *)
-  lp_warm_used : bool;     (** a supplied warm basis carried the solve *)
-  lp_fallback : bool;      (** a warm basis was supplied but the cold
-                               two-phase path ran *)
+      (** phase-1 and drive-out pivots, counted apart from [lp_pivots];
+          the install and repair pivots of a warm start are a
+          refactorisation and are counted in neither *)
+  lp_warm_used : bool;     (** a keyed previous basis seeded the solve *)
+  lp_fallback : bool;      (** a snapshot was offered but the cold path
+                               answered *)
   lp_snapshot : Lp.Model.snapshot option;
-      (** the solve's basis + row cache, to pass as [?warm] next time *)
+      (** the keys of the solve's optimal basis, to pass as [?warm] next
+          time *)
 }
+
+val simplified_model :
+  Candidate.t ->
+  rules:Policy.Rule.t list ->
+  traffic:Measurement.t ->
+  ?group_sources:bool ->
+  ?lambda_cap:float ->
+  unit ->
+  (Lp.Model.t, string) Stdlib.result
+(** The Eq. (2) model {!solve_simplified} solves, built and not solved:
+    every variable and row carries a key packing what it means (kind,
+    rule id, stage, upstream entity, box), which is how a [?warm]
+    snapshot finds its basis again in a model rebuilt after a
+    failure. *)
 
 val solve_simplified :
   Candidate.t ->

@@ -2,67 +2,38 @@ type var = int
 
 type cmp = Le | Ge | Eq
 
-type row = { terms : (float * var) list; cmp : cmp; rhs : float }
+type row = { key : int; terms : (float * var) list; cmp : cmp; rhs : float }
 
 type t = {
-  id : int; (* instance identity, gating snapshot row-cache reuse *)
-  mutable names : string list; (* reversed *)
+  mutable keys : int list; (* variable keys, reversed *)
   mutable n : int;
   mutable rows : row list; (* reversed *)
   mutable m : int;
   mutable objective : (float * var) list;
-  (* Row-mutation log for diff-aware re-solving: [mut_seq] bumps on
-     every in-place row edit, [mut_log] records (seq, row index)
-     newest-first.  A snapshot remembers the seq it was taken at, so
-     [resolve] re-densifies exactly the rows edited since. *)
-  mutable mut_seq : int;
-  mutable mut_log : (int * int) list;
 }
 
 type solution = { objective : float; values : float array }
 
 type outcome = Optimal of solution | Infeasible | Unbounded
 
-type snapshot = {
-  sn_model : int;
-  sn_n : int;
-  sn_m : int;
-  sn_seq : int;
-  sn_rows : (float array * Simplex.sense * float) array;
-  sn_basis : Simplex.basis option;
-}
+(* The keys of the basic variables and of the rows whose slack is
+   basic. *)
+type snapshot = { sn_cols : int array; sn_slack_rows : int array }
 
-(* Atomic: models are created inside worker domains during parallel
-   experiment fan-out.  The id never reaches any output — it only
-   keeps one model's snapshot from poisoning another's row cache. *)
-let next_id = Atomic.make 0
+let create () = { keys = []; n = 0; rows = []; m = 0; objective = [] }
 
-let create () =
-  {
-    id = Atomic.fetch_and_add next_id 1;
-    names = [];
-    n = 0;
-    rows = [];
-    m = 0;
-    objective = [];
-    mut_seq = 0;
-    mut_log = [];
-  }
-
-let var t name =
+let var t key =
   let id = t.n in
   t.n <- id + 1;
-  t.names <- name :: t.names;
+  t.keys <- key :: t.keys;
   id
-
-let var_index v = v
-
-let var_name t v =
-  if v < 0 || v >= t.n then invalid_arg "Model.var_name: bad variable";
-  List.nth t.names (t.n - 1 - v)
 
 let num_vars t = t.n
 let num_constraints t = t.m
+
+let keys t =
+  ( Array.of_list (List.rev t.keys),
+    Array.of_list (List.rev_map (fun r -> r.key) t.rows) )
 
 let check_terms t terms =
   List.iter
@@ -80,28 +51,10 @@ let normalise terms =
     terms;
   Hashtbl.fold (fun v c acc -> if c = 0.0 then acc else (c, v) :: acc) tbl []
 
-let add_constraint t terms cmp rhs =
+let add_constraint t ~key terms cmp rhs =
   check_terms t terms;
-  t.rows <- { terms = normalise terms; cmp; rhs } :: t.rows;
+  t.rows <- { key; terms = normalise terms; cmp; rhs } :: t.rows;
   t.m <- t.m + 1
-
-(* In-place row edits.  [i] is the constraint's insertion index; the
-   internal list is reversed, so position [m - 1 - i] is the target. *)
-let touch t i =
-  t.mut_seq <- t.mut_seq + 1;
-  t.mut_log <- (t.mut_seq, i) :: t.mut_log
-
-let edit_row t i f =
-  if i < 0 || i >= t.m then invalid_arg "Model: bad constraint index";
-  let pos = t.m - 1 - i in
-  t.rows <- List.mapi (fun j r -> if j = pos then f r else r) t.rows;
-  touch t i
-
-let set_rhs t i rhs = edit_row t i (fun r -> { r with rhs })
-
-let replace_constraint t i terms cmp rhs =
-  check_terms t terms;
-  edit_row t i (fun _ -> { terms = normalise terms; cmp; rhs })
 
 let set_objective t terms =
   check_terms t terms;
@@ -109,7 +62,7 @@ let set_objective t terms =
 
 let value sol v = sol.values.(v)
 
-let dense_row n { terms; cmp; rhs } =
+let dense_row n { terms; cmp; rhs; _ } =
   let coefs = Array.make n 0.0 in
   List.iter (fun (c, v) -> coefs.(v) <- coefs.(v) +. c) terms;
   let sense =
@@ -122,29 +75,6 @@ let dense_cost t =
   List.iter (fun (c, v) -> cost.(v) <- cost.(v) +. c) t.objective;
   cost
 
-(* Densify all rows, reusing [prev]'s cached dense rows for every
-   index that is still clean: same variable count, below the previous
-   row count, and not edited since the snapshot was taken.  The cached
-   tuples are safe to share — the simplex engine copies coefficients
-   into its own tableau and never mutates its inputs. *)
-let dense_rows ?prev t =
-  let rows = Array.of_list (List.rev t.rows) in
-  match prev with
-  | Some p when p.sn_model = t.id && p.sn_n = t.n ->
-    let dirty = Array.make (Stdlib.min p.sn_m t.m) false in
-    let rec mark = function
-      | (seq, i) :: rest when seq > p.sn_seq ->
-        if i < Array.length dirty then dirty.(i) <- true;
-        mark rest
-      | _ -> ()
-    in
-    mark t.mut_log;
-    Array.mapi
-      (fun i r ->
-        if i < p.sn_m && not dirty.(i) then p.sn_rows.(i) else dense_row t.n r)
-      rows
-  | _ -> Array.map (dense_row t.n) rows
-
 let outcome_of cost = function
   | Simplex.Optimal values ->
     let objective =
@@ -154,36 +84,47 @@ let outcome_of cost = function
   | Simplex.Infeasible -> Infeasible
   | Simplex.Unbounded -> Unbounded
 
+(* The positions of [keys] whose key is in [wanted], ascending. *)
+let positions keys wanted =
+  let set = Hashtbl.create (Array.length wanted) in
+  Array.iter (fun k -> Hashtbl.replace set k ()) wanted;
+  let acc = ref [] in
+  for i = Array.length keys - 1 downto 0 do
+    if Hashtbl.mem set keys.(i) then acc := i :: !acc
+  done;
+  Array.of_list !acc
+
 let solve_ext ?prev t =
   let cost = dense_cost t in
-  let rows = dense_rows ?prev t in
-  let warm_basis =
-    match prev with
-    | Some { sn_n; sn_m; sn_basis = Some b; _ } when sn_n = t.n && sn_m = t.m
-      ->
-      Some b
-    | _ -> None
+  let rows = Array.of_list (List.rev t.rows) in
+  let var_keys = Array.of_list (List.rev t.keys) in
+  let row_keys = Array.map (fun r -> r.key) rows in
+  let start =
+    Option.map
+      (fun p ->
+        {
+          Simplex.cols = positions var_keys p.sn_cols;
+          slack_rows = positions row_keys p.sn_slack_rows;
+        })
+      prev
   in
-  let outcome, stats, basis = Simplex.solve_ext ?warm_basis ~cost ~rows () in
-  let stats =
-    (* A snapshot that could not even be offered to the engine (grown
-       model, or a previous solve that was not optimal) is still a
-       failed warm attempt from the caller's point of view. *)
-    if prev <> None && not stats.Simplex.warm_used then
-      { stats with Simplex.fallback = true }
-    else stats
+  let outcome, stats, basis =
+    Simplex.solve_ext ?start ~cost ~rows:(Array.map (dense_row t.n) rows) ()
   in
   let snapshot =
-    { sn_model = t.id; sn_n = t.n; sn_m = t.m; sn_seq = t.mut_seq;
-      sn_rows = rows; sn_basis = basis }
+    Option.map
+      (fun { Simplex.cols; slack_rows } ->
+        {
+          sn_cols = Array.map (Array.get var_keys) cols;
+          sn_slack_rows = Array.map (Array.get row_keys) slack_rows;
+        })
+      basis
   in
   (outcome_of cost outcome, stats, snapshot)
 
-let resolve t ~prev = solve_ext ~prev t
-
 let solve t =
   let cost = dense_cost t in
-  let rows = dense_rows t in
+  let rows = Array.of_list (List.rev_map (dense_row t.n) t.rows) in
   outcome_of cost (Simplex.solve ~cost ~rows)
 
 let pp_outcome ppf = function

@@ -5,16 +5,16 @@
     Eq. (2) require.  Build a model incrementally, then {!solve} hands
     it to the {!Simplex} engine.
 
-    {b Incremental re-solving.}  {!solve_ext} returns a {!snapshot}
-    (dense row cache plus the optimal simplex basis); after editing
-    the model — objective coefficients via {!set_objective}, RHS
-    capacities via {!set_rhs}, a bounded set of rows via
-    {!replace_constraint}, or appended constraints — {!resolve} reuses
-    every unchanged dense row and, when the row layout is intact,
-    warm-starts the simplex from the previous basis.  Any structural
-    change (new variables, new rows, a sense or RHS-sign flip) falls
-    back to the cold path automatically; the outcome is always one the
-    cold path would also produce. *)
+    {b Keys and re-solving.}  Every variable and every row carries an
+    integer key that says what it means (the caller packs it; see
+    [Sdm.Lp_formulation]).  {!solve_ext} returns a {!snapshot}: the
+    keys of the optimal basis.  A later model — typically rebuilt from
+    scratch after a change that adds or drops variables and rows —
+    passes it back as [?prev]; columns and rows are matched by key,
+    and whatever still exists seeds the simplex ({!Simplex.solve_ext}).
+    Keys should be unique within a model; a repeated key only weakens
+    the seed, never the answer, which is always one the cold path
+    would also accept. *)
 
 type t
 
@@ -25,43 +25,29 @@ type cmp = Le | Ge | Eq
 
 type solution = {
   objective : float;
-  values : float array; (** indexed by {!var_index} *)
+  values : float array; (** in variable creation order *)
 }
 
 type outcome = Optimal of solution | Infeasible | Unbounded
 
 type snapshot
-(** The reusable residue of a {!solve_ext}: variable/row counts, the
-    densified rows, and (when the solve was optimal) the final simplex
-    basis.  The row cache is only honoured by the model instance that
-    produced it; the basis is portable to any model whose densified
-    layout still matches (the cross-rebuild warm path the live
-    controller uses), with the simplex engine checking compatibility
-    and falling back cold otherwise. *)
+(** The keys of an optimal solve's basic variables and of the rows
+    whose slack or surplus was basic. *)
 
 val create : unit -> t
 
-val var : t -> string -> var
-(** Fresh non-negative variable.  The name is kept for debugging and
-    duplicate detection is not performed. *)
+val var : t -> int -> var
+(** [var t key]: a fresh non-negative variable with key [key]. *)
 
-val var_index : var -> int
-val var_name : t -> var -> string
 val num_vars : t -> int
 val num_constraints : t -> int
 
-val add_constraint : t -> (float * var) list -> cmp -> float -> unit
-(** [add_constraint t terms cmp rhs] adds [Σ coef·var cmp rhs].
-    Repeated variables in [terms] are summed. *)
+val keys : t -> int array * int array
+(** The variables' and the rows' keys, in creation order. *)
 
-val set_rhs : t -> int -> float -> unit
-(** [set_rhs t i rhs] replaces the right-hand side of the [i]-th
-    constraint (insertion order).  Raises [Invalid_argument] on a bad
-    index. *)
-
-val replace_constraint : t -> int -> (float * var) list -> cmp -> float -> unit
-(** Replace the [i]-th constraint (insertion order) wholesale; terms
-    are normalised as in {!add_constraint}. *)
+val add_constraint : t -> key:int -> (float * var) list -> cmp -> float -> unit
+(** [add_constraint t ~key terms cmp rhs] adds [Σ coef·var cmp rhs]
+    under [key].  Repeated variables in [terms] are summed. *)
 
 val set_objective : t -> (float * var) list -> unit
 (** Minimised objective; variables not mentioned have cost 0. *)
@@ -71,15 +57,11 @@ val value : solution -> var -> float
 val solve : t -> outcome
 (** Cold solve — bit-identical to {!solve_ext} without a snapshot. *)
 
-val solve_ext : ?prev:snapshot -> t -> outcome * Simplex.stats * snapshot
-(** Solve, reporting pivot/fallback counters and the snapshot for a
-    later {!resolve}.  With [?prev], unchanged rows are not
-    re-densified and the simplex warm-starts from the previous basis
-    when the row layout still matches ([Simplex.stats.warm_used]);
-    otherwise the cold path runs and [fallback] is set. *)
-
-val resolve : t -> prev:snapshot -> outcome * Simplex.stats * snapshot
-(** [resolve t ~prev] = [solve_ext ~prev t]: the diff-aware re-solve
-    after in-place edits. *)
+val solve_ext : ?prev:snapshot -> t -> outcome * Simplex.stats * snapshot option
+(** Solve, reporting pivot counters and, when the outcome is
+    [Optimal], the snapshot for a later solve.  With [?prev], the
+    variables and rows whose keys [prev] lists as basic seed the
+    simplex; [Simplex.stats.warm_used] says the seeded path answered,
+    [fallback] that the cold path did. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -2,23 +2,18 @@ type sense = Le | Ge | Eq
 
 type result = Optimal of float array | Infeasible | Unbounded
 
-(* An exported optimal basis: the layout signature of the tableau it
-   came from (variable count and per-row normalised senses — these fix
-   the slack/artificial column assignment) plus the basic column of
-   every constraint row.  Importing it into a compatible perturbed
-   problem skips phase 1 entirely. *)
-type basis = {
-  b_n : int;
-  b_senses : sense array;
-  b_cols : int array;
-}
+(* A basis in layout-free terms: the basic structural columns and the
+   rows whose slack or surplus is basic, both ascending.  A caller
+   maps them onto a later problem by meaning; {!solve_ext} treats the
+   result as a suggestion only. *)
+type basis = { cols : int array; slack_rows : int array }
 
 type stats = {
   pivots : int;          (* phase-2 pivots performed by this call *)
   phase1_pivots : int;   (* phase-1 and drive-out pivots, apart from [pivots] *)
-  warm_used : bool;      (* the warm basis carried the solve to optimality *)
-  fallback : bool;       (* a warm basis was supplied but the cold
-                            two-phase path had to run *)
+  warm_used : bool;      (* a start basis seeded the solve *)
+  fallback : bool;       (* a start basis was supplied but the cold
+                            two-phase path answered *)
 }
 
 let eps = 1e-9
@@ -152,16 +147,17 @@ let optimise t ~count ~limit =
         pivot_basis t ~row ~col)
   done
 
-let solve_ext ?warm_basis ~cost ~rows () =
+let solve_ext ?start ~cost ~rows () =
   let n = Array.length cost in
   let m = Array.length rows in
   Array.iter
     (fun (coefs, _, _) ->
       if Array.length coefs <> n then invalid_arg "Simplex.solve: ragged rows")
     rows;
-  (* Count auxiliary columns: one slack/surplus per inequality, one
+  (* Auxiliary columns: one slack/surplus per inequality, one
      artificial per Ge/Eq row (and per Le row with negative RHS once
-     normalised). *)
+     normalised).  [slack_of] maps a row to its slack column (-1 for an
+     equality), [slack_row] a slack column back to its row. *)
   let norm =
     Array.map
       (fun (coefs, sense, rhs) ->
@@ -172,55 +168,57 @@ let solve_ext ?warm_basis ~cost ~rows () =
         else (coefs, sense, rhs))
       rows
   in
-  let senses = Array.map (fun (_, sense, _) -> sense) norm in
+  let slack_of = Array.make m (-1) in
   let slacks = ref 0 and artificials = ref 0 in
-  Array.iter
-    (fun (_, sense, _) ->
-      match sense with
-      | Le ->
+  Array.iteri
+    (fun i (_, sense, _) ->
+      if sense <> Eq then begin
+        slack_of.(i) <- n + !slacks;
         incr slacks
-      | Ge ->
-        incr slacks;
-        incr artificials
-      | Eq -> incr artificials)
+      end;
+      if sense <> Le then incr artificials)
     norm;
-  let width = n + !slacks + !artificials in
+  let slack_row = Array.make !slacks 0 in
+  Array.iteri (fun i c -> if c >= 0 then slack_row.(c - n) <- i) slack_of;
   let art_first = n + !slacks in
-  let build () =
+  let is_artificial j = j >= art_first in
+  (* The starting tableau: slacks basic in Le rows, artificials in
+     Ge/Eq rows, and [spare] zero columns after the artificials. *)
+  let build ~spare =
+    let width = art_first + !artificials + spare in
     let a = Array.make_matrix (m + 1) (width + 1) 0.0 in
     let basis = Array.make m (-1) in
-    let slack_col = ref n and art_col = ref art_first in
+    let art_col = ref art_first in
     Array.iteri
       (fun i (coefs, sense, rhs) ->
         Array.blit coefs 0 a.(i) 0 n;
         a.(i).(width) <- rhs;
-        (match sense with
+        match sense with
         | Le ->
-          a.(i).(!slack_col) <- 1.0;
-          basis.(i) <- !slack_col;
-          incr slack_col
-        | Ge ->
-          a.(i).(!slack_col) <- -1.0;
-          incr slack_col;
+          a.(i).(slack_of.(i)) <- 1.0;
+          basis.(i) <- slack_of.(i)
+        | Ge | Eq ->
+          if sense = Ge then a.(i).(slack_of.(i)) <- -1.0;
           a.(i).(!art_col) <- 1.0;
           basis.(i) <- !art_col;
-          incr art_col
-        | Eq ->
-          a.(i).(!art_col) <- 1.0;
-          basis.(i) <- !art_col;
-          incr art_col))
+          incr art_col)
       norm;
     { a; m; width; basis; nz = Array.make (width + 1) 0 }
   in
-  let is_artificial j = j >= art_first in
   let pivots = ref 0 and phase1_pivots = ref 0 in
   let export t =
-    Some { b_n = n; b_senses = senses; b_cols = Array.copy t.basis }
+    let sorted f =
+      let a = Array.of_list (List.filter_map f (Array.to_list t.basis)) in
+      Array.sort compare a;
+      a
+    in
+    let slack b = if b >= n && b < art_first then Some slack_row.(b - n) else None in
+    Some { cols = sorted (fun b -> if b < n then Some b else None); slack_rows = sorted slack }
   in
   (* Phase-2 objective row over the current basis, then optimise with
-     artificial columns barred from entering.  Shared by both paths. *)
+     artificial columns barred from entering. *)
   let phase2 t =
-    let a = t.a in
+    let a = t.a and width = t.width in
     for j = 0 to width do
       a.(m).(j) <- 0.0
     done;
@@ -245,149 +243,118 @@ let solve_ext ?warm_basis ~cost ~rows () =
     Array.iteri (fun j v -> if v < 0.0 && v > -1e-7 then values.(j) <- 0.0) values;
     (values, export t)
   in
-  (* ---- Warm path: refactorise to the imported basis, verify primal
-     feasibility, run phase 2 only.  Any doubt — layout mismatch,
-     singular basis, infeasible or inconsistent RHS, unboundedness
-     claimed from the warm basis — abandons the attempt and reruns the
-     authoritative cold two-phase path, so a warm answer is only ever
-     an optimum the cold path would also have reached. *)
-  let try_warm b =
-    if
-      b.b_n <> n || m = 0 || n = 0
-      || Array.length b.b_senses <> m
-      || b.b_senses <> senses
-      || Array.length b.b_cols <> m
-      || Array.exists (fun c -> c < 0 || c >= width) b.b_cols
-    then None
-    else begin
-      let cols = Array.copy b.b_cols in
-      Array.sort compare cols;
-      let distinct = ref true in
-      for i = 1 to m - 1 do
-        if cols.(i) = cols.(i - 1) then distinct := false
+  (* From a primal-feasible tableau: phase 1 over every basic
+     artificial, drive-out, phase 2.  Raises [Exit] when the LP is
+     infeasible and [Unbounded_lp] when phase 2 is unbounded. *)
+  let finish t =
+    let a = t.a and width = t.width in
+    if Array.exists is_artificial t.basis then begin
+      (* Objective row = -(sum of artificial rows) expressed on
+         non-basic columns: start from cost 1 on artificials, then
+         eliminate the basic artificials row by row. *)
+      for j = art_first to width - 1 do
+        a.(m).(j) <- 1.0
       done;
-      if not !distinct then None
-      else begin
-        let t = build () in
-        (* Install the basis as a column set: for each basis column
-           pick the unassigned row with the largest pivot element —
-           insensitive to the row order the exporter happened to have,
-           and singularity shows up as no usable pivot. *)
-        let assigned = Array.make m false in
-        let singular = ref false in
-        Array.iter
-          (fun col ->
-            if not !singular then begin
-              let best = ref (-1) and best_v = ref 0.0 in
-              for i = 0 to m - 1 do
-                if not assigned.(i) then begin
-                  let v = abs_float t.a.(i).(col) in
-                  if v > !best_v then begin
-                    best := i;
-                    best_v := v
-                  end
-                end
-              done;
-              if !best_v <= 1e-7 then singular := true
-              else begin
-                pivot_basis t ~row:!best ~col;
-                assigned.(!best) <- true
-              end
-            end)
-          cols;
-        if !singular then None
-        else begin
-          (* Primal feasibility of the imported basis under the new
-             RHS; an artificial kept basic by the exporter (redundant
-             row) must still carry value ~0 or the perturbed row is
-             inconsistent. *)
-          let feasible = ref true in
-          for i = 0 to m - 1 do
-            let rhs = t.a.(i).(width) in
-            if is_artificial t.basis.(i) then begin
-              if abs_float rhs > 1e-7 then feasible := false
-            end
-            else if rhs < -1e-7 then feasible := false
-            else if rhs < 0.0 then t.a.(i).(width) <- 0.0
-          done;
-          if not !feasible then None
-          else
-            match phase2 t with
-            | values, basis -> Some (Optimal values, basis)
-            | exception Unbounded_lp -> None
-        end
-      end
-    end
-  in
-  let warm =
-    match warm_basis with None -> None | Some b -> try_warm b
-  in
-  match warm with
-  | Some (outcome, basis) ->
-    ( outcome,
-      {
-        pivots = !pivots;
-        phase1_pivots = !phase1_pivots;
-        warm_used = true;
-        fallback = false;
-      },
-      basis )
-  | None ->
-    let fallback = warm_basis <> None in
-    let stats () =
-      {
-        pivots = !pivots;
-        phase1_pivots = !phase1_pivots;
-        warm_used = false;
-        fallback;
-      }
-    in
-    let cold () =
-      let t = build () in
-      let a = t.a in
-      (* ---- Phase 1: minimise the artificial sum. ---- *)
-      if !artificials > 0 then begin
-        (* Objective row = -(sum of artificial rows) expressed on
-           non-basic columns: start from cost 1 on artificials, then
-           eliminate the basic artificials row by row. *)
-        for j = art_first to width - 1 do
-          a.(m).(j) <- 1.0
-        done;
-        for i = 0 to m - 1 do
-          if is_artificial t.basis.(i) then
-            for j = 0 to width do
-              a.(m).(j) <- a.(m).(j) -. a.(i).(j)
-            done
-        done;
-        (try optimise t ~count:phase1_pivots ~limit:width
-         with Unbounded_lp -> failwith "Simplex: phase 1 cannot be unbounded");
-        let phase1 = -.a.(m).(width) in
-        if phase1 > 1e-6 then raise Exit
-      end;
-      (* Drive any zero-valued basic artificials out of the basis. *)
       for i = 0 to m - 1 do
-        if is_artificial t.basis.(i) then begin
-          let col = ref (-1) in
-          for j = 0 to art_first - 1 do
-            if !col = -1 && abs_float a.(i).(j) > eps then col := j
-          done;
-          if !col >= 0 then begin
-            incr phase1_pivots;
-            pivot_basis t ~row:i ~col:!col
-          end
-          (* Otherwise the row is redundant (all-zero over real
-             columns); the artificial stays basic at value ~0 and,
-             because phase 2 never lets artificial columns enter, its
-             value can only change through pivots in this row, which
-             the ratio test performs only at ratio 0 here. *)
-        end
+        if is_artificial t.basis.(i) then
+          for j = 0 to width do
+            a.(m).(j) <- a.(m).(j) -. a.(i).(j)
+          done
       done;
-      (* ---- Phase 2: real objective. ---- *)
-      match phase2 t with
-      | values, basis -> (Optimal values, stats (), basis)
-      | exception Unbounded_lp -> (Unbounded, stats (), None)
+      (try optimise t ~count:phase1_pivots ~limit:width
+       with Unbounded_lp -> failwith "Simplex: phase 1 cannot be unbounded");
+      if -.a.(m).(width) > 1e-6 then raise Exit
+    end;
+    (* Drive any zero-valued basic artificials out of the basis. *)
+    for i = 0 to m - 1 do
+      if is_artificial t.basis.(i) then begin
+        let col = ref (-1) in
+        for j = 0 to art_first - 1 do
+          if !col = -1 && abs_float a.(i).(j) > eps then col := j
+        done;
+        if !col >= 0 then begin
+          incr phase1_pivots;
+          pivot_basis t ~row:i ~col:!col
+        end
+        (* Otherwise the row is redundant (all-zero over real
+           columns); the artificial stays basic at value ~0 and,
+           because phase 2 never lets artificial columns enter, its
+           value can only change through pivots in this row, which
+           the ratio test performs only at ratio 0 here. *)
+      end
+    done;
+    phase2 t
+  in
+  (* ---- Seeded start: a crash basis from [start].  Rows whose slack
+     was basic keep (or take) it; each suggested column still present
+     is pivoted in at the unassigned row with the largest entry, and a
+     column with no usable entry stays out.  A row left with a
+     negative value gets a repair artificial — a spare column set to
+     -1 in that row alone, pivoted in — so the tableau is primal
+     feasible and [finish] runs phase 1 over every artificial.  These
+     install and repair pivots refactorise and are not counted.  A
+     seeded solve ending Infeasible or Unbounded gives up, so those
+     verdicts only ever come from the cold path. *)
+  let seeded { cols; slack_rows } =
+    let t = build ~spare:m in
+    let a = t.a and width = t.width in
+    let assigned = Array.make m false in
+    Array.iter
+      (fun i ->
+        if i >= 0 && i < m && slack_of.(i) >= 0 && not assigned.(i) then begin
+          if t.basis.(i) <> slack_of.(i) then
+            pivot_basis t ~row:i ~col:slack_of.(i);
+          assigned.(i) <- true
+        end)
+      slack_rows;
+    Array.iter
+      (fun col ->
+        if col >= 0 && col < n then begin
+          let best = ref (-1) and best_v = ref 1e-7 in
+          for i = 0 to m - 1 do
+            if not assigned.(i) then begin
+              let v = abs_float a.(i).(col) in
+              if v > !best_v then begin
+                best := i;
+                best_v := v
+              end
+            end
+          done;
+          if !best >= 0 then begin
+            pivot_basis t ~row:!best ~col;
+            assigned.(!best) <- true
+          end
+        end)
+      cols;
+    let spare = ref (width - m) in
+    for i = 0 to m - 1 do
+      let v = a.(i).(width) in
+      if v < -.eps then begin
+        a.(i).(!spare) <- -1.0;
+        pivot_basis t ~row:i ~col:!spare;
+        incr spare
+      end
+      else if v < 0.0 then a.(i).(width) <- 0.0
+    done;
+    match finish t with
+    | values, basis -> Some (values, basis)
+    | exception (Exit | Unbounded_lp) -> None
+  in
+  let stats ~warm_used ~fallback =
+    { pivots = !pivots; phase1_pivots = !phase1_pivots; warm_used; fallback }
+  in
+  match Option.bind start seeded with
+  | Some (values, basis) ->
+    (Optimal values, stats ~warm_used:true ~fallback:false, basis)
+  | None ->
+    let fallback = start <> None in
+    let outcome, basis =
+      match finish (build ~spare:0) with
+      | values, basis -> (Optimal values, basis)
+      | exception Exit -> (Infeasible, None)
+      | exception Unbounded_lp -> (Unbounded, None)
     in
-    (try cold () with Exit -> (Infeasible, stats (), None))
+    (outcome, stats ~warm_used:false ~fallback, basis)
 
 let solve ~cost ~rows =
   let outcome, _, _ = solve_ext ~cost ~rows () in

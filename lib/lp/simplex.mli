@@ -17,16 +17,21 @@
     which no comparison or division in the solver can see.
 
     {b Warm starting.}  An [Optimal] {!solve_ext} exports its final
-    {!basis}; feeding it back through [?warm_basis] on a perturbed
-    problem with the same variable count and row layout refactorises
-    the fresh tableau to that basis and runs phase 2 only.  The warm
-    path is conservative: any doubt — layout mismatch, singular or
-    primal-infeasible imported basis, or unboundedness encountered
-    from it — abandons the attempt and reruns the cold two-phase path
-    ([fallback] set in {!stats}).  A warm answer is therefore always
-    an optimum the cold path would also reach, and
-    [Infeasible]/[Unbounded] verdicts only ever come from the cold
-    path.
+    {!basis} in layout-free terms: the basic structural columns and the
+    rows whose slack is basic.  A later problem — same layout or not;
+    {!Model} maps the basis across a rebuild by key — passes it as
+    [?start].  The start path installs the rows' slacks, then pivots
+    each suggested column at the unassigned row with the largest
+    entry, skipping columns with no usable entry.  Each row left with
+    a negative value gets a repair artificial (a spare column set to
+    -1 in that row only, pivoted in).  Phase 1 then runs over every
+    artificial, followed by drive-out and phase 2.  Install and repair
+    pivots are a refactorisation and are not counted; an unchanged
+    problem re-solves in 0 pivots.  A seeded solve that ends
+    [Infeasible] or [Unbounded] is abandoned and the cold two-phase
+    path answers ([fallback] set in {!stats}), so those verdicts only
+    ever come from the cold path.  Without [?start] the cold path runs
+    alone, bit-identical to {!solve}.
 
     This module is the raw engine; prefer the {!Model} builder. *)
 
@@ -37,21 +42,21 @@ type result =
   | Infeasible
   | Unbounded
 
-type basis
-(** The optimal basis of a previous solve: the tableau layout
-    signature (variable count, normalised row senses) plus the basic
-    column of every row.  Only meaningful for a problem with the same
-    row-list shape; anything else is rejected at import and the solve
-    falls back to the cold path. *)
+type basis = {
+  cols : int array;        (** basic structural columns, ascending *)
+  slack_rows : int array;  (** rows whose slack or surplus is basic, ascending *)
+}
+(** An optimal basis, or a suggested one: indices out of range are
+    ignored on import. *)
 
 type stats = {
   pivots : int;          (** phase-2 pivots performed by this call *)
   phase1_pivots : int;
       (** phase-1 and drive-out pivots, counted apart from [pivots]:
           a cold solve's total work is the sum of the two *)
-  warm_used : bool;      (** the warm basis carried the solve to optimality *)
-  fallback : bool;       (** a warm basis was supplied but unusable: the
-                             cold two-phase path ran instead *)
+  warm_used : bool;      (** a start basis seeded the solve *)
+  fallback : bool;       (** a start basis was offered but the cold
+                             two-phase path answered *)
 }
 
 val pivot : float array array -> row:int -> col:int -> unit
@@ -69,19 +74,15 @@ val solve : cost:float array -> rows:(float array * sense * float) array -> resu
     the same length.  Raises [Invalid_argument] on ragged input and
     [Failure] if the iteration cap (a defensive bound far above any
     realistic run) is hit.  Bit-identical to {!solve_ext} without a
-    warm basis. *)
+    start basis. *)
 
 val solve_ext :
-  ?warm_basis:basis ->
+  ?start:basis ->
   cost:float array ->
   rows:(float array * sense * float) array ->
   unit ->
   result * stats * basis option
 (** Like {!solve}, additionally returning pivot counters and — when
     the outcome is [Optimal] — the final basis for reuse.  With
-    [?warm_basis], the prior basis is re-installed and only phase 2
-    runs when it is still primal feasible for the perturbed problem;
-    an unchanged problem re-solves in exactly 0 pivots.  Degenerate
-    imports (an empty problem, a basis from a different layout, a
-    basis made infeasible or whose re-solve turns unbounded) run cold
-    with [fallback = true]. *)
+    [?start], the seeded path of the preamble runs first and the cold
+    path only when it ends [Infeasible] or [Unbounded]. *)

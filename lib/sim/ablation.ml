@@ -537,7 +537,9 @@ let step_columns =
       text ~w:(-10) "failed" (Str (fun r -> match failed r with "" -> "-" | l -> l));
       csv "failed" (Str failed);
       col ~w:11 "cold pivots" (Int (fun (_, _, s) -> s.Experiment.rs_cold_pivots));
+      col ~w:11 "cold phase1" (Int (fun (_, _, s) -> s.Experiment.rs_cold_phase1));
       col ~w:11 "warm pivots" (Int (fun (_, _, s) -> s.Experiment.rs_warm_pivots));
+      col ~w:11 "warm phase1" (Int (fun (_, _, s) -> s.Experiment.rs_warm_phase1));
       csv "cold_lambda" (Float (6, 6, fun (_, _, s) -> s.Experiment.rs_cold_lambda));
       csv "warm_lambda" (Float (6, 6, fun (_, _, s) -> s.Experiment.rs_warm_lambda)) ]
   @ flag ~w:5 "warm" "warm_used" (fun s -> s.Experiment.rs_warm_used)
@@ -548,6 +550,15 @@ let agreement replays =
   let steps = List.concat_map snd replays in
   let agree = List.filter (fun (s : Experiment.reopt_step) -> s.rs_agree) steps in
   (List.length agree, List.length steps)
+
+(* All the pivots of every replay step, phase 1 and phase 2: (cold,
+   warm). *)
+let replay_pivots replays =
+  List.fold_left
+    (fun (cold, warm) (s : Experiment.reopt_step) ->
+      (cold + s.rs_cold_pivots + s.rs_cold_phase1, warm + s.rs_warm_pivots + s.rs_warm_phase1))
+    (0, 0)
+    (List.concat_map snd replays)
 
 let reopt_report ~topologies ~replays rows =
   let info (name, routers, (v1, v2), (probe : Pktsim.stats)) =
@@ -561,6 +572,7 @@ let reopt_report ~topologies ~replays rows =
   let number (name, steps) = List.mapi (fun i s -> (name, i + 1, s)) steps in
   let steps = List.concat_map number replays in
   let agree, total = agreement replays in
+  let cold_pivots, warm_pivots = replay_pivots replays in
   ( T.line "=== ABL-REOPT: warm-started re-optimization vs cold re-solve ==="
     :: T.line "control-packet loss: %s (masked by retransmission)" (pct reopt_control_loss)
     :: List.map info topologies
@@ -568,6 +580,7 @@ let reopt_report ~topologies ~replays rows =
           blank;
           line "controller-level churn replay (per re-optimization):";
           grid step_columns steps;
+          line "replay pivots (phase 1 + phase 2): cold %d, warm %d" cold_pivots warm_pivots;
           line "warm/cold objective agreement: %d/%d replay steps" agree total ],
     [ ("abl_reopt.csv", T.to_csv reopt_columns rows);
       ("abl_reopt_steps.csv", T.to_csv step_columns steps) ] )

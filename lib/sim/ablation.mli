@@ -104,4 +104,6 @@ val reopt_report :
   topologies:(string * int * (int * int) * Pktsim.stats) list ->
   replays:(string * Experiment.reopt_step list) list -> (string * int * bool) report
 (** [topologies]: name, routers, churn victims, probe.  Ends with the
-    ["warm/cold objective agreement: A/T replay steps"] line CI greps. *)
+    two lines CI greps: ["replay pivots (phase 1 + phase 2): cold N,
+    warm M"], the replay steps' total pivots, then ["warm/cold
+    objective agreement: A/T replay steps"]. *)

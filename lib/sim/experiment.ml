@@ -285,7 +285,9 @@ let ablation_failure ?(scenario = Campus) ?(flows = 120_000) ?(seed = 17) ?jobs 
 type reopt_step = {
   rs_failed : int list;
   rs_cold_pivots : int;
+  rs_cold_phase1 : int;
   rs_warm_pivots : int;
+  rs_warm_phase1 : int;
   rs_cold_lambda : float;
   rs_warm_lambda : float;
   rs_warm_used : bool;
@@ -337,7 +339,9 @@ let reopt_replay scenario ?(flows = 500) ?(seed = 17) () =
           {
             rs_failed = failed;
             rs_cold_pivots = cl.Sdm.Lp_formulation.lp_pivots;
+            rs_cold_phase1 = cl.Sdm.Lp_formulation.lp_phase1_pivots;
             rs_warm_pivots = wl.Sdm.Lp_formulation.lp_pivots;
+            rs_warm_phase1 = wl.Sdm.Lp_formulation.lp_phase1_pivots;
             rs_cold_lambda = cold_lambda;
             rs_warm_lambda = warm_lambda;
             rs_warm_used = wl.Sdm.Lp_formulation.lp_warm_used;

@@ -139,11 +139,15 @@ val ablation_failure :
 type reopt_step = {
   rs_failed : int list;    (** failure set the chains re-optimized around *)
   rs_cold_pivots : int;    (** phase-2 pivots of the cold two-phase solve *)
+  rs_cold_phase1 : int;    (** its phase-1 and drive-out pivots *)
   rs_warm_pivots : int;    (** phase-2 pivots of the warm-started solve *)
+  rs_warm_phase1 : int;
+      (** its phase-1 and drive-out pivots (install and repair pivots
+          are a refactorisation and are not counted) *)
   rs_cold_lambda : float;
   rs_warm_lambda : float;
-  rs_warm_used : bool;     (** the warm basis carried the solve *)
-  rs_fallback : bool;      (** the warm chain fell back to the cold path *)
+  rs_warm_used : bool;     (** a keyed previous basis seeded the solve *)
+  rs_fallback : bool;      (** a snapshot was offered but the cold path answered *)
   rs_agree : bool;
       (** |λ_warm − λ_cold| ≤ 1e-6·max(1, |λ_cold|) — the differential
           oracle CI checks on every step *)
@@ -157,8 +161,8 @@ val reopt_replay :
     crash, a second concurrent crash, staged recovery, and a final
     no-change step — one chain cold ([use_warm:false]) and one
     incremental ([use_warm:true], candidate patching + LP basis reuse
-    threaded step to step).  Per step it records both pivot counts and
-    both optima; the no-change steps must warm-solve in exactly zero
+    threaded step to step).  Per step it records both chains' phase-1
+    and phase-2 pivot counts and both optima; the no-change steps must warm-solve in exactly zero
     pivots, and every step's optima must agree within tolerance.
     Deterministic: a pure function of (scenario, flows, seed). *)
 

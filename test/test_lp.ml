@@ -4,13 +4,16 @@
 
 let check_float = Alcotest.(check (float 1e-6))
 
+(* A row keyed by its insertion index. *)
+let add_row m = Lp.Model.add_constraint m ~key:(Lp.Model.num_constraints m)
+
 (* --- Hand-checked instances ------------------------------------- *)
 
 let test_trivial_min () =
   (* min x  s.t. x >= 3 *)
   let m = Lp.Model.create () in
-  let x = Lp.Model.var m "x" in
-  Lp.Model.add_constraint m [ (1.0, x) ] Lp.Model.Ge 3.0;
+  let x = Lp.Model.var m 0 in
+  add_row m [ (1.0, x) ] Lp.Model.Ge 3.0;
   Lp.Model.set_objective m [ (1.0, x) ];
   match Lp.Model.solve m with
   | Lp.Model.Optimal sol ->
@@ -21,10 +24,10 @@ let test_trivial_min () =
 let test_two_var () =
   (* min -x - 2y  s.t. x + y <= 4; x <= 2; y <= 3.  Optimum at (1,3): -7. *)
   let m = Lp.Model.create () in
-  let x = Lp.Model.var m "x" and y = Lp.Model.var m "y" in
-  Lp.Model.add_constraint m [ (1.0, x); (1.0, y) ] Lp.Model.Le 4.0;
-  Lp.Model.add_constraint m [ (1.0, x) ] Lp.Model.Le 2.0;
-  Lp.Model.add_constraint m [ (1.0, y) ] Lp.Model.Le 3.0;
+  let x = Lp.Model.var m 0 and y = Lp.Model.var m 1 in
+  add_row m [ (1.0, x); (1.0, y) ] Lp.Model.Le 4.0;
+  add_row m [ (1.0, x) ] Lp.Model.Le 2.0;
+  add_row m [ (1.0, y) ] Lp.Model.Le 3.0;
   Lp.Model.set_objective m [ (-1.0, x); (-2.0, y) ];
   match Lp.Model.solve m with
   | Lp.Model.Optimal sol ->
@@ -36,9 +39,9 @@ let test_two_var () =
 let test_equality () =
   (* min x + y  s.t. x + y = 5; x - y = 1.  Unique point (3,2): 5. *)
   let m = Lp.Model.create () in
-  let x = Lp.Model.var m "x" and y = Lp.Model.var m "y" in
-  Lp.Model.add_constraint m [ (1.0, x); (1.0, y) ] Lp.Model.Eq 5.0;
-  Lp.Model.add_constraint m [ (1.0, x); (-1.0, y) ] Lp.Model.Eq 1.0;
+  let x = Lp.Model.var m 0 and y = Lp.Model.var m 1 in
+  add_row m [ (1.0, x); (1.0, y) ] Lp.Model.Eq 5.0;
+  add_row m [ (1.0, x); (-1.0, y) ] Lp.Model.Eq 1.0;
   Lp.Model.set_objective m [ (1.0, x); (1.0, y) ];
   match Lp.Model.solve m with
   | Lp.Model.Optimal sol ->
@@ -50,9 +53,9 @@ let test_equality () =
 let test_infeasible () =
   (* x <= 1 and x >= 2 cannot both hold. *)
   let m = Lp.Model.create () in
-  let x = Lp.Model.var m "x" in
-  Lp.Model.add_constraint m [ (1.0, x) ] Lp.Model.Le 1.0;
-  Lp.Model.add_constraint m [ (1.0, x) ] Lp.Model.Ge 2.0;
+  let x = Lp.Model.var m 0 in
+  add_row m [ (1.0, x) ] Lp.Model.Le 1.0;
+  add_row m [ (1.0, x) ] Lp.Model.Ge 2.0;
   Lp.Model.set_objective m [ (1.0, x) ];
   match Lp.Model.solve m with
   | Lp.Model.Infeasible -> ()
@@ -61,7 +64,7 @@ let test_infeasible () =
 let test_unbounded () =
   (* min -x  s.t. x >= 0 only. *)
   let m = Lp.Model.create () in
-  let x = Lp.Model.var m "x" in
+  let x = Lp.Model.var m 0 in
   Lp.Model.set_objective m [ (-1.0, x) ];
   match Lp.Model.solve m with
   | Lp.Model.Unbounded -> ()
@@ -70,8 +73,8 @@ let test_unbounded () =
 let test_negative_rhs () =
   (* min x  s.t. -x <= -4  (i.e. x >= 4). *)
   let m = Lp.Model.create () in
-  let x = Lp.Model.var m "x" in
-  Lp.Model.add_constraint m [ (-1.0, x) ] Lp.Model.Le (-4.0);
+  let x = Lp.Model.var m 0 in
+  add_row m [ (-1.0, x) ] Lp.Model.Le (-4.0);
   Lp.Model.set_objective m [ (1.0, x) ];
   match Lp.Model.solve m with
   | Lp.Model.Optimal sol -> check_float "x" 4.0 (Lp.Model.value sol x)
@@ -80,11 +83,11 @@ let test_negative_rhs () =
 let test_degenerate () =
   (* Redundant constraints stressing degenerate pivots. *)
   let m = Lp.Model.create () in
-  let x = Lp.Model.var m "x" and y = Lp.Model.var m "y" in
-  Lp.Model.add_constraint m [ (1.0, x); (1.0, y) ] Lp.Model.Le 1.0;
-  Lp.Model.add_constraint m [ (1.0, x); (1.0, y) ] Lp.Model.Le 1.0;
-  Lp.Model.add_constraint m [ (2.0, x); (2.0, y) ] Lp.Model.Le 2.0;
-  Lp.Model.add_constraint m [ (1.0, x) ] Lp.Model.Le 1.0;
+  let x = Lp.Model.var m 0 and y = Lp.Model.var m 1 in
+  add_row m [ (1.0, x); (1.0, y) ] Lp.Model.Le 1.0;
+  add_row m [ (1.0, x); (1.0, y) ] Lp.Model.Le 1.0;
+  add_row m [ (2.0, x); (2.0, y) ] Lp.Model.Le 2.0;
+  add_row m [ (1.0, x) ] Lp.Model.Le 1.0;
   Lp.Model.set_objective m [ (-1.0, x); (-1.0, y) ];
   match Lp.Model.solve m with
   | Lp.Model.Optimal sol -> check_float "objective" (-1.0) sol.Lp.Model.objective
@@ -93,9 +96,9 @@ let test_degenerate () =
 let test_redundant_equalities () =
   (* A duplicated equality leaves a redundant row in phase 1. *)
   let m = Lp.Model.create () in
-  let x = Lp.Model.var m "x" and y = Lp.Model.var m "y" in
-  Lp.Model.add_constraint m [ (1.0, x); (1.0, y) ] Lp.Model.Eq 2.0;
-  Lp.Model.add_constraint m [ (2.0, x); (2.0, y) ] Lp.Model.Eq 4.0;
+  let x = Lp.Model.var m 0 and y = Lp.Model.var m 1 in
+  add_row m [ (1.0, x); (1.0, y) ] Lp.Model.Eq 2.0;
+  add_row m [ (2.0, x); (2.0, y) ] Lp.Model.Eq 4.0;
   Lp.Model.set_objective m [ (1.0, x) ];
   match Lp.Model.solve m with
   | Lp.Model.Optimal sol ->
@@ -110,12 +113,12 @@ let test_min_max_load_shape () =
        min l  s.t.  t1 + t2 = 10;  t1 <= l*1;  t2 <= l*4.
      Optimum: l = 2, t1 = 2, t2 = 8. *)
   let m = Lp.Model.create () in
-  let t1 = Lp.Model.var m "t1"
-  and t2 = Lp.Model.var m "t2"
-  and l = Lp.Model.var m "lambda" in
-  Lp.Model.add_constraint m [ (1.0, t1); (1.0, t2) ] Lp.Model.Eq 10.0;
-  Lp.Model.add_constraint m [ (1.0, t1); (-1.0, l) ] Lp.Model.Le 0.0;
-  Lp.Model.add_constraint m [ (1.0, t2); (-4.0, l) ] Lp.Model.Le 0.0;
+  let t1 = Lp.Model.var m 1
+  and t2 = Lp.Model.var m 2
+  and l = Lp.Model.var m 0 in
+  add_row m [ (1.0, t1); (1.0, t2) ] Lp.Model.Eq 10.0;
+  add_row m [ (1.0, t1); (-1.0, l) ] Lp.Model.Le 0.0;
+  add_row m [ (1.0, t2); (-4.0, l) ] Lp.Model.Le 0.0;
   Lp.Model.set_objective m [ (1.0, l) ];
   match Lp.Model.solve m with
   | Lp.Model.Optimal sol ->
@@ -126,27 +129,34 @@ let test_min_max_load_shape () =
 
 (* --- Warm-started re-solves -------------------------------------- *)
 
-(* The warm-start contract under test: [resolve] after in-place edits
-   reaches the same verdict and objective as a from-scratch cold
-   solve; an unchanged problem warm-solves in exactly zero pivots; and
-   every perturbation the basis cannot absorb — structural growth,
-   sense flips, infeasibility, unboundedness — falls back to the cold
-   two-phase path with [stats.fallback] set, never looping and never
-   returning a stale plan. *)
+(* The warm-start contract under test: a re-solve seeded from a
+   snapshot — on the same model, or on one rebuilt with other
+   variables, rows, costs or right-hand sides — reaches the verdict
+   and objective of a cold solve; an unchanged problem re-solves in
+   exactly zero pivots; and a seeded solve that ends infeasible or
+   unbounded hands the verdict to the cold path with [stats.fallback]
+   set, never looping and never returning a stale plan. *)
 
-let two_var_model () =
-  (* The instance from [test_two_var]: optimum -7 at (1,3). *)
+(* The instance from [test_two_var], with the bound on y as a
+   parameter: optimum -7 at (1,3) for the default. *)
+let two_var_model ?(y_cap = 3.0) () =
   let m = Lp.Model.create () in
-  let x = Lp.Model.var m "x" and y = Lp.Model.var m "y" in
-  Lp.Model.add_constraint m [ (1.0, x); (1.0, y) ] Lp.Model.Le 4.0;
-  Lp.Model.add_constraint m [ (1.0, x) ] Lp.Model.Le 2.0;
-  Lp.Model.add_constraint m [ (1.0, y) ] Lp.Model.Le 3.0;
+  let x = Lp.Model.var m 0 and y = Lp.Model.var m 1 in
+  add_row m [ (1.0, x); (1.0, y) ] Lp.Model.Le 4.0;
+  add_row m [ (1.0, x) ] Lp.Model.Le 2.0;
+  add_row m [ (1.0, y) ] Lp.Model.Le y_cap;
   Lp.Model.set_objective m [ (-1.0, x); (-2.0, y) ];
   (m, x, y)
 
 let objective_exn name = function
   | Lp.Model.Optimal sol -> sol.Lp.Model.objective
   | o -> Alcotest.failf "%s: expected optimal, got %a" name Lp.Model.pp_outcome o
+
+let solve_snap m =
+  match Lp.Model.solve_ext m with
+  | o, _, Some snap -> (o, snap)
+  | o, _, None ->
+    Alcotest.failf "expected a snapshot, got %a" Lp.Model.pp_outcome o
 
 let test_warm_noop_zero_pivots () =
   let m, _, _ = two_var_model () in
@@ -155,11 +165,12 @@ let test_warm_noop_zero_pivots () =
   Alcotest.(check bool) "cold solve is not warm" false s1.Lp.Simplex.warm_used;
   Alcotest.(check bool) "cold solve is not a fallback" false
     s1.Lp.Simplex.fallback;
-  let o2, s2, _ = Lp.Model.resolve m ~prev:snap in
+  let o2, s2, _ = Lp.Model.solve_ext ?prev:snap m in
   check_float "warm objective" (-7.0) (objective_exn "warm" o2);
   Alcotest.(check bool) "basis carried" true s2.Lp.Simplex.warm_used;
   Alcotest.(check int) "zero pivots on the unchanged problem" 0
-    s2.Lp.Simplex.pivots
+    s2.Lp.Simplex.pivots;
+  Alcotest.(check int) "no phase 1 either" 0 s2.Lp.Simplex.phase1_pivots
 
 let test_pivot_counters_disjoint () =
   (* min x  s.t. x >= 1: phase 1 pivots x into the basis, after which
@@ -168,8 +179,8 @@ let test_pivot_counters_disjoint () =
      were phase-1 pivots a subset of [pivots], this would be
      impossible. *)
   let m = Lp.Model.create () in
-  let x = Lp.Model.var m "x" in
-  Lp.Model.add_constraint m [ (1.0, x) ] Lp.Model.Ge 1.0;
+  let x = Lp.Model.var m 0 in
+  add_row m [ (1.0, x) ] Lp.Model.Ge 1.0;
   Lp.Model.set_objective m [ (1.0, x) ];
   let o, s, _ = Lp.Model.solve_ext m in
   check_float "objective" 1.0 (objective_exn "cold" o);
@@ -178,48 +189,46 @@ let test_pivot_counters_disjoint () =
 
 let test_warm_cost_perturbation () =
   let m, x, y = two_var_model () in
-  let _, _, snap = Lp.Model.solve_ext m in
+  let _, snap = solve_snap m in
   (* min -2x - y over the same polytope: optimum -6 at (2,2). *)
   Lp.Model.set_objective m [ (-2.0, x); (-1.0, y) ];
-  let o, s, _ = Lp.Model.resolve m ~prev:snap in
+  let o, s, _ = Lp.Model.solve_ext ~prev:snap m in
   check_float "re-optimized objective" (-6.0) (objective_exn "warm" o);
   Alcotest.(check bool) "cost change keeps the basis" true
     s.Lp.Simplex.warm_used
 
 let test_warm_rhs_perturbation () =
   let m, _, _ = two_var_model () in
-  let _, _, snap = Lp.Model.solve_ext m in
-  (* Tighten y <= 3 to y <= 2: the old basis refactorises to (2,2),
-     still feasible; optimum -6. *)
-  Lp.Model.set_rhs m 2 2.0;
-  let o, s, _ = Lp.Model.resolve m ~prev:snap in
+  let _, snap = solve_snap m in
+  (* Rebuilt with y <= 2 for y <= 3: the old basis refactorises to
+     (2,2), still feasible; optimum -6. *)
+  let m', _, _ = two_var_model ~y_cap:2.0 () in
+  let o, s, _ = Lp.Model.solve_ext ~prev:snap m' in
   check_float "re-optimized objective" (-6.0) (objective_exn "warm" o);
   Alcotest.(check bool) "rhs change keeps the basis" true
     s.Lp.Simplex.warm_used
 
 let test_warm_empty_model () =
-  (* The degenerate extreme: no variables, no rows.  The basis import
-     rejects an empty layout, so the re-solve must run (trivially)
-     cold and report the fallback. *)
+  (* The degenerate extreme: no variables, no rows.  The empty basis
+     seeds a trivially optimal re-solve. *)
   let m = Lp.Model.create () in
-  let o1, _, snap = Lp.Model.solve_ext m in
+  let o1, snap = solve_snap m in
   check_float "empty objective" 0.0 (objective_exn "empty" o1);
-  let o2, s, _ = Lp.Model.resolve m ~prev:snap in
+  let o2, s, _ = Lp.Model.solve_ext ~prev:snap m in
   check_float "still trivial" 0.0 (objective_exn "empty resolve" o2);
-  Alcotest.(check bool) "no warm path for an empty model" false
-    s.Lp.Simplex.warm_used;
-  Alcotest.(check bool) "fallback reported" true s.Lp.Simplex.fallback
+  Alcotest.(check bool) "seeded" true s.Lp.Simplex.warm_used;
+  Alcotest.(check bool) "no fallback" false s.Lp.Simplex.fallback
 
 let test_warm_zero_cost () =
   (* All-zero objective: every feasible point is optimal and every
      re-solve from the old basis is immediately optimal. *)
   let m = Lp.Model.create () in
-  let x = Lp.Model.var m "x" in
-  Lp.Model.add_constraint m [ (1.0, x) ] Lp.Model.Ge 1.0;
-  Lp.Model.add_constraint m [ (1.0, x) ] Lp.Model.Le 5.0;
-  let o1, _, snap = Lp.Model.solve_ext m in
+  let x = Lp.Model.var m 0 in
+  add_row m [ (1.0, x) ] Lp.Model.Ge 1.0;
+  add_row m [ (1.0, x) ] Lp.Model.Le 5.0;
+  let o1, snap = solve_snap m in
   check_float "zero objective" 0.0 (objective_exn "zero cost" o1);
-  let o2, s, _ = Lp.Model.resolve m ~prev:snap in
+  let o2, s, _ = Lp.Model.solve_ext ~prev:snap m in
   check_float "still zero" 0.0 (objective_exn "zero resolve" o2);
   Alcotest.(check bool) "basis carried" true s.Lp.Simplex.warm_used;
   Alcotest.(check int) "no pivots needed" 0 s.Lp.Simplex.pivots
@@ -228,23 +237,19 @@ let test_warm_degenerate_ties () =
   (* The redundant-constraint instance from [test_degenerate]: the
      perturbed re-solve must terminate and agree with a cold solve
      despite degenerate ties in the ratio test. *)
-  let build () =
+  let build x_cap =
     let m = Lp.Model.create () in
-    let x = Lp.Model.var m "x" and y = Lp.Model.var m "y" in
-    Lp.Model.add_constraint m [ (1.0, x); (1.0, y) ] Lp.Model.Le 1.0;
-    Lp.Model.add_constraint m [ (1.0, x); (1.0, y) ] Lp.Model.Le 1.0;
-    Lp.Model.add_constraint m [ (2.0, x); (2.0, y) ] Lp.Model.Le 2.0;
-    Lp.Model.add_constraint m [ (1.0, x) ] Lp.Model.Le 1.0;
+    let x = Lp.Model.var m 0 and y = Lp.Model.var m 1 in
+    add_row m [ (1.0, x); (1.0, y) ] Lp.Model.Le 1.0;
+    add_row m [ (1.0, x); (1.0, y) ] Lp.Model.Le 1.0;
+    add_row m [ (2.0, x); (2.0, y) ] Lp.Model.Le 2.0;
+    add_row m [ (1.0, x) ] Lp.Model.Le x_cap;
     Lp.Model.set_objective m [ (-1.0, x); (-1.0, y) ];
     m
   in
-  let m = build () in
-  let _, _, snap = Lp.Model.solve_ext m in
-  Lp.Model.set_rhs m 3 0.5;
-  let o, s, _ = Lp.Model.resolve m ~prev:snap in
-  let cold = build () in
-  Lp.Model.set_rhs cold 3 0.5;
-  let o_cold = Lp.Model.solve cold in
+  let _, snap = solve_snap (build 1.0) in
+  let o, s, _ = Lp.Model.solve_ext ~prev:snap (build 0.5) in
+  let o_cold = Lp.Model.solve (build 0.5) in
   check_float "agrees with cold" (objective_exn "cold" o_cold)
     (objective_exn "warm" o);
   Alcotest.(check bool) "carried or honestly fell back" true
@@ -252,90 +257,111 @@ let test_warm_degenerate_ties () =
 
 let test_warm_unbounded_perturbation () =
   (* A bounded optimum whose objective flips to an unbounded
-     direction: the warm attempt meets the unbounded ray and must
+     direction: the seeded attempt meets the unbounded ray and must
      abandon the basis; the verdict comes from the cold path. *)
   let m = Lp.Model.create () in
-  let x = Lp.Model.var m "x" and y = Lp.Model.var m "y" in
-  Lp.Model.add_constraint m [ (1.0, x); (1.0, y) ] Lp.Model.Ge 1.0;
+  let x = Lp.Model.var m 0 and y = Lp.Model.var m 1 in
+  add_row m [ (1.0, x); (1.0, y) ] Lp.Model.Ge 1.0;
   Lp.Model.set_objective m [ (1.0, x) ];
-  let o1, _, snap = Lp.Model.solve_ext m in
+  let o1, snap = solve_snap m in
   check_float "bounded before" 0.0 (objective_exn "before" o1);
   Lp.Model.set_objective m [ (-1.0, y) ];
-  (match Lp.Model.resolve m ~prev:snap with
+  (match Lp.Model.solve_ext ~prev:snap m with
   | Lp.Model.Unbounded, s, _ ->
     Alcotest.(check bool) "fallback counted" true s.Lp.Simplex.fallback;
     Alcotest.(check bool) "warm did not claim the verdict" false
       s.Lp.Simplex.warm_used
   | o, _, _ -> Alcotest.failf "expected unbounded, got %a" Lp.Model.pp_outcome o)
 
-let test_warm_infeasible_perturbation () =
-  (* 1 <= x <= 2 solved, then the lower bound pushed to 3: the old
-     basis is primal infeasible and the cold path must own the
-     Infeasible verdict. *)
+(* lo <= x <= hi, minimising x. *)
+let interval_model ~lo_row ~hi_row =
   let m = Lp.Model.create () in
-  let x = Lp.Model.var m "x" in
-  Lp.Model.add_constraint m [ (1.0, x) ] Lp.Model.Le 2.0;
-  Lp.Model.add_constraint m [ (1.0, x) ] Lp.Model.Ge 1.0;
+  let x = Lp.Model.var m 0 in
+  let coef, hi = hi_row in
+  add_row m [ (coef, x) ] Lp.Model.Le hi;
+  add_row m [ (1.0, x) ] Lp.Model.Ge lo_row;
   Lp.Model.set_objective m [ (1.0, x) ];
-  let o1, _, snap = Lp.Model.solve_ext m in
+  m
+
+let test_warm_infeasible_perturbation () =
+  (* 1 <= x <= 2 solved, then rebuilt with the lower bound at 3: the
+     seeded solve ends infeasible and the cold path owns the
+     verdict. *)
+  let o1, snap = solve_snap (interval_model ~lo_row:1.0 ~hi_row:(1.0, 2.0)) in
   check_float "optimal before" 1.0 (objective_exn "before" o1);
-  Lp.Model.set_rhs m 1 3.0;
-  (match Lp.Model.resolve m ~prev:snap with
+  (match
+     Lp.Model.solve_ext ~prev:snap (interval_model ~lo_row:3.0 ~hi_row:(1.0, 2.0))
+   with
   | Lp.Model.Infeasible, s, _ ->
     Alcotest.(check bool) "fallback counted" true s.Lp.Simplex.fallback
   | o, _, _ ->
     Alcotest.failf "expected infeasible, got %a" Lp.Model.pp_outcome o)
 
 let test_warm_sense_flip_fallback () =
-  (* An RHS edit that flips the normalised sense (Le with a negative
-     RHS becomes Ge): the basis signature no longer matches and the
-     import must be rejected outright. *)
-  let m = Lp.Model.create () in
-  let x = Lp.Model.var m "x" in
-  Lp.Model.add_constraint m [ (1.0, x) ] Lp.Model.Le 5.0;
-  Lp.Model.add_constraint m [ (1.0, x) ] Lp.Model.Ge 1.0;
-  Lp.Model.set_objective m [ (1.0, x) ];
-  let _, _, snap = Lp.Model.solve_ext m in
-  Lp.Model.set_rhs m 0 (-1.0);
-  (match Lp.Model.resolve m ~prev:snap with
+  (* x <= 5 rebuilt as x <= -1 (a Le row with a negative RHS
+     normalises to Ge): together with x >= 1 the LP is infeasible, so
+     the seeded solve gives up and the cold path answers. *)
+  let _, snap = solve_snap (interval_model ~lo_row:1.0 ~hi_row:(1.0, 5.0)) in
+  (match
+     Lp.Model.solve_ext ~prev:snap (interval_model ~lo_row:1.0 ~hi_row:(1.0, -1.0))
+   with
   | Lp.Model.Infeasible, s, _ ->
-    Alcotest.(check bool) "signature mismatch falls back" true
-      s.Lp.Simplex.fallback;
+    Alcotest.(check bool) "fallback counted" true s.Lp.Simplex.fallback;
     Alcotest.(check bool) "no warm claim" false s.Lp.Simplex.warm_used
   | o, _, _ ->
     Alcotest.failf "expected infeasible, got %a" Lp.Model.pp_outcome o)
 
-let test_warm_structural_growth () =
-  (* Adding a variable and a row after the snapshot: the layout grew,
-     so the snapshot cannot even be offered to the engine — still a
-     failed warm attempt from the caller's point of view. *)
-  let m, x, _ = two_var_model () in
-  let _, _, snap = Lp.Model.solve_ext m in
-  let z = Lp.Model.var m "z" in
-  Lp.Model.add_constraint m [ (1.0, x); (1.0, z) ] Lp.Model.Le 10.0;
-  let o, s, _ = Lp.Model.resolve m ~prev:snap in
-  check_float "grown model solved cold" (-7.0) (objective_exn "grown" o);
-  Alcotest.(check bool) "fallback counted" true s.Lp.Simplex.fallback;
-  Alcotest.(check bool) "no warm claim" false s.Lp.Simplex.warm_used
+let test_warm_sense_flip_repaired () =
+  (* x <= 5 rebuilt as -x <= -2, i.e. x >= 2: the kept slack of that
+     row turns negative under the old basis (x = 1), a repair
+     artificial restores feasibility, and the seeded solve finds the
+     new optimum x = 2. *)
+  let _, snap = solve_snap (interval_model ~lo_row:1.0 ~hi_row:(1.0, 5.0)) in
+  let o, s, _ =
+    Lp.Model.solve_ext ~prev:snap (interval_model ~lo_row:1.0 ~hi_row:(-1.0, -2.0))
+  in
+  check_float "new optimum" 2.0 (objective_exn "flipped" o);
+  Alcotest.(check bool) "seeded" true s.Lp.Simplex.warm_used;
+  Alcotest.(check bool) "no fallback" false s.Lp.Simplex.fallback
 
-let test_simplex_warm_layout_mismatch () =
-  (* Raw engine: a basis exported from one layout offered to another
-     is rejected at import and the cold path answers. *)
-  let _, _, basis =
-    Lp.Simplex.solve_ext ~cost:[| 1.0 |]
+let test_warm_structural_growth () =
+  (* A variable and a row added after the snapshot keep the seed: the
+     old basis stays optimal, so the re-solve takes no pivot.  Then
+     the binding row y <= 3 dropped from a rebuilt model: the seed
+     needs a repair and still reaches the new optimum -8 at (0,4). *)
+  let m, x, _ = two_var_model () in
+  let _, snap = solve_snap m in
+  let z = Lp.Model.var m 2 in
+  add_row m [ (1.0, x); (1.0, z) ] Lp.Model.Le 10.0;
+  let o, s, _ = Lp.Model.solve_ext ~prev:snap m in
+  check_float "grown model" (-7.0) (objective_exn "grown" o);
+  Alcotest.(check bool) "seeded" true s.Lp.Simplex.warm_used;
+  Alcotest.(check int) "no pivots" 0 s.Lp.Simplex.pivots;
+  let shrunk = Lp.Model.create () in
+  let x = Lp.Model.var shrunk 0 and y = Lp.Model.var shrunk 1 in
+  Lp.Model.add_constraint shrunk ~key:0 [ (1.0, x); (1.0, y) ] Lp.Model.Le 4.0;
+  Lp.Model.add_constraint shrunk ~key:1 [ (1.0, x) ] Lp.Model.Le 2.0;
+  Lp.Model.set_objective shrunk [ (-1.0, x); (-2.0, y) ];
+  let o, s, _ = Lp.Model.solve_ext ~prev:snap shrunk in
+  check_float "shrunk model" (-8.0) (objective_exn "shrunk" o);
+  Alcotest.(check bool) "seeded" true s.Lp.Simplex.warm_used
+
+let test_simplex_foreign_start () =
+  (* Raw engine: a start basis naming columns and rows the problem
+     does not have is a suggestion; the out-of-range entries are
+     ignored and the seeded solve answers. *)
+  let o, s, _ =
+    Lp.Simplex.solve_ext
+      ~start:{ Lp.Simplex.cols = [| -1; 0; 5 |]; slack_rows = [| 3 |] }
+      ~cost:[| 1.0 |]
       ~rows:[| ([| 1.0 |], Lp.Simplex.Ge, 3.0) |]
       ()
   in
-  let o, s, _ =
-    Lp.Simplex.solve_ext ?warm_basis:basis ~cost:[| 1.0; 0.0 |]
-      ~rows:[| ([| 1.0; 1.0 |], Lp.Simplex.Ge, 3.0) |]
-      ()
-  in
   (match o with
-  | Lp.Simplex.Optimal _ -> ()
-  | _ -> Alcotest.fail "expected optimal from the cold path");
-  Alcotest.(check bool) "rejected at import" true s.Lp.Simplex.fallback;
-  Alcotest.(check bool) "no warm claim" false s.Lp.Simplex.warm_used
+  | Lp.Simplex.Optimal v -> check_float "x" 3.0 v.(0)
+  | _ -> Alcotest.fail "expected optimal");
+  Alcotest.(check bool) "seeded" true s.Lp.Simplex.warm_used;
+  Alcotest.(check bool) "no fallback" false s.Lp.Simplex.fallback
 
 (* --- Brute-force oracle ------------------------------------------ *)
 
@@ -403,10 +429,10 @@ let qcheck_vs_oracle =
     (make lp_gen)
     (fun (rows, (cx, cy)) ->
       let m = Lp.Model.create () in
-      let x = Lp.Model.var m "x" and y = Lp.Model.var m "y" in
+      let x = Lp.Model.var m 0 and y = Lp.Model.var m 1 in
       List.iter
         (fun { Oracle.a; b; cmp; rhs } ->
-          Lp.Model.add_constraint m [ (a, x); (b, y) ] cmp rhs)
+          add_row m [ (a, x); (b, y) ] cmp rhs)
         rows;
       Lp.Model.set_objective m [ (cx, x); (cy, y) ];
       match (Lp.Model.solve m, Oracle.best rows ~cx ~cy) with
@@ -444,11 +470,11 @@ let qcheck_feasibility =
           (Gen.array_size (Gen.return 4) term_gen)))
     (fun (rows, cost) ->
       let m = Lp.Model.create () in
-      let vars = Array.init 4 (fun i -> Lp.Model.var m (Printf.sprintf "x%d" i)) in
+      let vars = Array.init 4 (fun i -> Lp.Model.var m i) in
       List.iter
         (fun (coefs, cmp, rhs) ->
           let terms = Array.to_list (Array.mapi (fun i c -> (c, vars.(i))) coefs) in
-          Lp.Model.add_constraint m terms cmp rhs)
+          add_row m terms cmp rhs)
         rows;
       Lp.Model.set_objective m
         (Array.to_list (Array.mapi (fun i c -> (c, vars.(i))) cost));
@@ -490,10 +516,10 @@ let random_lp_gen =
 
 let build_random_lp (rows, cost) =
   let m = Lp.Model.create () in
-  let vars = Array.init 4 (fun i -> Lp.Model.var m (Printf.sprintf "x%d" i)) in
+  let vars = Array.init 4 (fun i -> Lp.Model.var m i) in
   let terms coefs = Array.to_list (Array.mapi (fun i c -> (c, vars.(i))) coefs) in
   List.iter
-    (fun (coefs, cmp, rhs) -> Lp.Model.add_constraint m (terms coefs) cmp rhs)
+    (fun (coefs, cmp, rhs) -> add_row m (terms coefs) cmp rhs)
     rows;
   Lp.Model.set_objective m (terms cost);
   (m, vars)
@@ -517,25 +543,18 @@ let qcheck_warm_vs_cold =
     (make (Gen.pair lp_gen perturb_gen))
     (fun ((rows, cost), perturb) ->
       let nrows = List.length rows in
-      let apply (m, vars) =
-        let terms coefs =
-          Array.to_list (Array.mapi (fun i c -> (c, vars.(i))) coefs)
-        in
+      let edit i f = List.mapi (fun j r -> if j = i mod nrows then f r else r) rows in
+      let perturbed =
         match perturb with
-        | `Cost c -> Lp.Model.set_objective m (terms c)
-        | `Rhs (i, rhs) -> Lp.Model.set_rhs m (i mod nrows) rhs
-        | `Row (i, (coefs, cmp, rhs)) ->
-          Lp.Model.replace_constraint m (i mod nrows) (terms coefs) cmp rhs
+        | `Cost c -> (rows, c)
+        | `Rhs (i, rhs) -> (edit i (fun (coefs, cmp, _) -> (coefs, cmp, rhs)), cost)
+        | `Row (i, row) -> (edit i (fun _ -> row), cost)
       in
-      (* Warm chain: solve, edit in place, resolve from the snapshot. *)
-      let wm, wvars = build_random_lp (rows, cost) in
-      let _, _, snap = Lp.Model.solve_ext wm in
-      apply (wm, wvars);
-      let warm_o, _, _ = Lp.Model.resolve wm ~prev:snap in
-      (* Cold reference: an independent model with the same edit. *)
-      let cm, cvars = build_random_lp (rows, cost) in
-      apply (cm, cvars);
-      match (warm_o, Lp.Model.solve cm) with
+      (* Warm: solve, rebuild with the edit, re-solve from the
+         snapshot (cold when the first solve left none). *)
+      let _, _, prev = Lp.Model.solve_ext (fst (build_random_lp (rows, cost))) in
+      let warm_o, _, _ = Lp.Model.solve_ext ?prev (fst (build_random_lp perturbed)) in
+      match (warm_o, Lp.Model.solve (fst (build_random_lp perturbed))) with
       | Lp.Model.Optimal w, Lp.Model.Optimal c ->
         (* Two exact optima of the same LP, possibly different bases:
            allow a loose numerical tolerance. *)
@@ -548,28 +567,163 @@ let qcheck_warm_vs_cold =
 let qcheck_warm_noop =
   let open QCheck in
   let lp_gen, _, _ = random_lp_gen in
+  (* An optimal snapshot of a one-variable model: seeds nothing, so a
+     re-solve it is offered to behaves like a cold one. *)
+  let trivial =
+    let m = Lp.Model.create () in
+    ignore (Lp.Model.var m 0);
+    match Lp.Model.solve_ext m with _, _, snap -> Option.get snap
+  in
   Test.make ~count:300
     ~name:"unperturbed re-solve: zero pivots warm, fallback otherwise"
     (make lp_gen)
     (fun (rows, cost) ->
       let m, _ = build_random_lp (rows, cost) in
       let o1, _, snap = Lp.Model.solve_ext m in
-      let o2, s, _ = Lp.Model.resolve m ~prev:snap in
+      let prev = Option.value snap ~default:trivial in
+      let o2, s, _ = Lp.Model.solve_ext ~prev m in
       match (o1, o2) with
       | Lp.Model.Optimal a, Lp.Model.Optimal b ->
         (* An optimal basis re-imports and is immediately optimal:
-           exactly zero pivots, same objective.  Zero is trivially
-           <= the cold pivot count. *)
+           exactly zero pivots, same objective. *)
         s.Lp.Simplex.warm_used && (not s.Lp.Simplex.fallback)
         && s.Lp.Simplex.pivots = 0
+        && s.Lp.Simplex.phase1_pivots = 0
         && abs_float (a.Lp.Model.objective -. b.Lp.Model.objective)
            <= 1e-9 *. (1.0 +. abs_float a.Lp.Model.objective)
       | Lp.Model.Infeasible, Lp.Model.Infeasible
       | Lp.Model.Unbounded, Lp.Model.Unbounded ->
-        (* No basis to carry: the cold path reran and the failed warm
-           attempt is reported as a fallback. *)
-        s.Lp.Simplex.fallback && not s.Lp.Simplex.warm_used
+        (* No optimal snapshot: the offered one seeds a solve that
+           cannot end optimal, the cold path reruns and the attempt is
+           reported as a fallback. *)
+        snap = None && s.Lp.Simplex.fallback && not s.Lp.Simplex.warm_used
       | _ -> false)
+
+(* Keyed LPs given as data, so a perturbation can drop variables and
+   rows, add new ones and move right-hand sides and costs, and the
+   re-solve finds the survivors by key.  Small integer and half-integer
+   data keep the instances well conditioned. *)
+type keyed_lp = {
+  kvars : (int * float) list; (* key, cost *)
+  krows : (int * (int * float) list * Lp.Model.cmp * float) list;
+      (* key, (variable key, coefficient) terms, sense, rhs *)
+}
+
+let build_keyed lp =
+  let m = Lp.Model.create () in
+  let vars = List.map (fun (k, _) -> (k, Lp.Model.var m k)) lp.kvars in
+  let terms = List.map (fun (k, c) -> (c, List.assoc k vars)) in
+  List.iter
+    (fun (key, t, cmp, rhs) -> Lp.Model.add_constraint m ~key (terms t) cmp rhs)
+    lp.krows;
+  Lp.Model.set_objective m (terms lp.kvars);
+  (m, vars)
+
+let pp_keyed lp =
+  let cmp = function Lp.Model.Le -> "<=" | Ge -> ">=" | Eq -> "=" in
+  let terms t =
+    String.concat " + " (List.map (fun (k, c) -> Printf.sprintf "%gx%d" c k) t)
+  in
+  Printf.sprintf "min %s\n%s" (terms lp.kvars)
+    (String.concat "\n"
+       (List.map
+          (fun (k, t, c, rhs) -> Printf.sprintf "r%d: %s %s %g" k (terms t) (cmp c) rhs)
+          lp.krows))
+
+let keyed_gen =
+  let open QCheck.Gen in
+  let coef = map float_of_int (int_range (-4) 4) in
+  let half lo hi = map (fun k -> float_of_int k /. 2.0) (int_range (2 * lo) (2 * hi)) in
+  let sense = frequencyl Lp.Model.[ (3, Le); (2, Ge); (1, Eq) ] in
+  let row keys key =
+    map3
+      (fun coefs cmp rhs ->
+        (key, List.filter (fun (_, c) -> c <> 0.0) (List.combine keys coefs), cmp, rhs))
+      (flatten_l (List.map (fun _ -> coef) keys))
+      sense (half (-2) 10)
+  in
+  let chance p = map (fun x -> x < p) (float_bound_exclusive 1.0) in
+  int_range 2 6 >>= fun n ->
+  int_range 1 6 >>= fun m ->
+  let keys = List.init n Fun.id in
+  list_repeat n coef >>= fun costs ->
+  flatten_l (List.init m (fun r -> row keys r)) >>= fun rows ->
+  (* A bounding row keeps most instances bounded; perturbations may
+     drop it like any other. *)
+  let bound = (m, List.map (fun k -> (k, 1.0)) keys, Lp.Model.Le, 20.0) in
+  let lp = { kvars = List.combine keys costs; krows = bound :: rows } in
+  (* The perturbation: keep each variable and row with probability
+     3/4, add up to two of each, move some costs and right-hand
+     sides. *)
+  flatten_l (List.map (fun _ -> chance 0.75) lp.kvars) >>= fun keep_v ->
+  flatten_l (List.map (fun _ -> chance 0.75) lp.krows) >>= fun keep_r ->
+  int_range 0 2 >>= fun new_v ->
+  int_range 0 2 >>= fun new_r ->
+  list_repeat new_v coef >>= fun new_costs ->
+  let sel keep l = List.filteri (fun i _ -> List.nth keep i) l in
+  let kept_vars = sel keep_v lp.kvars in
+  let added_vars = List.mapi (fun i c -> (100 + i, c)) new_costs in
+  let vkeys = List.map fst (kept_vars @ added_vars) in
+  flatten_l
+    (List.map
+       (fun v ->
+         chance 0.3 >>= fun move ->
+         map (fun c -> if move then (fst v, c) else v) coef)
+       kept_vars)
+  >>= fun moved_vars ->
+  flatten_l
+    (List.map
+       (fun (key, t, cmp, rhs) ->
+         let t = List.filter (fun (k, _) -> List.mem k vkeys) t in
+         chance 0.3 >>= fun move ->
+         half (-2) 2 >>= fun d ->
+         (* New variables join old rows too. *)
+         flatten_l
+           (List.map
+              (fun (k, _) -> map2 (fun j c -> if j then [ (k, c) ] else []) (chance 0.3) coef)
+              added_vars)
+         >>= fun extra ->
+         return
+           ( key,
+             t @ List.filter (fun (_, c) -> c <> 0.0) (List.concat extra),
+             cmp,
+             if move then rhs +. d else rhs ))
+       (sel keep_r lp.krows))
+  >>= fun moved_rows ->
+  flatten_l (List.init new_r (fun i -> row vkeys (200 + i))) >>= fun added_rows ->
+  return
+    (lp, { kvars = moved_vars @ added_vars; krows = moved_rows @ added_rows })
+
+let qcheck_keyed_resolve =
+  QCheck.Test.make ~count:500
+    ~name:"keyed re-solve agrees with cold after drops and adds"
+    (QCheck.make
+       ~print:(fun (a, b) -> pp_keyed a ^ "\n--- perturbed ---\n" ^ pp_keyed b)
+       keyed_gen)
+    (fun (lp, lp') ->
+      match Lp.Model.solve_ext (fst (build_keyed lp)) with
+      | _, _, None -> true (* no optimal basis to carry *)
+      | _, _, Some prev -> (
+        let mw, vars = build_keyed lp' in
+        let warm, _, _ = Lp.Model.solve_ext ~prev mw in
+        match (warm, Lp.Model.solve (fst (build_keyed lp'))) with
+        | Lp.Model.Optimal w, Lp.Model.Optimal c ->
+          let value k = Lp.Model.value w (List.assoc k vars) in
+          let row_ok (_, t, cmp, rhs) =
+            let v = List.fold_left (fun acc (k, c) -> acc +. (c *. value k)) 0.0 t in
+            match cmp with
+            | Lp.Model.Le -> v <= rhs +. 1e-7
+            | Lp.Model.Ge -> v >= rhs -. 1e-7
+            | Lp.Model.Eq -> abs_float (v -. rhs) <= 1e-7
+          in
+          abs_float (w.Lp.Model.objective -. c.Lp.Model.objective)
+          <= 1e-9 *. Float.max 1.0 (abs_float c.Lp.Model.objective)
+          && List.for_all row_ok lp'.krows
+          && List.for_all (fun (k, _) -> value k >= -1e-7) lp'.kvars
+        | Lp.Model.Infeasible, Lp.Model.Infeasible
+        | Lp.Model.Unbounded, Lp.Model.Unbounded ->
+          true
+        | _ -> false))
 
 (* --- The pivot kernel against a dense reference ------------------ *)
 
@@ -658,7 +812,7 @@ let suite =
       test_warm_cost_perturbation;
     Alcotest.test_case "warm: rhs perturbation" `Quick
       test_warm_rhs_perturbation;
-    Alcotest.test_case "warm: empty model falls back" `Quick
+    Alcotest.test_case "warm: empty model re-solves seeded" `Quick
       test_warm_empty_model;
     Alcotest.test_case "warm: all-zero cost" `Quick test_warm_zero_cost;
     Alcotest.test_case "warm: degenerate ties" `Quick test_warm_degenerate_ties;
@@ -668,14 +822,17 @@ let suite =
       test_warm_infeasible_perturbation;
     Alcotest.test_case "warm: sense flip falls back" `Quick
       test_warm_sense_flip_fallback;
-    Alcotest.test_case "warm: structural growth falls back" `Quick
+    Alcotest.test_case "warm: sense flip is repaired" `Quick
+      test_warm_sense_flip_repaired;
+    Alcotest.test_case "warm: structural change keeps the seed" `Quick
       test_warm_structural_growth;
-    Alcotest.test_case "warm: raw engine rejects layout mismatch" `Quick
-      test_simplex_warm_layout_mismatch;
+    Alcotest.test_case "warm: raw engine ignores a foreign start" `Quick
+      test_simplex_foreign_start;
     QCheck_alcotest.to_alcotest qcheck_vs_oracle;
     QCheck_alcotest.to_alcotest qcheck_feasibility;
     QCheck_alcotest.to_alcotest qcheck_warm_vs_cold;
     QCheck_alcotest.to_alcotest qcheck_warm_noop;
+    QCheck_alcotest.to_alcotest qcheck_keyed_resolve;
     QCheck_alcotest.to_alcotest qcheck_pivot_vs_dense;
     Alcotest.test_case "pivot rejects a ragged tableau" `Quick test_pivot_rejects_ragged;
   ]

@@ -926,35 +926,83 @@ let qcheck_candidate_incremental =
       ok)
 
 let test_reoptimize_warm_matches_cold () =
-  (* The controller-level differential on a short churn chain: warm
-     and cold re-optimization agree on the optimum at every step, the
-     warm solve either carries the basis or honestly falls back, and
-     the no-change steps warm-solve for free. *)
-  let steps = Sim.Experiment.reopt_replay Sim.Experiment.Campus ~flows:200 () in
-  Alcotest.(check bool) "chain is non-trivial" true (List.length steps >= 4);
-  List.iteri
-    (fun i (s : Sim.Experiment.reopt_step) ->
+  (* The controller-level differential on the churn chain of both
+     ABL-REOPT topologies: every warm step is seeded from the keyed
+     previous basis, reaches the cold λ within 1e-9 relative, the
+     no-change steps warm-solve for free, and the whole warm chain
+     takes fewer pivots, phase 1 included, than the cold one. *)
+  List.iter
+    (fun scenario ->
+      let name = Sim.Experiment.scenario_name scenario in
+      let steps = Sim.Experiment.reopt_replay scenario ~flows:200 () in
+      Alcotest.(check bool) "chain is non-trivial" true (List.length steps >= 4);
+      List.iteri
+        (fun i (s : Sim.Experiment.reopt_step) ->
+          let cold = s.Sim.Experiment.rs_cold_lambda in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s step %d: λ within 1e-9 of cold" name i)
+            true
+            (Float.abs (s.Sim.Experiment.rs_warm_lambda -. cold)
+             <= 1e-9 *. Float.max 1.0 (Float.abs cold));
+          Alcotest.(check bool)
+            (Printf.sprintf "%s step %d seeded" name i)
+            true
+            (s.Sim.Experiment.rs_warm_used && not s.Sim.Experiment.rs_fallback))
+        steps;
+      (match steps with
+      | first :: _ ->
+        Alcotest.(check int) "no-op step is free" 0
+          (first.Sim.Experiment.rs_warm_pivots + first.Sim.Experiment.rs_warm_phase1)
+      | [] -> Alcotest.fail "empty replay");
+      let sum f = List.fold_left (fun acc s -> acc + f s) 0 steps in
+      let cold =
+        sum (fun s -> s.Sim.Experiment.rs_cold_pivots + s.Sim.Experiment.rs_cold_phase1)
+      in
+      let warm =
+        sum (fun s -> s.Sim.Experiment.rs_warm_pivots + s.Sim.Experiment.rs_warm_phase1)
+      in
       Alcotest.(check bool)
-        (Printf.sprintf "step %d optima agree" i)
-        true s.Sim.Experiment.rs_agree;
-      Alcotest.(check bool)
-        (Printf.sprintf "step %d carried xor fell back" i)
-        true
-        (s.Sim.Experiment.rs_warm_used <> s.Sim.Experiment.rs_fallback))
-    steps;
-  (match steps with
-  | first :: _ ->
-    Alcotest.(check bool) "no-op step warm-carried" true
-      first.Sim.Experiment.rs_warm_used;
-    Alcotest.(check int) "no-op step is free" 0
-      first.Sim.Experiment.rs_warm_pivots
-  | [] -> Alcotest.fail "empty replay");
-  let sum f = List.fold_left (fun acc s -> acc + f s) 0 steps in
-  let cold = sum (fun s -> s.Sim.Experiment.rs_cold_pivots) in
-  let warm = sum (fun s -> s.Sim.Experiment.rs_warm_pivots) in
-  Alcotest.(check bool)
-    (Printf.sprintf "warm total %d < cold total %d" warm cold)
-    true (warm < cold)
+        (Printf.sprintf "%s: warm total %d < cold total %d" name warm cold)
+        true (warm < cold))
+    Sim.Experiment.[ Campus; Waxman ]
+
+let test_lp_keys_unique () =
+  (* Every variable and every row of the registry's Eq. (2) LPs has a
+     key of its own, on campus and Waxman and under each failure set
+     of the churn chain, so a keyed basis names one column or row. *)
+  let distinct a =
+    let a = Array.copy a in
+    Array.sort compare a;
+    let ok = ref true in
+    for i = 1 to Array.length a - 1 do
+      if a.(i) = a.(i - 1) then ok := false
+    done;
+    !ok
+  in
+  List.iter
+    (fun (scenario, flows) ->
+      let deployment = Sim.Experiment.build_deployment scenario ~seed:17 in
+      let w = Sim.Workload.generate ~deployment ~seed:17 ~flows () in
+      let traffic = Sim.Workload.measure w in
+      let v1, v2 = Sim.Experiment.churn_victims deployment in
+      List.iter
+        (fun failed ->
+          let cand =
+            Sdm.Candidate.compute ~exclude:failed deployment ~k:Sdm.Controller.default_k
+          in
+          match Sdm.Lp_formulation.simplified_model cand ~rules:w.Sim.Workload.rules ~traffic () with
+          | Error e -> Alcotest.fail e
+          | Ok m ->
+            let vars, rows = Lp.Model.keys m in
+            let label what =
+              Printf.sprintf "%s, %d failed: %s keys unique"
+                (Sim.Experiment.scenario_name scenario) (List.length failed) what
+            in
+            Alcotest.(check bool) "non-empty LP" true (Array.length vars > 1);
+            Alcotest.(check bool) (label "variable") true (distinct vars);
+            Alcotest.(check bool) (label "row") true (distinct rows))
+        [ []; [ v1 ]; [ v1; v2 ]; [ v2 ] ])
+    Sim.Experiment.[ (Campus, 2_000); (Waxman, 150) ]
 
 let test_reoptimize_warm_off_is_cold () =
   (* [use_warm:false] must be the cold path verbatim: same lambda,
@@ -1097,17 +1145,17 @@ let test_lp_pin () =
       "pivots=206 phase1=864 warm=false fallback=false "
       ^ "lambda=0x1.284000000000dp+10 md5=1e38b54f077ad86a8d54a08c238c8b24";
       "pivots=0 phase1=0 warm=true fallback=false "
-      ^ "lambda=0x1.284p+10 md5=e5e2cd4e0e3afaa4bd66fec7ea47496b";
-      "pivots=178 phase1=637 warm=false fallback=true "
-      ^ "lambda=0x1.647fffffffff8p+10 md5=41053e6ec3ee8286c4effd8554c86e7d";
-      "pivots=112 phase1=703 warm=false fallback=true "
-      ^ "lambda=0x1.647ffffffffefp+10 md5=eba56459bf716bef8def45060f5f46bc";
-      "pivots=108 phase1=630 warm=false fallback=true "
-      ^ "lambda=0x1.283fffffffffap+10 md5=d650f42da286d9707a1ba018445b67ac";
-      "pivots=206 phase1=864 warm=false fallback=true "
-      ^ "lambda=0x1.284000000000dp+10 md5=1e38b54f077ad86a8d54a08c238c8b24";
+      ^ "lambda=0x1.284p+10 md5=330ef599b52031f77617c3d5b112a847";
+      "pivots=30 phase1=94 warm=true fallback=false "
+      ^ "lambda=0x1.647fffffffffep+10 md5=e3576129457475f1a198255c920a06ee";
+      "pivots=15 phase1=38 warm=true fallback=false "
+      ^ "lambda=0x1.648p+10 md5=d6bbcf03d1e46599c1f539ebdaed9491";
+      "pivots=32 phase1=240 warm=true fallback=false "
+      ^ "lambda=0x1.283ffffffffffp+10 md5=90dbbb2caa586e6d518ade9219c6c3de";
+      "pivots=98 phase1=139 warm=true fallback=false "
+      ^ "lambda=0x1.283fffffffffep+10 md5=b761691cd4e63aeb80a6390e37e72858";
       "pivots=0 phase1=0 warm=true fallback=false "
-      ^ "lambda=0x1.284p+10 md5=e5e2cd4e0e3afaa4bd66fec7ea47496b";
+      ^ "lambda=0x1.284p+10 md5=9266640b87b2b6c151f2539cf3a3c03e";
     ]
     (lp_pin_line campus :: lp_pin_line waxman :: chain ~use_warm:true)
 
@@ -1603,6 +1651,8 @@ let suite =
       test_reoptimize_warm_off_is_cold;
     Alcotest.test_case "LP pin: campus configure and Waxman re-solve chain" `Quick
       test_lp_pin;
+    Alcotest.test_case "LP keys are unique in the registry LPs" `Quick
+      test_lp_keys_unique;
     Alcotest.test_case "policy update delta" `Quick test_update_rules_delta;
     Alcotest.test_case "verify accepts valid configs" `Quick
       test_verify_accepts_valid_configs;
