@@ -5,10 +5,14 @@
    crash, a second concurrent crash, staged recovery — twice.  The
    cold chain rebuilds candidate sets and re-solves the placement LP
    from scratch at every step; the warm chain patches the candidate
-   sets in place and seeds the simplex with the previous plan's basis,
+   sets in place and seeds the simplex with a remembered basis,
    matched by key in the rebuilt LP, whatever variables and rows the
-   failure added or dropped.  Both chains must land on the same
-   optimum at every step — warm starting buys pivots, never answers.
+   failure added or dropped.  The controller remembers the basis of
+   every failure set it has solved and seeds from the largest one
+   inside the new set ("seeded from"), so a recovery starts from the
+   plan before the crash, and a return to a set already solved costs
+   nothing.  Both chains must land on the same optimum at every step —
+   warm starting buys pivots, never answers.
 
    The same flag then runs inside the packet simulator: one live
    control-plane run per mode, identical fault schedule, and the warm
@@ -38,14 +42,15 @@ let () =
 
   (* The controller-level differential: same churn, two chains. *)
   let steps = Sim.Experiment.reopt_replay Sim.Experiment.Campus ~flows:400 () in
-  Format.printf "%-4s %-10s %12s %12s %12s %12s %6s %9s@." "step" "failed"
-    "cold pivots" "cold phase1" "warm pivots" "warm phase1" "warm" "fallback";
+  let set = function [] -> "-" | l -> String.concat "+" (List.map string_of_int l) in
+  Format.printf "%-4s %-10s %-11s %12s %12s %12s %12s %6s %9s@." "step" "failed"
+    "seeded from" "cold pivots" "cold phase1" "warm pivots" "warm phase1" "warm"
+    "fallback";
   List.iteri
     (fun i (s : Sim.Experiment.reopt_step) ->
-      Format.printf "%-4d %-10s %12d %12d %12d %12d %6s %9s@." (i + 1)
-        (match s.Sim.Experiment.rs_failed with
-        | [] -> "-"
-        | l -> String.concat "+" (List.map string_of_int l))
+      Format.printf "%-4d %-10s %-11s %12d %12d %12d %12d %6s %9s@." (i + 1)
+        (set s.Sim.Experiment.rs_failed)
+        (match s.Sim.Experiment.rs_seed with None -> "plan" | Some l -> set l)
         s.Sim.Experiment.rs_cold_pivots s.Sim.Experiment.rs_cold_phase1
         s.Sim.Experiment.rs_warm_pivots s.Sim.Experiment.rs_warm_phase1
         (if s.Sim.Experiment.rs_warm_used then "yes" else "no")
@@ -61,9 +66,10 @@ let () =
          back to the cold path. *)
       assert (s.Sim.Experiment.rs_warm_used && not s.Sim.Experiment.rs_fallback);
       (* 3. An unchanged problem warm-solves in exactly zero pivots:
-         the first step repeats the initial solve, and the last step
-         repeats its predecessor. *)
-      if i = 0 || i = List.length steps - 1 then begin
+         the first step repeats the initial solve, "recover all"
+         returns to the first step's failure set and starts from its
+         basis, and the last step repeats its predecessor. *)
+      if i = 0 || i >= List.length steps - 2 then begin
         assert (s.Sim.Experiment.rs_warm_pivots + s.Sim.Experiment.rs_warm_phase1 = 0)
       end)
     steps;
@@ -80,6 +86,32 @@ let () =
     cold_total warm_total
     (100.0 *. float_of_int (cold_total - warm_total) /. float_of_int cold_total);
   assert (warm_total < cold_total);
+
+  (* The 0-pivot return, one controller at a time: crash a box, bring
+     it back, and the controller re-plans from the basis it remembered
+     for "nothing failed" — the same plan to the bit, so the
+     replicated control plane has nothing new to push. *)
+  let v1, _ = Sim.Experiment.churn_victims deployment in
+  let reopt c failed =
+    match Sdm.Controller.reoptimize c ~failed ~use_warm:true ~traffic () with
+    | Ok c -> c
+    | Error e -> failwith e
+  in
+  let lp (c : Sdm.Controller.t) = Option.get c.Sdm.Controller.lp in
+  let before = reopt base [] in
+  let crashed = reopt before [ v1 ] in
+  let back = reopt crashed [] in
+  Format.printf
+    "crash mbox%d: %d pivots; recover it: seeded from %s, %d pivots, fingerprint \
+     %016Lx (before the crash: %016Lx)@.@."
+    v1
+    ((lp crashed).Sdm.Lp_formulation.lp_pivots + (lp crashed).Sdm.Lp_formulation.lp_phase1_pivots)
+    (match Sdm.Controller.seed_of crashed ~failed:[] with None -> "plan" | Some l -> set l)
+    ((lp back).Sdm.Lp_formulation.lp_pivots + (lp back).Sdm.Lp_formulation.lp_phase1_pivots)
+    (Sdm.Controller.fingerprint back) (Sdm.Controller.fingerprint before);
+  assert ((lp back).Sdm.Lp_formulation.lp_pivots = 0);
+  assert ((lp back).Sdm.Lp_formulation.lp_phase1_pivots = 0);
+  assert (Sdm.Controller.fingerprint back = Sdm.Controller.fingerprint before);
 
   (* The same flag inside the packet simulator: live control plane,
      middlebox churn, warm_start off vs on.  Identical traffic and
@@ -109,5 +141,5 @@ let () =
   assert (agree = total);
 
   Format.printf
-    "@.all invariants hold: equal optima, zero-pivot no-op re-solves, \
-     strictly fewer pivots warm@."
+    "@.all invariants hold: equal optima, zero-pivot no-op re-solves and \
+     returns, strictly fewer pivots warm@."

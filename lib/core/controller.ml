@@ -11,11 +11,36 @@ type t = {
   strategy : Strategy.t;
   lp : Lp_formulation.result option;
   k : Policy.Action.nf -> int;
+  memo : (int list * Lp.Model.snapshot) list;
 }
 
 let default_k = function
   | Policy.Action.FW | Policy.Action.IDS -> 4
   | Policy.Action.WP | Policy.Action.TM | Policy.Action.Custom _ -> 2
+
+(* A failure set as the memo keys it: sorted, without repeats. *)
+let failure_set failed = List.sort_uniq Int.compare failed
+
+(* The memo with [set]'s entry replaced by [snapshot], most recent
+   first. *)
+let remember memo set snapshot =
+  match snapshot with
+  | None -> memo
+  | Some sn -> (set, sn) :: List.filter (fun (s, _) -> s <> set) memo
+
+(* The memo entry with the largest failure set inside [failed]; the
+   memo is most recent first, so a tie keeps the most recent. *)
+let seed_entry t failed =
+  List.fold_left
+    (fun best ((set, _) as e) ->
+      if not (List.for_all (fun id -> List.mem id failed) set) then best
+      else
+        match best with
+        | Some (s, _) when List.length s >= List.length set -> best
+        | _ -> Some e)
+    None t.memo
+
+let seed_of t ~failed = Option.map fst (seed_entry t failed)
 
 let referenced_functions rules =
   List.concat_map (fun r -> r.Policy.Rule.actions) rules
@@ -40,11 +65,11 @@ let configure deployment ~rules ?(k = default_k) ?(failed = []) kind =
     | Hot_potato ->
       Ok
         { deployment; candidates; rules; strategy = Strategy.Hot_potato;
-          lp = None; k }
+          lp = None; k; memo = [] }
     | Random_uniform ->
       Ok
         { deployment; candidates; rules; strategy = Strategy.Random_uniform;
-          lp = None; k }
+          lp = None; k; memo = [] }
     | Load_balanced traffic -> (
       match Lp_formulation.solve_simplified candidates ~rules ~traffic () with
       | Error e -> Error e
@@ -57,6 +82,7 @@ let configure deployment ~rules ?(k = default_k) ?(failed = []) kind =
             strategy = Strategy.Load_balanced lp.Lp_formulation.weights;
             lp = Some lp;
             k;
+            memo = remember [] (failure_set failed) lp.Lp_formulation.lp_snapshot;
           })
     | Load_balanced_exact traffic -> (
       match Lp_formulation.solve_exact candidates ~rules ~traffic () with
@@ -77,6 +103,7 @@ let configure deployment ~rules ?(k = default_k) ?(failed = []) kind =
               Strategy.Load_balanced_exact (sd, lp.Lp_formulation.weights);
             lp = Some lp;
             k;
+            memo = remember [] (failure_set failed) lp.Lp_formulation.lp_snapshot;
           }))
   end
 
@@ -91,13 +118,16 @@ let reoptimize t ?(failed = []) ?(use_warm = false) ~traffic () =
      With [use_warm], the re-optimization is incremental end to end:
      candidate sets are patched from the previous configuration's
      ranked lists instead of recomputed ([Candidate.with_excluded]),
-     and the LP warm-starts from the previous plan's basis, matched
-     by key: the basic variables and slack rows that survive the
-     failure or recovery seed the rebuilt LP.  The patched sets are
-     provably equal to a rebuild and the warm solve is an optimum the
-     cold solve would also reach, so only pivot counts — never
-     feasibility or the objective — depend on the flag.  [use_warm = false] is the cold path, bit-identical to
-     builds without warm-start support. *)
+     and the LP warm-starts from a remembered basis, matched by key:
+     the memo's largest failure set inside [failed] ([seed_entry]), or
+     the previous plan's when none fits.  A crash is seeded from the
+     plan it follows; a recovery from an earlier, smaller failure set,
+     whose basis holds the recovered box's columns.  The patched sets
+     are provably equal to a rebuild and the warm solve is an optimum
+     the cold solve would also reach, so only pivot counts — never
+     feasibility or the objective — depend on the flag.
+     [use_warm = false] is the cold path, bit-identical to builds
+     without warm-start support. *)
   if not use_warm then
     let kind =
       match t.strategy with
@@ -111,7 +141,14 @@ let reoptimize t ?(failed = []) ?(use_warm = false) ~traffic () =
     match Candidate.with_excluded t.candidates failed with
     | Error e -> Error e
     | Ok candidates -> (
-      let warm = Option.bind t.lp (fun lp -> lp.Lp_formulation.lp_snapshot) in
+      let warm =
+        match seed_entry t failed with
+        | Some (_, sn) -> Some sn
+        | None -> Option.bind t.lp (fun lp -> lp.Lp_formulation.lp_snapshot)
+      in
+      let memo lp =
+        remember t.memo (failure_set failed) lp.Lp_formulation.lp_snapshot
+      in
       match t.strategy with
       | Strategy.Load_balanced_exact _ -> (
         match
@@ -130,6 +167,7 @@ let reoptimize t ?(failed = []) ?(use_warm = false) ~traffic () =
               strategy =
                 Strategy.Load_balanced_exact (sd, lp.Lp_formulation.weights);
               lp = Some lp;
+              memo = memo lp;
             })
       | Strategy.Hot_potato | Strategy.Random_uniform
       | Strategy.Load_balanced _ -> (
@@ -145,6 +183,7 @@ let reoptimize t ?(failed = []) ?(use_warm = false) ~traffic () =
               candidates;
               strategy = Strategy.Load_balanced lp.Lp_formulation.weights;
               lp = Some lp;
+              memo = memo lp;
             }))
   end
 

@@ -26,6 +26,15 @@ type t = {
   strategy : Strategy.t;
   lp : Lp_formulation.result option;  (** present for load-balanced *)
   k : Policy.Action.nf -> int;    (** candidate-set sizing, kept for updates *)
+  memo : (int list * Lp.Model.snapshot) list;
+      (** the basis memo: for each failure set this controller's line
+          has solved an LP under (sorted, without repeats), the
+          snapshot of its latest optimal basis, most recent first and
+          one entry per set.  [configure] starts it with its own LP's
+          basis (empty for [Hot_potato] and [Random_uniform]); a warm
+          {!reoptimize} adds or replaces its failure set's entry after
+          every solve.  Immutable and per value: a versioned
+          configuration keeps the memo it was solved with. *)
 }
 
 val default_k : Policy.Action.nf -> int
@@ -61,9 +70,12 @@ val reoptimize :
     [use_warm] (default false) makes the step incremental: candidate
     sets are patched from the previous configuration's ranked lists
     ({!Candidate.with_excluded} — equal to a rebuild) and the LP
-    warm-starts from the previous plan's basis: its variables and rows
-    are matched by key in the rebuilt LP, so a failure or recovery
-    costs the pivots the change needs, not a cold solve.  The cold
+    warm-starts from the basis {!seed_of} picks out of the memo (the
+    previous plan's when it picks none): its variables and rows are
+    matched by key in the rebuilt LP, so a failure or recovery costs
+    the pivots the change needs, not a cold solve, and a return to a
+    failure set already solved under unchanged traffic costs none.
+    The solve's basis then enters the memo.  The cold
     two-phase solve answers only if the seeded one ends infeasible or
     unbounded.  The result is always an optimum the cold path would
     also reach;
@@ -71,6 +83,16 @@ val reoptimize :
     bit-identically to builds without warm-start support.  The pivot
     and fallback counters of the solve land in the result's
     [lp] field ({!Lp_formulation.result}). *)
+
+val seed_of : t -> failed:int list -> int list option
+(** The failure set whose memo entry a warm [reoptimize ~failed]
+    seeds from: the largest one contained in [failed] (in any order),
+    the most recently solved on a tie.  [None] when no entry fits; the
+    seed is then the current plan's basis.  A crash, or a re-plan
+    under the current failure set, picks the current plan's own entry
+    unless a larger fitting one exists; a recovery picks an earlier,
+    smaller set that still holds the recovered box, which is why a
+    recovery costs about what a crash costs.  Pure. *)
 
 val policy_table_for : t -> Mbox.Entity.t -> Policy.Rule.t list
 (** The subset [P_x] the controller sends to entity [x]: for a proxy,

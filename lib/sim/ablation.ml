@@ -523,19 +523,26 @@ let reopt_columns =
       max_load_col ();
       audit_col () ]
 
-(* Replay steps as (scenario, 1-based step, step). *)
+(* Replay steps as (scenario, 1-based step, step).  A failure set
+   reads "4+9" ("-" in the text when empty, "" in the CSV); a seed is
+   the failure set of the memo entry it came from, or "plan" for the
+   previous plan's basis. *)
 let step_columns =
-  let failed (_, _, (s : Experiment.reopt_step)) =
-    String.concat "+" (List.map string_of_int s.rs_failed)
-  in
+  let set ids = String.concat "+" (List.map string_of_int ids) in
+  let text_set = function "" -> "-" | l -> l in
+  let failed (_, _, (s : Experiment.reopt_step)) = set s.rs_failed in
+  let seed (_, _, (s : Experiment.reopt_step)) = Option.map set s.rs_seed in
   let flag ?(no = "no") ~w head csv_head f =
     T.[ text ~w head (Str (fun (_, _, s) -> if f s then "yes" else no));
         csv csv_head (Str (fun (_, _, s) -> string_of_bool (f s))) ]
   in
   T.[ col ~w:(-8) "scenario" (Str (fun (name, _, _) -> name));
       col ~w:4 "step" (Int (fun (_, i, _) -> i));
-      text ~w:(-10) "failed" (Str (fun r -> match failed r with "" -> "-" | l -> l));
+      text ~w:(-10) "failed" (Str (fun r -> text_set (failed r)));
       csv "failed" (Str failed);
+      text ~w:(-11) "seeded from"
+        (Str (fun r -> match seed r with None -> "plan" | Some l -> text_set l));
+      csv "seeded_from" (Str (fun r -> Option.value ~default:"plan" (seed r)));
       col ~w:11 "cold pivots" (Int (fun (_, _, s) -> s.Experiment.rs_cold_pivots));
       col ~w:11 "cold phase1" (Int (fun (_, _, s) -> s.Experiment.rs_cold_phase1));
       col ~w:11 "warm pivots" (Int (fun (_, _, s) -> s.Experiment.rs_warm_pivots));

@@ -290,6 +290,7 @@ type reopt_step = {
   rs_warm_phase1 : int;
   rs_cold_lambda : float;
   rs_warm_lambda : float;
+  rs_seed : int list option;
   rs_warm_used : bool;
   rs_fallback : bool;
   rs_agree : bool;
@@ -330,6 +331,7 @@ let reopt_replay scenario ?(flows = 500) ?(seed = 17) () =
     List.fold_left
       (fun (cold, warm, acc) failed ->
         let cold = reopt_exn cold ~failed ~use_warm:false ~traffic in
+        let seed = Sdm.Controller.seed_of warm ~failed in
         let warm = reopt_exn warm ~failed ~use_warm:true ~traffic in
         let cl = lp cold and wl = lp warm in
         let cold_lambda = cl.Sdm.Lp_formulation.lambda in
@@ -344,6 +346,7 @@ let reopt_replay scenario ?(flows = 500) ?(seed = 17) () =
             rs_warm_phase1 = wl.Sdm.Lp_formulation.lp_phase1_pivots;
             rs_cold_lambda = cold_lambda;
             rs_warm_lambda = warm_lambda;
+            rs_seed = seed;
             rs_warm_used = wl.Sdm.Lp_formulation.lp_warm_used;
             rs_fallback = wl.Sdm.Lp_formulation.lp_fallback;
             rs_agree = lambda_agree ~cold:cold_lambda ~warm:warm_lambda;

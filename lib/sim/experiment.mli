@@ -146,6 +146,10 @@ type reopt_step = {
           are a refactorisation and are not counted) *)
   rs_cold_lambda : float;
   rs_warm_lambda : float;
+  rs_seed : int list option;
+      (** the failure set whose memo entry seeded the warm solve
+          ({!Sdm.Controller.seed_of}); [None] for the previous plan's
+          basis *)
   rs_warm_used : bool;     (** a keyed previous basis seeded the solve *)
   rs_fallback : bool;      (** a snapshot was offered but the cold path answered *)
   rs_agree : bool;
@@ -162,8 +166,9 @@ val reopt_replay :
     no-change step — one chain cold ([use_warm:false]) and one
     incremental ([use_warm:true], candidate patching + LP basis reuse
     threaded step to step).  Per step it records both chains' phase-1
-    and phase-2 pivot counts and both optima; the no-change steps must warm-solve in exactly zero
-    pivots, and every step's optima must agree within tolerance.
+    and phase-2 pivot counts, both optima and the warm step's seed; the
+    no-change steps must warm-solve in exactly zero pivots, and every
+    step's optima must agree within tolerance.
     Deterministic: a pure function of (scenario, flows, seed). *)
 
 val reopt_solve_ms :

@@ -58,14 +58,15 @@ type live_config = Pktsim_types.live_config = {
           (one period to be visited, one for the retry ladder) — the
           deadline the audit's Repair invariant enforces. *)
   warm_start : bool;
-      (** thread the previous plan's simplex basis through every
-          in-run re-optimization: candidate sets are patched from the
-          ranked lists instead of recomputed, and the LP re-runs phase
-          2 only when its layout held ({!Sdm.Controller.reoptimize}
-          with [use_warm]).  Warm plans are optima the cold path would
-          also reach; only the pivot counters change.  [false] (the
-          default) runs the cold path, bit-identical to builds without
-          warm-start support. *)
+      (** warm-start every in-run re-optimization: candidate sets are
+          patched from the ranked lists instead of recomputed, and the
+          LP is seeded from the basis of the largest failure set the
+          controller has already solved inside the current one
+          ({!Sdm.Controller.reoptimize} with [use_warm],
+          {!Sdm.Controller.seed_of}).  Warm plans are optima the cold
+          path would also reach; only the pivot counters change.
+          [false] (the default) runs the cold path, bit-identical to
+          builds without warm-start support. *)
 }
 
 val default_live : live_config
@@ -266,7 +267,7 @@ type stats = Pktsim_types.stats = {
           counted apart from [reopt_pivots] — cold-path work a
           successful warm start skips entirely *)
   mutable reopt_warm_used : int;
-      (** re-solves the previous basis carried to optimality (0 unless
+      (** re-solves a remembered basis seeded (0 unless
           [live.warm_start]) *)
   mutable reopt_fallback : int;
       (** warm attempts that fell back to the cold two-phase path *)

@@ -79,15 +79,22 @@ let reopt_ledger replays ~flows ~seed rows ~clock ppf =
     let replay f = Experiment.sum f steps in
     let row warm = List.find (fun ((n, _, w), _) -> n = name && w = warm) rows in
     let (_, routers, _), cold = row false and _, warm = row true in
+    (* Pivots are phase 2; each [_phase1] count is the phase-1 and
+       drive-out work beside it. *)
     Printf.sprintf
       "{\"name\": %S, \"routers\": %d, \"replay_steps\": %d, \"replay_cold_pivots\": \
-       %d, \"replay_warm_pivots\": %d, \"cold_ms_per_solve\": %.3f, \
-       \"warm_ms_per_solve\": %.3f, \"run_cold_pivots\": %d, \"run_warm_pivots\": %d, \
-       \"run_warm_used\": %d, \"run_fallback\": %d}"
+       %d, \"replay_cold_phase1\": %d, \"replay_warm_pivots\": %d, \
+       \"replay_warm_phase1\": %d, \"cold_ms_per_solve\": %.3f, \
+       \"warm_ms_per_solve\": %.3f, \"run_cold_pivots\": %d, \"run_cold_phase1\": %d, \
+       \"run_warm_pivots\": %d, \"run_warm_phase1\": %d, \"run_warm_used\": %d, \
+       \"run_fallback\": %d}"
       name routers (List.length steps)
       (replay (fun s -> s.Experiment.rs_cold_pivots))
+      (replay (fun s -> s.Experiment.rs_cold_phase1))
       (replay (fun s -> s.Experiment.rs_warm_pivots))
-      cold_ms warm_ms cold.Pktsim.reopt_pivots warm.Pktsim.reopt_pivots
+      (replay (fun s -> s.Experiment.rs_warm_phase1))
+      cold_ms warm_ms cold.Pktsim.reopt_pivots cold.Pktsim.reopt_phase1_pivots
+      warm.Pktsim.reopt_pivots warm.Pktsim.reopt_phase1_pivots
       warm.Pktsim.reopt_warm_used warm.Pktsim.reopt_fallback
   in
   let agree, total = Ablation.agreement replays in

@@ -192,7 +192,7 @@ let pinned_corrupt () =
     ]
 
 let pinned_reopt () =
-  let step failed (cold, cold_phase1) (warm, warm_phase1) agree =
+  let step failed ~seed (cold, cold_phase1) (warm, warm_phase1) agree =
     {
       Sim.Experiment.rs_failed = failed;
       rs_cold_pivots = cold;
@@ -201,6 +201,7 @@ let pinned_reopt () =
       rs_warm_phase1 = warm_phase1;
       rs_cold_lambda = 1234.5678905;
       rs_warm_lambda = 1234.567891;
+      rs_seed = seed;
       rs_warm_used = warm = 0;
       rs_fallback = warm <> 0;
       rs_agree = agree;
@@ -209,7 +210,11 @@ let pinned_reopt () =
   Sim.Ablation.reopt_report
     ~topologies:[ ("campus", 23, (4, 9), probe ~horizon:120.0 ~events:6_000) ]
     ~replays:
-      [ ("campus", [ step [] (40, 160) (0, 0) true; step [ 4; 9 ] (35, 140) (12, 20) false ]) ]
+      [ ( "campus",
+          [ step [] ~seed:None (40, 160) (0, 0) true;
+            step [ 4 ] ~seed:(Some []) (38, 150) (7, 9) true;
+            step [ 4; 9 ] ~seed:(Some [ 4 ]) (35, 140) (12, 20) false;
+            step [ 9 ] ~seed:(Some []) (30, 120) (0, 0) true ] ) ]
     [
       (("campus", 23, false), mk_stats 1 ~audit:None);
       (("campus", 23, true), mk_stats 2 ~audit:(Some 0));
@@ -311,11 +316,13 @@ campus         23  cold       5     121      30     1         1      1001       
 campus         23  warm       6     122      30     2         1      1002        992          0         6         0      2.50M      0
 
 controller-level churn replay (per re-optimization):
-scenario step failed     cold pivots cold phase1 warm pivots warm phase1  warm  fallback  agree
-campus      1 -                   40         160           0           0   yes        no    yes
-campus      2 4+9                 35         140          12          20    no       yes     NO
-replay pivots (phase 1 + phase 2): cold 375, warm 32
-warm/cold objective agreement: 1/2 replay steps
+scenario step failed     seeded from cold pivots cold phase1 warm pivots warm phase1  warm  fallback  agree
+campus      1 -          plan                 40         160           0           0   yes        no    yes
+campus      2 4          -                    38         150           7           9    no       yes    yes
+campus      3 4+9        4                    35         140          12          20    no       yes     NO
+campus      4 9          -                    30         120           0           0   yes        no    yes
+replay pivots (phase 1 + phase 2): cold 713, warm 48
+warm/cold objective agreement: 3/4 replay steps
 |}
     (reopt_text r);
   pinned "reopt CSV"
@@ -325,9 +332,11 @@ campus,23,warm,6,122,30,2,1,1002,992,0,6,0,2500002,0
 |}
     (csv "abl_reopt.csv" r);
   pinned "reopt steps CSV"
-    {|scenario,step,failed,cold_pivots,cold_phase1,warm_pivots,warm_phase1,cold_lambda,warm_lambda,warm_used,fallback,agree
-campus,1,,40,160,0,0,1234.567890,1234.567891,true,false,true
-campus,2,4+9,35,140,12,20,1234.567890,1234.567891,false,true,false
+    {|scenario,step,failed,seeded_from,cold_pivots,cold_phase1,warm_pivots,warm_phase1,cold_lambda,warm_lambda,warm_used,fallback,agree
+campus,1,,plan,40,160,0,0,1234.567890,1234.567891,true,false,true
+campus,2,4,,38,150,7,9,1234.567890,1234.567891,false,true,true
+campus,3,4+9,4,35,140,12,20,1234.567890,1234.567891,false,true,false
+campus,4,9,,30,120,0,0,1234.567890,1234.567891,true,false,true
 |}
     (csv "abl_reopt_steps.csv" r)
 

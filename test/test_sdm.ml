@@ -966,6 +966,199 @@ let test_reoptimize_warm_matches_cold () =
         true (warm < cold))
     Sim.Experiment.[ Campus; Waxman ]
 
+(* --- Basis memo ---------------------------------------------------------- *)
+
+(* An LB base on campus or on a small Waxman (10 cores, 40 edge
+   routers), and four boxes of four different functions, so any set of
+   them can fail at once. *)
+let memo_base = function
+  | `Campus ->
+    let deployment = Sim.Experiment.build_deployment Sim.Experiment.Campus ~seed:17 in
+    (deployment, Sim.Workload.generate ~deployment ~seed:17 ~flows:600 ())
+  | `Waxman ->
+    let params =
+      { Netgraph.Waxman.default_params with Netgraph.Waxman.cores = 10; edges = 40 }
+    in
+    let topo = Netgraph.Waxman.generate ~params ~seed:17 () in
+    let deployment =
+      Sdm.Deployment.standard ~topo ~mbox_counts:Sim.Experiment.mbox_counts ~seed:18
+    in
+    (deployment, Sim.Workload.generate ~deployment ~seed:17 ~flows:300 ())
+
+let memo_setup =
+  let setup topology =
+    lazy
+      (let deployment, w = memo_base topology in
+       let traffic = Sim.Workload.measure w in
+       match
+         Sdm.Controller.configure deployment ~rules:w.Sim.Workload.rules
+           (Sdm.Controller.Load_balanced traffic)
+       with
+       | Error e -> failwith e
+       | Ok base ->
+         let first_of nf =
+           (List.hd (Sdm.Deployment.middleboxes_of deployment nf)).Mbox.Middlebox.id
+         in
+         ( base,
+           traffic,
+           Array.map first_of Policy.Action.[| IDS; FW; WP; TM |] ))
+  in
+  let campus = setup `Campus and waxman = setup `Waxman in
+  function `Campus -> Lazy.force campus | `Waxman -> Lazy.force waxman
+
+(* The seed rule, written out: among every failure set solved so far
+   (with the step that last solved it), the largest inside [failed],
+   the latest on a tie. *)
+let naive_seed history failed =
+  let inside s = List.for_all (fun x -> List.mem x failed) s in
+  List.fold_left
+    (fun best (s, at) ->
+      if not (inside s) then best
+      else
+        match best with
+        | Some (b, bat)
+          when List.length b > List.length s
+               || (List.length b = List.length s && bat > at) ->
+          best
+        | _ -> Some (s, at))
+    None history
+  |> Option.map fst
+
+(* A walk step toggles box [i] (crash if up, recover if down); an index
+   past the boxes re-plans under the same failure set.  The failure
+   list is kept in crash order, not sorted. *)
+let walk_failures boxes walk =
+  List.rev
+    (snd
+       (List.fold_left
+          (fun (failed, acc) i ->
+            let failed =
+              if i >= Array.length boxes then failed
+              else if List.mem boxes.(i) failed then
+                List.filter (( <> ) boxes.(i)) failed
+              else failed @ [ boxes.(i) ]
+            in
+            (failed, failed :: acc))
+          ([], []) walk))
+
+(* One warm chain from [base]: per step, the seed [seed_of] chose and
+   the solve's counters and λ bits. *)
+let warm_chain base ~traffic chain =
+  List.rev
+    (snd
+       (List.fold_left
+          (fun (c, acc) failed ->
+            let seed = Sdm.Controller.seed_of c ~failed in
+            match Sdm.Controller.reoptimize c ~failed ~use_warm:true ~traffic () with
+            | Error e -> Alcotest.fail e
+            | Ok c' ->
+              let lp = Option.get c'.Sdm.Controller.lp in
+              ( c',
+                ( c',
+                  ( seed,
+                    lp.Sdm.Lp_formulation.lp_pivots,
+                    lp.Sdm.Lp_formulation.lp_phase1_pivots,
+                    lp.Sdm.Lp_formulation.lp_warm_used,
+                    Int64.bits_of_float lp.Sdm.Lp_formulation.lambda ) )
+                :: acc ))
+          (base, []) chain))
+
+let qcheck_memo_walk topology name =
+  (* Random crash/recover walks over 3-4 boxes: at every step the warm
+     optimum is the cold one, [seed_of] follows the seed rule, and the
+     memo holds one entry per distinct failure set solved. *)
+  QCheck.Test.make ~count:6 ~name
+    QCheck.(
+      make
+        Gen.(
+          int_range 3 4 >>= fun n ->
+          map (fun walk -> (n, walk)) (list_size (int_range 6 10) (int_range 0 n))))
+    (fun (n, walk) ->
+      let base, traffic, boxes = memo_setup topology in
+      let boxes = Array.sub boxes 0 n in
+      let chain = walk_failures boxes walk in
+      let sorted = List.sort_uniq Int.compare in
+      let _, _, ok =
+        List.fold_left
+          (fun (history, at, ok) ((c, (seed, _, _, _, _)), failed) ->
+            let set = sorted failed in
+            let expected_seed = naive_seed history set in
+            let history = (set, at) :: List.filter (fun (s, _) -> s <> set) history in
+            let cold =
+              match Sdm.Controller.reoptimize base ~failed ~use_warm:false ~traffic () with
+              | Ok c -> (Option.get c.Sdm.Controller.lp).Sdm.Lp_formulation.lambda
+              | Error e -> Alcotest.fail e
+            in
+            let warm = (Option.get c.Sdm.Controller.lp).Sdm.Lp_formulation.lambda in
+            let ok =
+              ok
+              && Float.abs (warm -. cold) <= 1e-9 *. Float.max 1.0 (Float.abs cold)
+              && seed = expected_seed
+              && List.map fst c.Sdm.Controller.memo = List.map fst history
+            in
+            (history, at + 1, ok))
+          ([ ([], 0) ], 1, true)
+          (List.combine (warm_chain base ~traffic chain) chain)
+      in
+      ok)
+
+let test_memo_return_is_free () =
+  (* The churn chain, then back to sets solved earlier.  Under
+     unchanged traffic a return re-solves in zero pivots from the
+     set's own entry.  Where the earlier plan was itself a basis
+     install (step 1 after the configure) the return reproduces it to
+     the bit, fingerprint included, so a re-plan that changes nothing
+     pushes nothing new.  A plan reached by pivoting (step 2) comes
+     back at the same vertex but refactorised on another path, so its
+     first return may differ in the last bits; every later return
+     reproduces that first one. *)
+  List.iter
+    (fun (topology, name) ->
+      let base, traffic, boxes = memo_setup topology in
+      let v1 = boxes.(0) and v2 = boxes.(1) in
+      let steps =
+        Array.of_list
+          (warm_chain base ~traffic [ []; [ v1 ]; [ v1; v2 ]; [ v2 ]; []; [ v1 ]; []; [ v1 ] ])
+      in
+      let check_return ~bits ~earlier ~later =
+        let c0, (_, _, _, _, bits0) = steps.(earlier) in
+        let c1, (seed, pivots, phase1, warm, bits1) = steps.(later) in
+        let label what = Printf.sprintf "%s step %d: %s" name (later + 1) what in
+        Alcotest.(check (option (list int)))
+          (label "seeded from the same set")
+          (Some (Sdm.Candidate.excluded c0.Sdm.Controller.candidates))
+          seed;
+        Alcotest.(check bool) (label "seeded") true warm;
+        Alcotest.(check (pair int int)) (label "pivots (phase 2, phase 1)") (0, 0) (pivots, phase1);
+        if bits then begin
+          Alcotest.(check int64) (label "λ bits") bits0 bits1;
+          Alcotest.(check int64) (label "fingerprint")
+            (Sdm.Controller.fingerprint c0) (Sdm.Controller.fingerprint c1)
+        end
+        else
+          Alcotest.(check (float 1e-9)) (label "λ")
+            (Int64.float_of_bits bits0 /. Int64.float_of_bits bits1) 1.0
+      in
+      check_return ~bits:true ~earlier:0 ~later:4;
+      check_return ~bits:false ~earlier:1 ~later:5;
+      check_return ~bits:true ~earlier:4 ~later:6;
+      check_return ~bits:true ~earlier:5 ~later:7)
+    [ (`Campus, "campus"); (`Waxman, "small Waxman") ]
+
+let test_memo_chain_reproducible () =
+  (* The memo lives in the controller value: the same chain run twice
+     from the same base takes the same seeds, pivots and λ bits. *)
+  List.iter
+    (fun topology ->
+      let base, traffic, boxes = memo_setup topology in
+      let chain = walk_failures boxes [ 0; 1; 2; 0; 4; 1; 0; 3; 2; 0 ] in
+      let stats () = List.map snd (warm_chain base ~traffic chain) in
+      let first = stats () in
+      Alcotest.(check bool) "some step pivots" true
+        (List.exists (fun (_, p, p1, _, _) -> p + p1 > 0) first);
+      Alcotest.(check bool) "second run equals the first" true (stats () = first))
+    [ `Campus; `Waxman ]
+
 let test_lp_keys_unique () =
   (* Every variable and every row of the registry's Eq. (2) LPs has a
      key of its own, on campus and Waxman and under each failure set
@@ -1090,7 +1283,10 @@ let test_lp_pin () =
      seed 17, and the Waxman re-optimization chain over ABL-REOPT's
      failure sets (no change, crash IDS, crash FW too, recover IDS,
      recover all, no change), cold and warm-started.  A change to the
-     simplex that moves a pivot or an ulp of the answer fails here. *)
+     simplex that moves a pivot or an ulp of the answer fails here.
+     The warm chain seeds each step from the controller's basis memo:
+     "recover IDS" from the no-change step's basis, and "recover all"
+     and the last step from that same basis, which they reproduce. *)
   let lb scenario ~flows =
     let deployment = Sim.Experiment.build_deployment scenario ~seed:17 in
     let w = Sim.Workload.generate ~deployment ~seed:17 ~flows () in
@@ -1150,12 +1346,12 @@ let test_lp_pin () =
       ^ "lambda=0x1.647fffffffffep+10 md5=e3576129457475f1a198255c920a06ee";
       "pivots=15 phase1=38 warm=true fallback=false "
       ^ "lambda=0x1.648p+10 md5=d6bbcf03d1e46599c1f539ebdaed9491";
-      "pivots=32 phase1=240 warm=true fallback=false "
-      ^ "lambda=0x1.283ffffffffffp+10 md5=90dbbb2caa586e6d518ade9219c6c3de";
-      "pivots=98 phase1=139 warm=true fallback=false "
-      ^ "lambda=0x1.283fffffffffep+10 md5=b761691cd4e63aeb80a6390e37e72858";
+      "pivots=20 phase1=29 warm=true fallback=false "
+      ^ "lambda=0x1.284p+10 md5=b3823c3aa7718baf597ae22dfa180a8d";
       "pivots=0 phase1=0 warm=true fallback=false "
-      ^ "lambda=0x1.284p+10 md5=9266640b87b2b6c151f2539cf3a3c03e";
+      ^ "lambda=0x1.284p+10 md5=330ef599b52031f77617c3d5b112a847";
+      "pivots=0 phase1=0 warm=true fallback=false "
+      ^ "lambda=0x1.284p+10 md5=330ef599b52031f77617c3d5b112a847";
     ]
     (lp_pin_line campus :: lp_pin_line waxman :: chain ~use_warm:true)
 
@@ -1653,6 +1849,15 @@ let suite =
       test_lp_pin;
     Alcotest.test_case "LP keys are unique in the registry LPs" `Quick
       test_lp_keys_unique;
+    QCheck_alcotest.to_alcotest
+      (qcheck_memo_walk `Campus "memo walk on campus: warm = cold, seed rule, one entry per set");
+    QCheck_alcotest.to_alcotest
+      (qcheck_memo_walk `Waxman
+         "memo walk on a small Waxman: warm = cold, seed rule, one entry per set");
+    Alcotest.test_case "memo: a return to a solved set is free" `Quick
+      test_memo_return_is_free;
+    Alcotest.test_case "memo: a chain run twice gives the same stats" `Quick
+      test_memo_chain_reproducible;
     Alcotest.test_case "policy update delta" `Quick test_update_rules_delta;
     Alcotest.test_case "verify accepts valid configs" `Quick
       test_verify_accepts_valid_configs;
