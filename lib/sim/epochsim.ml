@@ -8,7 +8,11 @@ type epoch_metrics = {
   staleness_gap : float;
 }
 
-type report = { ep_rows : epoch_metrics list; ep_events : int }
+type report = {
+  ep_rows : epoch_metrics list;
+  ep_events : int;
+  ep_runs : (Sdm.Controller.t * Flowsim.result) list;
+}
 
 (* Rotating class skew: each epoch one policy class carries most of
    the traffic, shifting which middlebox types are hot. *)
@@ -35,6 +39,7 @@ let run ~deployment ?(epochs = 6) ?(base_flows = 60_000) ?(seed = 17) ?jobs () =
   let hp_controller = configure Sdm.Controller.Hot_potato in
   let max_load result = Array.fold_left max 0.0 result.Flowsim.loads in
   let events = ref 0 in
+  let runs = ref [] in
   (* Epochs chain (the stale plan consumes the previous epoch's
      matrix), but within one epoch the three enforcement runs are
      independent and fan out across domains. *)
@@ -53,7 +58,7 @@ let run ~deployment ?(epochs = 6) ?(base_flows = 60_000) ?(seed = 17) ?jobs () =
         | Some t -> configure (Sdm.Controller.Load_balanced t)
       in
       let stale, clair, hp =
-        let cell controller () = Flowsim.run ~controller ~workload () in
+        let cell controller () = (controller, Flowsim.run ~controller ~workload ()) in
         match
           Array.to_list
             (Stdx.Domain_pool.map ?jobs
@@ -64,13 +69,15 @@ let run ~deployment ?(epochs = 6) ?(base_flows = 60_000) ?(seed = 17) ?jobs () =
                    let clair_controller =
                      configure (Sdm.Controller.Load_balanced traffic)
                    in
-                   Flowsim.run ~controller:clair_controller ~workload ());
+                   (clair_controller, Flowsim.run ~controller:clair_controller ~workload ()));
                  cell hp_controller;
                |])
         with
         | [ s; c; h ] -> (s, c, h)
         | _ -> assert false
       in
+      runs := List.rev_append [ stale; clair; hp ] !runs;
+      let stale = snd stale and clair = snd clair and hp = snd hp in
       events :=
         !events + stale.Flowsim.events + clair.Flowsim.events + hp.Flowsim.events;
       let stale_max = max_load stale and clair_max = max_load clair in
@@ -89,4 +96,4 @@ let run ~deployment ?(epochs = 6) ?(base_flows = 60_000) ?(seed = 17) ?jobs () =
     end
   in
   let rows = go 0 None [] in
-  { ep_rows = rows; ep_events = !events }
+  { ep_rows = rows; ep_events = !events; ep_runs = List.rev !runs }

@@ -30,6 +30,8 @@ type epoch_metrics = {
 type report = {
   ep_rows : epoch_metrics list;
   ep_events : int;  (** flow-level events across every epoch's three runs *)
+  ep_runs : (Sdm.Controller.t * Flowsim.result) list;
+      (** per epoch: stale LB, clairvoyant LB, HP *)
 }
 
 val run :

@@ -68,6 +68,7 @@ let cell_seed ~seed i =
 let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l
 
 let flow_events runs = sum (fun r -> r.result.Flowsim.events) runs
+let plan_runs runs = List.map (fun r -> (r.controller, r.result)) runs
 
 let run_strategies ~deployment ~flows ?(per_class = 5) ?(seed = 17) ?rule_seed
     ?jobs () =
@@ -95,7 +96,12 @@ type point = {
   max_loads : (Policy.Action.nf * (float * float * float)) list;
 }
 
-type figure = { scenario : scenario; points : point list; fig_events : int }
+type figure = {
+  scenario : scenario;
+  points : point list;
+  fig_events : int;
+  fig_runs : (Sdm.Controller.t * Flowsim.result) list;
+}
 
 let default_flow_counts = List.init 10 (fun i -> 30_000 * (i + 1))
 
@@ -133,11 +139,17 @@ let run_figure scenario ?(flow_counts = default_flow_counts) ?(per_class = 5)
             ~rule_seed:seed ~jobs:1 ()
         in
         ( point_of_runs ~flows ~total_packets:workload.Workload.total_packets runs,
-          flow_events runs ))
+          flow_events runs,
+          plan_runs runs ))
       flow_counts
   in
   let results = fan_out ?jobs cells in
-  { scenario; points = List.map fst results; fig_events = sum snd results }
+  {
+    scenario;
+    points = List.map (fun (p, _, _) -> p) results;
+    fig_events = sum (fun (_, e, _) -> e) results;
+    fig_runs = List.concat_map (fun (_, _, r) -> r) results;
+  }
 
 (* ---- Table III --------------------------------------------------- *)
 
@@ -151,7 +163,11 @@ type table3_row = {
   lb_min : float;
 }
 
-type table3 = { t3_rows : table3_row list; t3_events : int }
+type table3 = {
+  t3_rows : table3_row list;
+  t3_events : int;
+  t3_runs : (Sdm.Controller.t * Flowsim.result) list;
+}
 
 let run_table3 ?(scenario = Campus) ?(flows = 300_000) ?(per_class = 5)
     ?(seed = 17) ?jobs () =
@@ -172,7 +188,7 @@ let run_table3 ?(scenario = Campus) ?(flows = 300_000) ?(per_class = 5)
         { nf; hp_max; hp_min; rand_max; rand_min; lb_max; lb_min })
       nf_list
   in
-  { t3_rows = rows; t3_events = flow_events runs }
+  { t3_rows = rows; t3_events = flow_events runs; t3_runs = plan_runs runs }
 
 (* ---- Ablations ---------------------------------------------------- *)
 
@@ -182,7 +198,11 @@ type k_point = {
   lb_max_by_nf : (Policy.Action.nf * float) list;
 }
 
-type k_sweep = { k_points : k_point list; k_events : int }
+type k_sweep = {
+  k_points : k_point list;
+  k_events : int;
+  k_runs : (Sdm.Controller.t * Flowsim.result) list;
+}
 
 let ablation_k ?(scenario = Campus) ?(flows = 120_000) ?(seed = 17) ?jobs () =
   let deployment = build_deployment scenario ~seed in
@@ -206,12 +226,17 @@ let ablation_k ?(scenario = Campus) ?(flows = 120_000) ?(seed = 17) ?jobs () =
             (fun nf -> (nf, Flowsim.max_load_of_nf controller result nf))
             nf_list;
       },
-      result.Flowsim.events )
+      result.Flowsim.events,
+      (controller, result) )
   in
   let results =
     fan_out ?jobs (List.map cell [ (1, 1); (2, 1); (2, 2); (4, 2); (6, 3) ])
   in
-  { k_points = List.map fst results; k_events = sum snd results }
+  {
+    k_points = List.map (fun (p, _, _) -> p) results;
+    k_events = sum (fun (_, e, _) -> e) results;
+    k_runs = List.map (fun (_, _, r) -> r) results;
+  }
 
 type failure_report = {
   failed_mbox : int;
@@ -223,6 +248,7 @@ type failure_report = {
   hp_failover_max : float;
   survivors : int;
   fail_events : int;
+  fail_runs : (Sdm.Controller.t * Flowsim.result) list;
 }
 
 let ablation_failure ?(scenario = Campus) ?(flows = 120_000) ?(seed = 17) ?jobs () =
@@ -248,23 +274,23 @@ let ablation_failure ?(scenario = Campus) ?(flows = 120_000) ?(seed = 17) ?jobs 
   let cells =
     [
       (* Phase 1: local fast failover with the stale LP weights. *)
-      (fun () -> (Flowsim.run ~alive ~controller:lb ~workload (), 0.0));
+      (fun () -> (lb, Flowsim.run ~alive ~controller:lb ~workload ()));
       (* Phase 2: the controller re-optimizes without the failed box. *)
       (fun () ->
         let controller =
           configure_exn deployment ~rules ~failed:[ failed ]
             (Sdm.Controller.Load_balanced traffic)
         in
-        ( Flowsim.run ~controller ~workload (),
-          Option.value (lambda_of controller) ~default:0.0 ));
+        (controller, Flowsim.run ~controller ~workload ()));
       (* Baseline: hot-potato under the same failure. *)
       (fun () ->
         let hp = configure_exn deployment ~rules Sdm.Controller.Hot_potato in
-        (Flowsim.run ~alive ~controller:hp ~workload (), 0.0));
+        (hp, Flowsim.run ~alive ~controller:hp ~workload ()));
     ]
   in
   match fan_out ?jobs cells with
-  | [ (failover, _); (reopt, reopt_lambda); (hp_failover, _) ] ->
+  | [ ((_, failover) as r1); ((reopt_c, reopt) as r2); ((_, hp_failover) as r3) ] ->
+    let reopt_lambda = Option.value (lambda_of reopt_c) ~default:0.0 in
     {
       failed_mbox = failed;
       failed_nf = nf;
@@ -277,6 +303,7 @@ let ablation_failure ?(scenario = Campus) ?(flows = 120_000) ?(seed = 17) ?jobs 
       fail_events =
         before.Flowsim.events + failover.Flowsim.events + reopt.Flowsim.events
         + hp_failover.Flowsim.events;
+      fail_runs = [ (lb, before); r1; r2; r3 ];
     }
   | _ -> assert false
 
@@ -380,7 +407,11 @@ type sketch_point = {
   sketched_realized_max : float;
 }
 
-type sketch_sweep = { sk_points : sketch_point list; sk_events : int }
+type sketch_sweep = {
+  sk_points : sketch_point list;
+  sk_events : int;
+  sk_runs : (Sdm.Controller.t * Flowsim.result) list;
+}
 
 let ablation_sketch ?(flows = 120_000) ?(seed = 17) ?jobs () =
   let deployment = build_deployment Campus ~seed in
@@ -401,15 +432,16 @@ let ablation_sketch ?(flows = 120_000) ?(seed = 17) ?jobs () =
     let result = Flowsim.run ~controller ~workload () in
     ( Option.value (lambda_of controller) ~default:0.0,
       Array.fold_left max 0.0 result.Flowsim.loads,
-      result.Flowsim.events )
+      result.Flowsim.events,
+      (controller, result) )
   in
-  let exact_lambda, exact_realized_max, exact_events = realized exact in
+  let exact_lambda, exact_realized_max, exact_events, exact_run = realized exact in
   let cell epsilon () =
     let sketch =
       Sdm.Sketch.of_workload_measurement ~exact ~n_proxies ~rules ~epsilon ()
     in
     let approx = Sdm.Sketch.to_measurement sketch ~rules in
-    let sketched_lambda, sketched_realized_max, events = realized approx in
+    let sketched_lambda, sketched_realized_max, events, run = realized approx in
     ( {
         epsilon;
         sketch_cells = Sdm.Sketch.memory_cells sketch;
@@ -419,10 +451,15 @@ let ablation_sketch ?(flows = 120_000) ?(seed = 17) ?jobs () =
         exact_realized_max;
         sketched_realized_max;
       },
-      events )
+      events,
+      run )
   in
   let results = fan_out ?jobs (List.map cell [ 0.5; 0.2; 0.05; 0.01 ]) in
-  { sk_points = List.map fst results; sk_events = exact_events + sum snd results }
+  {
+    sk_points = List.map (fun (p, _, _) -> p) results;
+    sk_events = exact_events + sum (fun (_, e, _) -> e) results;
+    sk_runs = exact_run :: List.map (fun (_, _, r) -> r) results;
+  }
 
 type lp_side = {
   lp_lambda : float;
@@ -432,7 +469,12 @@ type lp_side = {
   lp_weight_rows : int;
 }
 
-type lp_compare = { exact : lp_side; simplified : lp_side; lp_events : int }
+type lp_compare = {
+  exact : lp_side;
+  simplified : lp_side;
+  lp_events : int;
+  lp_runs : (Sdm.Controller.t * Flowsim.result) list;
+}
 
 let ablation_lp ?(flows = 5_000) ?(seed = 17) ?jobs () =
   let deployment = build_deployment Campus ~seed in
@@ -453,11 +495,12 @@ let ablation_lp ?(flows = 5_000) ?(seed = 17) ?jobs () =
         lp_realized = Array.fold_left max 0.0 result.Flowsim.loads;
         lp_weight_rows = (Sdm.Controller.config_summary c).Sdm.Controller.weight_rows;
       },
-      result.Flowsim.events )
+      result.Flowsim.events,
+      (c, result) )
   in
-  let (exact, e1), (simplified, e2) =
+  let (exact, e1, r1), (simplified, e2, r2) =
     fan_out2 ?jobs
       (cell (Sdm.Controller.Load_balanced_exact traffic))
       (cell (Sdm.Controller.Load_balanced traffic))
   in
-  { exact; simplified; lp_events = e1 + e2 }
+  { exact; simplified; lp_events = e1 + e2; lp_runs = [ r1; r2 ] }

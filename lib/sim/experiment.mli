@@ -70,6 +70,8 @@ type figure = {
   scenario : scenario;
   points : point list;
   fig_events : int;  (** flow-level events across every cell and strategy *)
+  fig_runs : (Sdm.Controller.t * Flowsim.result) list;
+      (** every run, point-major, HP/Rand/LB within a point *)
 }
 
 val default_flow_counts : int list
@@ -98,6 +100,7 @@ type table3_row = {
 type table3 = {
   t3_rows : table3_row list;
   t3_events : int;  (** flow-level events across the three strategy runs *)
+  t3_runs : (Sdm.Controller.t * Flowsim.result) list;  (** HP, Rand, LB *)
 }
 
 val run_table3 :
@@ -108,7 +111,11 @@ val run_table3 :
 
 type k_point = { k_fw_ids : int; k_wp_tm : int; lb_max_by_nf : (Policy.Action.nf * float) list }
 
-type k_sweep = { k_points : k_point list; k_events : int }
+type k_sweep = {
+  k_points : k_point list;
+  k_events : int;
+  k_runs : (Sdm.Controller.t * Flowsim.result) list;
+}
 
 val ablation_k :
   ?scenario:scenario -> ?flows:int -> ?seed:int -> ?jobs:int ->
@@ -125,6 +132,8 @@ type failure_report = {
   hp_failover_max : float;            (** hot-potato under the same failure *)
   survivors : int;                    (** remaining boxes of that type *)
   fail_events : int;                  (** flow-level events, all four runs *)
+  fail_runs : (Sdm.Controller.t * Flowsim.result) list;
+      (** the LB probe, failover, re-optimized, HP failover *)
 }
 
 val ablation_failure :
@@ -191,7 +200,11 @@ type sketch_point = {
   sketched_realized_max : float;
 }
 
-type sketch_sweep = { sk_points : sketch_point list; sk_events : int }
+type sketch_sweep = {
+  sk_points : sketch_point list;
+  sk_events : int;
+  sk_runs : (Sdm.Controller.t * Flowsim.result) list;  (** the exact probe, then each point *)
+}
 
 val ablation_sketch :
   ?flows:int -> ?seed:int -> ?jobs:int -> unit -> sketch_sweep
@@ -211,6 +224,7 @@ type lp_compare = {
   exact : lp_side;       (** Eq. (1): per-(s,d) rows *)
   simplified : lp_side;  (** Eq. (2) *)
   lp_events : int;       (** flow-level events, both realisation runs *)
+  lp_runs : (Sdm.Controller.t * Flowsim.result) list;  (** exact, simplified *)
 }
 
 val ablation_lp :

@@ -14,6 +14,7 @@ type outcome = {
   events : int;
   hops : int;
   runs : Pktsim.stats list;
+  flow_runs : (Sdm.Controller.t * Flowsim.result) list;
   mismatch : string option;
   ledger : (clock:(unit -> float) -> Format.formatter -> string * string) option;
 }
@@ -28,8 +29,9 @@ type entry = {
   run : ctx -> outcome;
 }
 
-let outcome ?(csvs = []) ?(hops = 0) ?(runs = []) ?mismatch ?ledger ~events doc =
-  { doc; csvs; events; hops; runs; mismatch; ledger }
+let outcome ?(csvs = []) ?(hops = 0) ?(runs = []) ?(flow_runs = []) ?mismatch ?ledger
+    ~events doc =
+  { doc; csvs; events; hops; runs; flow_runs; mismatch; ledger }
 
 let entry ?(audited = false) ?cap name title (flows, fast_flows) run =
   { name; title; flows; fast_flows; cap = Option.value cap ~default:flows; audited; run }
@@ -55,7 +57,7 @@ let figure name title scenario =
   entry name title (0, 0) (fun { fast; seed; jobs; _ } ->
       let flow_counts = if fast then Some [ 30_000; 90_000; 150_000 ] else None in
       let fig = Experiment.run_figure scenario ?flow_counts ~seed ~jobs () in
-      outcome ~events:fig.Experiment.fig_events
+      outcome ~events:fig.Experiment.fig_events ~flow_runs:fig.Experiment.fig_runs
         ~csvs:[ (name ^ ".csv", Report.figure_csv fig) ]
         (Report.figure fig))
 
@@ -63,7 +65,7 @@ let table3 ?(csv = false) name title scenario =
   entry ~cap:max_int name title (300_000, 150_000) (fun { flows; seed; jobs; _ } ->
       let t = Experiment.run_table3 ~scenario ~flows ~seed ~jobs () in
       let rows = t.Experiment.t3_rows in
-      outcome ~events:t.Experiment.t3_events
+      outcome ~events:t.Experiment.t3_events ~flow_runs:t.Experiment.t3_runs
         ~csvs:(if csv then [ (name ^ ".csv", Report.table3_csv rows) ] else [])
         (Report.table3 rows))
 
@@ -142,7 +144,7 @@ let all =
     entry "k" "ABL-K: candidate-set size sensitivity" (120_000, 60_000)
       (fun { flows; seed; jobs; _ } ->
         let r = ablation_k ~flows ~seed ~jobs () in
-        outcome ~events:r.k_events (Report.k_ablation r.k_points));
+        outcome ~events:r.k_events ~flow_runs:r.k_runs (Report.k_ablation r.k_points));
     packet ~cap:5_000 "cache" "ABL-CACHE: flow cache vs multi-field lookups (Sec. III.D)"
       (2_000, 500) (fun { flows; seed; _ } -> Ablation.cache ~flows ~seed);
     packet "cachesize" "ABL-CACHESIZE: flow-cache capacity vs lookups" (1_000, 300)
@@ -152,7 +154,7 @@ let all =
     entry "fail" "ABL-FAIL: middlebox failure, failover vs re-optimization" (120_000, 60_000)
       (fun { flows; seed; jobs; _ } ->
         let r = ablation_failure ~flows ~seed ~jobs () in
-        outcome ~events:r.fail_events (Report.failure_ablation r));
+        outcome ~events:r.fail_events ~flow_runs:r.fail_runs (Report.failure_ablation r));
     packet ~audited:true "chaos" "ABL-CHAOS: in-run faults, detection-delay sweep" (800, 300)
       (fun { flows; seed; audit; _ } -> Ablation.chaos ~flows ~seed ~audit);
     packet ~audited:true "live" "ABL-LIVE: live reconfiguration, control-loss sweep" (500, 300)
@@ -182,11 +184,12 @@ let all =
       (fun { flows; seed; jobs; _ } ->
         let deployment = build_deployment Campus ~seed in
         let r = Epochsim.run ~deployment ~base_flows:flows ~seed ~jobs () in
-        outcome ~events:r.Epochsim.ep_events (Report.epochs r.Epochsim.ep_rows));
+        outcome ~events:r.Epochsim.ep_events ~flow_runs:r.Epochsim.ep_runs
+          (Report.epochs r.Epochsim.ep_rows));
     entry "sketch" "ABL-SKETCH: Count-Min sketched measurement vs exact" (120_000, 60_000)
       (fun { flows; seed; jobs; _ } ->
         let r = ablation_sketch ~flows ~seed ~jobs () in
-        outcome ~events:r.sk_events (Report.sketch_ablation r.sk_points));
+        outcome ~events:r.sk_events ~flow_runs:r.sk_runs (Report.sketch_ablation r.sk_points));
     packet ~hops:true "lat" "ABL-LAT: end-to-end latency overhead of enforcement" (1_000, 300)
       (fun { flows; seed; _ } -> Ablation.lat ~flows ~seed);
     packet ~hops:true "queue" "ABL-QUEUE: middlebox queueing, HP vs LB latency" (800, 300)
@@ -194,7 +197,7 @@ let all =
     entry ~cap:10_000 "lp" "ABL-LP: Eq.(1) exact vs Eq.(2) simplified" (5_000, 2_000)
       (fun { flows; seed; jobs; _ } ->
         let r = ablation_lp ~flows ~seed ~jobs () in
-        outcome ~events:r.lp_events (Report.lp_ablation r));
+        outcome ~events:r.lp_events ~flow_runs:r.lp_runs (Report.lp_ablation r));
     entry "config" "CONFIG: controller dissemination volume (campus, LB)" (30_000, 30_000)
       config;
   ]

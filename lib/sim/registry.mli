@@ -22,6 +22,8 @@ type outcome = {
   events : int;  (** simulator events processed, every run included *)
   hops : int;  (** router hops fast-forwarded (packet-level latency runs) *)
   runs : Pktsim.stats list;  (** the packet-level rows' runs, in row order *)
+  flow_runs : (Sdm.Controller.t * Flowsim.result) list;
+      (** the flow-level runs, probes first, with the plan each ran *)
   mismatch : string option;
       (** a failed differential oracle (warm/cold objective
           disagreement): the run must exit non-zero *)

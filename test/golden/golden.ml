@@ -1,29 +1,48 @@
-(* Golden lines: one line per packet-level registry entry, each the
-   entry's ctx followed by key=hex16 tokens over one whole run through
-   [Registry.entry.run].  A token is the first 64 bits of an MD5, or
+(* Golden lines: one line per registry entry, in registry order, each
+   the entry's ctx followed by key=hex16 tokens over one whole run
+   through [Registry.entry.run].  A token is the first 64 bits of an MD5, or
    the value itself for the event and hop counts; floats are hashed by
    their bit pattern, so a one-ulp change moves a token.  Tokens name
    what they pin, so a mismatch names the field that moved, and no
    token depends on how a report record is laid out. *)
 
-type case = { name : string; flows : int; audit : bool; corrupt_rate : float option }
+type case = {
+  name : string;
+  flows : int;
+  fast : bool;
+  audit : bool;
+  corrupt_rate : float option;
+}
 
-let case ?(audit = false) ?corrupt_rate name flows = { name; flows; audit; corrupt_rate }
+let case ?(fast = false) ?(audit = false) ?corrupt_rate name flows =
+  { name; flows; fast; audit; corrupt_rate }
 
-(* The ctx of each line: small enough for tier-1, and covering every
-   run the earlier whole-report pins covered. *)
+(* The ctx of each line, in registry order: small enough for tier-1,
+   and covering every run the earlier whole-report pins covered.  The
+   figures sweep their own flow counts: three volume points when
+   [fast]. *)
 let cases =
   [
+    case ~fast:true "fig4" 0;
+    case ~fast:true "fig5" 0;
+    case "table3" 10_000;
+    case "table3-waxman" 5_000;
+    case "k" 5_000;
     case "cache" 300;
     case "cachesize" 300;
     case "frag" 300;
+    case "fail" 5_000;
     case ~audit:true "chaos" 120;
     case ~audit:true "live" 120;
     case "quorum" 120;
     case ~audit:true ~corrupt_rate:0.3 "corrupt" 120;
     case ~audit:true "reopt" 60;
+    case "epoch" 5_000;
+    case "sketch" 5_000;
     case "lat" 300;
     case "queue" 300;
+    case "lp" 2_000;
+    case "config" 2_000;
   ]
 
 let seed = 17
@@ -190,14 +209,53 @@ let fields (s : Sim.Pktsim.stats) =
     ("audit_report", audit_report report);
   ]
 
+(* Every field of one flow-level run, in declaration order; the
+   pattern is closed as in [fields]. *)
+let flow_fields (r : Sim.Flowsim.result) =
+  let {
+    Sim.Flowsim.loads;
+    packet_hops;
+    direct_packet_hops;
+    enforced_flows;
+    enforced_packets;
+    policy_violations;
+    violating_flows;
+    events;
+  } =
+    r
+  in
+  [
+    ("loads", array float loads);
+    ("packet_hops", float packet_hops);
+    ("direct_packet_hops", float direct_packet_hops);
+    ("enforced_flows", int enforced_flows);
+    ("enforced_packets", int enforced_packets);
+    ("policy_violations", int policy_violations);
+    ("violating_flows", int violating_flows);
+    ("flow_events", int events);
+  ]
+
+(* The LP optimum and the phase-2 and phase-1 pivots of the plan each
+   run enforced; "-" for a plan without an LP. *)
+let plan_fields (c : Sdm.Controller.t) =
+  let lp f = Option.fold ~none:"-" ~some:f c.lp in
+  [
+    ("plan_lambda", lp (fun l -> float l.Sdm.Lp_formulation.lambda));
+    ("plan_pivots", lp (fun l -> int l.Sdm.Lp_formulation.lp_pivots));
+    ("plan_phase1", lp (fun l -> int l.Sdm.Lp_formulation.lp_phase1_pivots));
+  ]
+
 (* One token per field, folded over every run in order. *)
-let stats_tokens = function
+let fold_tokens fields = function
   | [] -> []
   | first :: _ as runs ->
     let per_run = List.map fields runs in
     List.mapi
       (fun i (key, _) -> (key, hash (String.concat ";" (List.map (fun f -> snd (List.nth f i)) per_run))))
       (fields first)
+
+let flow_tokens runs =
+  fold_tokens flow_fields (List.map snd runs) @ fold_tokens plan_fields (List.map fst runs)
 
 (* The controller-level replay ABL-REOPT prints, at full precision. *)
 let replay_tokens flows =
@@ -216,22 +274,24 @@ let replay_tokens flows =
           float s.rs_cold_lambda ^ "," ^ float s.rs_warm_lambda) );
   ]
 
-let line c =
+let line ?(jobs = Stdx.Domain_pool.default_jobs ()) c =
   let e = Option.get (Sim.Registry.find c.name) in
   let o =
     e.run
       {
         flows = c.flows;
-        fast = false;
+        fast = c.fast;
         seed;
-        jobs = Stdx.Domain_pool.default_jobs ();
+        jobs;
         audit = c.audit;
         corrupt_rate = c.corrupt_rate;
         sweep_period = None;
       }
   in
   let tokens =
-    [ ("flows", int c.flows); ("audit", string_of_bool c.audit) ]
+    [ ("flows", int c.flows) ]
+    @ (if c.fast then [ ("fast", "true") ] else [])
+    @ [ ("audit", string_of_bool c.audit) ]
     @ Option.fold ~none:[] ~some:(fun r -> [ ("rate", Printf.sprintf "%g" r) ]) c.corrupt_rate
     @ [
         ("events", Printf.sprintf "%016x" o.events);
@@ -239,7 +299,8 @@ let line c =
         ("text", hash (Format.asprintf "%a" Sim.Table.pp_doc o.doc));
       ]
     @ List.map (fun (file, body) -> (file, hash body)) o.csvs
-    @ stats_tokens o.runs
+    @ fold_tokens fields o.runs
+    @ flow_tokens o.flow_runs
     @ if c.name = "reopt" then replay_tokens c.flows else []
   in
   String.concat " " (c.name :: List.map (fun (k, v) -> k ^ "=" ^ v) tokens)

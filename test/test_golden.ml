@@ -1,4 +1,4 @@
-(* Every packet-level registry entry against its committed golden line
+(* Every registry entry against its committed golden line
    (test/golden.txt, rewritten by test/golden/golden_write.exe).  A
    mismatch names the entry and the first token that moved. *)
 
@@ -28,7 +28,20 @@ let check (c : Golden.case) () =
     | None -> ()
     | Some diff -> Alcotest.failf "golden %s: %s" c.name diff)
 
+(* One case and one line per registry entry, in registry order: a new
+   entry without a line, or a line left over from a removed entry,
+   fails here rather than passing unchecked. *)
+let coverage () =
+  match Lazy.force expected with
+  | Error e -> Alcotest.fail e
+  | Ok lines ->
+    let names = List.map (fun (e : Sim.Registry.entry) -> e.name) Sim.Registry.all in
+    Alcotest.(check (list string)) "cases" names
+      (List.map (fun (c : Golden.case) -> c.name) Golden.cases);
+    Alcotest.(check (list string)) "golden.txt lines" names (List.map fst lines)
+
 let suite =
-  List.map
-    (fun (c : Golden.case) -> Alcotest.test_case c.name `Slow (check c))
-    Golden.cases
+  Alcotest.test_case "every registry entry has a line" `Quick coverage
+  :: List.map
+       (fun (c : Golden.case) -> Alcotest.test_case c.name `Slow (check c))
+       Golden.cases

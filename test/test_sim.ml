@@ -1637,13 +1637,19 @@ let test_experiment_quorum_invariant () =
 (* ---- Parallel fan-out determinism --------------------------------- *)
 
 let test_experiment_jobs_invariant_flowsim () =
-  (* Headline guarantee of the domain-pool engine: a flow-level sweep
-     is bit-identical however many domains evaluate its cells. *)
-  let run jobs =
-    Sim.Experiment.run_figure Sim.Experiment.Campus
-      ~flow_counts:[ 1_000; 2_000; 3_000 ] ~jobs ()
+  (* Headline guarantee of the domain-pool engine: every flow-level
+     entry, run through the registry at its golden ctx, gives the same
+     text, CSVs, events and rows (their golden tokens) however many
+     domains evaluate its cells. *)
+  let flow_level =
+    [ "fig4"; "fig5"; "table3"; "table3-waxman"; "k"; "fail"; "epoch"; "sketch"; "lp"; "config" ]
   in
-  Alcotest.(check bool) "figure jobs=1 = jobs=4" true (run 1 = run 4)
+  List.iter
+    (fun (c : Golden.case) ->
+      if List.mem c.name flow_level then
+        Alcotest.(check string) (c.name ^ " jobs=1 = jobs=4") (Golden.line ~jobs:1 c)
+          (Golden.line ~jobs:4 c))
+    Golden.cases
 
 let test_experiment_jobs_invariant_pktsim () =
   (* Same guarantee for the packet-level chaos experiment, with the
