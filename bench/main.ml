@@ -154,10 +154,13 @@ let run_alloc () =
   Format.printf "@.##### ALLOC: hot-path allocation per event #####@.@.";
   (* Probe 1: TABLE3's flow-level run — classification + steering for
      every flow, the Selector/Xhash fast path. *)
+  let table3 = Option.get (Sim.Registry.find "table3") in
   let t3 =
     alloc_probe "TABLE3" ~baseline:table3_baseline_words_per_event (fun () ->
-        (Sim.Experiment.run_table3 ~flows:150_000 ~seed:17 ~jobs:1 ())
-          .Sim.Experiment.t3_events)
+        (table3.run
+           { flows = table3.fast_flows; fast = true; seed = 17; jobs = 1; audit = false;
+             corrupt_rate = None; sweep_period = None })
+          .events)
   in
   (* Probe 2: a packet-level run — flow caches, label tables and the
      pooled event loop.  Setup (deployment, workload, controller) is

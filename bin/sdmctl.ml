@@ -251,28 +251,25 @@ let demo_cmd =
   in
   let run scenario seed flows =
     let dep = Sim.Experiment.build_deployment scenario ~seed in
-    let workload, runs = Sim.Experiment.run_strategies ~deployment:dep ~flows ~seed () in
+    let s = Sim.Flowlevel.scenario dep ~seed ~flows in
     Format.printf "topology: %s, flows: %d, packets: %d@."
       (Sim.Experiment.scenario_name scenario)
-      flows workload.Sim.Workload.total_packets;
+      flows s.workload.total_packets;
     List.iter
-      (fun (r : Sim.Experiment.strategy_run) ->
-        Format.printf "%-5s" r.Sim.Experiment.strategy;
+      (fun (strategy, (plan : Sdm.Controller.t), result) ->
+        Format.printf "%-5s" strategy;
         List.iter
           (fun nf ->
             Format.printf " %s(max)=%s"
               (Policy.Action.nf_to_string nf)
-              (Sim.Table.millions
-                 (Sim.Flowsim.max_load_of_nf r.Sim.Experiment.controller
-                    r.Sim.Experiment.result nf)))
+              (Sim.Table.millions (Sim.Flowsim.max_load_of_nf plan result nf)))
           (List.map fst Sim.Experiment.mbox_counts);
-        Format.printf "  stretch=%.2f"
-          (Sim.Flowsim.stretch r.Sim.Experiment.result);
-        (match r.Sim.Experiment.lambda with
-        | Some l -> Format.printf "  lambda=%s" (Sim.Table.millions l)
-        | None -> ());
+        Format.printf "  stretch=%.2f" (Sim.Flowsim.stretch result);
+        Option.iter
+          (fun lp -> Format.printf "  lambda=%s" (Sim.Table.millions lp.Sdm.Lp_formulation.lambda))
+          plan.lp;
         Format.printf "@.")
-      runs
+      (Sim.Flowlevel.sweep [ (s, Sim.Flowlevel.strategies) ])
   in
   Cmd.v
     (Cmd.info "demo" ~doc:"Quick three-strategy comparison on one workload")

@@ -16,9 +16,9 @@ let () =
     deployment.Sdm.Deployment.middleboxes;
 
   let flows = 60_000 in
-  let workload, runs =
-    Sim.Experiment.run_strategies ~deployment ~flows ~seed:17 ()
-  in
+  let s = Sim.Flowlevel.scenario deployment ~seed:17 ~flows in
+  let workload = s.Sim.Flowlevel.workload in
+  let runs = Sim.Flowlevel.sweep [ (s, Sim.Flowlevel.strategies) ] in
   Format.printf "@.workload: %d flows, %d packets, %d policies@." flows
     workload.Sim.Workload.total_packets
     (List.length workload.Sim.Workload.rules);
@@ -29,28 +29,24 @@ let () =
   Format.printf "@.%-6s %-6s %12s %12s %12s %10s@." "strat" "type" "max" "min"
     "mean" "imbalance";
   List.iter
-    (fun (r : Sim.Experiment.strategy_run) ->
+    (fun (strategy, controller, result) ->
       List.iter
         (fun nf ->
-          let loads =
-            Sim.Flowsim.loads_of_nf r.Sim.Experiment.controller
-              r.Sim.Experiment.result nf
-          in
+          let loads = Sim.Flowsim.loads_of_nf controller result nf in
           let s = Stdx.Stats.summarize loads in
           Format.printf "%-6s %-6s %12.0f %12.0f %12.0f %10.2f@."
-            r.Sim.Experiment.strategy
+            strategy
             (Policy.Action.nf_to_string nf)
             s.Stdx.Stats.max s.Stdx.Stats.min s.Stdx.Stats.mean
             (s.Stdx.Stats.max /. s.Stdx.Stats.mean))
         (List.map fst Sim.Experiment.mbox_counts);
-      Format.printf "%-6s stretch = %.2fx of shortest-path hops@.@."
-        r.Sim.Experiment.strategy
-        (Sim.Flowsim.stretch r.Sim.Experiment.result))
+      Format.printf "%-6s stretch = %.2fx of shortest-path hops@.@." strategy
+        (Sim.Flowsim.stretch result))
     runs;
 
   (* The LP's view of what it just balanced. *)
-  let lb = List.find (fun r -> r.Sim.Experiment.strategy = "LB") runs in
-  match lb.Sim.Experiment.controller.Sdm.Controller.lp with
+  let _, lb, _ = List.find (fun (strategy, _, _) -> strategy = "LB") runs in
+  match lb.Sdm.Controller.lp with
   | Some lp ->
     Format.printf
       "LB linear program: %d variables, %d constraints, lambda = %.0f@."

@@ -39,9 +39,8 @@ let () =
   (match Sdm.Verify.check lb1 with
   | Ok () -> ()
   | Error _ -> failwith "configuration failed verification");
-  Format.printf "    config verified and priced: %a@."
-    Sdm.Controller.pp_config_summary
-    (Sdm.Controller.config_summary lb1);
+  Format.printf "    config verified and priced: %t"
+    (Sim.Registry.summary_line (Sdm.Controller.config_summary lb1));
   report "09:00 load-balanced weights deployed"
     (max_load (Sim.Flowsim.run ~controller:lb1 ~workload:epoch1 ()));
 

@@ -249,12 +249,6 @@ let config_summary t =
     weight_cells;
   }
 
-let pp_config_summary ppf s =
-  Format.fprintf ppf
-    "%d entities; %d policy rows; %d candidate entries; %d weight rows (%d \
-     values)"
-    s.entities s.policy_rows s.candidate_entries s.weight_rows s.weight_cells
-
 let fingerprint t =
   (* FNV-1a over the configuration's content-bearing parts: strategy
      kind, dissemination summary, rule ids, and — for load-balanced

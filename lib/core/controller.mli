@@ -129,8 +129,6 @@ val config_summary : t -> config_summary
     communication-overhead metric behind the paper's preference for
     the aggregated Eq. (2) variables. *)
 
-val pp_config_summary : Format.formatter -> config_summary -> unit
-
 val fingerprint : t -> int64
 (** Deterministic structural digest of the configuration: strategy
     kind, dissemination summary, rule ids, and (for load-balanced

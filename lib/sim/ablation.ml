@@ -19,11 +19,11 @@ let run s = Pktsim.run ~config:s.config ~controller:s.plan ~workload:s.workload 
 
 (* One thunk per cell of every scenario, in one fan-out: rows come back
    in cell order whatever [jobs] is. *)
-let sweep ?jobs t =
+let fan ~run ?jobs sweeps =
   Experiment.fan_out ?jobs
-    (List.concat_map
-       (fun (s, cells) -> List.map (fun (k, f) () -> (k, run (f s))) cells)
-       t.sweeps)
+    (List.concat_map (fun (s, cells) -> List.map (fun (k, f) () -> (k, run (f s))) cells) sweeps)
+
+let sweep ?jobs t = fan ~run ?jobs t.sweeps
 
 let probes t = List.concat_map (fun (s, _) -> s.probes) t.sweeps
 

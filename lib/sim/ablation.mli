@@ -7,8 +7,9 @@
     change to the scenario.  {!sweep} runs every cell once and returns
     [(label, stats)] rows.  The report is a {!Table} spec over those
     rows plus preamble lines built from the scenario's constants.
-    Cells are pure and fanned out by {!Experiment.fan_out}, so rows
-    are bit-identical for every [jobs].  Campus unless noted. *)
+    Cells are pure and fanned out by {!fan}, so rows are bit-identical
+    for every [jobs].  The flow-level experiments ({!Flowlevel}) have
+    the same shape and share {!fan}.  Campus unless noted. *)
 
 type scenario = {
   deployment : Sdm.Deployment.t;
@@ -26,7 +27,13 @@ type 'k report = ('k * Pktsim.stats) list -> Table.doc * (string * string) list
 type 'k t = { sweeps : (scenario * 'k cell list) list; report : 'k report }
 (** One scenario per topology. *)
 
+val fan : run:('s -> 'r) -> ?jobs:int -> ('s * ('k * ('s -> 's)) list) list -> ('k * 'r) list
+(** Every cell of every scenario, [run] on the changed scenario, in one
+    {!Experiment.fan_out}: rows in cell order whatever [jobs] is. *)
+
 val sweep : ?jobs:int -> 'k t -> ('k * Pktsim.stats) list
+(** {!fan} with {!Pktsim.run}. *)
+
 val probes : 'k t -> Pktsim.stats list
 val filter : ('k -> bool) -> 'k t -> 'k t
 (** Keep the cells whose label passes. *)

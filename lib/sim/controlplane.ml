@@ -148,16 +148,6 @@ let price ?controller_router ?(link_delay = 1.0) (c : Sdm.Controller.t) ~traffic
     report_bytes_per_epoch = !report_bytes;
   }
 
-let pp_report ppf r =
-  Format.fprintf ppf
-    "controller at router %d@.devices managed: %d (an SDN controller would \
-     manage all %d routers, per flow)@.config push: %d messages, %d bytes, %d \
-     byte-hops, done in %.1f time units@.measurement reports: %d bytes per \
-     epoch@."
-    r.controller_router r.devices_managed r.routers_total r.config_messages
-    r.config_bytes r.config_byte_hops r.time_to_configure
-    r.report_bytes_per_epoch
-
 (* ---- Live control plane ------------------------------------------- *)
 
 open Pktsim_types

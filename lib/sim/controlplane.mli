@@ -65,8 +65,6 @@ val price :
 (** [controller_router] defaults to the first gateway, falling back to
     the first core router. *)
 
-val pp_report : Format.formatter -> report -> unit
-
 (** {1 Live control plane}
 
     Sec. III.A-III.C run in-line, as {!Pktsim} does when

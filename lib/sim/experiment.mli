@@ -1,5 +1,9 @@
-(** The paper's evaluation experiments (Sec. IV) and the flow-level
-    ablations; the packet-level ones are data in {!Ablation}.
+(** What the experiments share: the two topologies and their
+    deployment recipe, the plans most experiments start from, the
+    parallel cell fan-out and the controller-level churn replay behind
+    ABL-REOPT.  The experiments themselves are data: the flow-level
+    ones (Fig. 4/5, Table III, the flow-level ablations) in
+    {!Flowlevel}, the packet-level ones in {!Ablation}.
 
     Deployment recipe for both topologies: middleboxes WP x4, FW x7,
     IDS x7, TM x4 attached to random core routers; one policy proxy
@@ -15,8 +19,7 @@
     {b Parallel evaluation.}  Every sweep's cells are pure thunks fanned
     out by {!fan_out} on up to [?jobs] domains, with per-cell seeds
     derived order-independently ({!Stdx.Rng.derive}), so reports are
-    bit-identical for every [jobs].  Each report carries the simulator
-    events its runs processed. *)
+    bit-identical for every [jobs]. *)
 
 type scenario = Campus | Waxman
 
@@ -27,10 +30,15 @@ val mbox_counts : (Policy.Action.nf * int) list
 
 val build_deployment : scenario -> seed:int -> Sdm.Deployment.t
 
+val configure :
+  ?k:(Policy.Action.nf -> int) -> ?failed:int list -> Sdm.Deployment.t -> Workload.t ->
+  Sdm.Controller.kind -> Sdm.Controller.t
+(** {!Sdm.Controller.configure} on the workload's rules; raise
+    [Failure] if configuration fails. *)
+
 val hot_potato : Sdm.Deployment.t -> Workload.t -> Sdm.Controller.t
 val load_balanced : Sdm.Deployment.t -> Workload.t -> Sdm.Controller.t
-(** On the workload's rules (and measured traffic); raise [Failure]
-    if configuration fails. *)
+(** On the workload's rules (and measured traffic). *)
 
 val busiest : Mbox.Middlebox.t list -> float array -> int
 (** The id of the most loaded box, the first on ties. *)
@@ -42,108 +50,7 @@ val fan_out2 : ?jobs:int -> (unit -> 'a) -> (unit -> 'a) -> 'a * 'a
 
 val sum : ('a -> int) -> 'a list -> int
 
-type strategy_run = {
-  strategy : string;
-  controller : Sdm.Controller.t;
-  result : Flowsim.result;
-  lambda : float option; (** LP optimum, LB only *)
-}
-
-val run_strategies :
-  deployment:Sdm.Deployment.t -> flows:int -> ?per_class:int -> ?seed:int ->
-  ?rule_seed:int -> ?jobs:int -> unit -> Workload.t * strategy_run list
-(** One workload, all three strategies on it ([?jobs] fans the three
-    out).  [rule_seed] (default [seed]) pins the policy set
-    independently of the flow population, which the figure sweeps use
-    to scale volume under fixed policies. *)
-
-(* {2 Figures 4 and 5} *)
-
-type point = {
-  flows : int;
-  total_packets : int;
-  (* max_loads.(nf) in HP, Rand, LB order *)
-  max_loads : (Policy.Action.nf * (float * float * float)) list;
-}
-
-type figure = {
-  scenario : scenario;
-  points : point list;
-  fig_events : int;  (** flow-level events across every cell and strategy *)
-  fig_runs : (Sdm.Controller.t * Flowsim.result) list;
-      (** every run, point-major, HP/Rand/LB within a point *)
-}
-
-val default_flow_counts : int list
-(** 30k .. 300k in steps of 30k. *)
-
-val run_figure :
-  scenario -> ?flow_counts:int list -> ?per_class:int -> ?seed:int ->
-  ?jobs:int -> unit -> figure
-(** One cell per flow-volume point, fanned out over [?jobs] domains.
-    Each cell's flow population is seeded from
-    [Stdx.Rng.derive root i], so the figure is a function of the root
-    seed alone, not of evaluation order. *)
-
-(* {2 Table III} *)
-
-type table3_row = {
-  nf : Policy.Action.nf;
-  hp_max : float;
-  hp_min : float;
-  rand_max : float;
-  rand_min : float;
-  lb_max : float;
-  lb_min : float;
-}
-
-type table3 = {
-  t3_rows : table3_row list;
-  t3_events : int;  (** flow-level events across the three strategy runs *)
-  t3_runs : (Sdm.Controller.t * Flowsim.result) list;  (** HP, Rand, LB *)
-}
-
-val run_table3 :
-  ?scenario:scenario -> ?flows:int -> ?per_class:int -> ?seed:int ->
-  ?jobs:int -> unit -> table3
-
-(* {2 Flow-level ablations} *)
-
-type k_point = { k_fw_ids : int; k_wp_tm : int; lb_max_by_nf : (Policy.Action.nf * float) list }
-
-type k_sweep = {
-  k_points : k_point list;
-  k_events : int;
-  k_runs : (Sdm.Controller.t * Flowsim.result) list;
-}
-
-val ablation_k :
-  ?scenario:scenario -> ?flows:int -> ?seed:int -> ?jobs:int ->
-  unit -> k_sweep
-(** LB max loads as the candidate-set sizes grow; k=1 reproduces HP. *)
-
-type failure_report = {
-  failed_mbox : int;                  (** the killed middlebox (most-loaded IDS) *)
-  failed_nf : Policy.Action.nf;
-  before_max : float;                 (** max load of that type before failure *)
-  failover_max : float;               (** local fast failover, stale weights *)
-  reoptimized_max : float;            (** controller re-ran candidates + LP *)
-  reoptimized_lambda : float;
-  hp_failover_max : float;            (** hot-potato under the same failure *)
-  survivors : int;                    (** remaining boxes of that type *)
-  fail_events : int;                  (** flow-level events, all four runs *)
-  fail_runs : (Sdm.Controller.t * Flowsim.result) list;
-      (** the LB probe, failover, re-optimized, HP failover *)
-}
-
-val ablation_failure :
-  ?scenario:scenario -> ?flows:int -> ?seed:int -> ?jobs:int ->
-  unit -> failure_report
-(** Dependability experiment: kill the most-loaded IDS middlebox and
-    compare local fast failover (stale LP weights renormalised over
-    the survivors) against full controller re-optimization, with
-    hot-potato as the baseline.  Every packet keeps being enforced —
-    the chain is never skipped. *)
+(** {2 Controller-level churn replay} *)
 
 type reopt_step = {
   rs_failed : int list;    (** failure set the chains re-optimized around *)
@@ -189,47 +96,3 @@ val reopt_solve_ms :
 
 val churn_victims : Sdm.Deployment.t -> int * int
 (** The first IDS and the first FW box: the churn chains' victims. *)
-
-type sketch_point = {
-  epsilon : float;
-  sketch_cells : int;       (** counters across all proxy sketches *)
-  exact_cells : int;        (** non-zero (s,d,p) cells in the exact matrix *)
-  exact_lambda : float;
-  sketched_lambda : float;  (** LP optimum planned on sketched volumes *)
-  exact_realized_max : float;   (** realised max load, exact-planned weights *)
-  sketched_realized_max : float;
-}
-
-type sketch_sweep = {
-  sk_points : sketch_point list;
-  sk_events : int;
-  sk_runs : (Sdm.Controller.t * Flowsim.result) list;  (** the exact probe, then each point *)
-}
-
-val ablation_sketch :
-  ?flows:int -> ?seed:int -> ?jobs:int -> unit -> sketch_sweep
-(** Count-Min measurement ablation: plan the LB weights on sketched
-    traffic matrices of decreasing resolution and compare both the LP
-    optimum and the realised maximum load against exact measurement. *)
-
-type lp_side = {
-  lp_lambda : float;
-  lp_vars : int;
-  lp_constraints : int;
-  lp_realized : float;     (** realised max load enforcing the plan's weights *)
-  lp_weight_rows : int;    (** weight rows the plan disseminates *)
-}
-
-type lp_compare = {
-  exact : lp_side;       (** Eq. (1): per-(s,d) rows *)
-  simplified : lp_side;  (** Eq. (2) *)
-  lp_events : int;       (** flow-level events, both realisation runs *)
-  lp_runs : (Sdm.Controller.t * Flowsim.result) list;  (** exact, simplified *)
-}
-
-val ablation_lp :
-  ?flows:int -> ?seed:int -> ?jobs:int -> unit -> lp_compare
-(** Eq. (1) vs Eq. (2) on a small campus instance, compared end to end:
-    LP size, optimum, *realised* max load enforcing each formulation's
-    weights (Eq. (1) uses the per-(s,d) rows), and the configuration
-    rows each must disseminate. *)

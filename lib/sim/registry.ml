@@ -53,21 +53,27 @@ let packet ?audited ?cap ?hops name title flows ablation =
   entry ?audited ?cap name title flows (fun ctx ->
       sweep_outcome ?hops ~jobs:ctx.jobs (ablation ctx))
 
-let figure name title scenario =
-  entry name title (0, 0) (fun { fast; seed; jobs; _ } ->
-      let flow_counts = if fast then Some [ 30_000; 90_000; 150_000 ] else None in
-      let fig = Experiment.run_figure scenario ?flow_counts ~seed ~jobs () in
-      outcome ~events:fig.Experiment.fig_events ~flow_runs:fig.Experiment.fig_runs
-        ~csvs:[ (name ^ ".csv", Report.figure_csv fig) ]
-        (Report.figure fig))
+(* A flow-level experiment's outcome: its probes, then one run per
+   cell. *)
+let flow ?cap name title flows experiment =
+  entry ?cap name title flows (fun ctx ->
+      let (e : _ Flowlevel.t) = experiment ctx in
+      let rows = Flowlevel.sweep ~jobs:ctx.jobs e.sweeps in
+      let runs = e.probes @ List.map (fun (_, plan, r) -> (plan, r)) rows in
+      let doc, csvs = e.report rows in
+      outcome ~csvs ~flow_runs:runs
+        ~events:(Experiment.sum (fun (_, r) -> r.Flowsim.events) runs)
+        doc)
 
-let table3 ?(csv = false) name title scenario =
-  entry ~cap:max_int name title (300_000, 150_000) (fun { flows; seed; jobs; _ } ->
-      let t = Experiment.run_table3 ~scenario ~flows ~seed ~jobs () in
-      let rows = t.Experiment.t3_rows in
-      outcome ~events:t.Experiment.t3_events ~flow_runs:t.Experiment.t3_runs
-        ~csvs:(if csv then [ (name ^ ".csv", Report.table3_csv rows) ] else [])
-        (Report.table3 rows))
+let figure name title topology =
+  flow name title (0, 0) (fun { fast; seed; jobs; _ } ->
+      let flow_counts = if fast then Some [ 30_000; 90_000; 150_000 ] else None in
+      Flowlevel.figure topology ?flow_counts ~seed ~jobs ~file:(name ^ ".csv") ())
+
+let table3 ?(csv = false) name title topology =
+  flow ~cap:max_int name title (300_000, 150_000) (fun { flows; seed; _ } ->
+      let file = if csv then Some (name ^ ".csv") else None in
+      Flowlevel.table3 topology ?file ~flows ~seed ())
 
 (* Wall-clock warm-vs-cold re-solve latency per scenario, next to the
    deterministic pivot counts of the report it follows. *)
@@ -105,16 +111,28 @@ let reopt_ledger replays ~flows ~seed rows ~clock ppf =
       (String.concat ", " (List.map scenario Experiment.[ Campus; Waxman ]))
       agree total )
 
+let summary_line (s : Sdm.Controller.config_summary) =
+  Table.line "%d entities; %d policy rows; %d candidate entries; %d weight rows (%d values)"
+    s.entities s.policy_rows s.candidate_entries s.weight_rows s.weight_cells
+
+(* The control-plane price of a configuration, then a blank line. *)
+let price_lines (p : Controlplane.report) =
+  Table.
+    [ line "controller at router %d" p.controller_router;
+      line "devices managed: %d (an SDN controller would manage all %d routers, per flow)"
+        p.devices_managed p.routers_total;
+      line "config push: %d messages, %d bytes, %d byte-hops, done in %.1f time units"
+        p.config_messages p.config_bytes p.config_byte_hops p.time_to_configure;
+      line "measurement reports: %d bytes per epoch" p.report_bytes_per_epoch;
+      blank ]
+
 let configuration scenario ~seed ~flows =
   let deployment = Experiment.build_deployment scenario ~seed in
   let workload = Workload.generate ~deployment ~seed ~flows () in
   let traffic = Workload.measure workload in
   let report ctl =
-    let price = Controlplane.price ctl ~traffic in
-    ( [ (fun ppf ->
-          Format.fprintf ppf "%a@." Sdm.Controller.pp_config_summary
-            (Sdm.Controller.config_summary ctl));
-        (fun ppf -> Format.fprintf ppf "%a@." Controlplane.pp_report price) ],
+    ( summary_line (Sdm.Controller.config_summary ctl)
+      :: price_lines (Controlplane.price ctl ~traffic),
       match Sdm.Verify.check ctl with Ok () -> [] | Error vs -> vs )
   in
   Result.map report
@@ -141,20 +159,16 @@ let all =
     figure "fig5" "FIG5: Waxman topology (Figure 5)" Waxman;
     table3 ~csv:true "table3" "TABLE3: load distribution, campus (Table III)" Campus;
     table3 "table3-waxman" "TABLE3-WAXMAN: load distribution, Waxman (supplementary)" Waxman;
-    entry "k" "ABL-K: candidate-set size sensitivity" (120_000, 60_000)
-      (fun { flows; seed; jobs; _ } ->
-        let r = ablation_k ~flows ~seed ~jobs () in
-        outcome ~events:r.k_events ~flow_runs:r.k_runs (Report.k_ablation r.k_points));
+    flow "k" "ABL-K: candidate-set size sensitivity" (120_000, 60_000)
+      (fun { flows; seed; _ } -> Flowlevel.k ~flows ~seed);
     packet ~cap:5_000 "cache" "ABL-CACHE: flow cache vs multi-field lookups (Sec. III.D)"
       (2_000, 500) (fun { flows; seed; _ } -> Ablation.cache ~flows ~seed);
     packet "cachesize" "ABL-CACHESIZE: flow-cache capacity vs lookups" (1_000, 300)
       (fun { flows; seed; _ } -> Ablation.cachesize ~flows ~seed);
     packet ~cap:5_000 "frag" "ABL-FRAG: fragmentation vs label switching (Sec. III.E)"
       (2_000, 500) (fun { flows; seed; _ } -> Ablation.frag ~flows ~seed);
-    entry "fail" "ABL-FAIL: middlebox failure, failover vs re-optimization" (120_000, 60_000)
-      (fun { flows; seed; jobs; _ } ->
-        let r = ablation_failure ~flows ~seed ~jobs () in
-        outcome ~events:r.fail_events ~flow_runs:r.fail_runs (Report.failure_ablation r));
+    flow "fail" "ABL-FAIL: middlebox failure, failover vs re-optimization" (120_000, 60_000)
+      (fun { flows; seed; _ } -> Flowlevel.fail ~flows ~seed);
     packet ~audited:true "chaos" "ABL-CHAOS: in-run faults, detection-delay sweep" (800, 300)
       (fun { flows; seed; audit; _ } -> Ablation.chaos ~flows ~seed ~audit);
     packet ~audited:true "live" "ABL-LIVE: live reconfiguration, control-loss sweep" (500, 300)
@@ -180,24 +194,16 @@ let all =
         in
         sweep_outcome ~jobs ?mismatch:(if agree = total then None else Some mismatch)
           ~ledger:(reopt_ledger replays ~flows ~seed) a);
-    entry "epoch" "ABL-EPOCH: adaptation across measurement epochs" (60_000, 30_000)
-      (fun { flows; seed; jobs; _ } ->
-        let deployment = build_deployment Campus ~seed in
-        let r = Epochsim.run ~deployment ~base_flows:flows ~seed ~jobs () in
-        outcome ~events:r.Epochsim.ep_events ~flow_runs:r.Epochsim.ep_runs
-          (Report.epochs r.Epochsim.ep_rows));
-    entry "sketch" "ABL-SKETCH: Count-Min sketched measurement vs exact" (120_000, 60_000)
-      (fun { flows; seed; jobs; _ } ->
-        let r = ablation_sketch ~flows ~seed ~jobs () in
-        outcome ~events:r.sk_events ~flow_runs:r.sk_runs (Report.sketch_ablation r.sk_points));
+    flow "epoch" "ABL-EPOCH: adaptation across measurement epochs" (60_000, 30_000)
+      (fun { flows; seed; jobs; _ } -> Flowlevel.epoch ~flows ~seed ~jobs);
+    flow "sketch" "ABL-SKETCH: Count-Min sketched measurement vs exact" (120_000, 60_000)
+      (fun { flows; seed; _ } -> Flowlevel.sketch ~flows ~seed);
     packet ~hops:true "lat" "ABL-LAT: end-to-end latency overhead of enforcement" (1_000, 300)
       (fun { flows; seed; _ } -> Ablation.lat ~flows ~seed);
     packet ~hops:true "queue" "ABL-QUEUE: middlebox queueing, HP vs LB latency" (800, 300)
       (fun { flows; seed; _ } -> Ablation.queue ~flows ~seed);
-    entry ~cap:10_000 "lp" "ABL-LP: Eq.(1) exact vs Eq.(2) simplified" (5_000, 2_000)
-      (fun { flows; seed; jobs; _ } ->
-        let r = ablation_lp ~flows ~seed ~jobs () in
-        outcome ~events:r.lp_events ~flow_runs:r.lp_runs (Report.lp_ablation r));
+    flow ~cap:10_000 "lp" "ABL-LP: Eq.(1) exact vs Eq.(2) simplified" (5_000, 2_000)
+      (fun { flows; seed; _ } -> Flowlevel.lp ~flows ~seed);
     entry "config" "CONFIG: controller dissemination volume (campus, LB)" (30_000, 30_000)
       config;
   ]

@@ -2,8 +2,9 @@
     artifact or ablation.  The bench's sections, [sdmctl exp]'s cases,
     the known and audited name lists and the CSV exports are all
     derived from {!all}; adding an experiment means adding one entry.
-    A packet-level entry runs an {!Ablation.t}: its outcome holds one
-    run per cell and counts the probes' events too. *)
+    A packet-level entry runs an {!Ablation.t}, a flow-level one a
+    {!Flowlevel.t}: its outcome holds the probes' runs and one run per
+    cell, and counts all their events. *)
 
 type ctx = {
   flows : int;  (** flow population (the figures sweep their own) *)
@@ -45,12 +46,16 @@ type entry = {
 val all : entry list
 (** In report order: FIG4, FIG5, TABLE3, then the ablations. *)
 
+val summary_line : Sdm.Controller.config_summary -> Format.formatter -> unit
+(** ["N entities; N policy rows; N candidate entries; N weight rows
+    (N values)"], a whole line. *)
+
 val configuration :
   Experiment.scenario -> seed:int -> flows:int ->
   (Table.doc * Sdm.Verify.violation list, string) result
 (** Load-balanced enforcement on [flows] generated flows: its
-    dissemination summary and control-plane price, and the static
-    verifier's violations.  [exp config] and [sdmctl verify] add their
+    {!summary_line} and control-plane price ({!Controlplane.price}),
+    and the static verifier's violations.  [exp config] and [sdmctl verify] add their
     own verdict lines. *)
 
 val find : string -> entry option

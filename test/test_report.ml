@@ -16,20 +16,23 @@ let contains haystack needle =
 
 let text doc = render Sim.Table.pp_doc doc
 
+(* A flow-level experiment's report over its own rows. *)
+let report (e : _ Sim.Flowlevel.t) = e.report (Sim.Flowlevel.sweep e.sweeps)
+
 let small_figure () =
-  Sim.Experiment.run_figure Sim.Experiment.Campus ~flow_counts:[ 2_000 ] ()
+  report
+    (Sim.Flowlevel.figure Sim.Experiment.Campus ~flow_counts:[ 2_000 ] ~seed:17 ~jobs:1
+       ~file:"fig4.csv" ())
 
 let test_figure_rendering () =
-  let fig = small_figure () in
-  let out = text (Sim.Report.figure fig) in
+  let out = text (fst (small_figure ())) in
   List.iter
     (fun needle ->
       Alcotest.(check bool) ("contains " ^ needle) true (contains out needle))
     [ "campus"; "-- FW --"; "-- IDS --"; "-- WP --"; "-- TM --"; "HP"; "Rand"; "LB" ]
 
 let test_figure_csv () =
-  let fig = small_figure () in
-  let csv = Sim.Report.figure_csv fig in
+  let csv = List.assoc "fig4.csv" (snd (small_figure ())) in
   let lines =
     List.filter (fun l -> l <> "") (String.split_on_char '\n' csv)
   in
@@ -43,11 +46,13 @@ let test_figure_csv () =
     lines
 
 let test_table3_rendering_and_csv () =
-  let rows = (Sim.Experiment.run_table3 ~flows:2_000 ()).Sim.Experiment.t3_rows in
-  let out = text (Sim.Report.table3 rows) in
+  let doc, csvs =
+    report (Sim.Flowlevel.table3 Sim.Experiment.Campus ~file:"table3.csv" ~flows:2_000 ~seed:17 ())
+  in
+  let out = text doc in
   Alcotest.(check bool) "mentions max" true (contains out "max.");
   Alcotest.(check bool) "mentions min" true (contains out "min.");
-  let csv = Sim.Report.table3_csv rows in
+  let csv = List.assoc "table3.csv" csvs in
   let lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' csv) in
   Alcotest.(check int) "header + 4 types" 5 (List.length lines)
 

@@ -106,9 +106,13 @@ let test_measure_totals () =
 
 (* --- Flowsim ------------------------------------------------------------ *)
 
+(* The workload and the (strategy, plan, result) rows of HP, Rand and
+   LB on it. *)
 let run_campus_strategies flows =
-  let dep = campus () in
-  Sim.Experiment.run_strategies ~deployment:dep ~flows ()
+  let s = Sim.Flowlevel.scenario (campus ()) ~seed:17 ~flows in
+  (s.workload, Sim.Flowlevel.sweep [ (s, Sim.Flowlevel.strategies) ])
+
+let strategy name rows = List.find (fun (k, _, _) -> k = name) rows
 
 let test_flowsim_load_conservation () =
   (* Total middlebox load = sum over enforced flows of
@@ -126,13 +130,9 @@ let test_flowsim_load_conservation () =
       0 workload.Sim.Workload.flows
   in
   List.iter
-    (fun (r : Sim.Experiment.strategy_run) ->
-      let total =
-        Array.fold_left ( +. ) 0.0 r.Sim.Experiment.result.Sim.Flowsim.loads
-      in
-      Alcotest.(check (float 0.5))
-        (r.Sim.Experiment.strategy ^ " load conservation")
-        (float_of_int expected) total)
+    (fun (name, _, (r : Sim.Flowsim.result)) ->
+      let total = Array.fold_left ( +. ) 0.0 r.loads in
+      Alcotest.(check (float 0.5)) (name ^ " load conservation") (float_of_int expected) total)
     runs
 
 let test_flowsim_hot_potato_uses_closest () =
@@ -172,12 +172,9 @@ let test_flowsim_hot_potato_uses_closest () =
 let test_flowsim_lb_beats_others () =
   let _, runs = run_campus_strategies 60_000 in
   let max_of name =
-    let r = List.find (fun r -> r.Sim.Experiment.strategy = name) runs in
+    let _, plan, result = strategy name runs in
     List.fold_left
-      (fun acc nf ->
-        max acc
-          (Sim.Flowsim.max_load_of_nf r.Sim.Experiment.controller
-             r.Sim.Experiment.result nf))
+      (fun acc nf -> max acc (Sim.Flowsim.max_load_of_nf plan result nf))
       0.0
       [ Policy.Action.FW; Policy.Action.IDS; Policy.Action.WP; Policy.Action.TM ]
   in
@@ -189,21 +186,19 @@ let test_flowsim_lb_close_to_lambda () =
   (* Realized LB max load must be near the LP optimum: hashing
      quantises flows, so allow 15%. *)
   let _, runs = run_campus_strategies 60_000 in
-  let lb = List.find (fun r -> r.Sim.Experiment.strategy = "LB") runs in
-  match lb.Sim.Experiment.lambda with
+  let _, (plan : Sdm.Controller.t), (lb : Sim.Flowsim.result) = strategy "LB" runs in
+  match plan.lp with
   | None -> Alcotest.fail "LB must carry lambda"
-  | Some lambda ->
-    let realized =
-      Array.fold_left max 0.0 lb.Sim.Experiment.result.Sim.Flowsim.loads
-    in
+  | Some { lambda; _ } ->
+    let realized = Array.fold_left max 0.0 lb.loads in
     if realized > lambda *. 1.15 +. 1000.0 then
       Alcotest.failf "realized %f far above lambda %f" realized lambda
 
 let test_flowsim_stretch () =
   let _, runs = run_campus_strategies 3_000 in
   List.iter
-    (fun (r : Sim.Experiment.strategy_run) ->
-      let s = Sim.Flowsim.stretch r.Sim.Experiment.result in
+    (fun (_, _, result) ->
+      let s = Sim.Flowsim.stretch result in
       (* Enforcement detours can only lengthen paths. *)
       Alcotest.(check bool) "stretch >= 1" true (s >= 1.0);
       Alcotest.(check bool) "stretch sane" true (s < 10.0))
@@ -686,58 +681,62 @@ let qcheck_pktsim_chaos =
 
 (* --- Experiments --------------------------------------------------------- *)
 
-let test_experiment_figure_small () =
+(* The rows of the campus figure at [flow_counts]. *)
+let figure_rows flow_counts =
   let fig =
-    Sim.Experiment.run_figure Sim.Experiment.Campus
-      ~flow_counts:[ 3_000; 6_000 ] ()
+    Sim.Flowlevel.figure Sim.Experiment.Campus ~flow_counts ~seed:17 ~jobs:2 ~file:"fig4.csv" ()
   in
-  Alcotest.(check int) "two points" 2 (List.length fig.Sim.Experiment.points);
+  Sim.Flowlevel.sweep fig.sweeps
+
+let nfs = List.map fst Sim.Experiment.mbox_counts
+
+let test_experiment_figure_small () =
+  let rows = figure_rows [ 3_000; 6_000 ] in
+  Alcotest.(check (list (pair int string))) "two points, three strategies each"
+    [ (3_000, "HP"); (3_000, "Rand"); (3_000, "LB"); (6_000, "HP"); (6_000, "Rand"); (6_000, "LB") ]
+    (List.map (fun (((flows, _), name), _, _) -> (flows, name)) rows);
   List.iter
-    (fun (p : Sim.Experiment.point) ->
-      Alcotest.(check int) "four middlebox types" 4
-        (List.length p.Sim.Experiment.max_loads);
+    (fun (_, plan, result) ->
       List.iter
-        (fun (_, (hp, rand, lb)) ->
+        (fun nf ->
           Alcotest.(check bool) "loads positive" true
-            (hp > 0.0 && rand > 0.0 && lb > 0.0))
-        p.Sim.Experiment.max_loads)
-    fig.Sim.Experiment.points
+            (Sim.Flowsim.max_load_of_nf plan result nf > 0.0))
+        nfs)
+    rows
 
 let test_experiment_linear_growth () =
   (* Max loads grow roughly linearly with volume (paper: "the maximum
      loads increase linearly with traffic volume"). *)
-  let fig =
-    Sim.Experiment.run_figure Sim.Experiment.Campus
-      ~flow_counts:[ 10_000; 40_000 ] ()
+  let lb flows rows nf =
+    let _, plan, result = List.find (fun (((f, _), name), _, _) -> f = flows && name = "LB") rows in
+    Sim.Flowsim.max_load_of_nf plan result nf
   in
-  match fig.Sim.Experiment.points with
-  | [ p1; p4 ] ->
-    List.iter
-      (fun nf ->
-        let _, _, lb1 = List.assoc nf p1.Sim.Experiment.max_loads in
-        let _, _, lb4 = List.assoc nf p4.Sim.Experiment.max_loads in
-        let ratio = lb4 /. lb1 in
-        if ratio < 2.0 || ratio > 8.0 then
-          Alcotest.failf "%s: 4x flows gave %.2fx load"
-            (Policy.Action.nf_to_string nf) ratio)
-      [ Policy.Action.FW; Policy.Action.IDS ]
-  | _ -> Alcotest.fail "expected two points"
+  let rows = figure_rows [ 10_000; 40_000 ] in
+  List.iter
+    (fun nf ->
+      let ratio = lb 40_000 rows nf /. lb 10_000 rows nf in
+      if ratio < 2.0 || ratio > 8.0 then
+        Alcotest.failf "%s: 4x flows gave %.2fx load" (Policy.Action.nf_to_string nf) ratio)
+    [ Policy.Action.FW; Policy.Action.IDS ]
 
 let test_experiment_table3_shape () =
-  let t3 = Sim.Experiment.run_table3 ~flows:30_000 () in
-  let rows = t3.Sim.Experiment.t3_rows in
-  Alcotest.(check int) "four rows" 4 (List.length rows);
-  Alcotest.(check bool) "events counted" true (t3.Sim.Experiment.t3_events > 0);
+  let t3 = Sim.Flowlevel.table3 Sim.Experiment.Campus ~flows:30_000 ~seed:17 () in
+  let rows = Sim.Flowlevel.sweep t3.sweeps in
+  Alcotest.(check (list string)) "three strategies" [ "HP"; "Rand"; "LB" ]
+    (List.map (fun (name, _, _) -> name) rows);
+  Alcotest.(check bool) "events counted" true
+    (List.for_all (fun (_, _, (r : Sim.Flowsim.result)) -> r.events > 0) rows);
   List.iter
-    (fun (r : Sim.Experiment.table3_row) ->
+    (fun nf ->
+      let summary name =
+        let _, plan, result = strategy name rows in
+        Stdx.Stats.summarize (Sim.Flowsim.loads_of_nf plan result nf)
+      in
+      let hp = summary "HP" and lb = summary "LB" in
       (* LB spread is the tightest of the three strategies. *)
-      let spread max_ min_ = max_ -. min_ in
-      Alcotest.(check bool) "lb spread < hp spread" true
-        (spread r.Sim.Experiment.lb_max r.Sim.Experiment.lb_min
-        <= spread r.Sim.Experiment.hp_max r.Sim.Experiment.hp_min);
-      Alcotest.(check bool) "max >= min" true
-        (r.Sim.Experiment.lb_max >= r.Sim.Experiment.lb_min))
-    rows
+      Alcotest.(check bool) "lb spread < hp spread" true (lb.max -. lb.min <= hp.max -. hp.min);
+      Alcotest.(check bool) "max >= min" true (lb.max >= lb.min))
+    nfs
 
 let test_queue_ablation () =
   let q = Sim.Ablation.queue ~flows:200 ~seed:17 in
@@ -776,33 +775,37 @@ let test_queueing_preserves_loads () =
     (finite.Sim.Pktsim.latency_mean > infinite.Sim.Pktsim.latency_mean)
 
 let test_epoch_adaptation () =
-  let dep = campus () in
-  let report = Sim.Epochsim.run ~deployment:dep ~epochs:4 ~base_flows:10_000 () in
-  let metrics = report.Sim.Epochsim.ep_rows in
-  Alcotest.(check int) "four epochs" 4 (List.length metrics);
-  Alcotest.(check bool) "events counted" true (report.Sim.Epochsim.ep_events > 0);
-  (match metrics with
-  | first :: _ ->
-    (* Epoch 0 has no prior measurement: stale LB *is* hot-potato. *)
-    Alcotest.(check (float 1e-6)) "epoch 0 falls back to HP"
-      first.Sim.Epochsim.hp_max first.Sim.Epochsim.stale_lb_max
-  | [] -> Alcotest.fail "no metrics");
+  (* The first four epochs of ABL-EPOCH. *)
+  let e =
+    Sim.Flowlevel.filter
+      (fun ((epoch, _, _), _) -> epoch < 4)
+      (Sim.Flowlevel.epoch ~flows:10_000 ~seed:17 ~jobs:2)
+  in
+  let rows = Sim.Flowlevel.sweep e.sweeps in
+  Alcotest.(check int) "four epochs of three rows" 12 (List.length rows);
+  Alcotest.(check bool) "events counted" true
+    (List.for_all (fun (_, _, (r : Sim.Flowsim.result)) -> r.events > 0) rows);
   List.iter
-    (fun (m : Sim.Epochsim.epoch_metrics) ->
+    (fun epoch ->
+      let max_load name =
+        let _, _, (r : Sim.Flowsim.result) =
+          List.find (fun (((e, _, _), k), _, _) -> e = epoch && k = name) rows
+        in
+        Array.fold_left max 0.0 r.loads
+      in
+      let stale = max_load "stale" and clairvoyant = max_load "clairvoyant" in
+      let hp = max_load "HP" in
       (* Clairvoyant planning can only help. *)
-      Alcotest.(check bool) "clairvoyant <= stale" true
-        (m.Sim.Epochsim.clairvoyant_lb_max <= m.Sim.Epochsim.stale_lb_max +. 1.0);
-      Alcotest.(check bool) "clairvoyant <= HP" true
-        (m.Sim.Epochsim.clairvoyant_lb_max <= m.Sim.Epochsim.hp_max +. 1.0);
-      Alcotest.(check bool) "gap >= 1" true (m.Sim.Epochsim.staleness_gap >= 0.99))
-    metrics;
-  (* After the first measurement arrives, stale LB beats hot-potato. *)
-  List.iteri
-    (fun i (m : Sim.Epochsim.epoch_metrics) ->
-      if i > 0 then
-        Alcotest.(check bool) "stale LB < HP after warm-up" true
-          (m.Sim.Epochsim.stale_lb_max < m.Sim.Epochsim.hp_max))
-    metrics
+      Alcotest.(check bool) "clairvoyant <= stale" true (clairvoyant <= stale +. 1.0);
+      Alcotest.(check bool) "clairvoyant <= HP" true (clairvoyant <= hp +. 1.0);
+      Alcotest.(check bool) "gap >= 1" true (stale /. clairvoyant >= 0.99);
+      if epoch = 0 then
+        (* No prior measurement: stale LB *is* hot-potato. *)
+        Alcotest.(check (float 1e-6)) "epoch 0 falls back to HP" hp stale
+      else
+        (* After the first measurement arrives, stale LB beats hot-potato. *)
+        Alcotest.(check bool) "stale LB < HP after warm-up" true (stale < hp))
+    [ 0; 1; 2; 3 ]
 
 let test_flowsim_trace () =
   let dep = campus () in
